@@ -1,20 +1,30 @@
-"""EXP-K1 -- kernel hot path: calendar queue, pooling, trace fast path.
+"""EXP-K1 -- kernel hot path: calendar queue, park/wake, message path.
 
-Wall-clock microbenchmarks for the event-loop rewrite, each aimed at
-one mechanism:
+Wall-clock microbenchmarks of the event loop, each aimed at one
+mechanism.  Unlike every other benchmark here these measure *host*
+time, not simulated time.  (End-to-end wall-clock cost per committed
+transaction, by layer, is the commit ledger's job:
+``python -m benchmarks.ledger``.)
 
 * **same-slot frontier** -- hundreds of processes waking at identical
   timestamps.  The calendar queue drains a whole slot as one FIFO list
   (one heap pop per *distinct* timestamp); the seed kernel paid one
   heap sift per event.
+* **staggered delays** -- processes yielding bare delays of seven
+  different lengths, so most events open a slot of their own: the
+  ``_schedule`` + heap-of-timestamps path.  (The former
+  ``bench_kernel_wallclock`` kernel loop; the seed tree measured
+  ~610k events/s on it.)
 * **timeout race** -- ``wait_with_timeout`` where the awaited future
-  wins.  Exercises the pooled timeout timer: the losing timer is
-  resolved early and its future recycled through the kernel free-list
-  on the run loop's cancelled-skip path, so steady-state timeouts
-  allocate nothing.
+  wins: one ``TimedWait`` per wait, its deadline entry skipped by the
+  run loop once the winner has cancelled it.
+* **one-way send** -- unbatched star traffic with nobody receiving:
+  ``Network.send`` -> ``_deliver_all`` -> ``Mailbox.put``.  (The former
+  ``bench_kernel_wallclock`` network loop, ~228k messages/s on the
+  seed tree; reported here as dispatched events/s like every row.)
 * **message ping** -- request/reply over the simulated network,
   tracing off: ``Message`` construction (handwritten ``__slots__``
-  class), delivery scheduling and mailbox handoff.
+  class), delivery scheduling and mailbox park/wake.
 * **federation 8-shard** -- the end-to-end hot path of
   ``bench_s1_sharded_gtm``: an 8-coordinator federation under the
   fixed-total-window open-loop load, trace off.
@@ -48,7 +58,10 @@ N_FRONTIER_PROCS = 400
 #: Long enough (~0.25s) that one timed run amortises scheduler jitter;
 #: the perf-smoke regression gate compares best-of-N runs of this.
 FRONTIER_ROUNDS = 600
+N_STAGGERED_PROCS = 200
+STAGGERED_YIELDS = 500
 N_TIMEOUT_RACES = 30_000
+N_SENDS = 50_000
 N_PINGS = 25_000
 
 #: Per-scenario repetitions; wall-clock noise is one-sided (slow
@@ -77,8 +90,26 @@ def measure_frontier() -> dict:
     return {"events": events, "elapsed": elapsed, "rate": events / elapsed}
 
 
+def measure_staggered() -> dict:
+    """Bare delays of mixed lengths: mostly one event per slot."""
+    kernel = Kernel(seed=1)
+    kernel.trace.enabled = False
+
+    def proc(offset: float):
+        for _ in range(STAGGERED_YIELDS):
+            yield offset
+
+    for i in range(N_STAGGERED_PROCS):
+        kernel.spawn(proc(0.5 + (i % 7) * 0.25), name=f"p{i}")
+    start = time.perf_counter()
+    kernel.run()
+    elapsed = time.perf_counter() - start
+    events = kernel.events_dispatched
+    return {"events": events, "elapsed": elapsed, "rate": events / elapsed}
+
+
 def measure_timeout_race() -> dict:
-    """wait_with_timeout won by the future: pooled-timer recycling."""
+    """wait_with_timeout won by the future: the deadline is cancelled."""
     kernel = Kernel(seed=1)
     kernel.trace.enabled = False
 
@@ -90,6 +121,28 @@ def measure_timeout_race() -> dict:
             assert ok
 
     kernel.spawn(proc(), name="racer")
+    start = time.perf_counter()
+    kernel.run()
+    elapsed = time.perf_counter() - start
+    events = kernel.events_dispatched
+    return {"events": events, "elapsed": elapsed, "rate": events / elapsed}
+
+
+def measure_one_way_send() -> dict:
+    """Send/deliver loop: unbatched star traffic, nobody receiving."""
+    kernel = Kernel(seed=1)
+    kernel.trace.enabled = False
+    net = Network(kernel, latency=FixedLatency(1.0))
+    net.add_node(Node(kernel, "central", is_central=True))
+    net.add_node(Node(kernel, "site"))
+
+    def sender():
+        for i in range(N_SENDS):
+            net.send(Message(kind="ping", sender="central", dest="site"))
+            if i % 100 == 99:
+                yield 1.0  # drain the queue periodically
+
+    kernel.spawn(sender(), name="sender")
     start = time.perf_counter()
     kernel.run()
     elapsed = time.perf_counter() - start
@@ -164,7 +217,9 @@ def measure_federation() -> dict:
 
 SCENARIOS = [
     ("same-slot frontier", measure_frontier),
-    ("timeout race (pooled)", measure_timeout_race),
+    ("staggered delays", measure_staggered),
+    ("timeout race", measure_timeout_race),
+    ("one-way send", measure_one_way_send),
     ("message ping", measure_message_ping),
     ("federation 8-shard", measure_federation),
 ]

@@ -15,8 +15,8 @@ and finally distils the headline performance numbers into
   unbatched, for commit-after and commit-before/per_site;
 * forced decision-log writes per committed transaction;
 * mean response times at both settings;
-* wall-clock kernel throughput (events/s, no trace sink) and its
-  speedup over the seed tree;
+* wall-clock kernel hot-path throughput per ``bench_k1_hotpath``
+  scenario (events/s, no trace sink);
 * the EXP-R1 chaos sweep: invariants held, throughput/latency and
   time-to-resolution per fault level;
 * the EXP-A6 adaptive section: latency recovery vs static batching,
@@ -114,10 +114,6 @@ def headline_numbers() -> dict:
     from benchmarks.bench_a6_adaptive import headline as adaptive_headline
     from benchmarks.bench_c1_check_throughput import headline as check_headline
     from benchmarks.bench_k1_hotpath import hotpath_headline
-    from benchmarks.bench_kernel_wallclock import (
-        SEED_EVENTS_PER_SEC,
-        kernel_events_per_sec,
-    )
     from benchmarks.bench_o1_obs_overhead import obs_headline
     from benchmarks.bench_p1_paxos import headline as paxos_headline
     from benchmarks.bench_r1_chaos import headline as chaos_headline
@@ -160,15 +156,9 @@ def headline_numbers() -> dict:
             },
         }
 
-    events_per_sec = kernel_events_per_sec()
     return {
         "scenario": "16 concurrent 2-site transactions, batch/pipeline window 1.0",
         "protocols": protocols,
-        "kernel": {
-            "events_per_sec": round(events_per_sec),
-            "seed_events_per_sec": round(SEED_EVENTS_PER_SEC),
-            "speedup_vs_seed": round(events_per_sec / SEED_EVENTS_PER_SEC, 2),
-        },
         "kernel_hotpath": hotpath_headline(),
         "chaos": chaos_headline(),
         "obs": obs_headline(),

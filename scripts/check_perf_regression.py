@@ -1,8 +1,8 @@
 """Perf-smoke regression gate: fresh hot-path rates vs BENCH_perf.json.
 
-Reruns the kernel hot-path benchmarks (``bench_k1_hotpath`` and
-``bench_kernel_wallclock``) and compares every events/s figure against
-the committed baseline in ``BENCH_perf.json``.  A rate more than
+Reruns the kernel hot-path benchmark (``bench_k1_hotpath``) and
+compares every events/s figure against the committed baseline in
+``BENCH_perf.json``.  A rate more than
 ``--threshold`` (default 20%) below its baseline fails the run; on
 failure the federation scenario is re-profiled and the ``cProfile``
 stats land in ``--artifacts-dir`` for the post-mortem.
@@ -46,25 +46,18 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 def fresh_rates() -> dict[str, float]:
     from benchmarks.bench_k1_hotpath import hotpath_headline
-    from benchmarks.bench_kernel_wallclock import kernel_events_per_sec
 
-    rates = {
+    return {
         f"kernel_hotpath.{name}": float(rate)
         for name, rate in hotpath_headline().items()
     }
-    rates["kernel.events_per_sec"] = kernel_events_per_sec()
-    return rates
 
 
 def baseline_rates(summary: dict) -> dict[str, float]:
-    rates = {
+    return {
         f"kernel_hotpath.{name}": float(rate)
         for name, rate in summary.get("kernel_hotpath", {}).items()
     }
-    kernel = summary.get("kernel", {})
-    if "events_per_sec" in kernel:
-        rates["kernel.events_per_sec"] = float(kernel["events_per_sec"])
-    return rates
 
 
 def pareto_regressions(summary: dict, threshold: float) -> list[str]:

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.errors import MessageTimeout, NodeUnreachable
 from repro.net.message import Message
-from repro.sim.events import Future
+from repro.sim.events import TIMED_OUT, TimedWait
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.network import Network
@@ -28,7 +28,8 @@ class CentralCommunicationManager:
         self.kernel = kernel
         self.network = network
         self.node = node
-        self._pending: dict[int, Future] = {}
+        # Request msg_id -> the requester parked on its reply.
+        self._pending: dict[int, TimedWait] = {}
         self._serve_process = kernel.spawn(self._serve(), name="central-comm")
         self.requests = 0
         self.timeouts = 0
@@ -38,14 +39,16 @@ class CentralCommunicationManager:
         self.on_unmatched: list = []
 
     def _serve(self) -> Generator[Any, Any, None]:
-        """Route incoming replies to the futures awaiting them."""
+        """Route incoming replies to the requesters awaiting them."""
         while True:
             try:
                 message = yield from self.node.recv()
             except NodeUnreachable:
                 return
-            if message.reply_to is not None and message.reply_to in self._pending:
-                self._pending.pop(message.reply_to).resolve(message)
+            # ``reply_to`` is None on a non-reply; None is never a key.
+            wait = self._pending.pop(message.reply_to, None)
+            if wait is not None:
+                wait.wake(message)
             else:
                 self.kernel.trace.emit(
                     "message_unmatched", self.node.name, message.kind,
@@ -57,8 +60,7 @@ class CentralCommunicationManager:
     def respawn(self) -> None:
         """Restart the serve loop after the node came back.
 
-        The crash failed every pending future and drove :meth:`_serve`
-        to its ``NodeUnreachable`` exit; a restarted coordinator needs
+        The crash drove :meth:`_serve` to its ``NodeUnreachable`` exit; a restarted coordinator needs
         a fresh loop (and a clean pending table -- replies to the old
         incarnation's requests are strangers now and flow to the
         ``on_unmatched`` hooks).
@@ -91,24 +93,17 @@ class CentralCommunicationManager:
         (lost message, crashed site); the caller decides whether to
         retry, wait for recovery, or abort globally.
         """
-        message = Message(
-            kind=kind, sender=self.node.name, dest=site,
-            payload=payload, gtxn_id=gtxn_id,
-        )
-        # The label is purely diagnostic; skip the f-string on the hot
-        # path when tracing is off.
-        if self.kernel.trace.enabled:
-            future = Future(label=f"reply:{kind}:{site}")
-        else:
-            future = Future()
-        self._pending[message.msg_id] = future
+        message = Message(kind, self.node.name, site, payload, gtxn_id)
+        # One object is the pending-table entry, the deadline's queue
+        # entry and what this process parks on.  The deadline is armed
+        # when the process parks -- after the send, like the timer of
+        # the future-and-timer race this replaces.
+        wait = TimedWait(timeout)
+        self._pending[message.msg_id] = wait
         self.requests += 1
         self.network.send(message)
-        if timeout is None:
-            reply = yield future
-            return reply
-        ok, reply = yield from self.kernel.wait_with_timeout(future, timeout)
-        if not ok:
+        reply = yield wait
+        if reply is TIMED_OUT:
             self._pending.pop(message.msg_id, None)
             self.timeouts += 1
             # Stop the reliable layer from retransmitting a request we
@@ -117,6 +112,7 @@ class CentralCommunicationManager:
             # on a transaction the coordinator already resolved.
             self.network.abandon(message.msg_id)
             raise MessageTimeout(f"{kind} to {site} (gtxn={gtxn_id})")
+        wait.cancel()
         return reply
 
     def __repr__(self) -> str:

@@ -79,13 +79,13 @@ class LocalCommunicationManager:
         self.duplicate_requests = 0
         # Per-global-transaction mutex: a retried decide and an
         # in-flight redo (or two redo retries) must never interleave on
-        # the same subtransaction.
+        # the same subtransaction.  An entry lives only while its lock
+        # is held (see :meth:`_release_gtxn_lock`).
         self._gtxn_locks: dict[str, FifoLock] = {}
-        # Hot-path caches: resolved handler per message kind and the
-        # "{site}:{kind}" process name per kind, so the serve loop does
-        # not pay a getattr probe plus an f-string per request.
-        self._handlers: dict[str, Any] = {}
-        self._handler_names: dict[str, str] = {}
+        # Hot-path cache, one tuple per message kind: (resolved handler
+        # or None, takes the gtxn lock?, "{site}:{kind}" process name)
+        # -- no getattr probe, set lookup or f-string per request.
+        self._dispatch: dict[str, tuple[Any, bool, str]] = {}
         self._serve_process = kernel.spawn(self._serve(), name=f"comm:{node.name}")
         self.redo_executions = 0
         self.undo_executions = 0
@@ -123,9 +123,25 @@ class LocalCommunicationManager:
 
     def _gtxn_lock(self, gtxn: Optional[str]) -> FifoLock:
         key = gtxn or "?"
-        if key not in self._gtxn_locks:
-            self._gtxn_locks[key] = FifoLock(name=f"{self.site}:gtxn:{key}")
-        return self._gtxn_locks[key]
+        lock = self._gtxn_locks.get(key)
+        if lock is None:
+            lock = self._gtxn_locks[key] = FifoLock(name=key)
+        return lock
+
+    def _release_gtxn_lock(self, gtxn: Optional[str], lock: FifoLock) -> None:
+        """Release ``lock`` and forget it once nobody queues for it.
+
+        Without the forgetting the table grew by one lock per global
+        transaction per site, forever.  A crash resets (unlocks) the
+        live locks and empties the table, hence the guards.
+        """
+        if not lock.locked:
+            return  # reset by a crash while we held it
+        lock.release()
+        if not lock.locked:
+            key = gtxn or "?"
+            if self._gtxn_locks.get(key) is lock:
+                del self._gtxn_locks[key]
 
     def on_restart(self) -> Generator[Any, Any, None]:
         """Respawn the serve loop after the node came back."""
@@ -140,31 +156,36 @@ class LocalCommunicationManager:
     # ------------------------------------------------------------------
 
     def _serve(self) -> Generator[Any, Any, None]:
+        node = self.node
+        processed = self._processed_replies
+        in_flight = self._in_flight
+        dispatch = self._dispatch
+        spawn = self.kernel.spawn
         while True:
             try:
-                message = yield from self.node.recv()
+                message = yield from node.recv()
             except NodeUnreachable:
                 return
-            if message.msg_id in self._processed_replies:
+            msg_id = message.msg_id
+            if msg_id in processed:
                 # Redelivered request already handled: re-send the same
                 # reply (the first one may have been lost) and do NOT
                 # re-run the handler.
                 self.duplicate_requests += 1
-                cached = self._processed_replies[message.msg_id]
-                if cached is not None and not self.node.crashed:
+                cached = processed[msg_id]
+                if cached is not None and not node.crashed:
                     self.network.send(cached)
                 continue
-            if message.msg_id in self._in_flight:
+            if msg_id in in_flight:
                 # Redelivered while the first delivery is still being
                 # handled; the reply (or the sender's retry machinery)
                 # covers it.
                 self.duplicate_requests += 1
                 continue
-            kind = message.kind
-            name = self._handler_names.get(kind)
-            if name is None:
-                name = self._handler_names[kind] = f"{self.site}:{kind}"
-            self.kernel.spawn(self._handle(message), name=name)
+            entry = dispatch.get(message.kind)
+            if entry is None:
+                entry = self._resolve_kind(message.kind)
+            spawn(self._handle(message, entry[0], entry[1]), entry[2])
 
     #: Request kinds that mutate a subtransaction's fate; retries of
     #: these must not interleave with each other on one gtxn.
@@ -173,21 +194,23 @@ class LocalCommunicationManager:
          "execute_l0", "prepare")
     )
 
-    def _handle(self, message: Message) -> Generator[Any, Any, None]:
-        kind = message.kind
-        handler = self._handlers.get(kind)
-        if handler is None:
-            handler = getattr(self, f"_on_{kind}", None)
-            if handler is None:
-                self._reply(message, "error", error=f"unknown kind {kind}")
-                return
-            self._handlers[kind] = handler
-        lock = (
-            self._gtxn_lock(message.gtxn_id)
-            if kind in self._SERIALIZED_KINDS
-            else None
+    def _resolve_kind(self, kind: str) -> tuple[Any, bool, str]:
+        entry = self._dispatch[kind] = (
+            getattr(self, f"_on_{kind}", None),
+            kind in self._SERIALIZED_KINDS,
+            f"{self.site}:{kind}",
         )
-        self._in_flight.add(message.msg_id)
+        return entry
+
+    def _handle(
+        self, message: Message, handler: Any, serialized: bool
+    ) -> Generator[Any, Any, None]:
+        if handler is None:
+            self._reply(message, "error", error=f"unknown kind {message.kind}")
+            return
+        msg_id = message.msg_id
+        lock = self._gtxn_lock(message.gtxn_id) if serialized else None
+        self._in_flight.add(msg_id)
         try:
             if lock is not None:
                 yield from lock.acquire()
@@ -195,21 +218,22 @@ class LocalCommunicationManager:
             # Handler ran to completion: remember that (and the reply
             # _reply recorded, if any) so a redelivery is answered from
             # the cache instead of re-executed.
-            self._processed_replies.setdefault(message.msg_id, None)
+            self._processed_replies.setdefault(msg_id, None)
         except (SiteCrashed, NodeUnreachable):
             return  # the site died mid-request; the central will time out
         finally:
-            self._in_flight.discard(message.msg_id)
-            if lock is not None and lock.locked:
-                try:
-                    lock.release()
-                except RuntimeError:
-                    pass  # reset by a crash while we held it
+            self._in_flight.discard(msg_id)
+            if lock is not None:
+                self._release_gtxn_lock(message.gtxn_id, lock)
 
     def _reply(self, message: Message, kind: str, **payload: Any) -> None:
         if self.node.crashed:
             return
-        reply = message.reply(kind, **payload)
+        # ``message.reply(kind, **payload)`` without the second kwargs
+        # repack: every handled request ends here.
+        reply = Message(
+            kind, message.dest, message.sender, payload, message.gtxn_id, message.msg_id
+        )
         self._processed_replies[message.msg_id] = reply
         self.network.send(reply)
 
@@ -443,11 +467,7 @@ class LocalCommunicationManager:
                     gtxn, entry["decision"], entry.get("marker_key")
                 )
             finally:
-                if lock.locked:
-                    try:
-                        lock.release()
-                    except RuntimeError:
-                        pass  # reset by a crash while we held it
+                self._release_gtxn_lock(gtxn, lock)
         self._reply(message, "finished_group", outcomes=outcomes)
 
     def _decide_one(

@@ -9,7 +9,7 @@ locals already committed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Optional
 
 
@@ -51,15 +51,25 @@ class Operation:
 
     def routed(self, site: str, local_table: str) -> "Operation":
         """Copy bound to a concrete site and local table."""
-        return replace(self, site=site, local_table=local_table)
+        return Operation(
+            self.kind, self.table, self.key, self.value,
+            site, local_table, self.partition, self.epoch,
+        )
 
     def placed(
         self, site: str, local_table: str, partition: int, epoch: int
     ) -> "Operation":
         """Copy bound to a partition member, stamped for epoch fencing."""
-        return replace(
-            self, site=site, local_table=local_table,
-            partition=partition, epoch=epoch,
+        return Operation(
+            self.kind, self.table, self.key, self.value,
+            site, local_table, partition, epoch,
+        )
+
+    def _retargeted(self, kind: str, value: Any) -> "Operation":
+        """Copy with another ``kind``/``value``, same object and routing."""
+        return Operation(
+            kind, self.table, self.key, value,
+            self.site, self.local_table, self.partition, self.epoch,
         )
 
     def __str__(self) -> str:
@@ -121,13 +131,13 @@ def inverse_of(operation: Operation, before: Any) -> Optional[Operation]:
     if operation.kind == "read":
         return None
     if operation.kind == "increment":
-        return replace(operation, kind="increment", value=-operation.value)
+        return operation._retargeted("increment", -operation.value)
     if operation.kind == "write":
         if before is None:
-            return replace(operation, kind="delete", value=None)
-        return replace(operation, kind="write", value=before)
+            return operation._retargeted("delete", None)
+        return operation._retargeted("write", before)
     if operation.kind == "insert":
-        return replace(operation, kind="delete", value=None)
+        return operation._retargeted("delete", None)
     if operation.kind == "delete":
-        return replace(operation, kind="insert", value=before)
+        return operation._retargeted("insert", before)
     raise ValueError(f"no inverse for {operation.kind!r}")

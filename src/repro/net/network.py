@@ -141,6 +141,9 @@ class Network:
         self.max_retransmits = max_retransmits
         self.max_retransmit_delay = max_retransmit_delay
         self._nodes: dict[str, Node] = {}
+        # ``(sender, dest)`` pairs already checked against membership
+        # and the star topology; cleared whenever a node is added.
+        self._valid_links: set[tuple[str, str]] = set()
         self._rng = kernel.rng.stream("network")
         # Per-link outboxes for the batching path: (sender, dest) ->
         # queued logical messages, plus a generation counter that
@@ -202,6 +205,7 @@ class Network:
         if node.name in self._nodes:
             raise ValueError(f"duplicate node {node.name}")
         self._nodes[node.name] = node
+        self._valid_links.clear()
         # Batching state buffered *at* this node is volatile: purge it
         # the moment the node crashes so a stale scheduled flush cannot
         # transmit pre-crash messages after a quick restart.
@@ -225,23 +229,29 @@ class Network:
 
     # -- sending ----------------------------------------------------------------
 
+    def _validate_link(self, sender: str, dest: str) -> None:
+        nodes = self._nodes
+        src = nodes.get(sender)
+        if src is None:
+            raise NodeUnreachable(f"unknown node {sender}")
+        dst = nodes.get(dest)
+        if dst is None:
+            raise NodeUnreachable(f"unknown node {dest}")
+        if self.enforce_star and not (src.is_central or dst.is_central):
+            raise TopologyViolation(f"local-to-local message {sender} -> {dest}")
+        self._valid_links.add((sender, dest))
+
     def send(self, message: Message) -> None:
         """Asynchronously transmit ``message`` (fire and forget)."""
-        nodes = self._nodes
-        src = nodes.get(message.sender)
-        if src is None:
-            raise NodeUnreachable(f"unknown node {message.sender}")
-        dst = nodes.get(message.dest)
-        if dst is None:
-            raise NodeUnreachable(f"unknown node {message.dest}")
-        if self.enforce_star and not (src.is_central or dst.is_central):
-            raise TopologyViolation(
-                f"local-to-local message {message.sender} -> {message.dest}"
-            )
+        if (message.sender, message.dest) not in self._valid_links:
+            self._validate_link(message.sender, message.dest)
         self.sent += 1
         kind = message.kind
         by_kind = self.by_kind
-        by_kind[kind] = by_kind.get(kind, 0) + 1
+        try:
+            by_kind[kind] += 1
+        except KeyError:
+            by_kind[kind] = 1
         trace = self.kernel.trace
         if trace.enabled:
             trace.emit(
@@ -263,8 +273,19 @@ class Network:
             return
         if self.batch_window > 0:
             self._enqueue(message)
-            return
-        self._transmit(message.sender, message.dest, (message,))
+        elif (
+            self.reliable or self._partitioned or self.loss_rate
+            or self.reorder_rate or self.dup_rate
+        ):
+            self._transmit(message.sender, message.dest, (message,))
+        else:
+            # The fault-free wire, straight-line: one envelope, one
+            # latency sample (the only RNG draw ``_transmit`` would
+            # make with every fault knob at zero), one delivery.
+            self.envelopes += 1
+            self.kernel._schedule(
+                self.latency.sample(self._rng), self._deliver_all, (message,)
+            )
 
     # -- batching --------------------------------------------------------------
 
@@ -610,8 +631,11 @@ class Network:
                         dest=message.dest, cause="dest down",
                     )
             return
+        # ``dst`` is up and nothing runs between these puts, so
+        # ``Node.deliver``'s own crash check has nothing left to add.
+        put = dst.mailbox.put
         for message in messages:
-            dst.deliver(message)
+            put(message)
         self.delivered += len(messages)
 
     # -- metrics ---------------------------------------------------------------

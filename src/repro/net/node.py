@@ -34,11 +34,14 @@ class Node:
         self.on_restart: list[Callable[[], None]] = []
 
     def recv(self) -> Generator[Any, Any, Message]:
-        """Receive the next message (blocks)."""
+        """Receive the next message (blocks); use with ``yield from``.
+
+        Not itself a generator -- it checks the node and hands back the
+        mailbox's -- so a receive costs one generator frame, not two.
+        """
         if self.crashed:
             raise NodeUnreachable(f"{self.name} is down")
-        message = yield from self.mailbox.recv()
-        return message
+        return self.mailbox.recv()
 
     def deliver(self, message: Message) -> bool:
         """Called by the network; returns False if the node is down."""

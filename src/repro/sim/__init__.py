@@ -9,7 +9,7 @@ broken by insertion order, so a run is reproducible bit-for-bit given
 the same seed.
 """
 
-from repro.sim.events import AnyOf, Delay, Future
+from repro.sim.events import AnyOf, Delay, Future, TimedWait
 from repro.sim.kernel import Kernel
 from repro.sim.process import Process
 from repro.sim.rng import RandomStreams
@@ -22,6 +22,7 @@ __all__ = [
     "Kernel",
     "Process",
     "RandomStreams",
+    "TimedWait",
     "TraceLog",
     "TraceRecord",
 ]

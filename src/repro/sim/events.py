@@ -6,16 +6,23 @@ A process yields one of the following to the kernel:
 * :class:`Future` -- resume when the future resolves; if it fails, the
   stored exception is thrown into the process.
 * :class:`AnyOf` -- resume when the first of several futures resolves.
+* :class:`TimedWait` -- park until woken or a deadline, whichever is
+  first (the request/reply wait).
 * another :class:`~repro.sim.process.Process` -- processes are futures,
   so yielding one joins it.
+* a :class:`~repro.sim.sync.Mailbox` or :class:`~repro.sim.sync.FifoLock`
+  -- park in its queue (their ``recv``/``acquire`` helpers do this).
 
-Futures sit on the hottest allocation path of the simulator (every
-request/response pair and every blocking wait creates one), so the
-implementation favours flat slots and lazy structures: the callback
-list is only materialised when someone actually waits, and a process
-waiting on a future is recorded as a bare ``(process, epoch)`` tuple
-rather than a closure -- completion schedules the resumption step
-directly, with no intermediate frame.
+Everything but a bare number is *parked on*: the process calls the
+effect's ``_add_waiter(process, epoch)`` and goes to sleep; whoever
+completes the effect wakes it with ``kernel._resume(process, epoch,
+value, exc)``, which queues the process's next step at the current
+instant.  A waiter is a bare ``(process, epoch)`` pair -- no closure,
+no intermediate future -- and a wake-up whose epoch the process has
+moved past (it was interrupted meanwhile) is a no-op step.
+
+Futures favour flat slots and lazy structures: the callback list is
+only materialised when someone actually waits.
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ class Future:
     arrives -- most futures resolve with exactly one -- and holds two
     kinds of entry: plain callables, and ``(process, epoch)`` tuples
     planted by :meth:`_add_waiter`, which completion turns straight
-    into a kernel-scheduled ``process._step`` without a closure.
+    into a kernel-queued step of the process without a closure.
     """
 
     __slots__ = ("_done", "_value", "_exception", "_callbacks", "label", "_uid")
@@ -125,10 +132,7 @@ class Future:
             if type(entry) is tuple:
                 # A waiting process: schedule its resumption directly.
                 process, epoch = entry
-                if self._exception is not None:
-                    process._kernel._schedule(0.0, process._step, epoch, None, self._exception)
-                else:
-                    process._kernel._schedule(0.0, process._step, epoch, self._value, None)
+                process._kernel._resume(process, epoch, self._value, self._exception)
             else:
                 entry(self)
 
@@ -145,39 +149,108 @@ class Future:
         """Register a process to be stepped when this future completes.
 
         The fast-path twin of :meth:`add_callback`: the waiter is a
-        ``(process, epoch)`` tuple and completion schedules
-        ``process._step(epoch, value, exc)`` without building a closure.
-        If the future is already done, the step is scheduled now -- at
-        the current instant, preserving the one-event resumption hop a
-        pending future would have cost.
+        ``(process, epoch)`` tuple and completion queues the process's
+        next step without building a closure.  If the future is already
+        done, the step is queued now -- at the current instant,
+        preserving the one-event resumption hop a pending future would
+        have cost.
         """
         if self._done:
-            if self._exception is not None:
-                process._kernel._schedule(0.0, process._step, epoch, None, self._exception)
-            else:
-                process._kernel._schedule(0.0, process._step, epoch, self._value, None)
+            process._kernel._resume(process, epoch, self._value, self._exception)
         elif self._callbacks is None:
             self._callbacks = [(process, epoch)]
         else:
             self._callbacks.append((process, epoch))
 
-    def _reset(self) -> None:
-        """Return the future to its pristine pending state.
-
-        Only the kernel's timeout-timer free-list calls this, and only
-        when the queue entry being skipped was provably the last
-        reference (see ``docs/performance.md``).  The uid is refreshed
-        so recycled futures keep strictly increasing creation order.
-        """
-        self._done = False
-        self._value = None
-        self._exception = None
-        self._callbacks = None
-        self._uid = next(_effect_uids)
+    def _expire(self, now: float) -> None:
+        """Fire as a :meth:`Kernel.timer` deadline (no-op if cancelled)."""
+        if not self._done:
+            self.resolve(now)
 
     def __repr__(self) -> str:
         state = "done" if self._done else "pending"
         return f"<Future {self.label!r} {state}>"
+
+
+#: What a :class:`TimedWait` resumes its process with when the deadline
+#: wins.  A sentinel rather than ``None``: ``wake(None)`` is legitimate.
+TIMED_OUT = object()
+
+
+class TimedWait:
+    """Effect: park until woken, failed or past a deadline.
+
+    The single-waiter replacement for "a future raced against a timer":
+    one object is the pending-table entry the waker looks up, the
+    argument of the deadline's queue entry, and the thing the process
+    yields.  ``value = yield wait`` resumes with the value passed to
+    :meth:`wake`, with :data:`TIMED_OUT` if the deadline came first, or
+    by raising the exception passed to ``wake(exc=...)``.  The first of
+    the three settles the wait; later ones are ignored.
+
+    Two flags, because they end at different moments:
+
+    * ``_woken`` -- the wait is settled; the process's step is queued.
+    * ``_done`` -- the *deadline* is spent: it fired, or the winner
+      called :meth:`cancel` once it actually ran again.  The kernel's
+      run loops test exactly this flag on timer entries (as they do for
+      :meth:`Kernel.timer` futures) and skip a spent deadline without
+      advancing the clock or counting a dispatch.
+
+    A waiter that is interrupted never cancels, so its deadline fires
+    for real later and queues a stale (no-op) step -- the behaviour of
+    the future-and-timer race this class replaces, kept because the
+    final simulated time and the dispatch count can depend on it.
+    """
+
+    __slots__ = ("timeout", "_process", "_epoch", "_done", "_woken", "_early")
+
+    def __init__(self, timeout: Optional[float] = None):
+        self.timeout = timeout
+        self._process = None
+        self._done = False
+        self._woken = False
+
+    def _add_waiter(self, process, epoch: int) -> None:
+        """Park ``process`` and arm the deadline (if there is one)."""
+        self._process = process
+        self._epoch = epoch
+        kernel = process._kernel
+        if self.timeout is not None:
+            kernel._schedule(self.timeout, kernel._fire_timer, self)
+        if self._woken:
+            # Settled before the process got here: still one hop.
+            kernel._resume(process, epoch, *self._early)
+
+    def wake(self, value: Any = None, exc: Optional[BaseException] = None) -> None:
+        """Settle the wait with ``value`` (or by raising ``exc``)."""
+        if self._woken:
+            return
+        self._woken = True
+        process = self._process
+        if process is None:
+            self._early = (value, exc)
+        else:
+            process._kernel._resume(process, self._epoch, value, exc)
+
+    def wake_from(self, future: Future) -> None:
+        """:meth:`Future.add_callback` adapter: settle as ``future`` did."""
+        self.wake(future._value, future._exception)
+
+    def cancel(self) -> None:
+        """Retire the deadline; called by the process that was woken."""
+        self._done = True
+
+    def _expire(self, now: float) -> None:
+        """The deadline's queue entry fired."""
+        self._done = True
+        if not self._woken:
+            self._woken = True
+            self._process._kernel._resume(self._process, self._epoch, TIMED_OUT, None)
+
+    def __repr__(self) -> str:
+        state = "settled" if self._woken else "pending"
+        return f"<TimedWait timeout={self.timeout} {state}>"
 
 
 class AnyOf:
@@ -212,6 +285,12 @@ class AnyOf:
 
         for i, future in enumerate(self.futures):
             future.add_callback(make_callback(i))
+
+    def _add_waiter(self, process, epoch: int) -> None:
+        """Park ``process`` on a fresh race future wired to the arms."""
+        race = Future(label="anyof")
+        self.attach(race)
+        race._add_waiter(process, epoch)
 
     def __repr__(self) -> str:
         return f"AnyOf({len(self.futures)} futures)"

@@ -36,22 +36,28 @@ timestamp:
   pays a heap operation; the frontier behind it rides the slot for
   free.
 
-The run loop drains one slot at a time by cursor, so events scheduled
-*at the current instant while the slot drains* (zero-delay follow-ups)
-append to the live slot and fire in the same drain, exactly where the
-heap would have placed them.  Dispatch order is byte-identical to the
-old heap loop: ``(time, sequence)`` ascending, cancelled timers skipped
-without advancing the clock.
+The run loop drains one slot at a time by iterating the slot's list
+while it is still registered in ``_buckets`` (the *live* slot), so
+events scheduled *at the current instant while the slot drains*
+(zero-delay follow-ups) append to it and fire in the same drain,
+exactly where the heap would have placed them -- a CPython list
+iterator sees appends.  :meth:`Kernel._resume`, the one way a process
+step is queued at the current instant, appends to the live slot
+directly; everything else goes through :meth:`Kernel._schedule`.
+Dispatch order is byte-identical to the old heap loop: ``(time,
+sequence)`` ascending, cancelled timers skipped without advancing the
+clock.  ``docs/performance.md`` lists the invariants.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from operator import length_hint
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import KernelStopped, SimulationError
-from repro.sim.events import Future
-from repro.sim.process import Process
+from repro.sim.events import TIMED_OUT, Future, TimedWait
+from repro.sim.process import Process, _step
 from repro.sim.rng import RandomStreams
 from repro.sim.tracing import TraceLog
 
@@ -68,9 +74,8 @@ class Kernel:
     """
 
     __slots__ = (
-        "_buckets", "_times", "_sequence", "_now", "_stopped", "rng", "trace",
-        "failures", "_fire_timer", "_fire_pooled_timer", "_timer_pool",
-        "scheduler", "events_dispatched",
+        "_buckets", "_times", "_live", "_sequence", "_now", "_stopped", "rng",
+        "trace", "failures", "_fire_timer", "scheduler", "events_dispatched",
     )
 
     def __init__(self, seed: int = 0):
@@ -80,22 +85,23 @@ class Kernel:
         # that the run loop has not started draining.
         self._buckets: dict[float, list[tuple[float, int, Callable[..., None], tuple]]] = {}
         self._times: list[float] = []
+        # The slot :meth:`run` is draining right now (``None`` outside a
+        # drain, under a controlled scheduler, and once stopped): the
+        # target of :meth:`_resume`'s append.
+        self._live: Optional[list] = None
         self._sequence = 0
         self._now = 0.0
         self._stopped = False
         self.rng = RandomStreams(seed)
         self.trace = TraceLog(self)
         self.failures: list[tuple[Process, BaseException]] = []
-        # Bound exactly once: the run loop recognises cancelled timers
-        # by identity (``fn is self._fire_timer``), and a fresh bound
-        # method per access would never compare identical.
+        # Bound exactly once: the run loops recognise timer entries by
+        # identity (``fn is self._fire_timer``), and a fresh bound
+        # method per access would never compare identical.  Its one
+        # argument is a :meth:`timer` future or a
+        # :class:`~repro.sim.events.TimedWait`; both spell "this
+        # deadline is spent" as ``_done``.
         self._fire_timer = self._resolve_timer
-        self._fire_pooled_timer = self._resolve_pooled_timer
-        # Free-list for the timeout timers of :meth:`wait_with_timeout`.
-        # Those futures never escape the kernel, so the cancelled-timer
-        # skip in the run loop -- the last reference holder -- can
-        # recycle them (see docs/performance.md for the invariant).
-        self._timer_pool: list[Future] = []
         # Events fired by the run loops (skipped cancelled timers are
         # queue maintenance, not events).  The perf benchmarks divide
         # this by wall-clock time for an honest simulator throughput.
@@ -137,6 +143,33 @@ class Kernel:
             self._buckets[time] = [(time, sequence, callback, args)]
             heappush(self._times, time)
 
+    def _resume(
+        self,
+        process: Process,
+        epoch: int,
+        value: Any = None,
+        exc: Optional[BaseException] = None,
+    ) -> None:
+        """Queue ``process``'s next step at the current instant.
+
+        Every wake-up -- a resolved future, a mailbox ``put``, a lock
+        hand-over, a spawn, an interrupt -- comes through here.  While
+        :meth:`run` drains a slot the entry is appended to that live
+        list directly: the same position ``_schedule(0.0, ...)`` would
+        give it (the live slot *is* ``_buckets[now]``), minus the float
+        add, the float-keyed dict probe and the argument repacking.
+        Outside a drain -- and always under a subclass whose own
+        ``run`` never sets ``_live``, like the heap reference in
+        ``tests/sim/test_golden_identity.py`` -- it is an ordinary
+        zero-delay ``_schedule``.
+        """
+        live = self._live
+        if live is None:
+            self._schedule(0.0, _step, process, epoch, value, exc)
+        else:
+            self._sequence = sequence = self._sequence + 1
+            live.append((self._now, sequence, _step, (process, epoch, value, exc)))
+
     def call_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
         """Run ``callback(*args)`` at absolute simulated ``time`` (>= now)."""
         self._schedule(time - self._now, callback, *args)
@@ -171,9 +204,7 @@ class Kernel:
 
     def spawn(self, generator: Generator[Any, Any, Any], name: str = "") -> Process:
         """Create and start a process from ``generator``."""
-        process = Process(self, generator, name=name)
-        process._start()
-        return process
+        return Process(self, generator, name)
 
     def timer(self, delay: float, label: str = "timer") -> Future:
         """Return a future that resolves ``delay`` time units from now.
@@ -187,28 +218,8 @@ class Kernel:
         self._schedule(delay, self._fire_timer, future)
         return future
 
-    def _pooled_timer(self, delay: float) -> Future:
-        """A timeout timer drawn from the kernel's free-list.
-
-        Only for callers that never leak the future to user code (the
-        :meth:`wait_with_timeout` race): the run loop recycles these
-        futures when it skips their cancelled firing.
-        """
-        pool = self._timer_pool
-        future = pool.pop() if pool else Future(label="timeout")
-        self._schedule(delay, self._fire_pooled_timer, future)
-        return future
-
-    def _resolve_timer(self, future: Future) -> None:
-        if not future._done:
-            future.resolve(self._now)
-
-    def _resolve_pooled_timer(self, future: Future) -> None:
-        # A pooled timer that actually fires (the timeout won) is NOT
-        # recycled: the waiting frame still inspects it afterwards.
-        # Only the cancelled-skip path in the run loops recycles.
-        if not future._done:
-            future.resolve(self._now)
+    def _resolve_timer(self, timer: "Future | TimedWait") -> None:
+        timer._expire(self._now)
 
     # -- running ---------------------------------------------------------------
 
@@ -224,8 +235,6 @@ class Kernel:
         buckets = self._buckets
         times = self._times
         fire_timer = self._fire_timer
-        fire_pooled = self._fire_pooled_timer
-        timer_pool = self._timer_pool
         dispatched = 0
         try:
             while times:
@@ -234,41 +243,38 @@ class Kernel:
                     self._now = until
                     break
                 heappop(times)
-                bucket = buckets[time]
-                cursor = 0
+                # The slot stays registered in ``_buckets`` while it
+                # drains, so zero-delay follow-ups land in it whichever
+                # way they are scheduled; the list iterator sees them.
+                self._live = bucket = buckets[time]
+                previous, self._now = self._now, time
+                fired = dispatched
+                drain = iter(bucket)
                 try:
-                    # Drain the slot by cursor: zero-delay follow-ups
-                    # append to the live list and fire in this drain.
-                    while cursor < len(bucket):
-                        entry = bucket[cursor]
-                        cursor += 1
+                    for entry in drain:
                         fn = entry[2]
-                        if fn is fire_timer:
-                            if entry[3][0]._done:
-                                continue  # cancelled: skip, clock untouched
-                        elif fn is fire_pooled:
-                            future = entry[3][0]
-                            if future._done:
-                                # Cancelled pooled timeout: the queue
-                                # entry was the last reference -- safe
-                                # to recycle (docs/performance.md).
-                                future._reset()
-                                timer_pool.append(future)
-                                continue
-                        self._now = time
+                        if fn is fire_timer and entry[3][0]._done:
+                            continue  # cancelled: not an event
                         dispatched += 1
                         fn(*entry[3])
-                finally:
-                    if cursor >= len(bucket):
+                except BaseException:
+                    # An exception escaped mid-slot: keep the
+                    # undispatched tail queued so a subsequent run
+                    # resumes exactly where the old heap loop would
+                    # have (a ``stop()`` may have emptied it first).
+                    del bucket[:len(bucket) - length_hint(drain)]
+                    if not bucket:
                         buckets.pop(time, None)
-                    else:
-                        # An exception escaped mid-slot: keep the
-                        # undispatched tail so a subsequent run resumes
-                        # exactly where the old heap loop would have.
-                        del bucket[:cursor]
-                        if buckets.get(time) is bucket:
-                            heappush(times, time)
+                    elif buckets.get(time) is bucket:
+                        heappush(times, time)
+                    raise
+                buckets.pop(time, None)
+                if dispatched == fired:
+                    # Only cancelled timers here: nothing ran, nothing
+                    # saw the clock -- it does not advance.
+                    self._now = previous
         finally:
+            self._live = None
             self.events_dispatched += dispatched
         if raise_failures:
             for process, exc in self.failures:
@@ -297,7 +303,6 @@ class Kernel:
         buckets = self._buckets
         times = self._times
         fire_timer = self._fire_timer
-        fire_pooled = self._fire_pooled_timer
         scheduler = self.scheduler
         while times:
             time = times[0]
@@ -308,13 +313,8 @@ class Kernel:
             batch = []
             if bucket:
                 for entry in bucket:
-                    fn = entry[2]
-                    if fn is fire_timer or fn is fire_pooled:
-                        if entry[3][0]._done:
-                            if fn is fire_pooled:
-                                entry[3][0]._reset()
-                                self._timer_pool.append(entry[3][0])
-                            continue  # cancelled timer: never offered
+                    if entry[2] is fire_timer and entry[3][0]._done:
+                        continue  # cancelled timer: never offered
                     batch.append(entry)
             if not batch:
                 heappop(times)
@@ -344,6 +344,7 @@ class Kernel:
             bucket.clear()
         self._buckets.clear()
         self._times.clear()
+        self._live = None
         self._stopped = True
 
     def _on_process_failure(self, process: Process, exc: BaseException) -> None:
@@ -364,35 +365,17 @@ class Kernel:
         ``(False, None)`` on timeout.  A failed future re-raises inside
         the caller.
         """
-        timer = self._pooled_timer(timeout)
-        # Hand-wired two-arm race instead of a generic AnyOf effect:
-        # this is the hottest wait in the system (every request/response
-        # pair takes it), and the AnyOf path costs an effect object plus
-        # one closure per arm.  Resolution order and semantics are
-        # identical: first arm wins, later completions are ignored.
-        race = Future(label="timeout-race")
-
-        def arm(completed: Future) -> None:
-            if not race._done:
-                if completed._exception is not None:
-                    race.fail(completed._exception)
-                else:
-                    race.resolve(
-                        (0 if completed is future else 1, completed._value)
-                    )
-
-        future.add_callback(arm)
-        timer.add_callback(arm)
-        index, value = yield race
-        if index == 0:
-            # Cancel the now-stale timeout timer: resolving it here lets
-            # the run loop discard the queued firing without advancing
-            # the clock, so completed rounds leave no timer debris that
-            # could stretch the simulated end time.
-            if not timer._done:
-                timer.resolve(None)
-            return True, value
-        return False, None
+        wait = TimedWait(timeout)
+        future.add_callback(wait.wake_from)
+        value = yield wait
+        if value is TIMED_OUT:
+            return False, None
+        # Retire the now-stale deadline so the run loop discards its
+        # queue entry without advancing the clock: completed rounds
+        # leave no timer debris that could stretch the simulated end
+        # time.
+        wait.cancel()
+        return True, value
 
     def __repr__(self) -> str:
         return f"<Kernel t={self._now} queued={self.queued}>"

@@ -11,41 +11,89 @@ crashes) throws :class:`~repro.errors.ProcessInterrupted` into the
 generator at its current suspension point.  A *wait epoch* counter
 invalidates any resumption that was already scheduled for the
 interrupted wait, so a process is never resumed twice for one yield.
+A finished process has epoch ``-1``, which no queued step carries.
 
-Resumptions are scheduled as ``(method, args)`` pairs on the kernel's
-queue rather than closures: stepping is the single hottest path in the
-simulator and a closure per yield costs an allocation per event.
+Resumptions sit on the kernel's queue as the module-level
+:func:`_step` with ``(process, epoch, value, exc)`` arguments -- not a
+closure and not a bound method: stepping is the single hottest path in
+the simulator, and either would cost an allocation per event.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.errors import ProcessInterrupted, SimulationError
-from repro.sim.events import AnyOf, Delay, Future
+from repro.sim.events import Delay, Future, _effect_uids
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Kernel
 
 ProcessGenerator = Generator[Any, Any, Any]
 
+_anonymous_ids = itertools.count(1)
+
+
+def _step(
+    process: "Process",
+    epoch: int,
+    send_value: Any,
+    throw_exc: Optional[BaseException],
+) -> None:
+    """Advance ``process`` by one yield (the kernel's queue entry)."""
+    if epoch != process._epoch:
+        return  # stale resumption from an interrupted wait, or finished
+    try:
+        if throw_exc is None:
+            effect = process._generator.send(send_value)
+        else:
+            effect = process._generator.throw(throw_exc)
+    except StopIteration as stop:
+        process._finish(stop.value)
+        return
+    except ProcessInterrupted as exc:
+        # An unhandled interrupt terminates the process quietly: the
+        # interrupter is responsible for the cleanup story.
+        process._finish(exc)
+        return
+    except Exception as exc:
+        process._finish_err(exc)
+        return
+    process._epoch = epoch = epoch + 1
+    cls = effect.__class__
+    if cls is float or cls is int:
+        process._kernel._schedule(effect, _step, process, epoch, None, None)
+        return
+    try:
+        effect._add_waiter(process, epoch)
+    except AttributeError:
+        if hasattr(effect, "_add_waiter"):
+            raise  # a real effect's own bug, not a bad yield
+        process._odd_effect(effect, epoch)
+
 
 class Process(Future):
-    """A running simulation process; also a future of its return value."""
+    """A running simulation process; also a future of its return value.
 
-    __slots__ = ("_kernel", "_generator", "_epoch", "_started", "_finished", "_observed")
+    Creating one starts it: the first step is queued at the current
+    instant (:meth:`Kernel.spawn` is the public spelling).
+    """
 
-    _ids = 0
+    __slots__ = ("_kernel", "_generator", "_epoch", "_observed")
 
     def __init__(self, kernel: "Kernel", generator: ProcessGenerator, name: str = ""):
-        Process._ids += 1
-        super().__init__(label=name or f"process-{Process._ids}")
+        self._done = False
+        self._value = None
+        self._exception = None
+        self._callbacks = None
+        self.label = name or f"process-{next(_anonymous_ids)}"
+        self._uid = next(_effect_uids)
         self._kernel = kernel
         self._generator = generator
         self._epoch = 0
-        self._started = False
-        self._finished = False
         self._observed = False
+        kernel._resume(self, 0, None, None)
 
     @property
     def name(self) -> str:
@@ -63,16 +111,7 @@ class Process(Future):
 
     @property
     def alive(self) -> bool:
-        return not self._finished
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def _start(self) -> None:
-        """Schedule the first step; called by the kernel at spawn time."""
-        if self._started:
-            raise SimulationError(f"{self.label} started twice")
-        self._started = True
-        self._kernel._schedule(0.0, self._step, self._epoch, None, None)
+        return self._epoch >= 0
 
     def interrupt(self, cause: object = None) -> None:
         """Throw :class:`ProcessInterrupted` into the process.
@@ -81,84 +120,43 @@ class Process(Future):
         the current simulated instant; any resumption scheduled for the
         wait being interrupted becomes stale and is dropped.
         """
-        if self._finished:
+        if self._epoch < 0:
             return
         self._epoch += 1
-        exc = ProcessInterrupted(cause)
-        self._kernel._schedule(0.0, self._step, self._epoch, None, exc)
+        self._kernel._resume(self, self._epoch, None, ProcessInterrupted(cause))
 
-    # -- stepping ----------------------------------------------------------
+    # -- completion ----------------------------------------------------------
 
-    def _step(
-        self,
-        epoch: int,
-        send_value: Any,
-        throw_exc: Optional[BaseException],
-    ) -> None:
-        if self._finished or epoch != self._epoch:
-            return  # stale resumption from an interrupted wait
-        try:
-            if throw_exc is not None:
-                effect = self._generator.throw(throw_exc)
-            else:
-                effect = self._generator.send(send_value)
-        except StopIteration as stop:
-            self._finish_ok(stop.value)
-            return
-        except ProcessInterrupted as exc:
-            # An unhandled interrupt terminates the process quietly: the
-            # interrupter is responsible for the cleanup story.
-            self._finish_ok(exc)
-            return
-        except Exception as exc:
-            self._finish_err(exc)
-            return
-        # Inline fast paths for the overwhelmingly common effects -- a
-        # bare delay or a (process-)future -- before falling back to
-        # the generic handler.
-        cls = effect.__class__
-        if cls is float or cls is int:
-            self._epoch += 1
-            self._kernel._schedule(effect, self._step, self._epoch, None, None)
-            return
-        if cls is Future or cls is Process:
-            self._epoch = epoch = self._epoch + 1
-            effect._add_waiter(self, epoch)
-            return
-        self._handle_effect(effect)
-
-    def _handle_effect(self, effect: Any) -> None:
-        self._epoch += 1
-        epoch = self._epoch
-        if isinstance(effect, (int, float)):
-            effect = Delay(float(effect))
+    def _odd_effect(self, effect: Any, epoch: int) -> None:
+        """The rare yields: a :class:`Delay`, a numeric subclass, garbage."""
         if isinstance(effect, Delay):
-            self._kernel._schedule(effect.duration, self._step, epoch, None, None)
-        elif isinstance(effect, AnyOf):
-            race = Future(label=f"{self.label}:anyof")
-            effect.attach(race)
-            race._add_waiter(self, epoch)
-        elif isinstance(effect, Future):
-            # Resumption is scheduled at the current instant when the
-            # future completes, preserving FIFO order with other events
-            # scheduled "now" (see Future._add_waiter).
-            effect._add_waiter(self, epoch)
-        else:
-            self._finish_err(
-                SimulationError(f"{self.label} yielded unsupported effect {effect!r}")
-            )
-
-    def _finish_ok(self, value: Any) -> None:
-        self._finished = True
+            effect = effect.duration
+        if isinstance(effect, (int, float)):
+            self._kernel._schedule(float(effect), _step, self, epoch, None, None)
+            return
+        # Still suspended at the bad yield: unwind its finally blocks.
         self._generator.close()
-        self.resolve(value)
+        self._finish_err(
+            SimulationError(f"{self.label} yielded unsupported effect {effect!r}")
+        )
+
+    def _finish(self, value: Any) -> None:
+        # The generator has already returned or raised: nothing to
+        # close.  Resolution is inlined -- most processes (one per
+        # handled message) finish with nobody waiting.
+        self._epoch = -1
+        self._done = True
+        self._value = value
+        callbacks = self._callbacks
+        if callbacks is not None:
+            self._callbacks = None
+            self._notify(callbacks)
 
     def _finish_err(self, exc: BaseException) -> None:
-        self._finished = True
-        self._generator.close()
+        self._epoch = -1
         self._kernel._on_process_failure(self, exc)
         self.fail(exc)
 
     def __repr__(self) -> str:
-        state = "finished" if self._finished else "alive"
+        state = "alive" if self._epoch >= 0 else "finished"
         return f"<Process {self.label} {state}>"

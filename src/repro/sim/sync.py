@@ -1,15 +1,21 @@
-"""Synchronization helpers built on futures.
+"""Synchronization helpers.
 
 :class:`Mailbox` is the building block for message queues (network
 nodes) and FIFO work queues (communication managers).
+
+Both primitives are effects in their own right: a blocked caller parks
+as a bare ``(process, epoch)`` pair in the primitive's queue and the
+waker (``put``, ``release``) queues the process's next step directly
+-- no future per blocking call.  A waiter that was interrupted while
+parked stays in the queue with its now-stale epoch and still consumes
+the next item (or lock hand-over); the step it is woken with is a
+no-op.  Callers that interrupt waiters own that hazard.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from typing import Any, Generator
-
-from repro.sim.events import Future
 
 
 class Mailbox:
@@ -23,13 +29,13 @@ class Mailbox:
     def __init__(self, name: str = "mailbox"):
         self.name = name
         self._items: deque[Any] = deque()
-        self._waiters: deque[Future] = deque()
-        self._recv_label = f"{name}:recv"
+        self._waiters: deque[tuple[Any, int]] = deque()
 
     def put(self, item: Any) -> None:
         """Enqueue ``item``, waking the oldest waiting receiver if any."""
         if self._waiters:
-            self._waiters.popleft().resolve(item)
+            process, epoch = self._waiters.popleft()
+            process._kernel._resume(process, epoch, item, None)
         else:
             self._items.append(item)
 
@@ -37,10 +43,12 @@ class Mailbox:
         """Dequeue the next item, blocking the caller until one arrives."""
         if self._items:
             return self._items.popleft()
-        waiter = Future(label=self._recv_label)
-        self._waiters.append(waiter)
-        item = yield waiter
+        item = yield self
         return item
+
+    def _add_waiter(self, process, epoch: int) -> None:
+        """Park ``process`` until an item arrives (see :meth:`recv`)."""
+        self._waiters.append((process, epoch))
 
     def drain(self) -> list[Any]:
         """Remove and return all queued items without blocking."""
@@ -51,8 +59,8 @@ class Mailbox:
     def fail_waiters(self, exc: BaseException) -> None:
         """Fail every blocked receiver (used when a node crashes)."""
         waiters, self._waiters = self._waiters, deque()
-        for waiter in waiters:
-            waiter.fail(exc)
+        for process, epoch in waiters:
+            process._kernel._resume(process, epoch, None, exc)
 
     def __len__(self) -> int:
         return len(self._items)
@@ -76,7 +84,7 @@ class FifoLock:
     def __init__(self, name: str = "lock"):
         self.name = name
         self._locked = False
-        self._waiters: deque[Future] = deque()
+        self._waiters: deque[tuple[Any, int]] = deque()
 
     @property
     def locked(self) -> bool:
@@ -86,24 +94,27 @@ class FifoLock:
         if not self._locked:
             self._locked = True
             return
-        waiter = Future(label=f"{self.name}:acquire")
-        self._waiters.append(waiter)
-        yield waiter
+        yield self
+
+    def _add_waiter(self, process, epoch: int) -> None:
+        """Park ``process`` until the lock is handed to it."""
+        self._waiters.append((process, epoch))
 
     def release(self) -> None:
         if not self._locked:
             raise RuntimeError(f"{self.name} released while unlocked")
         if self._waiters:
             # Hand the lock directly to the next waiter (stays locked).
-            self._waiters.popleft().resolve(None)
+            process, epoch = self._waiters.popleft()
+            process._kernel._resume(process, epoch, None, None)
         else:
             self._locked = False
 
     def reset(self, exc: BaseException) -> None:
         """Fail every waiter and unlock (used when a site crashes)."""
         waiters, self._waiters = self._waiters, deque()
-        for waiter in waiters:
-            waiter.fail(exc)
+        for process, epoch in waiters:
+            process._kernel._resume(process, epoch, None, exc)
         self._locked = False
 
     def __repr__(self) -> str:

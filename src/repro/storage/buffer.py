@@ -141,7 +141,7 @@ class BufferPool:
         frozen = page.snapshot()
         # WAL rule: the log covering this image must be stable first.
         yield from self._log.force(stamp)
-        yield from self._disk.write_page(frozen)
+        yield from self._disk.write_image(frozen)
         if page.page_lsn != stamp:
             return False  # re-dirtied mid-flush; stays dirty
         self._dirty.discard(page_id)

@@ -37,7 +37,7 @@ class StorageConfig:
 class StableDisk:
     """Crash-surviving storage for one site.
 
-    Holds deep-copied page images (as last flushed) and the stable log
+    Holds private page images (as last flushed) and the stable log
     records (as last forced).  A crash never touches this object; the
     owning :class:`~repro.localdb.engine.LocalDatabase` simply discards
     its volatile structures and rebuilds from here.
@@ -91,13 +91,21 @@ class StableDisk:
         return self._pages[page_id].snapshot()
 
     def write_page(self, page: Page) -> Generator[Any, Any, None]:
-        """Persist a deep copy of ``page`` (buffer-pool flush path)."""
-        snapshot = page.snapshot()
+        """Persist a private copy of ``page``, taken now."""
+        return self.write_image(page.snapshot())
+
+    def write_image(self, image: Page) -> Generator[Any, Any, None]:
+        """Persist ``image`` itself: the caller hands over ownership.
+
+        The buffer pool's flush path -- it has already frozen a private
+        image before forcing the log -- and brand-new pages come this
+        way, so a flush copies the page once, not twice.
+        """
         epoch = self._guard()
         yield self.config.page_write_time
         self._check(epoch)
         self.page_writes += 1
-        self._pages[snapshot.page_id] = snapshot
+        self._pages[image.page_id] = image
 
     def stable_page(self, page_id: int) -> Optional[Page]:
         """Direct (timeless) access for assertions and recovery analysis."""

@@ -53,7 +53,7 @@ class HeapFile:
         """Create the empty bucket pages on disk (done at table creation)."""
         for page_id in self._page_ids:
             if not self._disk.has_page(page_id):
-                yield from self._disk.write_page(Page(page_id, self.table))
+                yield from self._disk.write_image(Page(page_id, self.table))
 
     # -- placement ----------------------------------------------------------
 

@@ -11,6 +11,9 @@ from __future__ import annotations
 import copy
 from typing import Any, Optional
 
+#: Value types a shallow ``dict.copy`` already copies by value.
+_IMMUTABLE_SCALARS = frozenset((int, float, str, bytes, bool, type(None)))
+
 
 class Page:
     """An in-memory page image."""
@@ -38,9 +41,19 @@ class Page:
         self.page_lsn = max(self.page_lsn, lsn)
 
     def snapshot(self) -> "Page":
-        """Deep copy, used when flushing to the stable disk."""
+        """A private image sharing no mutable state with this page.
+
+        Taken once per direction of a disk transfer.  Rows of immutable
+        scalars -- the common case -- are copied by value with one
+        ``dict.copy``; any other row (the commit-marker relation stores
+        dicts) falls back to ``deepcopy``.
+        """
         clone = Page(self.page_id, self.table)
-        clone.records = copy.deepcopy(self.records)
+        records = self.records
+        if _IMMUTABLE_SCALARS.issuperset(map(type, records.values())):
+            clone.records = records.copy()
+        else:
+            clone.records = copy.deepcopy(records)
         clone.page_lsn = self.page_lsn
         return clone
 

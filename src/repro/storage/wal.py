@@ -10,7 +10,6 @@ pushes everything up to a target LSN to the stable disk.  The WAL rule
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
@@ -20,21 +19,50 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.storage.disk import StableDisk
 
 
-@dataclass(frozen=True)
 class LogRecord:
-    """Base class for all log records; ``lsn`` is assigned on append."""
+    """Base class for all log records; ``lsn`` is assigned on append.
 
-    lsn: int
-    txn_id: str
-    prev_lsn: int
+    The record classes are hand-written ``__slots__`` classes rather
+    than frozen dataclasses: a commit appends eight of them, and the
+    frozen-dataclass constructor pays one ``object.__setattr__`` per
+    field.  They keep what the dataclasses gave the rest of the system
+    -- keyword construction, field-by-field equality (and the matching
+    hash), the dataclass ``repr``, and the ``isinstance`` hierarchy
+    recovery dispatches on -- and are immutable by convention.
+    """
+
+    __slots__ = ("lsn", "txn_id", "prev_lsn")
+    #: Every field, base class first (``__slots__`` lists only a
+    #: class's own).
+    _fields: tuple[str, ...] = __slots__
+
+    def __init__(self, lsn: int, txn_id: str, prev_lsn: int):
+        self.lsn = lsn
+        self.txn_id = txn_id
+        self.prev_lsn = prev_lsn
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__name__}({body})"
 
 
-@dataclass(frozen=True)
 class BeginRecord(LogRecord):
     """Transaction start."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class UpdateRecord(LogRecord):
     """Insert/update/delete of one record, with both images.
 
@@ -42,26 +70,59 @@ class UpdateRecord(LogRecord):
     delete; both set encode an in-place update.
     """
 
-    table: str = ""
-    key: Any = None
-    before: Any = None
-    after: Any = None
-    page_id: int = -1
+    __slots__ = ("table", "key", "before", "after", "page_id")
+    _fields = LogRecord._fields + __slots__
+
+    def __init__(
+        self,
+        lsn: int,
+        txn_id: str,
+        prev_lsn: int,
+        table: str = "",
+        key: Any = None,
+        before: Any = None,
+        after: Any = None,
+        page_id: int = -1,
+    ):
+        self.lsn = lsn
+        self.txn_id = txn_id
+        self.prev_lsn = prev_lsn
+        self.table = table
+        self.key = key
+        self.before = before
+        self.after = after
+        self.page_id = page_id
 
 
-@dataclass(frozen=True)
 class CompensationRecord(LogRecord):
     """CLR written while undoing ``undo_of_lsn``; redo-only."""
 
-    table: str = ""
-    key: Any = None
-    after: Any = None
-    page_id: int = -1
-    undo_of_lsn: int = -1
-    undo_next_lsn: int = -1
+    __slots__ = ("table", "key", "after", "page_id", "undo_of_lsn", "undo_next_lsn")
+    _fields = LogRecord._fields + __slots__
+
+    def __init__(
+        self,
+        lsn: int,
+        txn_id: str,
+        prev_lsn: int,
+        table: str = "",
+        key: Any = None,
+        after: Any = None,
+        page_id: int = -1,
+        undo_of_lsn: int = -1,
+        undo_next_lsn: int = -1,
+    ):
+        self.lsn = lsn
+        self.txn_id = txn_id
+        self.prev_lsn = prev_lsn
+        self.table = table
+        self.key = key
+        self.after = after
+        self.page_id = page_id
+        self.undo_of_lsn = undo_of_lsn
+        self.undo_next_lsn = undo_next_lsn
 
 
-@dataclass(frozen=True)
 class PrepareRecord(LogRecord):
     """Ready state reached (only written by *modified*, preparable TMs).
 
@@ -72,24 +133,47 @@ class PrepareRecord(LogRecord):
     re-correlate the in-doubt transaction with its global transaction.
     """
 
-    gtxn_id: Optional[str] = None
+    __slots__ = ("gtxn_id",)
+    _fields = LogRecord._fields + __slots__
+
+    def __init__(
+        self, lsn: int, txn_id: str, prev_lsn: int, gtxn_id: Optional[str] = None
+    ):
+        self.lsn = lsn
+        self.txn_id = txn_id
+        self.prev_lsn = prev_lsn
+        self.gtxn_id = gtxn_id
 
 
-@dataclass(frozen=True)
 class CommitRecord(LogRecord):
     """Transaction commit; forcing this record is the commit point."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class AbortRecord(LogRecord):
     """Transaction rollback completed."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class CheckpointRecord(LogRecord):
     """Fuzzy checkpoint: active transactions and their last LSNs."""
 
-    active_txns: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("active_txns",)
+    _fields = LogRecord._fields + __slots__
+
+    def __init__(
+        self,
+        lsn: int,
+        txn_id: str,
+        prev_lsn: int,
+        active_txns: Optional[dict[str, int]] = None,
+    ):
+        self.lsn = lsn
+        self.txn_id = txn_id
+        self.prev_lsn = prev_lsn
+        self.active_txns = {} if active_txns is None else active_txns
 
 
 class LogManager:

@@ -112,3 +112,63 @@ def test_unmatched_reply_traced_not_fatal(fed):
     )
     fed.run()
     assert fed.kernel.trace.first(category="message_unmatched") is not None
+
+
+@pytest.mark.parametrize("protocol,granularity", [("2pc", "per_site"), ("before", "per_action")])
+def test_gtxn_lock_table_is_empty_after_committed_transactions(protocol, granularity):
+    """One lock per global transaction per site used to stay in the
+    table forever; an entry now lives only while its lock is held."""
+    from repro.core.gtm import GTMConfig
+
+    sites = [SiteSpec(f"s{i}", tables={f"t{i}": {"x": 100}}, preparable=True) for i in range(2)]
+    fed = Federation(
+        sites,
+        FederationConfig(seed=3, gtm=GTMConfig(protocol=protocol, granularity=granularity)),
+    )
+    outcomes = fed.run_transactions(
+        [
+            {"operations": [increment("t0", "x", -1), increment("t1", "x", 1)], "name": f"G{i}"}
+            for i in range(25)
+        ]
+    )
+    assert all(outcome.committed for outcome in outcomes)
+    for comm in fed.comms.values():
+        assert comm._gtxn_locks == {}
+
+
+def test_contended_gtxn_lock_is_kept_until_the_last_release(fed):
+    """The entry must survive a hand-over: dropping it while a waiter
+    owns the lock would let a third request slip past the mutex."""
+    comm = fed.comms["a"]
+    sizes = []
+    op = increment("t", "x", 1).routed("a", "t")
+    for _ in range(3):
+        fed.kernel.spawn(
+            fed.central_comm.request(
+                "a", "redo_subtxn", gtxn_id="G1", timeout=300, ops=[op], marker_key="G1"
+            )
+        )
+    fed.kernel.call_at(3.0, lambda: sizes.append(len(comm._gtxn_locks["G1"]._waiters)))
+    fed.run()
+    assert sizes == [2]
+    assert fed.peek("a", "t", "x") == 101  # marker idempotence: applied once
+    assert comm._gtxn_locks == {}
+
+
+def test_crash_resets_live_gtxn_locks_and_empties_the_table(fed):
+    comm = fed.comms["a"]
+    op = increment("t", "x", 1).routed("a", "t")
+    for _ in range(2):
+        fed.kernel.spawn(
+            fed.central_comm.request(
+                "a", "redo_subtxn", gtxn_id="G1", timeout=50, ops=[op], marker_key="G1"
+            )
+        )
+    fed.kernel.run(until=3.0, raise_failures=False)
+    lock = comm._gtxn_locks["G1"]
+    assert lock.locked
+    fed.crash_site("a")
+    assert not lock.locked
+    assert comm._gtxn_locks == {}
+    fed.kernel.run(until=200.0, raise_failures=False)
+    assert comm._gtxn_locks == {}

@@ -11,9 +11,17 @@ executable reference (heap of ``(time, seq, fn, args)``, per-event
 pops, ``AnyOf``-based ``wait_with_timeout``).  Every test runs the
 same federation workload under both kernels -- the reference is
 injected by monkeypatching the ``Kernel`` name Federation instantiates
--- and demands identical fingerprints across a 5-protocol x {1, 2, 8}
-coordinator matrix, plus identical ``repro.check`` DFS exploration
-statistics (the controlled-scheduling path).
+-- and demands identical fingerprints for every protocol in
+``PROTOCOL_REGISTRY`` x {1, 2, 8} coordinators, plus identical
+``repro.check`` DFS exploration statistics (the controlled-scheduling
+path).
+
+The reference stays honest because everything the production kernel
+queues funnels through two methods: ``_schedule``, which
+:class:`HeapKernel` overrides, and ``_resume``, whose live-slot append
+only happens while ``Kernel.run`` drains a slot -- ``HeapKernel.run``
+never sets ``_live``, so under it every resume is an ordinary
+``_schedule(0.0, ...)`` onto the heap.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ import pytest
 import repro.integration.federation as federation_module
 from repro.check import CheckSpec, explore
 from repro.core.gtm import GTMConfig
+from repro.core.protocols import PROTOCOL_REGISTRY
 from repro.errors import KernelStopped, SimulationError
 from repro.integration.federation import Federation, FederationConfig, SiteSpec
 from repro.mlt.actions import increment
@@ -36,16 +45,11 @@ N_SITES = 3
 N_KEYS = 8
 N_TXNS = 18
 
-PROTOCOLS = [
-    ("2pc", "per_site"),
-    ("2pc-pa", "per_site"),
-    ("3pc", "per_site"),
-    ("after", "per_site"),
-    ("before", "per_action"),
-    ("paxos", "per_site"),
-]
+#: Every registered protocol at its registry granularity: a new
+#: registry row is diffed against the reference automatically.
+PROTOCOLS = [(info.name, info.granularity) for info in PROTOCOL_REGISTRY.values()]
 COORDINATORS = [1, 2, 8]
-#: The five pre-paxos protocols: the paxos wiring must be inert here.
+#: Everything but paxos: the paxos wiring must be inert here.
 CLASSIC_PROTOCOLS = [entry for entry in PROTOCOLS if entry[0] != "paxos"]
 
 
@@ -162,7 +166,7 @@ class HeapKernel(Kernel):
 def _build(
     protocol: str, granularity: str, coordinators: int, paxos_f: int = 1
 ) -> Federation:
-    preparable = protocol in ("2pc", "2pc-pa", "3pc", "paxos")
+    preparable = PROTOCOL_REGISTRY[protocol].requires_prepare
     specs = [
         SiteSpec(
             f"s{i}",

@@ -162,3 +162,53 @@ def test_capacity_must_be_positive(kernel):
     log = LogManager(disk)
     with pytest.raises(ValueError):
         BufferPool(disk, log, capacity=0)
+
+
+def test_stored_page_never_aliases_the_buffered_one(kernel):
+    """A flush copies the page once (the pool's frozen image is handed
+    to the disk as is) and a read copies it once; neither direction may
+    leave the stable image sharing state with a buffered frame -- for
+    scalar rows (copied by value) or mutable ones (deep-copied)."""
+    disk, _, pool = make_pool(kernel, capacity=2)
+    seed_pages(kernel, disk, 1)
+
+    def proc():
+        page = yield from pool.fetch(0)
+        page.put("scalar", 1, lsn=0)
+        page.put("marker", {"before": [1]}, lsn=0)
+        pool.mark_dirty(0)
+        yield from pool.flush_page(0)
+        # Mutate the buffered frame after the flush ...
+        page.put("scalar", 2, lsn=0)
+        page.get("marker")["before"].append(2)
+        stable = disk.stable_page(0)
+        after_flush = (stable.get("scalar"), stable.get("marker"))
+        # ... and a re-read image after the read.
+        reread = yield from disk.read_page(0)
+        reread.put("scalar", 3, lsn=0)
+        reread.get("marker")["before"].append(3)
+        stable = disk.stable_page(0)
+        return after_flush, (stable.get("scalar"), stable.get("marker"))
+
+    expected = (1, {"before": [1]})
+    assert run(kernel, proc()) == (expected, expected)
+
+
+def test_flush_copies_the_page_exactly_once(kernel, monkeypatch):
+    disk, _, pool = make_pool(kernel, capacity=2)
+    seed_pages(kernel, disk, 1)
+    snapshots = []
+    original = Page.snapshot
+    monkeypatch.setattr(
+        Page, "snapshot", lambda self: snapshots.append(self.page_id) or original(self)
+    )
+
+    def proc():
+        page = yield from pool.fetch(0)
+        page.put("k", 1, lsn=0)
+        pool.mark_dirty(0)
+        del snapshots[:]
+        yield from pool.flush_page(0)
+
+    run(kernel, proc())
+    assert snapshots == [0]
