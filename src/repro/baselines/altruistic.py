@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Hashable, Optional
 
-from repro.core.global_txn import GlobalTxnState
-from repro.core.protocols.base import ExecutionFailure, ProtocolContext
+from repro.core.protocols.base import ProtocolContext
 from repro.core.protocols.commit_before import CommitBefore
-from repro.errors import DeadlockDetected, LockTimeout
+from repro.errors import LockTimeout
+from repro.mlt.actions import Operation
 from repro.mlt.conflicts import READ_WRITE_TABLE, ConflictTable
 from repro.mlt.locks import SemanticLockManager, _Request
 from repro.sim.events import Future
@@ -144,8 +144,6 @@ class AltruisticLockManager(SemanticLockManager):
         finish within ``timeout`` -- the escape hatch for residual
         cross-structure waits the simplified wake rule cannot exclude.
         """
-        from repro.errors import LockTimeout
-
         for donor in sorted(self.wake.get(txn_id, ())):
             future = self.finished_future(donor)
             if timeout is None:
@@ -158,73 +156,43 @@ class AltruisticLockManager(SemanticLockManager):
 
 
 class AltruisticCommit(CommitBefore):
-    """Commit-before with altruistic L1 locking.
+    """Commit-before (always per action) with altruistic L1 locking.
 
     Donates each object after the transaction's last access to it, and
     waits out its wake dependencies before the global decision.
     """
 
-    name = "altruistic"
-    requires_prepare = False
+    l1_manager = AltruisticLockManager
+    fixed_granularity = "per_action"
 
     def run(self, ctx: ProtocolContext) -> Generator[Any, Any, None]:
         locks = ctx.l1
         assert isinstance(locks, AltruisticLockManager), (
             "altruistic protocol needs an AltruisticLockManager"
         )
-        gtxn = ctx.gtxn
+        gtxn_id = ctx.gtxn.gtxn_id
         # Last access index per object, to find donation points.
         last_access: dict[tuple, int] = {}
         for index, operation in enumerate(ctx.decomposition.ordered):
             last_access[(operation.table, operation.key)] = index
 
-        executed = []
-        failure: Optional[str] = None
-        try:
-            from repro.mlt.actions import inverse_of
+        def donate(index: int, operation: Operation) -> None:
+            resource = (operation.table, operation.key)
+            if last_access[resource] == index:
+                locks.donate(gtxn_id, resource)
 
-            for index, operation in enumerate(ctx.decomposition.ordered):
-                yield from ctx.acquire_l1(operation)
-                marker_key = f"{gtxn.gtxn_id}:{index}"
-                value, before, retries = yield from self._execute_action(
-                    ctx, operation, marker_key
-                )
-                ctx.outcome.l0_retries += retries
-                if operation.kind == "read":
-                    ctx.outcome.reads[f"{operation.table}[{operation.key!r}]"] = value
-                record = ctx.undo_log.record(
-                    gtxn.gtxn_id, operation.site, operation, inverse_of(operation, before)
-                )
-                executed.append((index, operation, record))
-                if last_access[(operation.table, operation.key)] == index:
-                    locks.donate(gtxn.gtxn_id, (operation.table, operation.key))
-        except ExecutionFailure as exc:
-            failure = str(exc)
-            ctx.outcome.retriable = exc.aborted
-        except (DeadlockDetected, LockTimeout) as exc:
-            failure = f"L1 conflict: {exc}"
-            ctx.outcome.retriable = True
+        executed, failure = yield from self._execute_actions(ctx, on_action=donate)
 
         # The wake rule: do not decide before every donor finished.
         try:
             yield from locks.wait_for_wake(
-                gtxn.gtxn_id, timeout=ctx.config.msg_timeout * 20
+                gtxn_id, timeout=ctx.config.msg_timeout * 20
             )
         except LockTimeout as exc:
             if failure is None:
-                failure = f"L1 conflict: {exc}"
-                ctx.outcome.retriable = True
+                failure = ctx.failure_reason(exc)
 
-        if failure is None and not ctx.intends_abort:
-            gtxn.set_decision("commit")
-            gtxn.set_state(GlobalTxnState.COMMITTED)
-            ctx.outcome.committed = True
-        else:
-            reason = failure or "intended abort"
-            gtxn.set_decision("abort", cause=reason)
-            gtxn.set_state(GlobalTxnState.WAITING_TO_ABORT)
-            yield from self._undo_actions(ctx, executed)
-            gtxn.set_state(GlobalTxnState.ABORTED)
-            ctx.outcome.reason = reason
-        ctx.undo_log.forget(gtxn.gtxn_id)
-        locks.finish(gtxn.gtxn_id)
+        yield from self._conclude(
+            ctx, failure, lambda: self._undo_actions(ctx, executed)
+        )
+        locks.finish(gtxn_id)

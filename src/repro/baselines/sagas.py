@@ -21,12 +21,11 @@ from repro.core.protocols.commit_before import CommitBefore
 class SagaCoordinator(CommitBefore):
     """Commit-before execution with compensation and no global locks."""
 
-    name = "saga"
-    requires_prepare = False
+    # Per-action stepping maximizes interleaving, which is both the
+    # saga model's appeal (each step is a committed transaction) and
+    # its weakness (no isolation between steps).
+    fixed_granularity = "per_action"
 
     def run(self, ctx: ProtocolContext) -> Generator[Any, Any, None]:
         assert ctx.l1 is None, "sagas run without global concurrency control"
-        # Per-action stepping maximizes interleaving, which is both the
-        # saga model's appeal (each step is a committed transaction) and
-        # its weakness (no isolation between steps).
         yield from self._run_per_action(ctx)

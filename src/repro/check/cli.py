@@ -27,6 +27,7 @@ from repro.check.engine import (
 from repro.check.scenarios import CHECK_PROTOCOLS, MUTANTS, CheckSpec
 from repro.check.shrink import shrink_counterexample
 from repro.check.trace import ReproTrace, write_counterexample
+from repro.core.protocols import protocol_info
 
 
 def _build_spec(args: argparse.Namespace) -> CheckSpec:
@@ -158,7 +159,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _replay(args.replay)
 
     spec = _build_spec(args)
-    if args.acceptor_crashes and spec.protocol != "paxos":
+    if (
+        args.acceptor_crashes
+        and not protocol_info(spec.protocol).load().replicated_decisions
+    ):
         parser.error("--acceptor-crashes requires --protocol paxos")
     if args.coordinator_crash_points:
         report = explore_coordinator_crash_points(

@@ -331,12 +331,15 @@ def build_scenario(spec: CheckSpec) -> Scenario:
         federation.dataplane.fencing = False
         federation.dataplane.drain_on_rejoin = False
         federation.dataplane.resync_on_rejoin = False
-    elif spec.mutant == "presume_commit":
+    elif spec.mutant:
+        # Registry-declared mutants are flags on the protocol class,
+        # named like the mutant.
         for gtm in federation.coordinators:
-            gtm.protocol.presume_commit = True
-    elif spec.mutant == "short_release_all":
-        for gtm in federation.coordinators:
-            gtm.protocol.release_all_locks = True
+            if not hasattr(gtm.protocol, spec.mutant):
+                raise ValueError(
+                    f"{type(gtm.protocol).__name__} has no {spec.mutant!r} flag"
+                )
+            setattr(gtm.protocol, spec.mutant, True)
 
     if spec.workload == "rw_cross":
         batches = _rw_cross_batches(spec)

@@ -32,7 +32,6 @@ from repro.core.redo import RedoLog
 from repro.core.undo import UndoLog
 from repro.errors import DurabilityOrderViolation, MessageTimeout
 from repro.mlt.conflicts import READ_WRITE_TABLE, SEMANTIC_TABLE, ConflictTable
-from repro.mlt.locks import SemanticLockManager
 from repro.net.adaptive import AdaptiveWindow
 from repro.sim.events import Future
 
@@ -52,7 +51,8 @@ class GTMConfig:
     Attributes
     ----------
     protocol:
-        ``"2pc"`` | ``"after"`` | ``"before"`` | ``"3pc"``.
+        Name of a registered commit protocol (see
+        :data:`repro.core.protocols.PROTOCOL_REGISTRY`).
     granularity:
         For commit-before: ``"per_action"`` (multi-level, §4) or
         ``"per_site"`` ([BST 90]/[WV 90] style).
@@ -122,11 +122,6 @@ class GTMConfig:
             raise ValueError(f"unknown pipeline policy {self.pipeline_policy!r}")
         if self.pipeline_max_group < 0:
             raise ValueError(f"negative pipeline_max_group {self.pipeline_max_group}")
-
-    @property
-    def coordinator_mode(self) -> str:
-        """``"paxos"`` (replicated decisions) or ``"classic"``."""
-        return "paxos" if self.protocol == "paxos" else "classic"
 
     def resolved_l1_table(self) -> Optional[ConflictTable]:
         """The L1 conflict table this configuration actually uses.
@@ -387,18 +382,12 @@ class GlobalTransactionManager:
             self.decision_log = share_from.decision_log
         else:
             table = self.config.resolved_l1_table()
-            if table is None:
-                self.l1 = None
-            elif self.config.protocol == "altruistic":
-                from repro.baselines.altruistic import AltruisticLockManager
-
-                self.l1 = AltruisticLockManager(
+            self.l1 = (
+                None if table is None
+                else self.protocol.l1_manager(
                     kernel, table, default_timeout=self.config.l1_timeout
                 )
-            else:
-                self.l1 = SemanticLockManager(
-                    kernel, table, default_timeout=self.config.l1_timeout, name="L1"
-                )
+            )
             self.redo_log = RedoLog()
             self.undo_log = UndoLog()
             self.decision_log = DecisionLog()

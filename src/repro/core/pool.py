@@ -223,7 +223,7 @@ class CoordinatorPool:
             if not process.done:
                 process.interrupt(cause=f"coordinator {gtm.name} crashed")
         gtm._service.clear()
-        if self._paxos_mode:
+        if gtm.protocol.replicated_decisions:
             # Paxos Commit: nobody adopts anything.  The undecided
             # transactions wait out the takeover timeout, then a live
             # peer finishes their consensus instances at a higher
@@ -292,12 +292,8 @@ class CoordinatorPool:
                 self._adoptions.pop(adopter_index, None)
 
     # ------------------------------------------------------------------
-    # Paxos takeover (coordinator_mode == "paxos")
+    # Paxos takeover (protocols with replicated decisions)
     # ------------------------------------------------------------------
-
-    @property
-    def _paxos_mode(self) -> bool:
-        return self.coordinators[0].config.protocol == "paxos"
 
     def _schedule_takeover(self) -> None:
         """Arm the takeover timer for the pending undecided batch."""

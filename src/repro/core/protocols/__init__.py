@@ -24,7 +24,9 @@ matrix.  ``__main__.PROTOCOLS``, ``repro.check.CHECK_PROTOCOLS``,
 ``repro.faults.CHAOS_PROTOCOLS``, the benchmarks' preparable checks
 and the GTM's L1-table selection are all derived from it, so adding a
 protocol here automatically enrolls it in every harness -- and the
-conformance-matrix test fails loudly if a consumer list drifts.
+conformance-matrix test fails loudly if a consumer list drifts.  A
+protocol is one module plus one row: behaviour is never keyed on the
+name elsewhere (see :class:`~repro.core.protocols.base.CommitProtocol`).
 """
 
 from __future__ import annotations

@@ -3,27 +3,36 @@
 A protocol receives a :class:`ProtocolContext` per global transaction
 and drives it to a :class:`~repro.core.global_txn.GlobalOutcome`.  The
 context bundles the communication manager, the L1 lock table, the
-redo/undo logs and retry/polling helpers shared by all protocols.
+redo/undo logs, the retry/polling helpers and the **commit phases**
+every protocol's ``run`` is a script over -- Figures 2, 4 and 6 share
+them and differ in where the local commit point sits:
+``run_subtransactions`` (execute), ``vote_round`` (inquire),
+``abort_running`` / ``abort_everywhere`` and ``commit_everywhere``
+(drive every local to its final state).  What a protocol needs from
+the layers *around* the coordinator -- its recovery policy -- is
+declared on :class:`CommitProtocol`.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
-from repro.errors import MessageTimeout, ProcessInterrupted
-from repro.mlt.actions import Operation
+from repro.core.global_txn import GlobalTxnState
+from repro.errors import DeadlockDetected, LockTimeout, MessageTimeout, ProcessInterrupted
+from repro.mlt.actions import Operation, inverse_of
 from repro.mlt.conflicts import L1Mode
+from repro.mlt.locks import SemanticLockManager
 from repro.net.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.global_txn import GlobalOutcome, GlobalTransaction
     from repro.core.gtm import GlobalTransactionManager, GTMConfig
+    from repro.core.recovery import GlobalRecoveryManager
     from repro.core.redo import RedoLog
     from repro.core.undo import UndoLog
     from repro.integration.comm_central import CentralCommunicationManager
     from repro.integration.decompose import Decomposition
-    from repro.mlt.locks import SemanticLockManager
     from repro.sim.kernel import Kernel
 
 
@@ -39,6 +48,11 @@ class ExecutionFailure(Exception):
         self.site = site
         self.reason = reason
         self.aborted = aborted
+
+
+#: What the execution phase raises when it cannot complete: a failed
+#: operation, or an L1 deadlock victim / lock timeout.
+EXECUTION_ERRORS = (ExecutionFailure, DeadlockDetected, LockTimeout)
 
 
 class ProtocolContext:
@@ -87,14 +101,14 @@ class ProtocolContext:
     # -- messaging helpers -----------------------------------------------------
 
     def request(
-        self, site: str, kind: str, **payload: Any
+        self, site: str, kind: str, timeout: Optional[float] = None, **payload: Any
     ) -> Generator[Any, Any, Message]:
-        """Request/reply with the configured timeout."""
+        """Request/reply with the configured (or the given) timeout."""
         reply = yield from self.comm.request(
             site,
             kind,
             gtxn_id=self.gtxn.gtxn_id,
-            timeout=self.config.msg_timeout,
+            timeout=timeout or self.config.msg_timeout,
             **payload,
         )
         return reply
@@ -153,10 +167,29 @@ class ProtocolContext:
                 return outcome
             yield self.config.status_poll_interval
 
+    def await_status(
+        self, site: str, marker_key: str
+    ) -> Generator[Any, Any, Message]:
+        """Poll ``status_query`` until the site answers (it may be down)."""
+        while True:
+            yield self.config.status_poll_interval
+            try:
+                reply = yield from self.request(
+                    site, "status_query", marker_key=marker_key,
+                    durable=self.config.durable_status,
+                )
+                return reply
+            except MessageTimeout:
+                pass  # site still down; wait for it to come up (§3.3)
+
     def parallel(
-        self, jobs: dict[str, Generator[Any, Any, Any]]
+        self, jobs: dict[str, Generator[Any, Any, Any]], strict: bool = False
     ) -> Generator[Any, Any, dict[str, Any]]:
-        """Run per-site generators concurrently; map exceptions to values."""
+        """Run per-site generators concurrently; map exceptions to values.
+
+        With ``strict`` the first collected exception is re-raised once
+        every job has finished.
+        """
         processes = {
             key: self.kernel.spawn(job, name=f"{self.gtxn.gtxn_id}:{key}")
             for key, job in jobs.items()
@@ -178,6 +211,10 @@ class ProtocolContext:
                 raise
             except Exception as exc:  # noqa: BLE001 - collected for the caller
                 results[key] = exc
+        if strict:
+            for result in results.values():
+                if isinstance(result, Exception):
+                    raise result
         return results
 
     # -- subtransaction execution (shared by 2PC / after / before-per-site) ----
@@ -219,8 +256,6 @@ class ProtocolContext:
         rides on a message that flows anyway, so the decision needs no
         extra voting round.  The votes come back in the returned dict.
         """
-        from repro.mlt.actions import inverse_of
-
         remaining = {
             site: len(ops) for site, ops in self.decomposition.by_site.items()
         }
@@ -270,18 +305,131 @@ class ProtocolContext:
                 on_site_finished(operation.site)
         return piggybacked
 
+    # -- the commit phases (each protocol's ``run`` is a script over these) ----
+
+    def failure_reason(self, exc: Exception) -> str:
+        """Abort reason for an execution-phase error; also records whether
+        the cause was transient, so the GTM may retry the transaction."""
+        if isinstance(exc, ExecutionFailure):
+            self.outcome.retriable = exc.aborted
+            return str(exc)
+        self.outcome.retriable = True
+        return f"L1 conflict: {exc}"
+
+    def run_subtransactions(
+        self, **streaming: Any
+    ) -> Generator[Any, Any, tuple[Optional[str], dict[str, str]]]:
+        """Execution phase: one local per site, operations in global order
+        (``streaming`` goes to :meth:`execute_operations`).
+
+        Returns ``(failure, piggybacked)``: why the execution could not
+        complete (``None`` if it did) and what rode back on data replies.
+        """
+        try:
+            yield from self.begin_subtransactions()
+            piggybacked = yield from self.execute_operations(**streaming)
+        except EXECUTION_ERRORS as exc:
+            return self.failure_reason(exc), {}
+        return None, piggybacked
+
+    def vote_round(self, **request: Any) -> Generator[Any, Any, dict[str, Optional[str]]]:
+        """One ``prepare`` round over every site; returns site -> vote.
+
+        ``request`` says what is asked of the participants (see
+        ``LocalCommunicationManager._on_prepare``).  ``None`` stands for
+        a site that did not answer; what that means is the caller's call.
+        """
+        replies = yield from self.parallel(
+            {
+                site: self.request(site, "prepare", **request)
+                for site in self.decomposition.sites
+            }
+        )
+        return {
+            site: None if isinstance(reply, Exception) else reply.payload.get("vote")
+            for site, reply in replies.items()
+        }
+
+    def abort_everywhere(self, reason: str) -> Generator[Any, Any, None]:
+        """The abort decision is made: deliver it, waiting out crashes."""
+        self.gtxn.set_state(GlobalTxnState.WAITING_TO_ABORT)
+        yield from self.parallel(
+            {
+                site: self.request_until_answered(site, "decide", decision="abort")
+                for site in self.decomposition.sites
+            }
+        )
+        self.gtxn.set_state(GlobalTxnState.ABORTED)
+        self.outcome.reason = reason
+
+    def abort_running(self, reason: str) -> Generator[Any, Any, None]:
+        """Abort while every local is still running -- the cheap path."""
+        self.gtxn.set_decision("abort", cause=reason)
+        yield from self.abort_everywhere(reason)
+
+    def commit_everywhere(
+        self,
+        commit_site: Callable[[str], Generator[Any, Any, Any]],
+        sites: Optional[Iterable[str]] = None,
+    ) -> Generator[Any, Any, dict[str, Any]]:
+        """The commit decision is made: drive every local to committed.
+
+        ``commit_site(site)`` returns once that site's local committed;
+        its failure fails the transaction *before* it is declared
+        committed.  Returns the per-site results.
+        """
+        self.gtxn.set_state(GlobalTxnState.WAITING_TO_COMMIT)
+        results = yield from self.parallel(
+            {
+                site: commit_site(site)
+                for site in (self.decomposition.sites if sites is None else sites)
+            },
+            strict=True,
+        )
+        self.gtxn.set_state(GlobalTxnState.COMMITTED)
+        self.outcome.committed = True
+        return results
+
 
 class CommitProtocol(abc.ABC):
-    """Interface of an atomic commitment protocol."""
+    """Interface of an atomic commitment protocol.
 
-    #: short name used in configs, traces and reports
-    name: str = "abstract"
-    #: True if the local TMs must expose a ready state
-    requires_prepare: bool = False
+    ``run`` is the coordinator's script; the other members are the
+    protocol's *recovery policy* -- what the recovery manager, the pool
+    and the federation do on its behalf.  The defaults are the 2PC
+    family's (the hardened decision is authoritative, none means
+    presumed abort); subclasses inherit their parent's.  Name and
+    ``requires_prepare`` live in the registry row only.
+    """
+
+    #: L1 lock manager class (used when the registry row names a table).
+    l1_manager: type[SemanticLockManager] = SemanticLockManager
+    #: Decisions are chosen by an acceptor group, not forced at the
+    #: central log: the federation builds the group and a crashed
+    #: coordinator's transactions are taken over at a higher ballot.
+    replicated_decisions: bool = False
+    #: A reply nobody waits for proves the site holds a live local to
+    #: terminate.  False when locals are terminal once they answer.
+    stray_replies_reveal_orphans: bool = True
 
     @abc.abstractmethod
     def run(self, ctx: ProtocolContext) -> Generator[Any, Any, None]:
         """Drive ``ctx.gtxn`` to a final state, filling ``ctx.outcome``."""
+
+    def after_site_restart(
+        self, recovery: "GlobalRecoveryManager", site: str
+    ) -> Iterable[Any]:
+        """What to re-drive to a restarted ``site`` once its in-doubt
+        locals were decided from the durable decision (default: nothing)."""
+        return ()
+
+    def settle_orphan(
+        self, recovery: "GlobalRecoveryManager", gtxn: "GlobalTransaction"
+    ) -> Generator[Any, Any, bool]:
+        """Settle an in-flight transaction of a crashed coordinator (default:
+        the hardened decision or presumed abort, everywhere).  Returns
+        whether every site was settled; restart recovery does the rest."""
+        return recovery.failover_decide(gtxn)
 
 
 def make_protocol(name: str) -> CommitProtocol:

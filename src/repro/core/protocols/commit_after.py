@@ -24,84 +24,75 @@ guess, reproducing the paper's two erroneous situations (EXP-A2).
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import TYPE_CHECKING, Any, Generator, Iterable
 
 from repro.core.global_txn import GlobalTxnState
 from repro.core.protocols.base import CommitProtocol, ExecutionFailure, ProtocolContext
-from repro.errors import DeadlockDetected, LockTimeout, MessageTimeout
+from repro.errors import MessageTimeout
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.global_txn import GlobalTransaction
+    from repro.core.recovery import GlobalRecoveryManager
 
 
 class CommitAfter(CommitProtocol):
     """Decision first, local commits afterwards (with redo)."""
 
-    name = "after"
-    requires_prepare = False
-
     def run(self, ctx: ProtocolContext) -> Generator[Any, Any, None]:
-        gtxn = ctx.gtxn
-        try:
-            yield from ctx.begin_subtransactions()
-            yield from ctx.execute_operations()
-        except ExecutionFailure as exc:
-            ctx.outcome.retriable = exc.aborted
-            yield from self._abort_running(ctx, reason=str(exc))
+        failure, _ = yield from ctx.run_subtransactions()
+        if failure is not None:
+            yield from ctx.abort_running(failure)
             return
-        except (DeadlockDetected, LockTimeout) as exc:
-            ctx.outcome.retriable = True
-            yield from self._abort_running(ctx, reason=f"L1 conflict: {exc}")
-            return
-
-        # Register every subtransaction in the redo-log *before* any
-        # decision can be sent: redo must be possible from stable
-        # central state.
-        for site, operations in ctx.decomposition.by_site.items():
-            ctx.redo_log.record(gtxn.gtxn_id, site, operations)
-
+        self._register_redo(ctx)
         if ctx.intends_abort:
-            # Intended aborts are the strong suit of this protocol: all
-            # locals are still running, a plain abort suffices (§4.3).
-            yield from self._abort_running(ctx, reason="intended abort")
-            ctx.redo_log.forget(gtxn.gtxn_id)
+            yield from self._abort(ctx, "intended abort")
             return
 
         # Inquire: communication managers answer from the running state.
-        gtxn.set_state(GlobalTxnState.INQUIRE)
-        votes = yield from ctx.parallel(
-            {
-                site: ctx.request(site, "prepare", protocol="after")
-                for site in ctx.decomposition.sites
-            }
-        )
-        all_ready = all(
-            not isinstance(reply, Exception) and reply.payload.get("vote") == "ready"
-            for reply in votes.values()
-        )
-        decision = "commit" if all_ready else "abort"
-        gtxn.set_decision(decision)
-
+        ctx.gtxn.set_state(GlobalTxnState.INQUIRE)
+        votes = yield from ctx.vote_round(ask="running")
+        decision = "commit" if all(v == "ready" for v in votes.values()) else "abort"
+        ctx.gtxn.set_decision(decision)
         if decision == "abort":
             ctx.outcome.retriable = True
-            yield from self._abort_running(ctx, reason="participant not ready")
-            ctx.redo_log.forget(gtxn.gtxn_id)
+            yield from self._abort(ctx, "participant not ready")
             return
+        yield from self._commit(ctx)
 
-        # Commit phase: every local must reach its committed final
-        # state, repeating erroneously aborted ones (Figure 4's double
-        # arrow).  L1 locks stay held throughout.
-        gtxn.set_state(GlobalTxnState.WAITING_TO_COMMIT)
-        results = yield from ctx.parallel(
-            {
-                site: self._commit_site(ctx, site)
-                for site in ctx.decomposition.sites
-            }
+    def _register_redo(self, ctx: ProtocolContext) -> None:
+        """Log every subtransaction for redo *before* any decision can be
+        sent: redo must be possible from stable central state."""
+        for site, operations in ctx.decomposition.by_site.items():
+            ctx.redo_log.record(ctx.gtxn.gtxn_id, site, operations)
+
+    def _abort(self, ctx: ProtocolContext, reason: str) -> Generator[Any, Any, None]:
+        """Abort after redo registration.  Aborts are the strong suit of
+        this protocol: all locals are still running, a plain abort
+        suffices (§4.3)."""
+        yield from ctx.abort_running(reason)
+        ctx.redo_log.forget(ctx.gtxn.gtxn_id)
+
+    def _commit(self, ctx: ProtocolContext) -> Generator[Any, Any, None]:
+        """Commit phase: every local must reach its committed final
+        state, repeating erroneously aborted ones (Figure 4's double
+        arrow).  L1 locks stay held throughout."""
+        redos = yield from ctx.commit_everywhere(
+            lambda site: self._commit_site(ctx, site)
         )
-        for site, result in results.items():
-            if isinstance(result, Exception):
-                raise result
-            ctx.outcome.redo_executions += result
-        gtxn.set_state(GlobalTxnState.COMMITTED)
-        ctx.outcome.committed = True
-        ctx.redo_log.forget(gtxn.gtxn_id)
+        ctx.outcome.redo_executions += sum(redos.values())
+        ctx.redo_log.forget(ctx.gtxn.gtxn_id)
+
+    # -- recovery policy: the §3.2 redo obligation survives crashes ---------
+
+    def after_site_restart(
+        self, recovery: "GlobalRecoveryManager", site: str
+    ) -> Iterable[Any]:
+        return recovery.redrive_redos(site)
+
+    def settle_orphan(
+        self, recovery: "GlobalRecoveryManager", gtxn: "GlobalTransaction"
+    ) -> Generator[Any, Any, bool]:
+        return recovery.failover_decide(gtxn, redo_window=True)
 
     # ------------------------------------------------------------------
 
@@ -113,7 +104,7 @@ class CommitAfter(CommitProtocol):
         gtxn_id = ctx.gtxn.gtxn_id
         marker_key = gtxn_id
         redo_count = 0
-        outcome = yield from self._try_decide(ctx, site, marker_key)
+        outcome = yield from ctx.decide_commit(site, marker_key)
         while True:
             # Only actual redo executions count against the limit;
             # ambiguity polls while a site is down do not.
@@ -132,18 +123,16 @@ class CommitAfter(CommitProtocol):
                 outcome = yield from self._try_redo(ctx, site, entry.operations, marker_key)
                 continue
             # Ambiguous (crash/lost message): wait, then ask for status.
-            yield ctx.config.status_poll_interval
-            outcome = yield from self._query_status(ctx, site, marker_key)
-            if outcome == "running":
+            reply = yield from ctx.await_status(site, marker_key)
+            outcome = reply.payload["outcome"]
+            if outcome == "unknown":
+                # Volatile log placement after a crash: the protocol must
+                # guess.  Assuming "aborted" triggers a redo -- possibly a
+                # double execution if the commit did land (EXP-A2).
+                outcome = "aborted"
+            elif outcome == "running":
                 # The decision message was lost; resend it.
-                outcome = yield from self._try_decide(ctx, site, marker_key)
-
-    def _try_decide(self, ctx: ProtocolContext, site: str, marker_key: str) -> Generator[Any, Any, str]:
-        # Routes through the group-decision pipeline when the GTM has
-        # one: concurrent transactions deciding for this site share one
-        # decide round-trip and one forced decision-log write.
-        outcome = yield from ctx.decide_commit(site, marker_key)
-        return outcome
+                outcome = yield from ctx.decide_commit(site, marker_key)
 
     def _try_redo(
         self, ctx: ProtocolContext, site: str, operations, marker_key: str
@@ -152,9 +141,8 @@ class CommitAfter(CommitProtocol):
             # Redo executions retry local conflicts internally and can
             # legitimately run long; an eager timeout would flood the
             # site with duplicate redo requests.
-            reply = yield from ctx.comm.request(
-                site, "redo_subtxn", gtxn_id=ctx.gtxn.gtxn_id,
-                timeout=ctx.config.msg_timeout * 20,
+            reply = yield from ctx.request(
+                site, "redo_subtxn", timeout=ctx.config.msg_timeout * 20,
                 ops=operations, marker_key=marker_key,
             )
             return (
@@ -164,33 +152,3 @@ class CommitAfter(CommitProtocol):
             )
         except MessageTimeout:
             return "ambiguous"
-
-    def _query_status(self, ctx: ProtocolContext, site: str, marker_key: str) -> Generator[Any, Any, str]:
-        try:
-            reply = yield from ctx.request(
-                site,
-                "status_query",
-                marker_key=marker_key,
-                durable=ctx.config.durable_status,
-            )
-        except MessageTimeout:
-            return "ambiguous"
-        status = reply.payload["outcome"]
-        if status == "unknown":
-            # Volatile log placement after a crash: the protocol must
-            # guess.  Assuming "aborted" triggers a redo -- possibly a
-            # double execution if the commit did land (EXP-A2).
-            return "aborted"
-        return status
-
-    def _abort_running(self, ctx: ProtocolContext, reason: str) -> Generator[Any, Any, None]:
-        ctx.gtxn.set_decision("abort", cause=reason)
-        ctx.gtxn.set_state(GlobalTxnState.WAITING_TO_ABORT)
-        yield from ctx.parallel(
-            {
-                site: ctx.request_until_answered(site, "decide", decision="abort")
-                for site in ctx.decomposition.sites
-            }
-        )
-        ctx.gtxn.set_state(GlobalTxnState.ABORTED)
-        ctx.outcome.reason = reason

@@ -22,70 +22,130 @@ Two granularities:
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
 from repro.core.global_txn import GlobalTxnState
-from repro.core.protocols.base import CommitProtocol, ExecutionFailure, ProtocolContext
-from repro.errors import DeadlockDetected, LockTimeout, MessageTimeout
+from repro.core.protocols.base import (
+    EXECUTION_ERRORS,
+    CommitProtocol,
+    ExecutionFailure,
+    ProtocolContext,
+)
+from repro.core.undo import optimize_inverses
+from repro.errors import MessageTimeout
 from repro.mlt.actions import Operation, inverse_of
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.global_txn import GlobalTransaction
+    from repro.core.gtm import GTMConfig
+    from repro.core.recovery import GlobalRecoveryManager
+
+#: (index in the global order, operation, its undo-log record)
+Executed = list[tuple[int, Operation, Any]]
 
 
 class CommitBefore(CommitProtocol):
     """Locals commit first; global abort undoes via inverse transactions."""
 
-    name = "before"
-    requires_prepare = False
+    # Locals are terminal by the time they answer: a straggling reply
+    # leaves nothing to terminate (durable markers settle the rest).
+    stray_replies_reveal_orphans = False
+    #: ``None`` follows ``GTMConfig.granularity``; the per-action
+    #: baselines pin theirs.
+    fixed_granularity: Optional[str] = None
+
+    def runs_per_action(self, config: "GTMConfig") -> bool:
+        """One L0 transaction per L1 action (§4) instead of one per site?"""
+        return (self.fixed_granularity or config.granularity) == "per_action"
 
     def run(self, ctx: ProtocolContext) -> Generator[Any, Any, None]:
-        if ctx.config.granularity == "per_action":
+        if self.runs_per_action(ctx.config):
             yield from self._run_per_action(ctx)
         else:
             yield from self._run_per_site(ctx)
+
+    def _conclude(
+        self,
+        ctx: ProtocolContext,
+        failure: Optional[str],
+        undo: Callable[[], Generator[Any, Any, Any]],
+    ) -> Generator[Any, Any, None]:
+        """Decision point (Figure 6): every local is already final.
+
+        Commit is free; a failed or intentionally aborting transaction
+        runs ``undo()`` -- the inverse transactions -- first.
+        """
+        gtxn = ctx.gtxn
+        reason = failure or ("intended abort" if ctx.intends_abort else None)
+        if reason is None:
+            gtxn.set_decision("commit")
+            gtxn.set_state(GlobalTxnState.COMMITTED)
+            ctx.outcome.committed = True
+        else:
+            gtxn.set_decision("abort", cause=reason)
+            gtxn.set_state(GlobalTxnState.WAITING_TO_ABORT)
+            yield from undo()
+            gtxn.set_state(GlobalTxnState.ABORTED)
+            ctx.outcome.reason = reason
+        ctx.undo_log.forget(gtxn.gtxn_id)
+
+    # -- recovery policy: presumed abort, compensating what committed -------
+
+    def after_site_restart(
+        self, recovery: "GlobalRecoveryManager", site: str
+    ) -> Iterable[Any]:
+        if self.runs_per_action(recovery.gtm.config):
+            return ()  # per-action inverses are the coordinator's to finish
+        return recovery.redrive_undos(site)
+
+    def settle_orphan(
+        self, recovery: "GlobalRecoveryManager", gtxn: "GlobalTransaction"
+    ) -> Generator[Any, Any, bool]:
+        if self.runs_per_action(recovery.gtm.config):
+            return recovery.failover_undo_actions(gtxn)
+        return recovery.failover_before_site(gtxn)
 
     # ------------------------------------------------------------------
     # Multi-level granularity: one L0 transaction per L1 action (§4)
     # ------------------------------------------------------------------
 
     def _run_per_action(self, ctx: ProtocolContext) -> Generator[Any, Any, None]:
-        gtxn = ctx.gtxn
-        executed: list[tuple[int, Operation, Any]] = []  # (index, op, undo record)
-        failure: Optional[str] = None
+        executed, failure = yield from self._execute_actions(ctx)
+        yield from self._conclude(
+            ctx, failure, lambda: self._undo_actions(ctx, executed)
+        )
+
+    def _execute_actions(
+        self,
+        ctx: ProtocolContext,
+        on_action: Optional[Callable[[int, Operation], None]] = None,
+    ) -> Generator[Any, Any, tuple[Executed, Optional[str]]]:
+        """Run each action as its own L0 transaction, in global order.
+
+        Returns what executed (with its undo records) and the reason
+        the execution stopped early, if it did.  ``on_action`` fires
+        after each committed action.
+        """
+        gtxn_id = ctx.gtxn.gtxn_id
+        executed: Executed = []
         try:
             for index, operation in enumerate(ctx.decomposition.ordered):
                 yield from ctx.acquire_l1(operation)
-                marker_key = f"{gtxn.gtxn_id}:{index}"
                 value, before, retries = yield from self._execute_action(
-                    ctx, operation, marker_key
+                    ctx, operation, f"{gtxn_id}:{index}"
                 )
                 ctx.outcome.l0_retries += retries
                 if operation.kind == "read":
                     ctx.outcome.reads[f"{operation.table}[{operation.key!r}]"] = value
                 record = ctx.undo_log.record(
-                    gtxn.gtxn_id, operation.site, operation, inverse_of(operation, before)
+                    gtxn_id, operation.site, operation, inverse_of(operation, before)
                 )
                 executed.append((index, operation, record))
-        except ExecutionFailure as exc:
-            failure = str(exc)
-            ctx.outcome.retriable = exc.aborted
-        except (DeadlockDetected, LockTimeout) as exc:
-            failure = f"L1 conflict: {exc}"
-            ctx.outcome.retriable = True
-
-        # Decision point: every local effect is already committed.
-        if failure is None and not ctx.intends_abort:
-            gtxn.set_decision("commit")
-            gtxn.set_state(GlobalTxnState.COMMITTED)
-            ctx.outcome.committed = True
-            ctx.undo_log.forget(gtxn.gtxn_id)
-            return
-
-        reason = failure or "intended abort"
-        gtxn.set_decision("abort", cause=reason)
-        gtxn.set_state(GlobalTxnState.WAITING_TO_ABORT)
-        yield from self._undo_actions(ctx, executed)
-        gtxn.set_state(GlobalTxnState.ABORTED)
-        ctx.outcome.reason = reason
-        ctx.undo_log.forget(gtxn.gtxn_id)
+                if on_action is not None:
+                    on_action(index, operation)
+        except EXECUTION_ERRORS as exc:
+            return executed, ctx.failure_reason(exc)
+        return executed, None
 
     def _execute_action(
         self, ctx: ProtocolContext, operation: Operation, marker_key: str
@@ -124,16 +184,7 @@ class CommitBefore(CommitProtocol):
         marker when it did, ``None`` when it is safe to re-execute.
         """
         while True:
-            yield ctx.config.status_poll_interval
-            try:
-                reply = yield from ctx.request(
-                    site,
-                    "status_query",
-                    marker_key=marker_key,
-                    durable=ctx.config.durable_status,
-                )
-            except MessageTimeout:
-                continue  # site still down; wait for it to come up (§3.3)
+            reply = yield from ctx.await_status(site, marker_key)
             status = reply.payload["outcome"]
             if status == "committed":
                 return (reply.payload.get("value"), reply.payload.get("before"), 0)
@@ -143,7 +194,7 @@ class CommitBefore(CommitProtocol):
                 return None
 
     def _undo_actions(
-        self, ctx: ProtocolContext, executed: list[tuple[int, Operation, Any]]
+        self, ctx: ProtocolContext, executed: Executed
     ) -> Generator[Any, Any, None]:
         """Run inverse actions in reverse order, each as an L0 txn."""
         for index, operation, record in reversed(executed):
@@ -154,27 +205,33 @@ class CommitBefore(CommitProtocol):
             ctx.kernel.trace.emit(
                 "undo", "central", ctx.gtxn.gtxn_id, at=operation.site, op=str(inverse)
             )
-            while True:
-                try:
-                    reply = yield from ctx.request(
-                        operation.site,
-                        "execute_l0",
-                        op=inverse,
-                        marker_key=marker_key,
-                        undo=True,
-                    )
-                except MessageTimeout:
-                    resolved = yield from self._resolve_action_ambiguity(
-                        ctx, operation.site, marker_key
-                    )
-                    if resolved is not None:
-                        break  # the inverse did commit
-                    continue
-                if reply.kind == "l0_done":
-                    break
-                yield ctx.config.status_poll_interval  # failed; retry (§3.3)
-            ctx.undo_log.note_undo()
-            ctx.outcome.undo_executions += 1
+            yield from self._run_inverse(
+                ctx, operation.site, "execute_l0", marker_key, op=inverse, undo=True
+            )
+
+    def _run_inverse(
+        self, ctx: ProtocolContext, site: str, kind: str, marker_key: str, **payload: Any
+    ) -> Generator[Any, Any, None]:
+        """Repeat one inverse request until it committed (§3.3); count it.
+
+        After a timeout the durable marker says whether the inverse did
+        commit, so it is never applied twice.
+        """
+        while True:
+            try:
+                reply = yield from ctx.request(
+                    site, kind, marker_key=marker_key, **payload
+                )
+            except MessageTimeout:
+                status = yield from ctx.await_status(site, marker_key)
+                if status.payload["outcome"] == "committed":
+                    break  # the inverse did commit; only its reply was lost
+                continue
+            if reply.kind != "l0_failed" and reply.payload.get("outcome") != "failed":
+                break
+            yield ctx.config.status_poll_interval  # failed; retry (§3.3)
+        ctx.undo_log.note_undo()
+        ctx.outcome.undo_executions += 1
 
     # ------------------------------------------------------------------
     # Per-site granularity ([BST 90]/[WV 90] style)
@@ -184,50 +241,33 @@ class CommitBefore(CommitProtocol):
         gtxn = ctx.gtxn
         finishers: dict[str, Any] = {}
         piggyback = ctx.config.piggyback_decisions
-        finish_markers = (
-            {site: f"{gtxn.gtxn_id}:{site}" for site in ctx.decomposition.sites}
-            if piggyback
-            else None
-        )
+        markers = {site: f"{gtxn.gtxn_id}:{site}" for site in ctx.decomposition.sites}
 
         def finish_site(site: str) -> None:
             # The site's last action is done: commit its local
             # transaction right now, before any global decision.
             finishers[site] = ctx.kernel.spawn(
                 ctx.request_until_answered(
-                    site, "finish_subtxn", marker_key=f"{gtxn.gtxn_id}:{site}"
+                    site, "finish_subtxn", marker_key=markers[site]
                 ),
                 name=f"{gtxn.gtxn_id}:finish:{site}",
             )
             # Dies with the coordinator (pool crash interrupts it).
             ctx.gtm.track_service(finishers[site])
 
-        failure: Optional[str] = None
-        known: dict[str, str] = {}
-        try:
-            yield from ctx.begin_subtransactions()
-            # With piggybacking the local-commit request rides on the
-            # site's last data message and the outcome rides back on
-            # its reply; otherwise a dedicated finish_subtxn round is
-            # fired as each site's last action completes.
-            known = yield from ctx.execute_operations(
-                record_undo=True,
-                on_site_finished=None if piggyback else finish_site,
-                finish_markers=finish_markers,
-            )
-        except ExecutionFailure as exc:
-            failure = str(exc)
-            ctx.outcome.retriable = exc.aborted
-        except (DeadlockDetected, LockTimeout) as exc:
-            failure = f"L1 conflict: {exc}"
-            ctx.outcome.retriable = True
+        # With piggybacking the local-commit request rides on the
+        # site's last data message and the outcome rides back on its
+        # reply (``known``); otherwise a dedicated finish_subtxn round
+        # is fired as each site's last action completes.
+        failure, known = yield from ctx.run_subtransactions(
+            record_undo=True,
+            on_site_finished=None if piggyback else finish_site,
+            finish_markers=markers if piggyback else None,
+        )
 
         # Inquire phase (Figure 6): ask every site for the final state
         # of its local transaction.  Sites whose outcome already rode
-        # back on a data reply are final and need no inquiry.  Sites
-        # with an unfinished (running) subtransaction resolve it
-        # themselves: commit if they finished their actions, abort
-        # reply otherwise.
+        # back on a data reply are final and need no inquiry.
         gtxn.set_state(GlobalTxnState.INQUIRE)
         for process in finishers.values():
             yield process  # local commits are in flight; let them land
@@ -236,99 +276,44 @@ class CommitBefore(CommitProtocol):
         # execution failed (abort it -- the cheap abort of an unfinished
         # local).
         resolve = "abort" if failure is not None else "commit"
-        votes = yield from ctx.parallel(
+        replies = yield from ctx.parallel(
             {
                 site: ctx.request_until_answered(
-                    site,
-                    "prepare",
-                    protocol="before",
-                    marker_key=f"{gtxn.gtxn_id}:{site}",
-                    resolve=resolve,
+                    site, "prepare", ask="final_state",
+                    marker_key=markers[site], resolve=resolve,
                 )
                 for site in ctx.decomposition.sites
                 if site not in known
             }
         )
         outcomes = dict(known)
-        for site, reply in votes.items():
+        for site, reply in replies.items():
             outcomes[site] = (
-                reply.payload.get("vote")
-                if not isinstance(reply, Exception)
-                else "aborted"
+                "aborted" if isinstance(reply, Exception) else reply.payload.get("vote")
             )
-        all_committed = all(v == "committed" for v in outcomes.values())
-
-        if failure is None and not ctx.intends_abort and all_committed:
-            gtxn.set_decision("commit")
-            gtxn.set_state(GlobalTxnState.COMMITTED)
-            ctx.outcome.committed = True
-            ctx.undo_log.forget(gtxn.gtxn_id)
-            return
-
-        reason = failure or ("intended abort" if ctx.intends_abort else "mixed outcomes")
-        if reason == "mixed outcomes":
+        committed = [site for site, vote in outcomes.items() if vote == "committed"]
+        if failure is None and not ctx.intends_abort and len(committed) < len(outcomes):
+            failure = "mixed outcomes"
             ctx.outcome.retriable = True
-        gtxn.set_decision("abort", cause=reason)
-        gtxn.set_state(GlobalTxnState.WAITING_TO_ABORT)
-        undo_jobs = {
-            site: self._undo_site(ctx, site)
-            for site, vote in outcomes.items()
-            if vote == "committed"
-        }
-        results = yield from ctx.parallel(undo_jobs)
-        for result in results.values():
-            if isinstance(result, Exception):
-                raise result
-        gtxn.set_state(GlobalTxnState.ABORTED)
-        ctx.outcome.reason = reason
-        ctx.undo_log.forget(gtxn.gtxn_id)
+        yield from self._conclude(
+            ctx,
+            failure,
+            lambda: ctx.parallel(
+                {site: self._undo_site(ctx, site) for site in committed}, strict=True
+            ),
+        )
 
     def _undo_site(self, ctx: ProtocolContext, site: str) -> Generator[Any, Any, None]:
         """Undo one committed subtransaction with an inverse transaction."""
+        records = ctx.undo_log.inverses_for(ctx.gtxn.gtxn_id, site)  # newest first
         if ctx.config.optimize_undo:
-            from repro.core.undo import optimize_inverses
-
-            forward_order = list(
-                reversed(ctx.undo_log.inverses_for(ctx.gtxn.gtxn_id, site))
-            )
-            inverse_ops = optimize_inverses(forward_order)
+            inverse_ops = optimize_inverses(records[::-1])
         else:
-            inverse_ops = [
-                record.inverse
-                for record in ctx.undo_log.inverses_for(ctx.gtxn.gtxn_id, site)
-            ]
+            inverse_ops = [record.inverse for record in records]
         if not inverse_ops:
             return
         marker_key = f"undo:{ctx.gtxn.gtxn_id}:{site}"
         ctx.kernel.trace.emit("undo", "central", ctx.gtxn.gtxn_id, at=site)
-        while True:
-            try:
-                reply = yield from ctx.request(
-                    site, "undo_subtxn", inverse_ops=inverse_ops, marker_key=marker_key
-                )
-            except MessageTimeout:
-                committed = yield from self._marker_committed(ctx, site, marker_key)
-                if committed:
-                    break
-                continue
-            if reply.payload.get("outcome") == "undone":
-                break
-            yield ctx.config.status_poll_interval
-        ctx.undo_log.note_undo()
-        ctx.outcome.undo_executions += 1
-
-    def _marker_committed(
-        self, ctx: ProtocolContext, site: str, marker_key: str
-    ) -> Generator[Any, Any, bool]:
-        while True:
-            yield ctx.config.status_poll_interval
-            try:
-                reply = yield from ctx.request(
-                    site,
-                    "status_query",
-                    marker_key=marker_key,
-                    durable=ctx.config.durable_status,
-                )
-            except MessageTimeout:
-                continue
-            return reply.payload["outcome"] == "committed"
+        yield from self._run_inverse(
+            ctx, site, "undo_subtxn", marker_key, inverse_ops=inverse_ops
+        )

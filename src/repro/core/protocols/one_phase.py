@@ -34,16 +34,12 @@ from __future__ import annotations
 from typing import Any, Generator
 
 from repro.core.global_txn import GlobalTxnState
-from repro.core.protocols.base import ExecutionFailure, ProtocolContext
+from repro.core.protocols.base import EXECUTION_ERRORS, ProtocolContext
 from repro.core.protocols.commit_after import CommitAfter
-from repro.errors import DeadlockDetected, LockTimeout
 
 
 class OnePhaseCommit(CommitAfter):
-    """Vote during execution; decide with no extra round."""
-
-    name = "one_phase"
-    requires_prepare = False
+    """Commit-after whose votes rode on data: decide with no extra round."""
 
     #: Seeded mutant (``repro.check --mutant presume_commit``): treat a
     #: missing vote -- a site that died or aborted before its last
@@ -52,22 +48,19 @@ class OnePhaseCommit(CommitAfter):
     presume_commit = False
 
     def run(self, ctx: ProtocolContext) -> Generator[Any, Any, None]:
-        gtxn = ctx.gtxn
+        # The execution phase is spelled out (not
+        # ``ctx.run_subtransactions``) because the mutant needs to know
+        # *why* it failed, not just the reason string.
         votes: dict[str, str] = {}
         try:
             yield from ctx.begin_subtransactions()
             votes = yield from ctx.execute_operations(collect_votes=True)
-        except ExecutionFailure as exc:
-            if not (self.presume_commit and exc.aborted):
-                ctx.outcome.retriable = exc.aborted
-                yield from self._abort_running(ctx, reason=str(exc))
+        except EXECUTION_ERRORS as exc:
+            if not (self.presume_commit and getattr(exc, "aborted", False)):
+                yield from ctx.abort_running(ctx.failure_reason(exc))
                 return
             # MUTANT: a dead local never voted, but we presume it said
             # yes and fall through to the decision below.
-        except (DeadlockDetected, LockTimeout) as exc:
-            ctx.outcome.retriable = True
-            yield from self._abort_running(ctx, reason=f"L1 conflict: {exc}")
-            return
 
         missing = [
             site for site in ctx.decomposition.sites if votes.get(site) != "ready"
@@ -78,45 +71,24 @@ class OnePhaseCommit(CommitAfter):
             # downgraded communication manager.  Without the vote there
             # is no 1PC; abort (retriable: nothing was decided).
             ctx.outcome.retriable = True
-            yield from self._abort_running(
-                ctx, reason=f"no piggybacked vote from {missing}"
-            )
+            yield from ctx.abort_running(f"no piggybacked vote from {missing}")
             return
 
-        # Redo must be possible from stable central state before any
-        # decision is sent (the §3.2 obligation, unchanged from
-        # commit-after).
-        for site, operations in ctx.decomposition.by_site.items():
-            ctx.redo_log.record(gtxn.gtxn_id, site, operations)
-
+        self._register_redo(ctx)
         if ctx.intends_abort:
-            # All locals are still running: a plain abort suffices.
-            yield from self._abort_running(ctx, reason="intended abort")
-            ctx.redo_log.forget(gtxn.gtxn_id)
+            yield from self._abort(ctx, "intended abort")
             return
 
         # The decision: no voting round happened and none is needed.
-        gtxn.set_decision("commit")
-        gtxn.set_state(GlobalTxnState.WAITING_TO_COMMIT)
+        ctx.gtxn.set_decision("commit")
         if self.presume_commit and missing:
             # MUTANT: decide once per site and declare victory whatever
             # comes back -- the lost subtransaction is never repeated.
+            ctx.gtxn.set_state(GlobalTxnState.WAITING_TO_COMMIT)
             for site in ctx.decomposition.sites:
                 yield from ctx.decide_commit(site)
-            gtxn.set_state(GlobalTxnState.COMMITTED)
+            ctx.gtxn.set_state(GlobalTxnState.COMMITTED)
             ctx.outcome.committed = True
-            ctx.redo_log.forget(gtxn.gtxn_id)
+            ctx.redo_log.forget(ctx.gtxn.gtxn_id)
             return
-        results = yield from ctx.parallel(
-            {
-                site: self._commit_site(ctx, site)
-                for site in ctx.decomposition.sites
-            }
-        )
-        for site, result in results.items():
-            if isinstance(result, Exception):
-                raise result
-            ctx.outcome.redo_executions += result
-        gtxn.set_state(GlobalTxnState.COMMITTED)
-        ctx.outcome.committed = True
-        ctx.redo_log.forget(gtxn.gtxn_id)
+        yield from self._commit(ctx)

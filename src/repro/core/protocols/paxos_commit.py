@@ -27,127 +27,47 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-from repro.core.global_txn import GlobalTxnState
 from repro.core.paxos import PaxosLeader
-from repro.core.protocols.base import CommitProtocol, ExecutionFailure, ProtocolContext
-from repro.errors import DeadlockDetected, LockTimeout, MessageTimeout
+from repro.core.protocols.base import ProtocolContext
+from repro.core.protocols.two_phase import TwoPhaseCommit
 
 
-class PaxosCommit(CommitProtocol):
+class PaxosCommit(TwoPhaseCommit):
     """2PC voting with a replicated, non-blocking decision."""
 
-    name = "paxos"
-    requires_prepare = True
+    replicated_decisions = True
 
-    def run(self, ctx: ProtocolContext) -> Generator[Any, Any, None]:
-        gtxn = ctx.gtxn
-        try:
-            yield from ctx.begin_subtransactions()
-            yield from ctx.execute_operations()
-        except ExecutionFailure as exc:
-            ctx.outcome.retriable = exc.aborted
-            yield from self._abort_running(ctx, reason=str(exc))
-            return
-        except (DeadlockDetected, LockTimeout) as exc:
-            ctx.outcome.retriable = True
-            yield from self._abort_running(ctx, reason=f"L1 conflict: {exc}")
-            return
-
-        if ctx.intends_abort:
-            yield from self._abort_running(ctx, reason="intended abort")
-            return
-
-        # Phase 1: prepare -- identical to 2PC, the locals enter the
-        # ready state with their own forced writes.
-        gtxn.set_state(GlobalTxnState.INQUIRE)
-        votes = yield from ctx.parallel(
-            {
-                site: ctx.request(site, "prepare", protocol="paxos")
-                for site in ctx.decomposition.sites
-            }
-        )
-        all_ready = all(
-            not isinstance(reply, Exception) and reply.payload.get("vote") == "ready"
-            for reply in votes.values()
-        )
-        vote_map = {
-            site: ("timeout" if isinstance(r, Exception) else r.payload.get("vote"))
-            for site, r in votes.items()
-        }
-
+    def decide(
+        self, ctx: ProtocolContext, votes: dict[str, Any]
+    ) -> Generator[Any, Any, tuple[str, str]]:
+        vote_map = {site: vote or "timeout" for site, vote in votes.items()}
+        all_ready = all(vote == "ready" for vote in votes.values())
         if all_ready:
             # The decision round: ballot-0 fast path over the acceptor
             # group.  The returned value is whatever consensus *chose*
             # -- normally commit, but a takeover that presumed this
             # leader dead may have chosen abort first; its choice wins.
             leader = PaxosLeader(
-                ctx.gtm, gtxn.gtxn_id, sorted(ctx.decomposition.sites)
+                ctx.gtm, ctx.gtxn.gtxn_id, sorted(ctx.decomposition.sites)
             )
             decision = yield from leader.commit_fast(vote_map)
         else:
             # Presumed abort: no acceptor round for a no vote.  A later
             # takeover reading an empty instance concludes abort too.
             decision = "abort"
-        gtxn.set_decision(decision, votes=vote_map)
-
-        gtxn.set_state(
-            GlobalTxnState.WAITING_TO_COMMIT
-            if decision == "commit"
-            else GlobalTxnState.WAITING_TO_ABORT
+        ctx.gtxn.set_decision(decision, votes=vote_map)
+        return decision, (
+            "takeover chose abort" if all_ready else "participant voted abort"
         )
-        if decision == "commit":
-            yield from ctx.parallel(
-                {
-                    site: self._commit_site_until_done(ctx, site)
-                    for site in ctx.decomposition.sites
-                }
-            )
-            gtxn.set_state(GlobalTxnState.COMMITTED)
-            ctx.outcome.committed = True
-        else:
-            yield from ctx.parallel(
-                {
-                    site: ctx.request_until_answered(site, "decide", decision="abort")
-                    for site in ctx.decomposition.sites
-                }
-            )
-            gtxn.set_state(GlobalTxnState.ABORTED)
-            ctx.outcome.reason = (
-                "participant voted abort" if not all_ready else "takeover chose abort"
-            )
-            ctx.outcome.retriable = True
 
-    def _commit_site_until_done(
-        self, ctx: ProtocolContext, site: str
-    ) -> Generator[Any, Any, str]:
+    def commit_site(self, ctx: ProtocolContext, site: str) -> Generator[Any, Any, Any]:
         """Deliver the chosen commit, waiting out crashed sites.
 
         Unlike :meth:`ProtocolContext.decide_commit` this never touches
         the central decision log -- the acceptor majority *is* the
         durable decision record.
         """
-        while True:
-            try:
-                reply = yield from ctx.comm.request(
-                    site, "decide", gtxn_id=ctx.gtxn.gtxn_id,
-                    timeout=ctx.config.msg_timeout * 4,
-                    decision="commit", marker_key=None,
-                )
-                return reply.payload["outcome"]
-            except MessageTimeout:
-                yield ctx.config.status_poll_interval
-
-    def _abort_running(
-        self, ctx: ProtocolContext, reason: str
-    ) -> Generator[Any, Any, None]:
-        """Abort while every local is still running -- the cheap path."""
-        ctx.gtxn.set_decision("abort", cause=reason)
-        ctx.gtxn.set_state(GlobalTxnState.WAITING_TO_ABORT)
-        yield from ctx.parallel(
-            {
-                site: ctx.request_until_answered(site, "decide", decision="abort")
-                for site in ctx.decomposition.sites
-            }
+        return ctx.request_until_answered(
+            site, "decide", timeout=ctx.config.msg_timeout * 4,
+            decision="commit", marker_key=None,
         )
-        ctx.gtxn.set_state(GlobalTxnState.ABORTED)
-        ctx.outcome.reason = reason

@@ -21,86 +21,51 @@ derived protocol deepens the dependency on changeable local systems.
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import Any, Generator, Iterable, Optional
 
 from repro.core.global_txn import GlobalTxnState
-from repro.core.protocols.base import ExecutionFailure, ProtocolContext
+from repro.core.protocols.base import ProtocolContext
 from repro.core.protocols.two_phase import TwoPhaseCommit
-from repro.errors import DeadlockDetected, LockTimeout
 
 
 class PresumedAbort2PC(TwoPhaseCommit):
     """2PC with presumed abort and read-only participants."""
 
-    name = "2pc-pa"
-    requires_prepare = True
+    vote_request = {"ask": "ready", "allow_readonly": True}
 
     def run(self, ctx: ProtocolContext) -> Generator[Any, Any, None]:
-        gtxn = ctx.gtxn
-        try:
-            yield from ctx.begin_subtransactions()
-            yield from ctx.execute_operations()
-        except ExecutionFailure as exc:
-            ctx.outcome.retriable = exc.aborted
-            yield from self._abort_presumed(ctx, reason=str(exc))
+        failure, _ = yield from ctx.run_subtransactions()
+        if failure is not None or ctx.intends_abort:
+            self._abort_presumed(ctx, failure or "intended abort")
             return
-        except (DeadlockDetected, LockTimeout) as exc:
+
+        # Phase 1 with the read-only option; silence is a no.
+        ctx.gtxn.set_state(GlobalTxnState.INQUIRE)
+        votes = yield from ctx.vote_round(**self.vote_request)
+        votes = {site: vote or "abort" for site, vote in votes.items()}
+        updaters = [site for site, vote in votes.items() if vote == "ready"]
+        all_ok = all(vote in ("ready", "readonly") for vote in votes.values())
+        ctx.gtxn.set_decision("commit" if all_ok else "abort", votes=votes)
+
+        if not all_ok:
             ctx.outcome.retriable = True
-            yield from self._abort_presumed(ctx, reason=f"L1 conflict: {exc}")
-            return
-
-        if ctx.intends_abort:
-            yield from self._abort_presumed(ctx, reason="intended abort")
-            return
-
-        # Phase 1 with the read-only option.
-        gtxn.set_state(GlobalTxnState.INQUIRE)
-        votes = yield from ctx.parallel(
-            {
-                site: ctx.request(site, "prepare", protocol="2pc", allow_readonly=True)
-                for site in ctx.decomposition.sites
-            }
-        )
-        resolved = {
-            site: (reply.payload.get("vote") if not isinstance(reply, Exception) else "abort")
-            for site, reply in votes.items()
-        }
-        updaters = [site for site, vote in resolved.items() if vote == "ready"]
-        all_ok = all(vote in ("ready", "readonly") for vote in resolved.values())
-        decision = "commit" if all_ok else "abort"
-        gtxn.set_decision(decision, votes=resolved)
-
-        if decision == "abort":
-            ctx.outcome.retriable = True
-            yield from self._abort_presumed(
-                ctx, reason="participant voted abort", sites=updaters
-            )
+            self._abort_presumed(ctx, "participant voted abort", updaters)
             return
 
         # Phase 2 reaches only the updaters; read-only participants are
-        # already done.  Commit decisions share round-trips and forced
-        # writes through the group-decision pipeline when enabled.
-        gtxn.set_state(GlobalTxnState.WAITING_TO_COMMIT)
-        if updaters:
-            yield from ctx.parallel(
-                {site: ctx.commit_until_done(site) for site in updaters}
-            )
-        gtxn.set_state(GlobalTxnState.COMMITTED)
-        ctx.outcome.committed = True
+        # already done.
+        yield from ctx.commit_everywhere(lambda site: self.commit_site(ctx, site), updaters)
 
     def _abort_presumed(
-        self, ctx: ProtocolContext, reason: str, sites=None
-    ) -> Generator[Any, Any, None]:
+        self, ctx: ProtocolContext, reason: str, sites: Optional[Iterable[str]] = None
+    ) -> None:
         """Fire-and-forget aborts: presumed abort needs no acks."""
         ctx.gtxn.set_decision("abort", cause=reason)
         ctx.gtxn.set_state(GlobalTxnState.WAITING_TO_ABORT)
-        targets = ctx.decomposition.sites if sites is None else sites
-        for site in targets:
+        for site in ctx.decomposition.sites if sites is None else sites:
             ctx.comm.send(
                 site, "decide", gtxn_id=ctx.gtxn.gtxn_id,
                 decision="abort", noreply=True,
             )
         ctx.gtxn.set_state(GlobalTxnState.ABORTED)
         ctx.outcome.reason = reason
-        return
-        yield  # pragma: no cover - generator protocol

@@ -39,22 +39,19 @@ from repro.core.protocols.two_phase import TwoPhaseCommit
 class ShortCommit(TwoPhaseCommit):
     """2PC releasing read locks / downgrading write locks at vote time."""
 
-    name = "short_commit"
-    requires_prepare = True
-
     #: Seeded mutant (``repro.check --mutant short_release_all``):
     #: release the write locks outright instead of downgrading them.
     #: A concurrent writer can then interleave with the prepared
     #: values, and the checker must catch the resulting committed
     #: non-serializable history.
-    release_all_locks = False
+    short_release_all = False
 
     # The control flow is exactly 2PC's; only the vote request differs
-    # (the participant short-releases before answering), so the whole
-    # protocol is the prepare-payload hook below.
+    # (the participant short-releases before answering).
 
-    def _prepare_payload(self) -> dict[str, Any]:
+    @property
+    def vote_request(self) -> dict[str, Any]:
         return {
-            "protocol": "short_commit",
-            "short_release": "all" if self.release_all_locks else "downgrade",
+            "ask": "ready",
+            "short_release": "all" if self.short_release_all else "downgrade",
         }

@@ -14,61 +14,20 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-from repro.core.global_txn import GlobalTxnState
-from repro.core.protocols.base import ExecutionFailure, ProtocolContext
+from repro.core.protocols.base import ProtocolContext
 from repro.core.protocols.two_phase import TwoPhaseCommit
-from repro.errors import DeadlockDetected, LockTimeout
 
 
 class ThreePhaseCommit(TwoPhaseCommit):
-    """2PC with an acknowledged pre-commit round."""
+    """2PC with an acknowledged pre-commit round before the decision."""
 
-    name = "3pc"
-    requires_prepare = True
-
-    def run(self, ctx: ProtocolContext) -> Generator[Any, Any, None]:
-        gtxn = ctx.gtxn
-        try:
-            yield from ctx.begin_subtransactions()
-            yield from ctx.execute_operations()
-        except ExecutionFailure as exc:
-            ctx.outcome.retriable = exc.aborted
-            yield from self._abort_running(ctx, reason=str(exc))
-            return
-        except (DeadlockDetected, LockTimeout) as exc:
-            ctx.outcome.retriable = True
-            yield from self._abort_running(ctx, reason=f"L1 conflict: {exc}")
-            return
-        if ctx.intends_abort:
-            yield from self._abort_running(ctx, reason="intended abort")
-            return
-
-        # Phase 1: can-commit?
-        gtxn.set_state(GlobalTxnState.INQUIRE)
-        votes = yield from ctx.parallel(
-            {
-                site: ctx.request(site, "prepare", protocol="2pc")
-                for site in ctx.decomposition.sites
-            }
-        )
-        all_ready = all(
-            not isinstance(reply, Exception) and reply.payload.get("vote") == "ready"
-            for reply in votes.values()
-        )
-        if not all_ready:
-            gtxn.set_decision("abort")
-            gtxn.set_state(GlobalTxnState.WAITING_TO_ABORT)
-            yield from ctx.parallel(
-                {
-                    site: ctx.request_until_answered(site, "decide", decision="abort")
-                    for site in ctx.decomposition.sites
-                }
-            )
-            gtxn.set_state(GlobalTxnState.ABORTED)
-            ctx.outcome.reason = "participant voted abort"
-            ctx.outcome.retriable = True
-            return
-
+    def decide(
+        self, ctx: ProtocolContext, votes: dict[str, Any]
+    ) -> Generator[Any, Any, tuple[str, str]]:
+        # Phase 1 was can-commit?
+        if not all(vote == "ready" for vote in votes.values()):
+            ctx.gtxn.set_decision("abort")
+            return "abort", "participant voted abort"
         # Phase 2: pre-commit -- the round that buys nonblocking-ness.
         yield from ctx.parallel(
             {
@@ -76,15 +35,6 @@ class ThreePhaseCommit(TwoPhaseCommit):
                 for site in ctx.decomposition.sites
             }
         )
-        gtxn.set_decision("commit")
-
-        # Phase 3: do-commit (grouped/pipelined like the 2PC phase 2).
-        gtxn.set_state(GlobalTxnState.WAITING_TO_COMMIT)
-        yield from ctx.parallel(
-            {
-                site: ctx.commit_until_done(site)
-                for site in ctx.decomposition.sites
-            }
-        )
-        gtxn.set_state(GlobalTxnState.COMMITTED)
-        ctx.outcome.committed = True
+        # Phase 3 (do-commit) is 2PC's phase 2.
+        ctx.gtxn.set_decision("commit")
+        return "commit", ""

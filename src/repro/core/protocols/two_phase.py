@@ -16,98 +16,57 @@ from __future__ import annotations
 from typing import Any, Generator
 
 from repro.core.global_txn import GlobalTxnState
-from repro.core.protocols.base import CommitProtocol, ExecutionFailure, ProtocolContext
-from repro.errors import DeadlockDetected, LockTimeout
+from repro.core.protocols.base import CommitProtocol, ProtocolContext
 
 
 class TwoPhaseCommit(CommitProtocol):
-    """Classic presumed-nothing 2PC over prepared local transactions."""
+    """Classic presumed-nothing 2PC over prepared local transactions.
 
-    name = "2pc"
-    requires_prepare = True
+    The derived protocols replace single steps of this script: the
+    vote request (:attr:`vote_request`), the decision (:meth:`decide`)
+    or the delivery of a commit to one site (:meth:`commit_site`).
+    """
+
+    #: Payload of the phase-1 vote request: the participant is asked to
+    #: enter the ready state.
+    vote_request: dict[str, Any] = {"ask": "ready"}
 
     def run(self, ctx: ProtocolContext) -> Generator[Any, Any, None]:
-        gtxn = ctx.gtxn
-        try:
-            yield from ctx.begin_subtransactions()
-            yield from ctx.execute_operations()
-        except ExecutionFailure as exc:
-            ctx.outcome.retriable = exc.aborted
-            yield from self._abort_running(ctx, reason=str(exc))
-            return
-        except (DeadlockDetected, LockTimeout) as exc:
-            ctx.outcome.retriable = True
-            yield from self._abort_running(ctx, reason=f"L1 conflict: {exc}")
-            return
-
-        if ctx.intends_abort:
-            yield from self._abort_running(ctx, reason="intended abort")
+        failure, _ = yield from ctx.run_subtransactions()
+        if failure is not None or ctx.intends_abort:
+            yield from ctx.abort_running(failure or "intended abort")
             return
 
         # Phase 1: prepare (locals enter the ready state).
-        gtxn.set_state(GlobalTxnState.INQUIRE)
-        votes = yield from ctx.parallel(
-            {
-                site: ctx.request(site, "prepare", **self._prepare_payload())
-                for site in ctx.decomposition.sites
-            }
-        )
-        all_ready = all(
-            not isinstance(reply, Exception) and reply.payload.get("vote") == "ready"
-            for reply in votes.values()
-        )
+        ctx.gtxn.set_state(GlobalTxnState.INQUIRE)
+        votes = yield from ctx.vote_round(**self.vote_request)
 
         # Decision -- made while locals sit in the ready state.
-        decision = "commit" if all_ready else "abort"
-        gtxn.set_decision(decision, votes={
-            site: ("timeout" if isinstance(r, Exception) else r.payload.get("vote"))
-            for site, r in votes.items()
-        })
+        decision, abort_reason = yield from self.decide(ctx, votes)
 
         # Phase 2: the decision reaches every participant, surviving
         # participant crashes (recovery reinstates in-doubt locals).
-        # Commit decisions are hardened at the central decision log and
-        # routed through the group-decision pipeline when enabled.
-        gtxn.set_state(
-            GlobalTxnState.WAITING_TO_COMMIT
-            if decision == "commit"
-            else GlobalTxnState.WAITING_TO_ABORT
-        )
         if decision == "commit":
-            yield from ctx.parallel(
-                {
-                    site: ctx.commit_until_done(site)
-                    for site in ctx.decomposition.sites
-                }
-            )
+            yield from ctx.commit_everywhere(lambda site: self.commit_site(ctx, site))
         else:
-            yield from ctx.parallel(
-                {
-                    site: ctx.request_until_answered(site, "decide", decision=decision)
-                    for site in ctx.decomposition.sites
-                }
-            )
-        if decision == "commit":
-            gtxn.set_state(GlobalTxnState.COMMITTED)
-            ctx.outcome.committed = True
-        else:
-            gtxn.set_state(GlobalTxnState.ABORTED)
-            ctx.outcome.reason = "participant voted abort"
+            yield from ctx.abort_everywhere(abort_reason)
             ctx.outcome.retriable = True
 
-    def _prepare_payload(self) -> dict[str, Any]:
-        """Payload of the phase-1 vote request (subclass hook)."""
-        return {"protocol": "2pc"}
-
-    def _abort_running(self, ctx: ProtocolContext, reason: str) -> Generator[Any, Any, None]:
-        """Abort while every local is still running -- the cheap path."""
-        ctx.gtxn.set_decision("abort", cause=reason)
-        ctx.gtxn.set_state(GlobalTxnState.WAITING_TO_ABORT)
-        yield from ctx.parallel(
-            {
-                site: ctx.request_until_answered(site, "decide", decision="abort")
-                for site in ctx.decomposition.sites
-            }
+    def decide(
+        self, ctx: ProtocolContext, votes: dict[str, Any]
+    ) -> Generator[Any, Any, tuple[str, str]]:
+        """Commit iff every site voted ready; returns (decision, abort reason)."""
+        decision = "commit" if all(v == "ready" for v in votes.values()) else "abort"
+        ctx.gtxn.set_decision(
+            decision, votes={site: vote or "timeout" for site, vote in votes.items()}
         )
-        ctx.gtxn.set_state(GlobalTxnState.ABORTED)
-        ctx.outcome.reason = reason
+        return decision, "participant voted abort"
+        yield  # pragma: no cover - generator protocol
+
+    def commit_site(self, ctx: ProtocolContext, site: str) -> Generator[Any, Any, Any]:
+        """Deliver the commit decision to ``site``, waiting out its crashes.
+
+        The decision is hardened at the central decision log first and
+        routed through the group-decision pipeline when enabled.
+        """
+        return ctx.commit_until_done(site)

@@ -2,23 +2,27 @@
 
 Local (ARIES-style) recovery reinstates prepared subtransactions in the
 READY state with their locks -- but only the *global* layer knows what
-should become of them.  This manager runs after every site restart and
-re-resolves whatever the restarted site still holds in doubt, per
-protocol semantics:
+should become of them.  This manager runs after every site restart (and
+adopts a crashed coordinator's in-flight transactions) and owns the
+**mechanisms**: decision re-drive, redo re-drive, undo re-drive,
+marker-guarded inverse actions, paxos conclusion.  Which of them a
+protocol needs is that protocol's **recovery policy**, declared on its
+class (:class:`~repro.core.protocols.base.CommitProtocol`) -- nothing
+here tests a protocol's name:
 
-* **2PC / presumed abort / 3PC** -- consult the central
-  :class:`~repro.core.gtm.DecisionLog`: a hardened commit record is
-  re-driven to the site; anything without one is aborted (presumed
-  abort -- exactly the [MLO 86] rule, and the only safe answer for the
-  fire-and-forget aborts of the presumed-abort variant).
-* **commit-after** -- the §3.2 redo obligation survives the crash: any
-  redo-log entry for the site whose global decision was a hardened
-  commit but whose local commit was never confirmed is re-driven until
-  the local commits.
-* **commit-before (per-site)** -- a globally aborted transaction whose
-  inverse never confirmed is re-driven from the central undo-log, after
-  the durable commit marker confirms the forward subtransaction really
-  committed there.
+* every protocol -- in-doubt (READY) locals are decided from the
+  durable decision: the central :class:`~repro.core.gtm.DecisionLog`
+  (a hardened commit record is re-driven; anything without one is
+  aborted, the [MLO 86] presumed-abort rule) or, with replicated
+  decisions, the acceptor majority;
+* ``after_site_restart`` -- commit-after and its descendants re-drive
+  the §3.2 redo obligations (:meth:`~GlobalRecoveryManager.
+  redrive_redos`); commit-before per site re-drives logged inverse
+  transactions (:meth:`~GlobalRecoveryManager.redrive_undos`) once the
+  durable commit marker confirms the forward subtransaction committed;
+* ``settle_orphan`` -- how an adopted orphan of a crashed coordinator
+  is settled (:meth:`~GlobalRecoveryManager.failover_decide`,
+  ``failover_before_site``, ``failover_undo_actions``).
 
 Transactions whose coordinator process is still running are left alone:
 the coordinator's own retry machinery (status polls, redo loops,
@@ -33,7 +37,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from repro.core.protocols import redo_window_protocols
 from repro.errors import MessageTimeout
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -91,10 +94,7 @@ class GlobalRecoveryManager:
             if self.gtm.crashed:
                 return  # this coordinator died; a peer's pass takes over
             unresolved = yield from self._resolve_in_doubt(site)
-            if config.protocol in redo_window_protocols():
-                yield from self._redrive_redos(site)
-            if config.protocol == "before" and config.granularity == "per_site":
-                yield from self._redrive_undos(site)
+            yield from self.gtm.protocol.after_site_restart(self, site)
             if not unresolved:
                 return
             yield config.status_poll_interval
@@ -151,9 +151,9 @@ class GlobalRecoveryManager:
         ever resolve: the coordinator sent its decision *before* this
         straggler arrived.  Terminate it with the hardened decision --
         or presumed abort -- exactly as a restart-time recovery pass
-        would.  Not applicable to commit-before, whose locals are
-        already terminal when they answer; its stragglers are settled
-        through durable markers by the coordinator itself.
+        would.  Not applicable to protocols whose locals are already
+        terminal when they answer (commit-before): their stragglers are
+        settled through durable markers by the coordinator itself.
         """
         gtxn_id = message.gtxn_id
         if not gtxn_id or self.gtm.is_active(gtxn_id) or self.gtm.crashed:
@@ -164,7 +164,7 @@ class GlobalRecoveryManager:
             # broadcast already covers the site.  Ghost deliveries that
             # outlive the whole attempt exist only on reliable links.
             return
-        if self.gtm.config.protocol == "before":
+        if not self.gtm.protocol.stray_replies_reveal_orphans:
             return
         if message.kind in self._STATE_FREE_KINDS:
             return
@@ -236,33 +236,19 @@ class GlobalRecoveryManager:
     def _terminate_orphan(
         self, gtxn_id: str, site: str
     ) -> Generator[Any, Any, None]:
-        config = self.gtm.config
-        decision = yield from self._settled_decision(gtxn_id, [site])
-        if decision is None:
-            self._terminating.discard((gtxn_id, site))
-            return  # paxos: a pending takeover or conclusion settles it
-        self.gtm.kernel.trace.emit(
-            "recovery_decide", self.gtm.name, gtxn_id,
-            at=site, decision=decision, cause="orphan reply",
-        )
         try:
-            while True:
-                if self.gtm.crashed:
-                    return  # a peer's failover owns the cleanup now
-                try:
-                    yield from self.gtm.comm.request(
-                        site, "decide", gtxn_id=gtxn_id,
-                        timeout=config.msg_timeout * 4,
-                        decision=decision, marker_key=None,
-                    )
-                    self.orphans_terminated += 1
-                    return
-                except MessageTimeout:
-                    if self.gtm.network.node(site).crashed:
-                        # A running orphan dies with the crash; a
-                        # prepared one is handled by restart recovery.
-                        return
-                    yield config.status_poll_interval
+            decision = yield from self._settled_decision(gtxn_id, [site])
+            if decision is None:
+                return  # paxos: a pending takeover or conclusion settles it
+            self.gtm.kernel.trace.emit(
+                "recovery_decide", self.gtm.name, gtxn_id,
+                at=site, decision=decision, cause="orphan reply",
+            )
+            # Unsettled means the site (or this coordinator) crashed: a
+            # running orphan dies with the crash, a prepared one is
+            # handled by restart recovery, a peer's failover owns the rest.
+            if (yield from self._decide_until_settled(site, gtxn_id, decision, None)):
+                self.orphans_terminated += 1
         finally:
             self._terminating.discard((gtxn_id, site))
 
@@ -316,7 +302,7 @@ class GlobalRecoveryManager:
             self.resolved_indoubt += 1
         return unresolved
 
-    def _redrive_redos(
+    def redrive_redos(
         self, site: str, adopting: Optional[str] = None
     ) -> Generator[Any, Any, None]:
         """Re-drive orphaned §3.2 redo obligations for ``site``.
@@ -350,8 +336,8 @@ class GlobalRecoveryManager:
                 self.gtm.redo_log.mark_committed(entry.gtxn_id, site)
                 self.redriven_redos += 1
 
-    def _redrive_undos(self, site: str) -> Generator[Any, Any, None]:
-        """Re-drive orphaned commit-before inverse transactions."""
+    def redrive_undos(self, site: str) -> Generator[Any, Any, None]:
+        """Re-drive orphaned commit-before (per-site) inverse transactions."""
         config = self.gtm.config
         if not config.durable_status:
             return  # cannot safely confirm the forward commit (EXP-A2)
@@ -403,20 +389,22 @@ class GlobalRecoveryManager:
 
         ``orphans`` maps attempt ids to their
         :class:`~repro.core.global_txn.GlobalTransaction` objects,
-        captured by the pool at crash time.  Resolution follows the
-        same per-protocol rules as a site restart, read from the
+        captured by the pool at crash time.  Each is settled the way
+        its protocol's ``settle_orphan`` policy says, always from the
         *shared* central logs:
 
-        * 2PC / presumed abort / 3PC -- a hardened commit record is
-          re-driven to every participant; without one, presumed abort.
-        * commit-after -- the decision (or presumed abort) is
-          re-driven, then the §3.2 redo obligations for hardened
-          commits are re-driven from the shared redo-log.
-        * commit-before -- presumed abort: unfinished locals abort,
-          durably committed effects are compensated by inverse
-          transactions.  Per-action inverses are reconstructed from
-          the durable commit markers' before-images, so even an
-          action whose reply died with the coordinator is undone.
+        * the default (2PC / presumed abort / 3PC) -- a hardened commit
+          record is re-driven to every participant; without one,
+          presumed abort (:meth:`failover_decide`).
+        * commit-after family -- the same, then the §3.2 redo
+          obligations for hardened commits are re-driven from the
+          shared redo-log.
+        * commit-before family -- presumed abort: unfinished locals
+          abort, durably committed effects are compensated by inverse
+          transactions (:meth:`failover_before_site`).  Per-action
+          inverses are reconstructed from the durable commit markers'
+          before-images, so even an action whose reply died with the
+          coordinator is undone (:meth:`failover_undo_actions`).
 
         The mapping is mutated in place: resolved (or handed-off)
         entries are popped, so the pool can re-adopt the remainder if
@@ -425,7 +413,6 @@ class GlobalRecoveryManager:
         if not orphans:
             return
         self.failovers += 1
-        config = self.gtm.config
         self.gtm.kernel.trace.emit(
             "failover", self.gtm.name, self.gtm.name, orphans=len(orphans)
         )
@@ -437,14 +424,9 @@ class GlobalRecoveryManager:
             if self.gtm.crashed:
                 return  # the pool re-adopts whatever is left
             gtxn_id = min(orphans)
-            gtxn = orphans[gtxn_id]
-            if config.protocol == "before":
-                if config.granularity == "per_action":
-                    resolved = yield from self._failover_undo_actions(gtxn)
-                else:
-                    resolved = yield from self._failover_before_site(gtxn)
-            else:
-                resolved = yield from self._failover_decide(gtxn)
+            resolved = yield from self.gtm.protocol.settle_orphan(
+                self, orphans[gtxn_id]
+            )
             # Even a partially-settled orphan is popped: every leftover
             # local is in-doubt at a *crashed* site, and that site's
             # restart recovery resolves it from the same shared logs.
@@ -473,70 +455,69 @@ class GlobalRecoveryManager:
         )
         leader = PaxosLeader(self.gtm, gtxn.gtxn_id, sorted(gtxn.sites()))
         decision = yield from leader.resolve()
-        settled_all = True
-        for site in gtxn.sites():
-            self.gtm.kernel.trace.emit(
-                "recovery_decide", self.gtm.name, gtxn.gtxn_id,
-                at=site, decision=decision, cause="paxos takeover",
-            )
-            settled = yield from self._decide_until_settled(
-                site, gtxn.gtxn_id, decision, None
-            )
-            if not settled:
-                settled_all = False
+        settled_all = yield from self._redrive_decision(
+            gtxn, decision, "paxos takeover"
+        )
         if settled_all:
             self.failover_resolved += 1
         return settled_all
 
-    def _failover_decide(self, gtxn: Any) -> Generator[Any, Any, bool]:
-        """Redrive the hardened decision (or presumed abort) everywhere."""
-        config = self.gtm.config
-        decision = self.gtm.decision_log.decision_for(gtxn.gtxn_id) or "abort"
-        redo = config.protocol in redo_window_protocols() and decision == "commit"
+    def _redrive_decision(
+        self, gtxn: Any, decision: str, cause: str, marker_key: Optional[str] = None
+    ) -> Generator[Any, Any, bool]:
+        """Deliver ``decision`` to every site of ``gtxn``; all settled?"""
         settled_all = True
         for site in gtxn.sites():
             self.gtm.kernel.trace.emit(
                 "recovery_decide", self.gtm.name, gtxn.gtxn_id,
-                at=site, decision=decision, cause="coordinator failover",
+                at=site, decision=decision, cause=cause,
             )
-            marker = gtxn.gtxn_id if redo else None
             settled = yield from self._decide_until_settled(
-                site, gtxn.gtxn_id, decision, marker
+                site, gtxn.gtxn_id, decision, marker_key
             )
             if not settled:
                 settled_all = False
+        return settled_all
+
+    def failover_decide(
+        self, gtxn: Any, redo_window: bool = False
+    ) -> Generator[Any, Any, bool]:
+        """Redrive the hardened decision (or presumed abort) everywhere.
+
+        ``redo_window``: the protocol's locals wait for the decision in
+        the *running* state, so a hardened commit carries the §3.2 redo
+        obligation -- erroneously aborted locals are repeated from the
+        shared redo-log.
+        """
+        decision = self.gtm.decision_log.decision_for(gtxn.gtxn_id) or "abort"
+        redo = redo_window and decision == "commit"
+        settled_all = yield from self._redrive_decision(
+            gtxn, decision, "coordinator failover", gtxn.gtxn_id if redo else None
+        )
         if redo:
             # An erroneously aborted local shows up as a pending redo
             # entry with a hardened commit: the §3.2 obligation.
             for site in gtxn.sites():
-                yield from self._redrive_redos(site, adopting=gtxn.gtxn_id)
-        if settled_all and config.protocol in redo_window_protocols():
+                yield from self.redrive_redos(site, adopting=gtxn.gtxn_id)
+        if settled_all and redo_window:
             self.gtm.redo_log.forget(gtxn.gtxn_id)
         return settled_all
 
-    def _failover_before_site(self, gtxn: Any) -> Generator[Any, Any, bool]:
+    def failover_before_site(self, gtxn: Any) -> Generator[Any, Any, bool]:
         """Presumed abort for commit-before/per_site orphans."""
-        settled_all = True
+        # Settles unfinished locals (cheap abort of a running
+        # subtransaction); an already-committed local reports back
+        # and is compensated below.
+        settled_all = yield from self._redrive_decision(
+            gtxn, "abort", "coordinator failover"
+        )
         for site in gtxn.sites():
-            self.gtm.kernel.trace.emit(
-                "recovery_decide", self.gtm.name, gtxn.gtxn_id,
-                at=site, decision="abort", cause="coordinator failover",
-            )
-            # Settles unfinished locals (cheap abort of a running
-            # subtransaction); an already-committed local reports back
-            # and is compensated below.
-            settled = yield from self._decide_until_settled(
-                site, gtxn.gtxn_id, "abort", None
-            )
-            if not settled:
-                settled_all = False
-        for site in gtxn.sites():
-            yield from self._redrive_undos(site)
+            yield from self.redrive_undos(site)
         if settled_all:
             self.gtm.undo_log.forget(gtxn.gtxn_id)
         return settled_all
 
-    def _failover_undo_actions(self, gtxn: Any) -> Generator[Any, Any, bool]:
+    def failover_undo_actions(self, gtxn: Any) -> Generator[Any, Any, bool]:
         """Presumed abort for commit-before/per_action orphans.
 
         Walks the orphan's routed operations in reverse: any action

@@ -79,18 +79,15 @@ class FaultInjector:
         one-phase), whose locals wait for the decision in the *running*
         state; a prepared local in the READY state is immune (its
         scheduler may no longer abort it), which this injector respects
-        by skipping every preparable protocol's vote.
+        by skipping every vote cast from the ready state.
         """
-        from repro.core.protocols import preparable_protocols
-
-        immune = preparable_protocols()
         targets = sites or list(self.federation.engines)
 
         def make_hook(site: str):
             engine = self.federation.engines[site]
 
-            def hook(gtxn_id: str, txn_id: str, protocol: str) -> None:
-                if protocol in immune:
+            def hook(gtxn_id: str, txn_id: str, prepared: bool) -> None:
+                if prepared:
                     return
                 if self._rng.random() >= probability:
                     return

@@ -6,8 +6,11 @@ manager through its (unchanged) interface, and packages status and data
 into reply messages.  All protocol behaviour that the paper places at
 the local side lives here:
 
-* answering ``prepare`` for the commit-after protocol immediately after
-  the last action, *while the local transaction is still running*;
+* answering ``prepare`` as the vote request asks (``_on_prepare``): by
+  entering the ready state, immediately after the last action *while
+  the local transaction is still running* (commit-after), or with the
+  local's final state (commit-before) -- the manager switches on what
+  the request says, never on which protocol sent it;
 * committing the local transaction before the global decision for the
   commit-before protocol (``finish_subtxn`` / ``execute_l0``);
 * executing redo subtransactions and inverse (undo) transactions;
@@ -95,7 +98,8 @@ class LocalCommunicationManager:
         self.dataplane = None
         # Hooks fired after this manager votes "ready" -- the window in
         # which the paper's erroneous aborts happen; the fault injector
-        # subscribes here.  Each hook receives (gtxn_id, txn_id, protocol).
+        # subscribes here.  Each hook receives (gtxn_id, txn_id, prepared):
+        # ``prepared`` tells whether the local entered the ready state.
         self.on_ready_voted: list = []
 
     @property
@@ -308,7 +312,7 @@ class LocalCommunicationManager:
             # the §3.2 erroneous-abort window opens here.
             self._reply(message, "op_done", value=value, before=before, vote="ready")
             for hook in self.on_ready_voted:
-                hook(gtxn, txn_id, "one_phase")
+                hook(gtxn, txn_id, False)
             return
         if finish_marker is None:
             self._reply(message, "op_done", value=value, before=before)
@@ -319,9 +323,14 @@ class LocalCommunicationManager:
     def _finish_local(
         self, txn_id: str, marker_key: Optional[str]
     ) -> Generator[Any, Any, str]:
-        """Commit the local transaction now; returns the final outcome."""
+        """Commit the local transaction now; returns the final outcome.
+
+        Idempotent: a retried request after the commit already happened
+        answers from the transaction's state.
+        """
         status = self.interface.status(txn_id)
         if status is LocalTxnState.COMMITTED:
+            self._note_outcome(marker_key, "committed")
             return "committed"
         if status is LocalTxnState.ABORTED:
             self._note_outcome(marker_key, "aborted")
@@ -337,22 +346,35 @@ class LocalCommunicationManager:
         return "committed"
 
     def _on_prepare(self, message: Message) -> Generator[Any, Any, None]:
-        """Vote request.
+        """Vote request.  The request says what it asks for (``ask``):
 
-        * ``protocol == "2pc"``: drive the modified TM into the ready
-          state (forces the log).  Raises if the interface is standard
-          -- the paper's central impossibility.
-        * ``protocol == "short_commit"``: like 2PC, then immediately
-          release read locks and downgrade write locks -- the
-          Short-Commit early release at commit-phase start.
-        * ``protocol == "after"``: answer immediately after the last
-          action; the local transaction stays *running* (§3.2), so an
-          autonomous abort can still hit it later.
+        * ``"ready"``: drive the modified TM into the ready state
+          (forces the log).  Raises if the interface is standard -- the
+          paper's central impossibility.  Two optional fields refine
+          it: ``allow_readonly`` (a participant that wrote nothing
+          commits at once and votes ``readonly``) and ``short_release``
+          (release read locks and downgrade -- or, ``"all"``, release
+          -- write locks right after preparing: Short-Commit).
+        * ``"running"``: answer immediately after the last action; the
+          local transaction stays *running* (§3.2), so an autonomous
+          abort can still hit it later.
+        * ``"final_state"``: the commit-before inquiry (§3.3), see
+          :meth:`_report_final_state`.
+
+        Who sent the request is irrelevant, and a request that does not
+        say what it asks for is refused rather than guessed at.
         """
         gtxn = message.gtxn_id
-        protocol = message.payload.get("protocol", "2pc")
-        if protocol == "before":
-            yield from self._prepare_before(message)
+        payload = message.payload
+        ask = payload.get("ask")
+        if ask == "final_state":
+            yield from self._report_final_state(message)
+            return
+        if ask not in ("ready", "running"):
+            self._reply(
+                message, "vote", vote="abort",
+                reason=f"vote request asks for {ask!r}",
+            )
             return
         txn_id = self._subtxns.get(gtxn or "")
         if txn_id is None:
@@ -362,8 +384,8 @@ class LocalCommunicationManager:
         if status is not LocalTxnState.RUNNING:
             self._reply(message, "vote", vote="abort", reason=f"state={status}")
             return
-        if protocol in ("2pc", "paxos", "short_commit"):
-            if message.payload.get("allow_readonly"):
+        if ask == "ready":
+            if payload.get("allow_readonly"):
                 # Read-only optimization ([ML 83]): a participant that
                 # wrote nothing commits right away and drops out of
                 # phase 2 -- no prepare force, no decision message.
@@ -381,19 +403,19 @@ class LocalCommunicationManager:
             except TransactionAborted as exc:
                 self._reply(message, "vote", vote="abort", reason=str(exc.reason))
                 return
-            if protocol == "short_commit":
+            short_release = payload.get("short_release")
+            if short_release is not None:
                 # Entering the commit phase: read locks go, write locks
                 # drop to shared (exposing the prepared values to
                 # readers under the engine's cascade guard).
                 self.interface.short_release(
-                    txn_id,
-                    downgrade=message.payload.get("short_release") != "all",
+                    txn_id, downgrade=short_release != "all"
                 )
         self._reply(message, "vote", vote="ready")
         for hook in self.on_ready_voted:
-            hook(gtxn, txn_id, protocol)
+            hook(gtxn, txn_id, ask == "ready")
 
-    def _prepare_before(self, message: Message) -> Generator[Any, Any, None]:
+    def _report_final_state(self, message: Message) -> Generator[Any, Any, None]:
         """Final-state inquiry of the commit-before protocol (§3.3).
 
         Locals committed (or aborted) on their own; the answer reports
@@ -410,24 +432,13 @@ class LocalCommunicationManager:
         resolve = message.payload.get("resolve", "commit")
         txn_id = self._subtxns.get(gtxn or "")
         if txn_id is not None:
-            status = self.interface.status(txn_id)
-            if status is LocalTxnState.RUNNING and resolve == "abort":
+            if (
+                resolve == "abort"
+                and self.interface.status(txn_id) is LocalTxnState.RUNNING
+            ):
                 yield from self._safe_abort(txn_id)
-                status = self.interface.status(txn_id)
-            elif status is LocalTxnState.RUNNING:
-                try:
-                    if marker_key is not None and self.log_placement == "indb":
-                        yield from self._write_marker(txn_id, marker_key)
-                    yield from self.interface.commit(txn_id)
-                    status = LocalTxnState.COMMITTED
-                except TransactionAborted:
-                    status = LocalTxnState.ABORTED
-            if status is LocalTxnState.COMMITTED:
-                self._note_outcome(marker_key, "committed")
-                self._reply(message, "vote", vote="committed")
-            else:
-                self._note_outcome(marker_key, "aborted")
-                self._reply(message, "vote", vote="aborted")
+            outcome = yield from self._finish_local(txn_id, marker_key)
+            self._reply(message, "vote", vote=outcome)
             return
         if self.log_placement == "indb" and marker_key is not None:
             marker = yield from self._read_marker(marker_key)
@@ -485,22 +496,8 @@ class LocalCommunicationManager:
             else:
                 return "aborted"
         if decision == "commit":
-            status = self.interface.status(txn_id)
-            if status is LocalTxnState.COMMITTED:
-                # A retried decision after the commit already happened.
-                return "committed"
-            if status is LocalTxnState.ABORTED:
-                self._note_outcome(marker_key, "aborted")
-                return "aborted"
-            try:
-                if marker_key is not None and self.log_placement == "indb":
-                    yield from self._write_marker(txn_id, marker_key)
-                yield from self.interface.commit(txn_id)
-            except TransactionAborted:
-                self._note_outcome(marker_key, "aborted")
-                return "aborted"
-            self._note_outcome(marker_key, "committed")
-            return "committed"
+            outcome = yield from self._finish_local(txn_id, marker_key)
+            return outcome
         status = self.interface.status(txn_id)
         if status in (LocalTxnState.RUNNING, LocalTxnState.READY):
             yield from self.interface.abort(txn_id)

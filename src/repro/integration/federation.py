@@ -79,7 +79,7 @@ class FederationConfig:
     coordinator_routing: str = "hash"
     #: Paxos Commit fault tolerance: the decision survives ``paxos_f``
     #: acceptor crashes (``2 * paxos_f + 1`` acceptors are built).
-    #: Only read when ``gtm.protocol == "paxos"``.
+    #: Only read by protocols with replicated decisions (``paxos``).
     paxos_f: int = 1
     #: Data-plane placement: a list of
     #: :class:`~repro.dataplane.placement.PlacementSpec` declarations.
@@ -171,7 +171,7 @@ class Federation:
         # shard's embedded leader speaks to the same ensemble.  Never
         # built on classic paths -- no extra nodes, no extra events.
         self.acceptors = None
-        if self.config.gtm.protocol == "paxos":
+        if self.gtm.protocol.replicated_decisions:
             from repro.core.paxos import AcceptorGroup
 
             self.acceptors = AcceptorGroup(

@@ -11,6 +11,8 @@ from repro.integration.federation import Federation, FederationConfig, SiteSpec
 from repro.mlt.actions import increment
 
 N_SITES = 3
+N_KEYS = 16
+INITIAL_TOTAL = N_SITES * N_KEYS * 100
 
 
 def build(
@@ -24,7 +26,7 @@ def build(
     specs = [
         SiteSpec(
             f"s{i}",
-            tables={f"t{i}": {f"k{j}": 100 for j in range(16)}},
+            tables={f"t{i}": {f"k{j}": 100 for j in range(N_KEYS)}},
             preparable=preparable,
         )
         for i in range(N_SITES)
@@ -37,6 +39,14 @@ def build(
             coordinator_routing=routing,
             gtm=GTMConfig(protocol=protocol, granularity=granularity),
         ),
+    )
+
+
+def total_balance(fed: Federation) -> int:
+    return sum(
+        fed.peek(f"s{i}", f"t{i}", f"k{j}")
+        for i in range(N_SITES)
+        for j in range(N_KEYS)
     )
 
 
@@ -151,11 +161,16 @@ def test_crash_is_idempotent():
         ("after", "per_site"),
         ("before", "per_site"),
         ("before", "per_action"),
+        ("saga", "per_action"),
+        ("altruistic", "per_action"),
     ],
 )
 def test_mid_flight_crash_leaves_no_orphans(protocol, granularity):
     fed = build(coordinators=3, protocol=protocol, granularity=granularity)
-    fed.crash_coordinator(1, at=6.0)
+    # The commit-before descendants crash earlier: at 6.0 they would hit
+    # the adoption race pinned below (ROADMAP item 1(b)), not failover.
+    compensating = protocol in ("saga", "altruistic")
+    fed.crash_coordinator(1, at=4.0 if compensating else 6.0)
     batches = [
         {"operations": transfer(n), "delay": float(n)} for n in range(12)
     ]
@@ -165,6 +180,33 @@ def test_mid_flight_crash_leaves_no_orphans(protocol, granularity):
     assert fed.pool.unresolved_orphans() == []
     assert atomicity_report(fed).ok
     assert serializability_ok(fed)
+    if compensating:
+        # They inherit commit-before's recovery policy: the orphans'
+        # durably committed actions are compensated, not left behind.
+        assert total_balance(fed) == INITIAL_TOTAL
+        assert sum(gtm.recovery.redriven_undos for gtm in fed.coordinators) > 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1(b): the adopter reads action 1's marker at s1 as "
+    "'not committed' while its execute_l0 is still in flight, undoes action 0, "
+    "and the late action then commits (total 4801; needs fencing)",
+)
+def test_adoption_races_an_in_flight_action():
+    """12 transactions, 3 coordinators, commit-before per action, shard 1
+    crashes at t=6.0 -- the smallest known conservation drift with a
+    clean atomicity report."""
+    fed = build(coordinators=3, protocol="before", granularity="per_action")
+    fed.crash_coordinator(1, at=6.0)
+    fed.run_transactions(
+        [{"operations": transfer(n), "delay": float(n)} for n in range(12)]
+    )
+    fed.run()
+    assert fed.pool.unresolved_orphans() == []
+    assert atomicity_report(fed).ok  # the invariant battery sees nothing
+    assert fed.peek("s1", "t1", "k0") == 100  # 101: the late action landed
+    assert total_balance(fed) == INITIAL_TOTAL
 
 
 def test_failover_redrives_hardened_commit():

@@ -162,7 +162,7 @@ def test_redo_subtxn_reexecutes(fed):
 def test_prepare_vote_for_after_protocol(fed):
     request(fed, "a", "begin_subtxn", gtxn="G1")
     request(fed, "a", "execute_op", gtxn="G1", op=read("t", "x").routed("a", "t"))
-    reply = request(fed, "a", "prepare", gtxn="G1", protocol="after")
+    reply = request(fed, "a", "prepare", gtxn="G1", ask="running")
     assert reply.payload["vote"] == "ready"
     # The local transaction is STILL RUNNING -- the paper's §3.2 point.
     from repro.localdb.txn import LocalTxnState
@@ -179,7 +179,7 @@ def test_prepare_vote_2pc_needs_preparable_interface(fed):
     def proc():
         try:
             yield from fed.central_comm.request(
-                "a", "prepare", gtxn_id="G1", timeout=10, protocol="2pc"
+                "a", "prepare", gtxn_id="G1", timeout=10, ask="ready"
             )
         except MessageTimeout:
             return "no ready state"
@@ -189,11 +189,27 @@ def test_prepare_vote_2pc_needs_preparable_interface(fed):
     assert process.value == "no ready state"
 
 
+@pytest.mark.parametrize("payload", [{}, {"ask": "2pc"}, {"protocol": "2pc"}])
+def test_prepare_that_does_not_say_what_it_asks_is_refused(fed, payload):
+    """No guessing: an unlabelled (or unknown) vote request used to be
+    served as 2PC (or as commit-after) -- now it is a reasoned no, and
+    the local transaction is left exactly as it was."""
+    from repro.localdb.txn import LocalTxnState
+
+    request(fed, "a", "begin_subtxn", gtxn="G1")
+    request(fed, "a", "execute_op", gtxn="G1", op=write("t", "x", 3).routed("a", "t"))
+    reply = request(fed, "a", "prepare", gtxn="G1", **payload)
+    assert reply.payload["vote"] == "abort"
+    assert "asks for" in reply.payload["reason"]
+    txn_id = fed.comms["a"]._subtxns["G1"]
+    assert fed.interfaces["a"].status(txn_id) is LocalTxnState.RUNNING
+
+
 def test_prepare_before_commits_running_subtxn(fed):
     request(fed, "a", "begin_subtxn", gtxn="G1")
     request(fed, "a", "execute_op", gtxn="G1", op=write("t", "x", 3).routed("a", "t"))
     reply = request(
-        fed, "a", "prepare", gtxn="G1", protocol="before", marker_key="G1:a"
+        fed, "a", "prepare", gtxn="G1", ask="final_state", marker_key="G1:a"
     )
     assert reply.payload["vote"] == "committed"
     assert fed.peek("a", "t", "x") == 3
@@ -203,7 +219,7 @@ def test_prepare_before_resolve_abort(fed):
     request(fed, "a", "begin_subtxn", gtxn="G1")
     request(fed, "a", "execute_op", gtxn="G1", op=write("t", "x", 3).routed("a", "t"))
     reply = request(
-        fed, "a", "prepare", gtxn="G1", protocol="before",
+        fed, "a", "prepare", gtxn="G1", ask="final_state",
         marker_key="G1:a", resolve="abort",
     )
     assert reply.payload["vote"] == "aborted"

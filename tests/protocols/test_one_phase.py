@@ -26,14 +26,15 @@ def test_no_voting_round_votes_ride_on_data_replies():
     piggybacked = []
     for comm in fed.comms.values():
         comm.on_ready_voted.append(
-            lambda gtxn, txn_id, protocol: piggybacked.append(protocol)
+            lambda gtxn, txn_id, prepared: piggybacked.append(prepared)
         )
     submit_and_run(fed, [increment("t0", "x", -10), increment("t1", "x", 10)])
     counts = fed.network.message_counts()
     assert "prepare" not in counts
     assert counts["decide"] == 2
     assert counts["finished"] == 2
-    assert piggybacked == ["one_phase", "one_phase"]
+    # Two votes, both cast from the *running* state (no ready state).
+    assert piggybacked == [False, False]
 
 
 def test_fewer_forces_than_two_phase():

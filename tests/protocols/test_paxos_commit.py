@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.gtm import GTMConfig
 from repro.core.invariants import atomicity_report, serializability_ok
+from repro.core.protocols import protocol_info
 from repro.core.protocols.base import make_protocol
 from repro.core.protocols.paxos_commit import PaxosCommit
 from repro.integration.federation import Federation, FederationConfig, SiteSpec
@@ -65,7 +66,7 @@ def workload(n: int = 6, spacing: float = 2.0) -> list[dict]:
 def test_registry_builds_paxos_commit():
     protocol = make_protocol("paxos")
     assert isinstance(protocol, PaxosCommit)
-    assert protocol.requires_prepare
+    assert protocol_info("paxos").requires_prepare
 
 
 @pytest.mark.parametrize("coordinators", [1, 2])

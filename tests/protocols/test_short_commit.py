@@ -153,7 +153,7 @@ def test_release_all_mutant_lets_the_writer_through():
     values -- the hazard the checker's ``short_release_all`` canary
     turns into a caught dirty_undo violation."""
     fed = build_fed("short_commit", msg_timeout=10, poll=5.0)
-    fed.gtm.protocol.release_all_locks = True
+    fed.gtm.protocol.short_release_all = True
     FaultInjector(fed).partition_link("central", "s0", at=9.0, heal_after=8.0)
     writer = []
 
