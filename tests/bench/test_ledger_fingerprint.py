@@ -2,14 +2,18 @@
 
 The commit ledger (``benchmarks/ledger``) gates a performance claim on
 the simulated metrics staying bit-identical, but a full run takes 24 s
-per workload and sits outside ``testpaths``.  This test runs two of its
-workloads at the ledger's *smoke* size through the unmodified
+per workload and sits outside ``testpaths``.  This test runs all four
+of its workloads at the ledger's *smoke* size through the unmodified
 ``benchmarks.ledger.workloads`` (imported, never edited here) and
 compares a digest of each cell's ``Cell.simulated()`` -- arrivals,
 commits, every latency, goodput, commit gap and all raw counters --
-with digests pinned at the commit the kernel dispatch rewrite started
-from.  A change that perturbs event order, an RNG draw or a counter
-fails here in seconds, naming the cell.
+with pinned digests: ``commit_matrix`` and ``contended_mix`` from the
+commit the kernel dispatch rewrite started from, ``replicated_sharded``
+(adaptive batching with a size cap, decision pipelining) and
+``crash_recovery`` (coordinator-crash recovery) from the commit before
+the two batchers were merged into one flush-group primitive.  A change
+that perturbs event order, an RNG draw or a counter fails here in
+seconds, naming the cell.
 
 The ``events`` counter is left out of the digest on purpose: a change
 may legitimately remove *no-op* dispatches (and must say so); it may
@@ -62,6 +66,20 @@ PINNED = {
         "after/saturated": "3b80aa688c025d4076c0",
         "2pc/nominal": "1ad76f8f5812cb2710f7",
         "2pc/saturated": "ecd835d459f57881b400",
+    },
+    "replicated_sharded": {
+        "2pc/nominal": "017122f1eb0639df8703",
+        "2pc/saturated": "4610efc1f4d60d5398c5",
+        "paxos/nominal": "6d307e3845b4cd314637",
+        "paxos/saturated": "7d1747a6f2e4ef902c2d",
+        "one_phase/nominal": "2ea0cc20247f4fd0afec",
+        "one_phase/saturated": "7942f7666df8036e6d86",
+    },
+    "crash_recovery": {
+        "before/chaos": "c6bf4ce6c09bdf16cef6",
+        "after/chaos": "e49f457ba6f022e11e21",
+        "2pc/chaos": "5b9c875e667565964790",
+        "paxos/chaos": "765c08aad8f0c0ebc832",
     },
 }
 
