@@ -32,7 +32,7 @@ from repro.core.redo import RedoLog
 from repro.core.undo import UndoLog
 from repro.errors import DurabilityOrderViolation, MessageTimeout
 from repro.mlt.conflicts import READ_WRITE_TABLE, SEMANTIC_TABLE, ConflictTable
-from repro.net.adaptive import AdaptiveWindow
+from repro.net.batching import FlushGroups, check_flush_knobs
 from repro.sim.events import Future
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -118,10 +118,9 @@ class GTMConfig:
     def __post_init__(self) -> None:
         if self.granularity not in ("per_action", "per_site"):
             raise ValueError(f"unknown granularity {self.granularity!r}")
-        if self.pipeline_policy not in ("static", "adaptive"):
-            raise ValueError(f"unknown pipeline policy {self.pipeline_policy!r}")
-        if self.pipeline_max_group < 0:
-            raise ValueError(f"negative pipeline_max_group {self.pipeline_max_group}")
+        check_flush_knobs(
+            self.pipeline_window, self.pipeline_policy, self.pipeline_max_group
+        )
 
     def resolved_l1_table(self) -> Optional[ConflictTable]:
         """The L1 conflict table this configuration actually uses.
@@ -185,47 +184,31 @@ class DecisionPipeline:
     """Per-site batching of commit decisions (the group-decision path).
 
     Concurrent global transactions that reach their commit decision
-    within ``window`` of each other and involve the same site share one
-    ``decide_group`` round-trip, and their decision records share one
-    forced write at the central :class:`DecisionLog`.  On a timeout the
-    whole group resolves to ``ambiguous`` and every member falls back
-    to its protocol's individual retry machinery, so crash behaviour is
-    unchanged.
+    within ``pipeline_window`` of each other and involve the same site
+    share one ``decide_group`` round-trip, and their decision records
+    share one forced write at the central :class:`DecisionLog`.  On a
+    timeout the whole group resolves to ``ambiguous`` and every member
+    falls back to its protocol's individual retry machinery, so crash
+    behaviour is unchanged.
 
-    The flush policy mirrors the network's: *size-or-deadline* (a group
-    reaching ``max_group`` members flushes immediately), and with
-    ``policy="adaptive"`` the deadline window is load-sensed via
-    :class:`~repro.net.adaptive.AdaptiveWindow` so small groups stop
-    being held hostage to the full window under bursts.  A per-site
-    generation counter invalidates a scheduled deadline flush whose
-    group was already sent by the size trigger (or dropped by a crash).
+    The groups are a :class:`~repro.net.batching.FlushGroups` keyed by
+    site -- the network outboxes' size-or-deadline mechanism, with
+    ``pipeline_max_group`` as its size cap; this class supplies only
+    the send step.
     """
 
-    def __init__(
-        self,
-        gtm: "GlobalTransactionManager",
-        window: float,
-        policy: str = "static",
-        max_group: int = 0,
-    ):
+    def __init__(self, gtm: "GlobalTransactionManager"):
         self.gtm = gtm
-        self.window = window
-        self.max_group = max_group
-        self.controller = (
-            AdaptiveWindow(window) if policy == "adaptive" and window > 0 else None
+        config = gtm.config
+        # Per-site decision groups: site -> (gtxn_id, decision,
+        # marker_key, future) entries.
+        self.groups = FlushGroups(
+            gtm.kernel, config.pipeline_window, config.pipeline_policy,
+            config.pipeline_max_group, self._flush_site,
         )
-        self._queues: dict[str, list[tuple[str, str, Optional[str], Future]]] = {}
-        # Enqueue timestamps (adaptive only), parallel to ``_queues``.
-        self._times: dict[str, list[float]] = {}
-        # Per-site flush generation: bumped whenever a site's group is
-        # popped, so a stale scheduled deadline cannot flush its
-        # successor group early.
-        self._gen: dict[str, int] = {}
         self.groups_sent = 0
         self.decisions_grouped = 0
         self.dropped_on_crash = 0
-        self.size_flushes = 0
-        self.deadline_flushes = 0
 
     def decide(
         self, site: str, gtxn_id: str, decision: str, marker_key: Optional[str]
@@ -236,21 +219,7 @@ class DecisionPipeline:
         ``ambiguous`` -- the same vocabulary as an individual decide.
         """
         future = Future(label=f"group-decide:{site}:{gtxn_id}")
-        queue = self._queues.setdefault(site, [])
-        queue.append((gtxn_id, decision, marker_key, future))
-        if self.controller is not None:
-            self._times.setdefault(site, []).append(self.gtm.kernel.now)
-        if self.max_group and len(queue) >= self.max_group:
-            self.size_flushes += 1
-            self._flush_site(site)
-        elif len(queue) == 1:
-            window = (
-                self.controller.current if self.controller is not None
-                else self.window
-            )
-            self.gtm.kernel._schedule(
-                window, self._flush, site, self._gen.get(site, 0)
-            )
+        self.groups.add(site, (gtxn_id, decision, marker_key, future))
         outcome = yield future
         return outcome
 
@@ -260,43 +229,21 @@ class DecisionPipeline:
         Queued decisions were never hardened, so presumed abort is the
         correct (and only safe) resolution -- the failover peer settles
         every member through the recovery machinery.  What must *not*
-        happen is the scheduled ``_flush`` firing later and hardening a
+        happen is the scheduled deadline firing later and hardening a
         commit on behalf of a dead coordinator: a peer may already have
         presumed those very transactions aborted.
         """
-        for site, entries in self._queues.items():
-            self.dropped_on_crash += len(entries)
-            self._gen[site] = self._gen.get(site, 0) + 1
-        self._queues.clear()
-        self._times.clear()
+        self.dropped_on_crash += len(self.groups.drop())
 
-    def _flush(self, site: str, generation: int) -> None:
-        if self._gen.get(site, 0) != generation:
-            return  # size-flushed, or dropped on crash, in the meantime
+    def _flush_site(
+        self, site: str, entries: list[tuple[str, str, Optional[str], Future]]
+    ) -> None:
+        """The groups' send step: one ``decide_group`` for ``site``."""
         if self.gtm.crashed or self.gtm.comm.node.crashed:
-            # The flush timer outlives the node; the buffer does not.
-            entries = self._queues.pop(site, None)
-            if entries:
-                self.dropped_on_crash += len(entries)
-                self._gen[site] = generation + 1
-                if site in self._times:
-                    self._times[site] = []
+            # A deadline can outlive the coordinator; its decisions
+            # may not.
+            self.dropped_on_crash += len(entries)
             return
-        if self._queues.get(site):
-            self.deadline_flushes += 1
-        self._flush_site(site)
-
-    def _flush_site(self, site: str) -> None:
-        entries = self._queues.pop(site, None)
-        if not entries:
-            return
-        self._gen[site] = self._gen.get(site, 0) + 1
-        if self.controller is not None:
-            times = self._times.get(site)
-            if times:
-                now = self.gtm.kernel.now
-                self.controller.observe(sum(now - t for t in times))
-                self._times[site] = []
         self.groups_sent += 1
         self.decisions_grouped += len(entries)
         self.gtm.track_service(
@@ -392,14 +339,7 @@ class GlobalTransactionManager:
             self.undo_log = UndoLog()
             self.decision_log = DecisionLog()
         self.pipeline: Optional[DecisionPipeline] = (
-            DecisionPipeline(
-                self,
-                self.config.pipeline_window,
-                policy=self.config.pipeline_policy,
-                max_group=self.config.pipeline_max_group,
-            )
-            if self.config.pipeline_window > 0
-            else None
+            DecisionPipeline(self) if self.config.pipeline_window > 0 else None
         )
         self._ids = itertools.count(1)
         self.outcomes: list[GlobalOutcome] = []
@@ -596,10 +536,10 @@ class GlobalTransactionManager:
                 self.pipeline.decisions_grouped if self.pipeline else 0
             ),
             "decision_size_flushes": (
-                self.pipeline.size_flushes if self.pipeline else 0
+                self.pipeline.groups.size_flushes if self.pipeline else 0
             ),
             "decision_deadline_flushes": (
-                self.pipeline.deadline_flushes if self.pipeline else 0
+                self.pipeline.groups.deadline_flushes if self.pipeline else 0
             ),
             "recovery_passes": self.recovery.passes,
             "recovery_resolved_indoubt": self.recovery.resolved_indoubt,

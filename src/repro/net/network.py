@@ -5,26 +5,17 @@ paper's Figure 1 communication scheme.  Latency models, optional
 message loss, per-kind counters and a full message trace are provided
 for the experiments.
 
-With ``batch_window > 0`` the network keeps a per-link outbox: logical
-messages bound for the same ``(sender, dest)`` link within the window
-are coalesced into one :class:`~repro.net.message.BatchMessage`
-envelope -- one latency sample, one loss trial, one transmission.
-Metrics count *logical* messages (``sent``/``by_kind``) and *physical*
-envelopes (``envelopes``) separately so the EXP-T5 message-complexity
-accounting stays honest; ``piggybacked`` counts the logical messages
-that rode along in an envelope after the first.  ``batch_window = 0``
-(the default) takes exactly the unbatched path of the seed system.
-
-The flush policy is *size-or-deadline*: an outbox reaching
-``batch_max_msgs`` logical messages flushes immediately instead of
-waiting out the window (``batch_max_msgs = 0`` disables the size
-trigger, the seed behaviour).  With ``batch_policy="adaptive"`` the
-deadline itself is load-sensed: an
-:class:`~repro.net.adaptive.AdaptiveWindow` shrinks the window when
-flushed batches report rising total queueing delay (a burst) and
-re-widens it toward ``batch_window`` at quiescence.
-``batch_policy="static"`` (the default) keeps the fixed-delay flush of
-PR 1 byte-identical.
+With ``batch_window > 0`` logical messages go through a per-link
+outbox, a :class:`~repro.net.batching.FlushGroups` keyed by
+``(sender, dest)`` (size cap ``batch_max_msgs``, policy
+``batch_policy``); each flushed group travels as one
+:class:`~repro.net.message.BatchMessage` envelope -- one latency
+sample, one loss trial, one transmission.  Metrics count *logical*
+messages (``sent``/``by_kind``) and *physical* envelopes
+(``envelopes``) separately so the EXP-T5 message-complexity accounting
+stays honest; ``piggybacked`` counts the logical messages that rode
+along in an envelope after the first.  ``batch_window = 0`` (the
+default) takes exactly the unbatched path of the seed system.
 
 A node crash purges its sender-side outboxes: buffered logical
 messages die with the crashed sender (its batching state is volatile,
@@ -53,10 +44,10 @@ the unreliable seed system: no extra random draws, no extra events.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.errors import NodeUnreachable, TopologyViolation
-from repro.net.adaptive import AdaptiveWindow
+from repro.net.batching import FlushGroups
 from repro.net.message import BatchMessage, Message
 from repro.net.node import Node
 
@@ -108,12 +99,6 @@ class Network:
         max_retransmits: int = 12,
         max_retransmit_delay: float = 300.0,
     ):
-        if batch_window < 0:
-            raise ValueError(f"negative batch window {batch_window}")
-        if batch_policy not in ("static", "adaptive"):
-            raise ValueError(f"unknown batch policy {batch_policy!r}")
-        if batch_max_msgs < 0:
-            raise ValueError(f"negative batch_max_msgs {batch_max_msgs}")
         for name, rate in (("dup_rate", dup_rate), ("reorder_rate", reorder_rate)):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} {rate} outside [0, 1]")
@@ -122,15 +107,9 @@ class Network:
         self.loss_rate = loss_rate
         self.enforce_star = enforce_star
         self.batch_window = batch_window
-        self.batch_policy = batch_policy
-        self.batch_max_msgs = batch_max_msgs
-        # The load-sensed controller exists only on the adaptive
-        # policy; ``None`` keeps the static path byte-identical (no
-        # enqueue-time bookkeeping, deadline always ``batch_window``).
-        self.batch_controller: Optional[AdaptiveWindow] = (
-            AdaptiveWindow(batch_window)
-            if batch_policy == "adaptive" and batch_window > 0
-            else None
+        # Per-link outboxes: (sender, dest) -> queued logical messages.
+        self.outbox = FlushGroups(
+            kernel, batch_window, batch_policy, batch_max_msgs, self._send_envelope
         )
         self.dup_rate = dup_rate
         self.reorder_rate = reorder_rate
@@ -145,14 +124,6 @@ class Network:
         # and the star topology; cleared whenever a node is added.
         self._valid_links: set[tuple[str, str]] = set()
         self._rng = kernel.rng.stream("network")
-        # Per-link outboxes for the batching path: (sender, dest) ->
-        # queued logical messages, plus a generation counter that
-        # invalidates stale scheduled flushes after an explicit flush.
-        self._outboxes: dict[tuple[str, str], list[Message]] = {}
-        self._outbox_gen: dict[tuple[str, str], int] = {}
-        # Enqueue timestamps (adaptive policy only): parallel to
-        # ``_outboxes``, feeds the controller's total-wait signal.
-        self._outbox_times: dict[tuple[str, str], list[float]] = {}
         # Deterministic fault hook: message kinds to drop exactly once
         # (used by the fault injector to lose a specific reply).
         self.drop_once: set[str] = set()
@@ -194,9 +165,7 @@ class Network:
         self.reordered = 0
         self.acks_sent = 0
         self.abandoned_messages = 0
-        # Batching-policy metrics: flush triggers and crash purges.
-        self.size_flushes = 0
-        self.deadline_flushes = 0
+        # Logical messages purged from a crashed sender's outboxes.
         self.purged_batched = 0
 
     # -- membership -----------------------------------------------------------
@@ -265,14 +234,10 @@ class Network:
             )
         if self.drop_once and kind in self.drop_once:
             self.drop_once.discard(kind)
-            self.dropped += 1
-            trace.emit(
-                "message_drop", message.sender, kind,
-                dest=message.dest, cause="injected",
-            )
+            self._drop((message,), "injected")
             return
         if self.batch_window > 0:
-            self._enqueue(message)
+            self.outbox.add((message.sender, message.dest), message)
         elif (
             self.reliable or self._partitioned or self.loss_rate
             or self.reorder_rate or self.dup_rate
@@ -289,58 +254,13 @@ class Network:
 
     # -- batching --------------------------------------------------------------
 
-    def _enqueue(self, message: Message) -> None:
-        key = (message.sender, message.dest)
-        queue = self._outboxes.setdefault(key, [])
-        queue.append(message)
-        controller = self.batch_controller
-        if controller is not None:
-            self._outbox_times.setdefault(key, []).append(self.kernel.now)
-        if self.batch_max_msgs and len(queue) >= self.batch_max_msgs:
-            # Size trigger: a full envelope has nothing to gain from
-            # waiting out the deadline.
-            self.size_flushes += 1
-            self._flush_link(key)
-            return
-        if len(queue) == 1:
-            generation = self._outbox_gen.get(key, 0)
-            window = (
-                controller.current if controller is not None else self.batch_window
-            )
-            self.kernel._schedule(window, self._flush, key, generation)
-
-    def _flush(self, key: tuple[str, str], generation: int) -> None:
-        if self._outbox_gen.get(key, 0) != generation:
-            return  # flushed explicitly in the meantime
-        if self._outboxes.get(key):
-            self.deadline_flushes += 1
-        self._flush_link(key)
-
-    def _flush_link(self, key: tuple[str, str]) -> None:
-        queue = self._outboxes.get(key)
-        if not queue:
-            return
-        self._outboxes[key] = []
-        self._outbox_gen[key] = self._outbox_gen.get(key, 0) + 1
-        controller = self.batch_controller
-        if controller is not None:
-            times = self._outbox_times.get(key)
-            if times:
-                now = self.kernel.now
-                controller.observe(sum(now - t for t in times))
-                self._outbox_times[key] = []
+    def _send_envelope(self, key: tuple[str, str], queue: list[Message]) -> None:
+        """The outbox's send step: one flushed link group, one envelope."""
         sender, dest = key
         src = self._nodes.get(sender)
         if src is None or src.crashed:
             # The sender died while the envelope sat in its outbox.
-            self.dropped += len(queue)
-            trace = self.kernel.trace
-            if trace.enabled:
-                for message in queue:
-                    trace.emit(
-                        "message_drop", message.sender, message.kind,
-                        dest=message.dest, cause="sender down",
-                    )
+            self._drop(queue, "sender down")
             return
         envelope = BatchMessage(sender=sender, dest=dest, messages=tuple(queue))
         trace = self.kernel.trace
@@ -354,8 +274,7 @@ class Network:
 
     def flush(self) -> None:
         """Force every pending outbox onto the wire immediately."""
-        for key in list(self._outboxes):
-            self._flush_link(key)
+        self.outbox.flush_all()
 
     def _purge_outboxes(self, name: str) -> None:
         """Drop outboxes buffered at ``name``; it just crashed.
@@ -371,27 +290,9 @@ class Network:
         path retransmits them across the outage and the unreliable path
         drops them at delivery exactly as the seed did.
         """
-        trace = self.kernel.trace
-        for key, queue in self._outboxes.items():
-            if key[0] != name or not queue:
-                continue
-            self._outboxes[key] = []
-            self._outbox_gen[key] = self._outbox_gen.get(key, 0) + 1
-            if self._outbox_times.get(key):
-                self._outbox_times[key] = []
-            self.dropped += len(queue)
-            self.purged_batched += len(queue)
-            if trace.enabled:
-                for message in queue:
-                    trace.emit(
-                        "message_drop", message.sender, message.kind,
-                        dest=message.dest, cause="sender down",
-                    )
-
-    @property
-    def pending_batched(self) -> int:
-        """Logical messages currently waiting in outboxes."""
-        return sum(len(q) for q in self._outboxes.values())
+        purged = self.outbox.drop(lambda key: key[0] != name)
+        self.purged_batched += len(purged)
+        self._drop(purged, "sender down")
 
     # -- partitions ------------------------------------------------------------
 
@@ -438,6 +339,19 @@ class Network:
 
     # -- transmission ----------------------------------------------------------
 
+    def _drop(self, messages: Sequence[Message], cause: Optional[str] = None) -> None:
+        """Count ``messages`` as dropped; one ``message_drop`` record each."""
+        self.dropped += len(messages)
+        trace = self.kernel.trace
+        if trace.enabled:
+            # A random loss has never carried a ``cause`` detail.
+            details = {} if cause is None else {"cause": cause}
+            for message in messages:
+                trace.emit(
+                    "message_drop", message.sender, message.kind,
+                    dest=message.dest, **details,
+                )
+
     def _transmit(self, sender: str, dest: str, messages: tuple[Message, ...]) -> None:
         """One physical transmission: one loss trial, one latency sample."""
         if self.reliable:
@@ -448,23 +362,10 @@ class Network:
             return
         if self._partitioned and frozenset((sender, dest)) in self._partitioned:
             self.partition_blocked += 1
-            self.dropped += len(messages)
-            trace = self.kernel.trace
-            if trace.enabled:
-                for message in messages:
-                    trace.emit(
-                        "message_drop", message.sender, message.kind,
-                        dest=message.dest, cause="partition",
-                    )
+            self._drop(messages, "partition")
             return
         if self.loss_rate and self._rng.random() < self.loss_rate:
-            self.dropped += len(messages)
-            trace = self.kernel.trace
-            if trace.enabled:
-                for message in messages:
-                    trace.emit(
-                        "message_drop", message.sender, message.kind, dest=message.dest
-                    )
+            self._drop(messages)
             return
         self.envelopes += 1
         if len(messages) > 1:
@@ -493,14 +394,7 @@ class Network:
         if src is None or src.crashed:
             # The sender died: its retransmission state is volatile.
             del self._pending_xmits[xid]
-            self.dropped += len(messages)
-            trace = self.kernel.trace
-            if trace.enabled:
-                for message in messages:
-                    trace.emit(
-                        "message_drop", message.sender, message.kind,
-                        dest=message.dest, cause="sender down",
-                    )
+            self._drop(messages, "sender down")
             return
         blocked = (
             bool(self._partitioned) and frozenset((sender, dest)) in self._partitioned
@@ -557,17 +451,10 @@ class Network:
             messages = entry[0]
             del self._pending_xmits[xid]
             self.retransmit_drops += 1
-            self.dropped += len(messages)
             exhausted = self.retransmit_budget_exhausted
             for message in messages:
                 exhausted[message.dest] = exhausted.get(message.dest, 0) + 1
-            trace = self.kernel.trace
-            if trace.enabled:
-                for message in messages:
-                    trace.emit(
-                        "message_drop", message.sender, message.kind,
-                        dest=message.dest, cause="retry budget exhausted",
-                    )
+            self._drop(messages, "retry budget exhausted")
             return
         self.retransmissions += 1
         self._attempt_xmit(xid)
@@ -585,20 +472,11 @@ class Network:
             return
         seen.add(xid)
         if self._abandoned:
-            live = [m for m in messages if m.msg_id not in self._abandoned]
-            stale = len(messages) - len(live)
+            stale = [m for m in messages if m.msg_id in self._abandoned]
             if stale:
-                self.abandoned_messages += stale
-                self.dropped += stale
-                trace = self.kernel.trace
-                if trace.enabled:
-                    for message in messages:
-                        if message.msg_id in self._abandoned:
-                            trace.emit(
-                                "message_drop", message.sender, message.kind,
-                                dest=message.dest, cause="abandoned",
-                            )
-                messages = tuple(live)
+                self.abandoned_messages += len(stale)
+                self._drop(stale, "abandoned")
+                messages = tuple(m for m in messages if m.msg_id not in self._abandoned)
         for message in messages:
             dst.deliver(message)
         self.delivered += len(messages)
@@ -622,14 +500,7 @@ class Network:
     def _deliver_all(self, messages: tuple[Message, ...]) -> None:
         dst = self._nodes.get(messages[0].dest)
         if dst is None or dst.crashed:
-            self.dropped += len(messages)
-            trace = self.kernel.trace
-            if trace.enabled:
-                for message in messages:
-                    trace.emit(
-                        "message_drop", message.sender, message.kind,
-                        dest=message.dest, cause="dest down",
-                    )
+            self._drop(messages, "dest down")
             return
         # ``dst`` is up and nothing runs between these puts, so
         # ``Node.deliver``'s own crash check has nothing left to add.
@@ -672,22 +543,18 @@ class Network:
 
     def batching_counts(self) -> dict[str, float]:
         """Flush-policy accounting (EXP-A6 adaptive batching)."""
+        outbox = self.outbox
         counts: dict[str, float] = {
-            "size_flushes": self.size_flushes,
-            "deadline_flushes": self.deadline_flushes,
+            "size_flushes": outbox.size_flushes,
+            "deadline_flushes": outbox.deadline_flushes,
             "purged_batched": self.purged_batched,
         }
-        if self.batch_controller is not None:
-            counts["batch_window_now"] = self.batch_controller.current
-            counts["batch_window_shrinks"] = self.batch_controller.shrinks
-            counts["batch_window_widens"] = self.batch_controller.widens
+        controller = outbox.controller
+        if controller is not None:
+            counts["batch_window_now"] = controller.current
+            counts["batch_window_shrinks"] = controller.shrinks
+            counts["batch_window_widens"] = controller.widens
         return counts
-
-    def make_batch(self, messages: tuple[Message, ...]) -> BatchMessage:
-        """Build an envelope for ``messages`` (validates the link)."""
-        return BatchMessage(
-            sender=messages[0].sender, dest=messages[0].dest, messages=tuple(messages)
-        )
 
     def __repr__(self) -> str:
         return f"<Network nodes={sorted(self._nodes)} sent={self.sent}>"

@@ -37,6 +37,12 @@ def test_config_validation():
         GTMConfig(pipeline_max_group=-1)
 
 
+def test_negative_pipeline_window_rejected():
+    # Used to construct fine and silently build no pipeline at all.
+    with pytest.raises(ValueError, match="negative flush window"):
+        GTMConfig(pipeline_window=-1.0)
+
+
 def test_size_trigger_flushes_full_group():
     # A window this long would stall every commit; the size trigger
     # must release full groups long before the deadline.
@@ -44,15 +50,16 @@ def test_size_trigger_flushes_full_group():
     processes = transfers(fed, 4)
     fed.run()
     pipeline = fed.gtm.pipeline
+    groups = pipeline.groups
     assert all(p.value.committed for p in processes)
-    assert pipeline.size_flushes >= 1
+    assert groups.size_flushes >= 1
     # Every group left on the size trigger; the scheduled deadlines all
     # fired stale (generation bumped) and flushed nothing.
-    assert pipeline.deadline_flushes == 0
+    assert groups.deadline_flushes == 0
     assert pipeline.decisions_grouped == 2 * pipeline.groups_sent
     metrics = fed.gtm.metrics()
-    assert metrics["decision_size_flushes"] == pipeline.size_flushes
-    assert metrics["decision_deadline_flushes"] == pipeline.deadline_flushes
+    assert metrics["decision_size_flushes"] == groups.size_flushes
+    assert metrics["decision_deadline_flushes"] == groups.deadline_flushes
 
 
 def test_deadline_flush_counts_partial_groups():
@@ -60,14 +67,14 @@ def test_deadline_flush_counts_partial_groups():
     processes = transfers(fed, 3)
     fed.run()
     assert all(p.value.committed for p in processes)
-    assert fed.gtm.pipeline.deadline_flushes >= 1
-    assert fed.gtm.pipeline.size_flushes == 0
+    assert fed.gtm.pipeline.groups.deadline_flushes >= 1
+    assert fed.gtm.pipeline.groups.size_flushes == 0
 
 
 def test_static_policy_has_no_controller():
     fed = build(pipeline_window=1.0)
     assert fed.gtm.pipeline is not None
-    assert fed.gtm.pipeline.controller is None
+    assert fed.gtm.pipeline.groups.controller is None
 
 
 def test_adaptive_policy_observes_and_outcomes_match_static():
@@ -77,7 +84,7 @@ def test_adaptive_policy_observes_and_outcomes_match_static():
     adaptive = build(pipeline_window=2.0, pipeline_policy="adaptive")
     adaptive_procs = transfers(adaptive, 8)
     adaptive.run()
-    controller = adaptive.gtm.pipeline.controller
+    controller = adaptive.gtm.pipeline.groups.controller
     assert controller is not None
     assert controller.observations > 0
     assert controller.floor == pytest.approx(0.25)

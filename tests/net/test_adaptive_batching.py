@@ -8,7 +8,7 @@ messages.
 
 import pytest
 
-from repro.net.adaptive import AdaptiveWindow
+from repro.net.batching import AdaptiveWindow
 from repro.net.message import Message
 from repro.net.network import FixedLatency, Network
 from repro.net.node import Node
@@ -30,16 +30,6 @@ class TestAdaptiveWindow:
     def test_validation(self):
         with pytest.raises(ValueError):
             AdaptiveWindow(0.0)
-        with pytest.raises(ValueError):
-            AdaptiveWindow(1.0, shrink=1.0)
-        with pytest.raises(ValueError):
-            AdaptiveWindow(1.0, grow=0.5)
-        with pytest.raises(ValueError):
-            AdaptiveWindow(1.0, floor=2.0)
-        with pytest.raises(ValueError):
-            AdaptiveWindow(1.0, relief=1.5, pressure=1.5)
-        with pytest.raises(ValueError):
-            AdaptiveWindow(1.0, patience=0)
 
     def test_pressure_shrinks_to_floor(self):
         ctl = AdaptiveWindow(8.0)
@@ -71,7 +61,7 @@ class TestAdaptiveWindow:
         # A lone message flushed on deadline waits exactly the current
         # window -- a *streak* of those must read as relief or
         # quiescence never recovers the base window.
-        for _ in range(ctl.patience):
+        for _ in range(ctl.PATIENCE):
             ctl.observe(ctl.current)
         assert ctl.current == pytest.approx(2.0)
 
@@ -101,8 +91,8 @@ class TestSizeOrDeadline:
         kernel.run(until=2.0)
         assert net.delivered == 3
         assert net.envelopes == 1
-        assert net.size_flushes == 1
-        assert net.deadline_flushes == 0
+        assert net.outbox.size_flushes == 1
+        assert net.outbox.deadline_flushes == 0
 
     def test_deadline_still_fires_for_partial_batch(self, kernel):
         net, a, _ = make_net(
@@ -114,8 +104,8 @@ class TestSizeOrDeadline:
         kernel.run()
         assert net.delivered == 2
         assert net.envelopes == 1
-        assert net.size_flushes == 0
-        assert net.deadline_flushes == 1
+        assert net.outbox.size_flushes == 0
+        assert net.outbox.deadline_flushes == 1
 
     def test_stale_deadline_after_size_flush_is_inert(self, kernel):
         net, a, _ = make_net(
@@ -139,7 +129,7 @@ class TestLoadSensedWindow:
             kernel, latency=FixedLatency(1.0), batch_window=8.0,
             batch_policy="adaptive",
         )
-        ctl = net.batch_controller
+        ctl = net.outbox.controller
         assert ctl is not None and ctl.current == pytest.approx(8.0)
 
         # Burst: 12 messages spread over each window -> total queueing
@@ -163,7 +153,7 @@ class TestLoadSensedWindow:
 
     def test_adaptive_needs_positive_window(self, kernel):
         net = Network(kernel, batch_policy="adaptive", batch_window=0.0)
-        assert net.batch_controller is None  # batching off: policy inert
+        assert net.outbox.controller is None  # batching off: policy inert
 
     def test_unknown_policy_rejected(self, kernel):
         with pytest.raises(ValueError):

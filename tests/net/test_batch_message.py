@@ -122,9 +122,9 @@ def test_envelope_trace_record_reports_size(kernel):
 def test_flush_forces_pending_envelopes_out_early(kernel):
     net, _, _ = make_net(kernel, batch_window=100.0)
     net.send(msg(kind="a"))
-    assert net.pending_batched == 1
+    assert net.outbox.pending == 1
     net.flush()
-    assert net.pending_batched == 0
+    assert net.outbox.pending == 0
     kernel.run(until=5.0)  # latency is 1.0 -- no need to reach the window
     assert net.envelopes == 1
     assert net.delivered == 1
