@@ -45,7 +45,7 @@ def _delivery_link(entry: Entry) -> tuple[str, str] | None:
     name = getattr(fn, "__name__", "")
     if name not in _DELIVERY_FNS:
         return None
-    # _deliver_all(messages) / _deliver_reliable(xid, messages); one
+    # _deliver_all(messages) / _deliver_reliable(xmit, messages); one
     # transmission always carries messages of a single link.
     messages = entry[3][-1]
     return messages[0].link

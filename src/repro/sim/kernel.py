@@ -98,9 +98,10 @@ class Kernel:
         # Bound exactly once: the run loops recognise timer entries by
         # identity (``fn is self._fire_timer``), and a fresh bound
         # method per access would never compare identical.  Its one
-        # argument is a :meth:`timer` future or a
-        # :class:`~repro.sim.events.TimedWait`; both spell "this
-        # deadline is spent" as ``_done``.
+        # argument is any object with ``_done`` ("this deadline is
+        # spent") and ``_expire(now)``: a :meth:`timer` future, a
+        # :class:`~repro.sim.events.TimedWait`, or the network's
+        # reliable-transmission record.
         self._fire_timer = self._resolve_timer
         # Events fired by the run loops (skipped cancelled timers are
         # queue maintenance, not events).  The perf benchmarks divide
@@ -218,7 +219,7 @@ class Kernel:
         self._schedule(delay, self._fire_timer, future)
         return future
 
-    def _resolve_timer(self, timer: "Future | TimedWait") -> None:
+    def _resolve_timer(self, timer: Any) -> None:
         timer._expire(self._now)
 
     # -- running ---------------------------------------------------------------
