@@ -17,6 +17,12 @@ dominated by its baseline and fails the gate.  These figures are
 simulated time -- deterministic, so this part is immune to runner
 noise.  Baselines predating the ``adaptive`` section skip the gate.
 
+A third check needs no baseline: within the fresh run, each protocol's
+``adaptive`` point must not be strictly dominated by its ``static``
+point (static at least as good on both axes, better on one).  Beating
+fixed-window batching somewhere is the adaptive policy's reason to
+exist.
+
 Usage (from the repo root)::
 
     PYTHONPATH=src python scripts/check_perf_regression.py \
@@ -60,20 +66,28 @@ def baseline_rates(summary: dict) -> dict[str, float]:
     }
 
 
-def pareto_regressions(summary: dict, threshold: float) -> list[str]:
+def fresh_pareto_front() -> dict:
+    from benchmarks.bench_a6_adaptive import pareto_points
+
+    return pareto_points()
+
+
+def pareto_regressions(
+    summary: dict, threshold: float, fresh_front: dict | None = None
+) -> list[str]:
     """Check fresh EXP-A6 points against the baseline Pareto front.
 
     Returns the names of (protocol, config) points strictly dominated
     by their baseline: one axis worse by more than ``threshold`` while
-    the other failed to improve.
+    the other failed to improve.  ``fresh_front`` is measured here when
+    not given.
     """
     baseline_front = summary.get("adaptive", {}).get("pareto")
     if not baseline_front:
         print("\npareto gate: baseline has no adaptive section, skipping")
         return []
-    from benchmarks.bench_a6_adaptive import pareto_points
-
-    fresh_front = pareto_points()
+    if fresh_front is None:
+        fresh_front = fresh_pareto_front()
     regressions = []
     print(
         f"\n{'pareto point':<32} {'thr base':>9} {'thr now':>9} "
@@ -107,6 +121,45 @@ def pareto_regressions(summary: dict, threshold: float) -> list[str]:
     if not regressions:
         print("pareto gate: no point strictly dominated by its baseline")
     return regressions
+
+
+def dominates(a: dict, b: dict) -> bool:
+    """Is point ``a`` at least as good as ``b`` on both axes, better on one?"""
+    return (
+        a["throughput"] >= b["throughput"]
+        and a["p99"] <= b["p99"]
+        and (a["throughput"] > b["throughput"] or a["p99"] < b["p99"])
+    )
+
+
+def adaptive_dominated(fresh_front: dict) -> list[str]:
+    """Protocols whose fresh ``adaptive`` point the ``static`` one dominates.
+
+    Compares two points of the same run, so it needs no baseline and no
+    threshold.  Returns ``"<protocol>:adaptive"`` names.
+    """
+    dominated = []
+    print(
+        f"\n{'adaptive vs static':<32} {'thr stat':>9} {'thr adap':>9} "
+        f"{'p99 stat':>9} {'p99 adap':>9}"
+    )
+    for protocol in sorted(fresh_front):
+        configs = fresh_front[protocol]
+        static, adaptive = configs.get("static"), configs.get("adaptive")
+        if static is None or adaptive is None:
+            continue
+        flag = ""
+        if dominates(static, adaptive):
+            flag = "  << DOMINATED"
+            dominated.append(f"{protocol}:adaptive")
+        print(
+            f"{protocol:<32} {static['throughput']:>9.4f} "
+            f"{adaptive['throughput']:>9.4f} {static['p99']:>9.2f} "
+            f"{adaptive['p99']:>9.2f}{flag}"
+        )
+    if not dominated:
+        print("adaptive gate: no adaptive point dominated by static")
+    return dominated
 
 
 def main(argv: list[str]) -> int:
@@ -152,7 +205,9 @@ def main(argv: list[str]) -> int:
         if ratio < floor:
             regressions.append(name)
 
-    dominated = pareto_regressions(summary, args.threshold)
+    fresh_front = fresh_pareto_front()
+    dominated = pareto_regressions(summary, args.threshold, fresh_front)
+    dominated += adaptive_dominated(fresh_front)
 
     if not regressions and not dominated:
         print(
@@ -164,7 +219,7 @@ def main(argv: list[str]) -> int:
     if dominated:
         print(
             f"\nFAILED: {len(dominated)} Pareto point(s) strictly dominated "
-            f"by baseline: {', '.join(dominated)}"
+            f"(by the baseline, or adaptive by static): {', '.join(dominated)}"
         )
         if not regressions:
             # Simulated-time regressions carry no profile to capture.

@@ -10,7 +10,10 @@ A group flushes when it reaches ``max_size`` items (``0`` disables the
 size trigger) or when the deadline scheduled on its first item fires;
 a per-key generation counter makes a deadline inert once its group was
 flushed early or dropped.  With ``policy="adaptive"`` the deadline is
-load-sensed by an :class:`AdaptiveWindow` fed on every flush.  A
+load-sensed by an :class:`AdaptiveWindow` fed on every flush, and only
+a *busy* key (one that flushed within the current window) lingers: an
+idle key flushes at the end of the current instant, Nagle-style, so a
+lone message or decision no longer pays a window per hop.  A
 crashed owner purges its groups with :meth:`FlushGroups.drop`; a
 deadline that fires for a crashed owner still counts and feeds the
 controller -- the send step is what refuses to transmit.  Everything is
@@ -46,11 +49,18 @@ class AdaptiveWindow:
     * under a burst many items sit behind the deadline, total wait
       exceeds ``PRESSURE * current``, and the window *shrinks* by
       ``SHRINK`` so latecomers stop paying for a quiet-era deadline;
-    * at quiescence a lone item waits exactly one window, total wait is
-      at most ``RELIEF * current``, and after ``PATIENCE`` consecutive
-      such flushes the window *re-widens* by ``GROW`` toward ``base``.
-      One stray singleton amid a burst must not bounce the window back
-      up and re-tax the burst's tail.
+    * a flush whose total wait is at most ``RELIEF * current`` is
+      relief, and after ``PATIENCE`` consecutive such flushes the
+      window *re-widens* by ``GROW`` toward ``base``.  At quiescence
+      every key is idle and :class:`FlushGroups` flushes it at the end
+      of the instant, a wait of 0; a lone item on a busy key waits at
+      most one window.  Both are relief.  One stray singleton amid a
+      burst must not bounce the window back up and re-tax the burst's
+      tail.
+
+    The window only prices *lingering*: it is how long a busy key's
+    group waits for company.  Whether an item lingers at all is the
+    idle rule in :meth:`FlushGroups.add`.
     """
 
     #: ``floor = base * FLOOR``: the smallest window a burst can force.
@@ -103,11 +113,34 @@ class AdaptiveWindow:
         )
 
 
+class _Group:
+    """One key's state: buffered items, their enqueue times, the
+    generation of the scheduled deadline, and the instant of the last
+    flush (``None`` until the first)."""
+
+    __slots__ = ("items", "times", "generation", "last_flush")
+
+    def __init__(self) -> None:
+        self.items: list = []
+        # Enqueue timestamps, parallel to ``items`` (adaptive only).
+        self.times: list[float] = []
+        self.generation = 0
+        self.last_flush: Optional[float] = None
+
+
 class FlushGroups:
     """Keyed buffers flushed on size or on deadline.
 
     ``send(key, items)`` is the client's send step; it receives each
     flushed group exactly once, in insertion order.
+
+    Under ``policy="adaptive"`` an item that opens an empty group
+    lingers only if its key is *busy*: when the key last flushed less
+    than ``controller.current`` ago, the deadline is that window as
+    usual.  An *idle* key -- never flushed, or not within the window --
+    gets a zero-delay deadline, which the kernel runs after everything
+    already queued at the current instant: items sent in the same
+    instant still share one group, and a lone item pays no window.
     """
 
     def __init__(
@@ -129,12 +162,9 @@ class FlushGroups:
         self.controller: Optional[AdaptiveWindow] = (
             AdaptiveWindow(window) if policy == "adaptive" and window > 0 else None
         )
-        # A flushed group is reset to ``[]``, never popped: key order
-        # fixes the order of :meth:`flush_all` and :meth:`drop`.
-        self._groups: dict[Hashable, list] = {}
-        self._gen: dict[Hashable, int] = {}
-        # Enqueue timestamps (adaptive only), parallel to ``_groups``.
-        self._times: dict[Hashable, list[float]] = {}
+        # One record per key, never removed: key insertion order fixes
+        # the order of :meth:`flush_all` and :meth:`drop`.
+        self._groups: dict[Hashable, _Group] = {}
         self.size_flushes = 0
         self.deadline_flushes = 0
 
@@ -142,41 +172,49 @@ class FlushGroups:
         """Buffer ``item`` in ``key``'s group; flush it if full."""
         group = self._groups.get(key)
         if group is None:
-            group = self._groups[key] = []
-        group.append(item)
+            group = self._groups[key] = _Group()
+        items = group.items
+        items.append(item)
         controller = self.controller
         if controller is not None:
-            self._times.setdefault(key, []).append(self.kernel.now)
-        if self.max_size and len(group) >= self.max_size:
+            now = self.kernel.now
+            group.times.append(now)
+        if self.max_size and len(items) >= self.max_size:
             # A full group has nothing to gain from waiting out the
             # deadline.
             self.size_flushes += 1
             self.flush(key)
-        elif len(group) == 1:
-            self.kernel._schedule(
-                self.window if controller is None else controller.current,
-                self._deadline, key, self._gen.get(key, 0),
-            )
+        elif len(items) == 1:
+            if controller is None:
+                delay = self.window
+            else:
+                delay = controller.current
+                last = group.last_flush
+                if last is None or now - last >= delay:
+                    delay = 0.0  # idle key: flush at the end of the instant
+            self.kernel._schedule(delay, self._deadline, key, group.generation)
 
     def _deadline(self, key: Hashable, generation: int) -> None:
         # A matching generation means nothing flushed or dropped the
         # group since its first item scheduled this deadline.
-        if self._gen.get(key, 0) == generation:
+        if self._groups[key].generation == generation:
             self.deadline_flushes += 1
             self.flush(key)
 
     def flush(self, key: Hashable) -> None:
         """Hand ``key``'s group to the send step now (no-op if empty)."""
         group = self._groups.get(key)
-        if not group:
+        if group is None or not group.items:
             return
-        self._groups[key] = []
-        self._gen[key] = self._gen.get(key, 0) + 1
+        items = group.items
+        group.items = []
+        group.generation += 1
+        group.last_flush = now = self.kernel.now
         controller = self.controller
         if controller is not None:
-            now = self.kernel.now
-            controller.observe(sum(now - t for t in self._times.pop(key)))
-        self.send(key, group)
+            controller.observe(sum(now - t for t in group.times))
+            group.times = []
+        self.send(key, items)
 
     def flush_all(self) -> None:
         """Hand every pending group to the send step now."""
@@ -187,19 +225,20 @@ class FlushGroups:
         """Discard every group whose key ``keep`` rejects (all if ``None``).
 
         The crash purge: returns the dropped items, in key order, and
-        makes their scheduled deadlines inert.
+        makes their scheduled deadlines inert.  A drop is not a flush:
+        the key's last flush instant stays as it was.
         """
         dropped: list = []
         for key, group in self._groups.items():
-            if not group or (keep is not None and keep(key)):
+            if not group.items or (keep is not None and keep(key)):
                 continue
-            self._groups[key] = []
-            self._gen[key] = self._gen.get(key, 0) + 1
-            self._times.pop(key, None)
-            dropped.extend(group)
+            dropped.extend(group.items)
+            group.items = []
+            group.times = []
+            group.generation += 1
         return dropped
 
     @property
     def pending(self) -> int:
         """Items currently buffered across all groups."""
-        return sum(len(group) for group in self._groups.values())
+        return sum(len(group.items) for group in self._groups.values())

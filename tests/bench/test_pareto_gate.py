@@ -77,3 +77,56 @@ def test_missing_fresh_point_fails(monkeypatch):
     module = load_gate()
     patch_fresh(monkeypatch, module, {})
     assert module.pareto_regressions(summary_with(BASE), 0.2) == ["p/ps:static"]
+
+
+# -- within-run: adaptive must not be dominated by static ---------------
+
+
+def front(static, adaptive):
+    return {
+        "p/ps": {
+            "static": {"throughput": static[0], "p99": static[1]},
+            "adaptive": {"throughput": adaptive[0], "p99": adaptive[1]},
+        }
+    }
+
+
+def test_adaptive_beating_static_passes():
+    module = load_gate()
+    assert module.adaptive_dominated(front((0.23, 49.0), (0.24, 25.0))) == []
+
+
+def test_adaptive_trading_along_the_front_passes():
+    # Worse p99 but more throughput: a different point of the front.
+    module = load_gate()
+    assert module.adaptive_dominated(front((0.23, 20.0), (0.24, 25.0))) == []
+
+
+def test_adaptive_equal_to_static_is_not_strictly_dominated():
+    module = load_gate()
+    assert module.adaptive_dominated(front((0.23, 30.0), (0.23, 30.0))) == []
+
+
+def test_adaptive_dominated_by_static_fails():
+    module = load_gate()
+    assert module.adaptive_dominated(front((0.23, 30.0), (0.23, 31.0))) == [
+        "p/ps:adaptive"
+    ]
+    assert module.adaptive_dominated(front((0.24, 30.0), (0.23, 30.0))) == [
+        "p/ps:adaptive"
+    ]
+
+
+def test_protocol_without_both_configs_is_skipped():
+    module = load_gate()
+    assert module.adaptive_dominated(BASE) == []
+
+
+def test_within_run_gate_needs_no_baseline(capsys):
+    # A baseline without an adaptive section skips the baseline gate,
+    # not the within-run one.
+    module = load_gate()
+    dominated = front((0.24, 30.0), (0.23, 40.0))
+    assert module.pareto_regressions({}, 0.2, dominated) == []
+    assert module.adaptive_dominated(dominated) == ["p/ps:adaptive"]
+    assert "DOMINATED" in capsys.readouterr().out

@@ -94,6 +94,57 @@ def test_adaptive_policy_observes_and_outcomes_match_static():
     ]
 
 
+def test_adaptive_lone_decision_pays_no_window():
+    # An idle site's group flushes at the end of the decision instant:
+    # a lone transfer commits as fast as with no pipeline at all.
+    unpipelined = build(pipeline_window=0.0)
+    [plain] = transfers(unpipelined, 1)
+    unpipelined.run()
+    adaptive = build(pipeline_window=50.0, pipeline_policy="adaptive")
+    [lone] = transfers(adaptive, 1)
+    adaptive.run()
+    assert lone.value.committed
+    assert lone.value.response_time == plain.value.response_time
+    assert adaptive.gtm.pipeline.groups.deadline_flushes == 2  # one per site
+
+
+def test_adaptive_same_instant_decisions_share_one_group():
+    fed = build(pipeline_window=50.0, pipeline_policy="adaptive")
+    pipeline = fed.gtm.pipeline
+    for i in range(2):
+        fed.kernel.spawn(pipeline.decide("s0", f"G{i}", "commit", None))
+    fed.run()
+    assert pipeline.groups_sent == 1
+    assert pipeline.decisions_grouped == 2
+    assert fed.kernel.now < 50.0  # nobody waited out the window
+
+
+def test_adaptive_decision_on_a_busy_site_waits_the_window():
+    # The second transfer decides within 50 of the sites' first flush,
+    # so its groups linger the window; the first lingered not at all.
+    static = build(pipeline_window=50.0)
+    static_procs = transfers(static, 2)
+    static.run()
+    adaptive = build(pipeline_window=50.0, pipeline_policy="adaptive")
+    first, second = transfers(adaptive, 2)
+    adaptive.run()
+    assert first.value.response_time == pytest.approx(
+        static_procs[0].value.response_time - 50.0
+    )
+    assert second.value.response_time >= 50.0
+    assert adaptive.gtm.pipeline.groups.controller.observations == 4
+
+
+def test_static_pipeline_lone_decision_still_waits_the_window():
+    unpipelined = build(pipeline_window=0.0)
+    [plain] = transfers(unpipelined, 1)
+    unpipelined.run()
+    static = build(pipeline_window=50.0)
+    [lone] = transfers(static, 1)
+    static.run()
+    assert lone.value.response_time == pytest.approx(plain.value.response_time + 50.0)
+
+
 def test_paxos_group_send_requires_chosen_decisions():
     """Defence in depth: pipelined forcing cannot outrun the acceptors.
 

@@ -1,9 +1,10 @@
 """Adaptive batching: size-or-deadline flush, load-sensed window, purge.
 
-Covers the EXP-A6 tentpole at the network layer plus the stale-flush
-bugfix: a sender crash must kill its buffered outboxes, so a quick
-restart cannot let the old scheduled deadline transmit pre-crash
-messages.
+Covers the EXP-A6 tentpole at the network layer, the idle-link rule
+(only a link that flushed within the window lingers), plus the
+stale-flush bugfix: a sender crash must kill its buffered outboxes, so
+a quick restart cannot let the old scheduled deadline transmit
+pre-crash messages.
 """
 
 import pytest
@@ -58,9 +59,9 @@ class TestAdaptiveWindow:
         for _ in range(10):
             ctl.observe(1000.0)
         assert ctl.current == pytest.approx(1.0)
-        # A lone message flushed on deadline waits exactly the current
-        # window -- a *streak* of those must read as relief or
-        # quiescence never recovers the base window.
+        # A lone message on a busy link waits at most the current
+        # window -- a *streak* of those must read as relief or a
+        # trickle of traffic never recovers the base window.
         for _ in range(ctl.PATIENCE):
             ctl.observe(ctl.current)
         assert ctl.current == pytest.approx(2.0)
@@ -123,6 +124,75 @@ class TestSizeOrDeadline:
         assert net.delivered == 3
 
 
+class TestIdleLinksDoNotLinger:
+    """Adaptive batching waits the window only on a busy link."""
+
+    def adaptive_net(self, kernel, **kwargs):
+        net, _, _ = make_net(
+            kernel, latency=FixedLatency(1.0), batch_window=8.0,
+            batch_policy="adaptive", batch_max_msgs=8, **kwargs,
+        )
+        return net
+
+    def test_lone_message_pays_latency_not_window(self, kernel):
+        net = self.adaptive_net(kernel)
+        net.send(ping())
+        kernel.run(until=1.0)
+        # An idle link flushes at the end of the instant: delivered at
+        # ``latency``, not ``window + latency``.
+        assert net.delivered == 1
+        assert net.outbox.deadline_flushes == 1
+        assert net.outbox.controller.observations == 1
+
+    def test_same_instant_sends_share_one_envelope(self, kernel):
+        net = self.adaptive_net(kernel)
+        net.send(ping(kind="first"))
+        net.send(ping(kind="second"))
+        kernel.run()
+        assert net.delivered == 2
+        assert net.envelopes == 1
+        assert kernel.now == 1.0
+
+    def test_send_within_a_window_of_the_last_flush_waits(self, kernel):
+        net = self.adaptive_net(kernel)
+        net.send(ping())  # idle: flushed at t=0
+        kernel.call_at(2.0, lambda: net.send(ping()))  # busy: waits 8
+        kernel.run(until=9.5)
+        assert net.delivered == 1
+        kernel.run()
+        assert net.delivered == 2
+        assert kernel.now == 11.0
+
+    def test_send_a_full_window_after_the_last_flush_is_idle(self, kernel):
+        net = self.adaptive_net(kernel)
+        net.send(ping())
+        kernel.call_at(8.0, lambda: net.send(ping()))
+        kernel.run()
+        assert net.delivered == 2
+        assert kernel.now == 9.0
+
+    def test_links_are_idle_independently(self, kernel):
+        net = self.adaptive_net(kernel)
+        net.send(ping(dest="a"))
+        kernel.call_at(2.0, lambda: net.send(ping(dest="b")))
+        kernel.run()
+        # central->b never flushed before: idle despite central->a.
+        assert kernel.now == 3.0
+
+    def test_static_lone_message_still_waits_the_window(self, kernel):
+        net, _, _ = make_net(
+            kernel, latency=FixedLatency(1.0), batch_window=8.0,
+            batch_max_msgs=8,
+        )
+        net.send(ping())
+        kernel.call_at(20.0, lambda: net.send(ping()))
+        kernel.run(until=8.5)
+        assert net.delivered == 0
+        kernel.run()
+        assert net.delivered == 2
+        assert kernel.now == 29.0
+
+
 class TestLoadSensedWindow:
     def test_burst_shrinks_window_quiescence_rewidens(self, kernel):
         net, a, _ = make_net(
@@ -143,8 +213,9 @@ class TestLoadSensedWindow:
         assert shrunk < 8.0
         assert ctl.shrinks > 0
 
-        # Quiescence: a run of lone messages, each waiting exactly one
-        # window, builds a relief streak; the window re-widens to base.
+        # Quiescence: a run of lone messages on an idle link, each
+        # flushed at the end of its instant (wait 0), builds a relief
+        # streak; the window re-widens to base.
         for i in range(12):
             kernel.call_at(kernel.now + 20.0 * (i + 1), lambda: net.send(ping()))
         kernel.run()
