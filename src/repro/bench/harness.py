@@ -105,7 +105,6 @@ def protocol_federation(
     seed: int = 0,
     latency: float = 1.0,
     l1_table=None,
-    l1_timeout: Any = "default",
     log_placement: str = "indb",
     msg_timeout: float = 50.0,
     batch_window: float = 0.0,
@@ -126,18 +125,6 @@ def protocol_federation(
     for spec in site_specs:
         spec.preparable = needs_prepare
         specs.append(spec)
-    gtm_kwargs: dict[str, Any] = dict(
-        protocol=protocol,
-        granularity=granularity,
-        l1_table=l1_table,
-        msg_timeout=msg_timeout,
-        pipeline_window=pipeline_window,
-        pipeline_policy=pipeline_policy,
-        pipeline_max_group=pipeline_max_group,
-        piggyback_decisions=piggyback_decisions,
-    )
-    if l1_timeout != "default":
-        gtm_kwargs["l1_timeout"] = l1_timeout
     config = FederationConfig(
         seed=seed,
         latency=latency,
@@ -145,6 +132,15 @@ def protocol_federation(
         batch_policy=batch_policy,
         batch_max_msgs=batch_max_msgs,
         log_placement=log_placement,
-        gtm=GTMConfig(**gtm_kwargs),
+        gtm=GTMConfig(
+            protocol=protocol,
+            granularity=granularity,
+            l1_table=l1_table,
+            msg_timeout=msg_timeout,
+            pipeline_window=pipeline_window,
+            pipeline_policy=pipeline_policy,
+            pipeline_max_group=pipeline_max_group,
+            piggyback_decisions=piggyback_decisions,
+        ),
     )
     return Federation(specs, config)

@@ -16,7 +16,7 @@ that protocol:
   control that multi-level transactions need anyway.
 
 Global transactions aborted by L1 deadlock/timeout are retried up to
-``retry_attempts`` times with a backoff -- their locals were cleaned up
+``RETRY_ATTEMPTS`` times with a backoff -- their locals were cleaned up
 by the protocol's abort path, so a retry is a fresh run.
 """
 
@@ -59,18 +59,16 @@ class GTMConfig:
     l1_table:
         Override of the L1 conflict table (``None`` = protocol default;
         the EXP-A1 ablation passes ``READ_WRITE_TABLE`` to commit-before).
-    l1_timeout:
-        Bound on L1 lock waits.  Must be finite: two global transactions
-        can deadlock *across* levels -- one waiting at L1 for an object
-        the other holds, the other's redo waiting at L0 for a page the
-        first's open subtransaction holds.  Neither level's deadlock
-        detector can see such a cycle (the L1 table knows nothing about
-        page co-location), so a timeout breaks it; the victim retries.
-    durable_status:
-        Query the in-database commit markers on ambiguity; must match
-        the communication managers' ``log_placement`` (the
-        :class:`~repro.integration.federation.Federation` keeps them in
-        sync).
+    msg_timeout:
+        How long the coordinator waits for one reply before it treats
+        the request as ambiguous.
+    status_poll_interval:
+        Pause between status queries while an ambiguous subtransaction
+        is being resolved.
+    optimize_undo:
+        Collapse inverse transactions (net increments, dead-write
+        elimination) before sending them -- the optimization §4.1
+        defers.
     pipeline_window:
         With a positive window, commit decisions bound for the same
         site within the window share one ``decide_group`` round-trip
@@ -96,20 +94,9 @@ class GTMConfig:
     protocol: str = "before"
     granularity: str = "per_action"
     l1_table: Optional[ConflictTable] = None
-    l1_timeout: Optional[float] = 150.0
     msg_timeout: float = 50.0
     status_poll_interval: float = 10.0
-    #: Paxos Commit only: how long a crashed coordinator's peers wait
-    #: before taking over its undecided transactions at a higher ballot
-    #: (timeout-driven leader change, not orphan adoption).
-    paxos_takeover_timeout: float = 80.0
-    durable_status: bool = True
-    #: Collapse inverse transactions (net increments, dead-write
-    #: elimination) before sending them -- the optimization §4.1 defers.
     optimize_undo: bool = False
-    max_redo_rounds: int = 50
-    retry_attempts: int = 5
-    retry_backoff: float = 5.0
     pipeline_window: float = 0.0
     pipeline_policy: str = "static"
     pipeline_max_group: int = 0
@@ -302,6 +289,19 @@ class DecisionPipeline:
 class GlobalTransactionManager:
     """Coordinator for global transactions (runs at the central node)."""
 
+    #: Bound on L1 lock waits.  Must be finite: two global transactions
+    #: can deadlock *across* levels -- one waiting at L1 for an object
+    #: the other holds, the other's redo waiting at L0 for a page the
+    #: first's open subtransaction holds.  Neither level's deadlock
+    #: detector can see such a cycle (the L1 table knows nothing about
+    #: page co-location), so a timeout breaks it; the victim retries.
+    L1_TIMEOUT = 150.0
+    #: Retries of a global transaction aborted by an L1 conflict or an
+    #: unavailable partition; attempt ``n`` first waits
+    #: ``RETRY_BACKOFF * n``.
+    RETRY_ATTEMPTS = 5
+    RETRY_BACKOFF = 5.0
+
     def __init__(
         self,
         kernel: "Kernel",
@@ -332,7 +332,7 @@ class GlobalTransactionManager:
             self.l1 = (
                 None if table is None
                 else self.protocol.l1_manager(
-                    kernel, table, default_timeout=self.config.l1_timeout
+                    kernel, table, default_timeout=self.L1_TIMEOUT
                 )
             )
             self.redo_log = RedoLog()
@@ -357,6 +357,10 @@ class GlobalTransactionManager:
         # -- all of them die with the coordinator.
         self.crashed = False
         self.pool: Optional[Any] = None
+        # Query the in-database commit markers on ambiguity.  The
+        # federation installs its ``log_placement`` verdict here: a
+        # volatile placement cannot answer after a site crash.
+        self.durable_status = True
         # Paxos coordinator mode: the federation installs the shared
         # AcceptorGroup here; ``None`` on every classic path.
         self.acceptors: Optional[Any] = None
@@ -454,8 +458,8 @@ class GlobalTransactionManager:
                 # A frozen/memberless partition: transient by design
                 # (rejoins unfreeze, restarts repopulate), so back off
                 # and re-route exactly like an L1-conflict retry.
-                if attempt <= self.config.retry_attempts:
-                    yield self.config.retry_backoff * attempt
+                if attempt <= self.RETRY_ATTEMPTS:
+                    yield self.RETRY_BACKOFF * attempt
                     continue
                 outcome = GlobalOutcome(
                     gtxn_id=attempt_id,
@@ -490,9 +494,9 @@ class GlobalTransactionManager:
             if (
                 not outcome.committed
                 and outcome.retriable
-                and attempt <= self.config.retry_attempts
+                and attempt <= self.RETRY_ATTEMPTS
             ):
-                yield self.config.retry_backoff * attempt
+                yield self.RETRY_BACKOFF * attempt
                 continue
             self.outcomes.append(outcome)
             if outcome.committed:

@@ -5,13 +5,8 @@ through one central GTM -- the scalability wall.  Following the
 partitioned-coordinator designs of *Consensus on Transaction Commit*
 (Gray & Lamport) and *Multi-Shot Distributed Transaction Commit*
 (Chockler & Gotsman), the pool runs N coordinator instances and routes
-each global transaction to one shard:
-
-* ``hash`` -- CRC32 of the gtxn id modulo N (uniform spread, the
-  default), or
-* ``affinity`` -- CRC32 of the transaction's first routed site, so
-  transactions over the same data tend to meet at the same coordinator
-  (cheaper L1 conflict handling, hotter shards under skew).
+each global transaction to one shard: CRC32 of the gtxn id modulo N, a
+uniform, seed-free spread.
 
 The shards share one L1 lock service and one set of central logs
 (decision / redo / undo) -- the model of durable shared central
@@ -40,8 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Kernel
     from repro.sim.process import Process
 
-ROUTINGS = ("hash", "affinity")
-
 
 class AllCoordinatorsDown(RuntimeError):
     """Every shard in the pool is crashed; nothing can accept work."""
@@ -50,19 +43,20 @@ class AllCoordinatorsDown(RuntimeError):
 class CoordinatorPool:
     """Routes global transactions across N coordinators with failover."""
 
+    #: Paxos Commit only: how long a crashed coordinator's peers wait
+    #: before taking over its undecided transactions at a higher ballot
+    #: (timeout-driven leader change, not orphan adoption).
+    PAXOS_TAKEOVER_TIMEOUT = 80.0
+
     def __init__(
         self,
         kernel: "Kernel",
         coordinators: list["GlobalTransactionManager"],
-        routing: str = "hash",
     ):
         if not coordinators:
             raise ValueError("a pool needs at least one coordinator")
-        if routing not in ROUTINGS:
-            raise ValueError(f"unknown routing {routing!r} (use one of {ROUTINGS})")
         self.kernel = kernel
         self.coordinators = list(coordinators)
-        self.routing = routing
         self._ids = itertools.count(1)
         #: Orphans of crashed coordinators not yet handed to an adopter
         #: (every live peer was down, or the adopter crashed too).
@@ -94,14 +88,8 @@ class CoordinatorPool:
     # Routing
     # ------------------------------------------------------------------
 
-    def shard_of(self, gtxn_id: str, operations: list["Operation"]) -> int:
+    def shard_of(self, gtxn_id: str) -> int:
         """The home shard for a transaction (deterministic, seed-free)."""
-        if self.routing == "affinity":
-            gtm = self.coordinators[0]
-            for operation in operations:
-                routed = gtm.schema.route(operation)
-                if routed.site is not None:
-                    return zlib.crc32(routed.site.encode()) % len(self.coordinators)
         return zlib.crc32(gtxn_id.encode()) % len(self.coordinators)
 
     def submit(
@@ -122,7 +110,7 @@ class CoordinatorPool:
                 operations, name=name, intends_abort=intends_abort
             )
         gtxn_id = name or f"G{next(self._ids)}"
-        shard = self.shard_of(gtxn_id, operations)
+        shard = self.shard_of(gtxn_id)
         for probe in range(len(self.coordinators)):
             gtm = self.coordinators[(shard + probe) % len(self.coordinators)]
             if not gtm.crashed:
@@ -299,8 +287,7 @@ class CoordinatorPool:
         """Arm the takeover timer for the pending undecided batch."""
         if not self._pending_takeovers:
             return
-        timeout = self.coordinators[0].config.paxos_takeover_timeout
-        self.kernel._schedule(timeout, self._takeover_due)
+        self.kernel._schedule(self.PAXOS_TAKEOVER_TIMEOUT, self._takeover_due)
 
     def _takeover_due(self) -> None:
         """Timeout fired: hand the pending batch to one live peer."""
@@ -388,7 +375,4 @@ class CoordinatorPool:
 
     def __repr__(self) -> str:
         live = sum(1 for gtm in self.coordinators if not gtm.crashed)
-        return (
-            f"<CoordinatorPool n={len(self.coordinators)} live={live} "
-            f"routing={self.routing}>"
-        )
+        return f"<CoordinatorPool n={len(self.coordinators)} live={live}>"

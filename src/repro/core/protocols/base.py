@@ -176,7 +176,7 @@ class ProtocolContext:
             try:
                 reply = yield from self.request(
                     site, "status_query", marker_key=marker_key,
-                    durable=self.config.durable_status,
+                    durable=self.gtm.durable_status,
                 )
                 return reply
             except MessageTimeout:

@@ -38,6 +38,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class CommitAfter(CommitProtocol):
     """Decision first, local commits afterwards (with redo)."""
 
+    #: Redo executions one site may need before the commit phase gives
+    #: up on it.
+    MAX_REDO_ROUNDS = 50
+
     def run(self, ctx: ProtocolContext) -> Generator[Any, Any, None]:
         failure, _ = yield from ctx.run_subtransactions()
         if failure is not None:
@@ -108,7 +112,7 @@ class CommitAfter(CommitProtocol):
         while True:
             # Only actual redo executions count against the limit;
             # ambiguity polls while a site is down do not.
-            if redo_count > ctx.config.max_redo_rounds:
+            if redo_count > self.MAX_REDO_ROUNDS:
                 raise ExecutionFailure(site, "redo rounds exhausted", aborted=True)
             if outcome == "committed":
                 ctx.redo_log.mark_committed(gtxn_id, site)

@@ -338,9 +338,9 @@ class GlobalRecoveryManager:
 
     def redrive_undos(self, site: str) -> Generator[Any, Any, None]:
         """Re-drive orphaned commit-before (per-site) inverse transactions."""
-        config = self.gtm.config
-        if not config.durable_status:
+        if not self.gtm.durable_status:
             return  # cannot safely confirm the forward commit (EXP-A2)
+        config = self.gtm.config
         gtxn_ids: list[str] = []
         for record in self.gtm.undo_log.records:
             if record.site == site and record.gtxn_id not in gtxn_ids:
@@ -528,8 +528,7 @@ class GlobalRecoveryManager:
         """
         from repro.mlt.actions import inverse_of
 
-        config = self.gtm.config
-        if not config.durable_status:
+        if not self.gtm.durable_status:
             # Volatile placement cannot confirm forward commits; the
             # honest answer is to leave the effects (EXP-A2 territory).
             return True

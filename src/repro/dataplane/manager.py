@@ -33,18 +33,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class DataPlane:
     """Namespace routing and replica-set membership for one federation."""
 
-    def __init__(
-        self,
-        federation: "Federation",
-        placement_map: PlacementMap,
-        lease_timeout: float = 40.0,
-        drain_poll_interval: float = 5.0,
-    ):
+    #: How long a crashed partition member keeps its seat before it is
+    #: evicted (promoting the next replica if it was the primary) and
+    #: the partition epoch is bumped.
+    LEASE_TIMEOUT = 40.0
+    #: How often a rejoin re-checks for in-flight transactions to drain.
+    DRAIN_POLL_INTERVAL = 5.0
+
+    def __init__(self, federation: "Federation", placement_map: PlacementMap):
         self.federation = federation
         self.kernel = federation.kernel
         self.map = placement_map
-        self.lease_timeout = lease_timeout
-        self.drain_poll_interval = drain_poll_interval
         #: Reject executions stamped with a superseded epoch.  Disabled
         #: only by the ``stale_epoch`` checker mutant.
         self.fencing = True
@@ -115,7 +114,7 @@ class DataPlane:
             if site not in partition.members:
                 continue
             self.kernel.call_at(
-                self.kernel.now + self.lease_timeout,
+                self.kernel.now + self.LEASE_TIMEOUT,
                 self._lease_expired,
                 partition.pid,
                 site,
@@ -196,7 +195,7 @@ class DataPlane:
                 # An earlier-evicted returner may have missed commits
                 # the last-standing member applied: wait for a
                 # legitimate member to resume, then resync from it.
-                yield self.drain_poll_interval
+                yield self.DRAIN_POLL_INTERVAL
                 continue
             partition.frozen = True
             try:
@@ -206,7 +205,7 @@ class DataPlane:
                 # wait out a crashed primary's lease (its eviction
                 # unblocks us one way or the other).
                 while partition.members and self._primary_down(partition):
-                    yield self.drain_poll_interval
+                    yield self.DRAIN_POLL_INTERVAL
                 if not partition.members:
                     continue  # emptied under us: re-evaluate from the top
                 if self.resync_on_rejoin:
@@ -255,7 +254,7 @@ class DataPlane:
             )
             if not busy:
                 return
-            yield self.drain_poll_interval
+            yield self.DRAIN_POLL_INTERVAL
 
     def _resync(self, partition: Partition, site: str) -> Generator[Any, Any, None]:
         """Reconcile the joiner's partition image with the primary's.

@@ -111,8 +111,6 @@ class ChaosSpec:
     site_crashes: int = 0
     site_crash_at: float = 0.0
     replica_outage: float = 60.0
-    #: Replica-set lease: promotion fires this long after a crash.
-    lease_timeout: float = 40.0
     #: Per-link message batching under chaos (0 = seed path).  The
     #: adaptive policy plus crashes exercises the outbox purge and the
     #: reliable-path retransmission of batched envelopes.
@@ -217,7 +215,6 @@ def build_chaos_federation(spec: ChaosSpec) -> Federation:
         coordinators=spec.coordinators,
         paxos_f=spec.paxos_f,
         placement=placement,
-        lease_timeout=spec.lease_timeout,
         gtm=GTMConfig(
             protocol=spec.protocol,
             granularity=spec.granularity,

@@ -19,7 +19,7 @@ from repro.integration.schema import GlobalSchema
 from repro.localdb.config import LocalDBConfig
 from repro.localdb.engine import LocalDatabase
 from repro.localdb.interface import PreparableTMInterface, StandardTMInterface
-from repro.net.network import FixedLatency, Network, UniformLatency
+from repro.net.network import FixedLatency, Network
 from repro.net.node import Node
 from repro.sim.kernel import Kernel
 
@@ -45,57 +45,81 @@ class SiteSpec:
 class FederationConfig:
     """Federation-wide knobs.
 
-    ``batch_window`` > 0 turns on per-link message batching: logical
-    messages bound for the same site within the window share one
-    physical envelope (one latency sample, one loss trial).  ``0`` (the
-    default) is the seed's unbatched behaviour, message for message.
+    Attributes
+    ----------
+    seed:
+        Kernel seed; every random draw of a run derives from it.
+    latency:
+        Fixed one-way message delay on every link.
+    loss_rate, dup_rate, reorder_rate:
+        Per-transmission probabilities, each in ``[0, 1]``, of losing,
+        duplicating or delaying a transmission (the delay is drawn up
+        to :attr:`Network.REORDER_SPREAD
+        <repro.net.network.Network.REORDER_SPREAD>`).
+    batch_window:
+        ``> 0`` turns on per-link message batching: logical messages
+        bound for the same site within the window share one physical
+        envelope (one latency sample, one loss trial).  ``0`` (the
+        default) is the seed's unbatched behaviour, message for message.
+    batch_policy:
+        ``"static"`` (fixed-delay flush) or ``"adaptive"`` (load-sensed
+        window; an idle link flushes at the end of the instant).
+    batch_max_msgs:
+        Flush a link's envelope as soon as it holds this many messages
+        (``0`` disables the size trigger).
+    reliable:
+        Acknowledge every transmission and retransmit unacked ones with
+        capped exponential backoff (see :class:`~repro.net.network.Network`
+        for the backoff constants); receivers suppress duplicates.
+    retransmit_timeout:
+        Delay before the first retransmission of an unacked transmission.
+    log_placement:
+        ``"indb"`` (commit markers in the local databases, durable) or
+        ``"volatile"`` (in the communication managers' memory; EXP-A2).
+        It also decides whether the GTM may query durable status on
+        ambiguity.
+    metrics, spans:
+        Attach the observability registry; ``spans`` also records the
+        span forest.  Both off (the default) installs no hook at all.
+    coordinators:
+        Number of commit coordinators (the sharded GTM pool), at least
+        1; 1 is the paper's single central GTM.  Transactions are routed
+        by CRC32 of their id.
+    paxos_f:
+        Paxos Commit fault tolerance: the decision survives ``paxos_f``
+        acceptor crashes (``2 * paxos_f + 1`` acceptors are built).
+        Only read by protocols with replicated decisions (``paxos``).
+    placement:
+        Data-plane placement: a list of
+        :class:`~repro.dataplane.placement.PlacementSpec` declarations.
+        ``None`` (the default) builds no data plane at all -- routing,
+        execution and recovery stay byte-identical to the seed.
+    gtm:
+        The coordinators' :class:`~repro.core.gtm.GTMConfig`, shared by
+        every pool shard and never modified.
     """
 
     seed: int = 0
     latency: float = 1.0
-    latency_jitter: float = 0.0
     loss_rate: float = 0.0
     batch_window: float = 0.0
     batch_policy: str = "static"
     batch_max_msgs: int = 0
     dup_rate: float = 0.0
     reorder_rate: float = 0.0
-    reorder_spread: float = 5.0
     reliable: bool = False
     retransmit_timeout: float = 15.0
-    retransmit_backoff: float = 2.0
-    max_retransmits: int = 12
-    #: Upper bound on one retransmission delay: the exponential backoff
-    #: is capped here so retry schedules stay sane under long
-    #: partitions (15 · 2¹¹ ≈ 30k time units otherwise).
-    max_retransmit_delay: float = 300.0
     log_placement: str = "indb"  # "indb" | "volatile"
     metrics: bool = False
     spans: bool = False
-    #: Number of commit coordinators (the sharded GTM pool); 1 is the
-    #: paper's single central GTM.
     coordinators: int = 1
-    #: ``"hash"`` (gtxn id) or ``"affinity"`` (first routed site).
-    coordinator_routing: str = "hash"
-    #: Paxos Commit fault tolerance: the decision survives ``paxos_f``
-    #: acceptor crashes (``2 * paxos_f + 1`` acceptors are built).
-    #: Only read by protocols with replicated decisions (``paxos``).
     paxos_f: int = 1
-    #: Data-plane placement: a list of
-    #: :class:`~repro.dataplane.placement.PlacementSpec` declarations.
-    #: ``None`` (the default) builds no data plane at all -- routing,
-    #: execution and recovery stay byte-identical to the seed.
     placement: Optional[list] = None
-    #: How long a crashed partition member keeps its seat before the
-    #: data plane evicts it (promoting the next replica if it was the
-    #: primary) and bumps the partition epoch.
-    lease_timeout: float = 40.0
     gtm: GTMConfig = field(default_factory=GTMConfig)
 
     def __post_init__(self) -> None:
-        # The GTM's ambiguity resolution must match what the local
-        # communication managers can actually answer.
-        self.gtm.durable_status = self.log_placement == "indb"
+        if self.coordinators < 1:
+            raise ValueError(f"coordinators must be >= 1, got {self.coordinators}")
 
 
 class Federation:
@@ -106,29 +130,17 @@ class Federation:
     def __init__(self, site_specs: list[SiteSpec], config: Optional[FederationConfig] = None):
         self.config = config or FederationConfig()
         self.kernel = Kernel(seed=self.config.seed)
-        latency = (
-            UniformLatency(
-                max(0.0, self.config.latency - self.config.latency_jitter),
-                self.config.latency + self.config.latency_jitter,
-            )
-            if self.config.latency_jitter
-            else FixedLatency(self.config.latency)
-        )
         self.network = Network(
             self.kernel,
-            latency=latency,
+            latency=FixedLatency(self.config.latency),
             loss_rate=self.config.loss_rate,
             batch_window=self.config.batch_window,
             batch_policy=self.config.batch_policy,
             batch_max_msgs=self.config.batch_max_msgs,
             dup_rate=self.config.dup_rate,
             reorder_rate=self.config.reorder_rate,
-            reorder_spread=self.config.reorder_spread,
             reliable=self.config.reliable,
             retransmit_timeout=self.config.retransmit_timeout,
-            retransmit_backoff=self.config.retransmit_backoff,
-            max_retransmits=self.config.max_retransmits,
-            max_retransmit_delay=self.config.max_retransmit_delay,
         )
         self.schema = GlobalSchema()
         self.engines: dict[str, LocalDatabase] = {}
@@ -151,7 +163,7 @@ class Federation:
         from repro.core.pool import CoordinatorPool
 
         self.coordinators: list[GlobalTransactionManager] = [self.gtm]
-        for index in range(1, max(1, self.config.coordinators)):
+        for index in range(1, self.config.coordinators):
             peer_node = self.network.add_node(
                 Node(self.kernel, f"central{index}", is_central=True)
             )
@@ -163,9 +175,12 @@ class Federation:
                     self.config.gtm, share_from=self.gtm,
                 )
             )
-        self.pool = CoordinatorPool(
-            self.kernel, self.coordinators, routing=self.config.coordinator_routing
-        )
+        self.pool = CoordinatorPool(self.kernel, self.coordinators)
+        # The GTM's ambiguity resolution must match what the local
+        # communication managers can actually answer: only in-database
+        # commit markers survive a site crash.
+        for gtm in self.coordinators:
+            gtm.durable_status = self.config.log_placement == "indb"
 
         # Paxos coordinator mode: one shared 2F+1 acceptor group; every
         # shard's embedded leader speaks to the same ensemble.  Never
@@ -207,7 +222,6 @@ class Federation:
                 PlacementMap(
                     self.config.placement, [spec.name for spec in site_specs]
                 ),
-                lease_timeout=self.config.lease_timeout,
             )
             for gtm in self.coordinators:
                 gtm.dataplane = self.dataplane
@@ -307,7 +321,7 @@ class Federation:
         """Submit a global transaction; returns its process.
 
         With ``coordinators`` > 1 the pool routes it to its home shard
-        (hash or affinity); with one coordinator this is the seed's
+        (CRC32 of the gtxn id); with one coordinator this is the seed's
         direct submission.
         """
         return self.pool.submit(operations, name=name, intends_abort=intends_abort)

@@ -23,20 +23,14 @@ class LocalDBConfig:
         Maximum simulated time a lock request may wait before the
         transaction aborts with a timeout -- one of the paper's sources
         of *erroneous* local aborts.  ``None`` disables timeouts.
-    deadlock_detection:
-        Detect waits-for cycles on every block and abort the requester.
     buffer_capacity:
         Buffer-pool frames.
-    default_buckets:
-        Pages per table unless overridden at ``create_table``.
     """
 
     storage: StorageConfig = field(default_factory=StorageConfig)
     scheduler: str = "2pl"
     lock_timeout: Optional[float] = 50.0
-    deadlock_detection: bool = True
     buffer_capacity: int = 64
-    default_buckets: int = 8
     #: Group-commit gathering window (0 = force immediately).  A
     #: positive window trades commit latency for fewer forced writes
     #: when commits arrive concurrently.

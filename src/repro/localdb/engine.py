@@ -84,7 +84,6 @@ class LocalDatabase:
             kernel,
             site,
             default_timeout=self.config.lock_timeout,
-            deadlock_detection=self.config.deadlock_detection,
         )
         self.catalog = Catalog(self.disk)
         self.crashed = False
@@ -122,15 +121,14 @@ class LocalDatabase:
     # Schema
     # ------------------------------------------------------------------
 
-    def create_table(
-        self, name: str, bucket_count: Optional[int] = None
-    ) -> Generator[Any, Any, None]:
-        """Create a table and initialize its pages on stable storage."""
+    def create_table(self, name: str, bucket_count: int) -> Generator[Any, Any, None]:
+        """Create a table of ``bucket_count`` pages on stable storage."""
         from repro.storage.heap import HeapFile
 
-        buckets = bucket_count or self.config.default_buckets
-        definition = self.catalog.define(name, buckets)
-        heap = HeapFile(name, self.disk, self.buffer, definition.first_page_id, buckets)
+        definition = self.catalog.define(name, bucket_count)
+        heap = HeapFile(
+            name, self.disk, self.buffer, definition.first_page_id, bucket_count
+        )
         self.catalog.attach_heap(name, heap)
         yield from heap.initialize()
 
@@ -503,7 +501,6 @@ class LocalDatabase:
             self.kernel,
             self.site,
             default_timeout=self.config.lock_timeout,
-            deadlock_detection=self.config.deadlock_detection,
         )
         self.buffer = BufferPool(self.disk, self.log, self.config.buffer_capacity)
         self.log.rebuild_after_crash()

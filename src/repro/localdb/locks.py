@@ -66,12 +66,10 @@ class LockManager:
         kernel: "Kernel",
         site: str,
         default_timeout: Optional[float] = None,
-        deadlock_detection: bool = True,
     ):
         self._kernel = kernel
         self.site = site
         self.default_timeout = default_timeout
-        self.deadlock_detection = deadlock_detection
         self._resources: dict[Hashable, _ResourceState] = {}
         self._state_serial = 0
         # txn_id -> resources it holds (an ordered set).  Turns the
@@ -162,14 +160,13 @@ class LockManager:
             state.waiters.append(request)
 
         self._restate_blockers(resource)
-        if self.deadlock_detection:
-            cycle = self._graph.find_cycle_from(txn_id)
-            if cycle is not None:
-                self._remove_waiter(resource, request)
-                self.deadlocks += 1
-                raise DeadlockDetected(
-                    f"{self.site}: {txn_id} in cycle {' -> '.join(cycle)}"
-                )
+        cycle = self._graph.find_cycle_from(txn_id)
+        if cycle is not None:
+            self._remove_waiter(resource, request)
+            self.deadlocks += 1
+            raise DeadlockDetected(
+                f"{self.site}: {txn_id} in cycle {' -> '.join(cycle)}"
+            )
 
         request.future = Future(label=f"lock:{self.site}:{resource}:{txn_id}")
         self.waits += 1

@@ -50,13 +50,11 @@ class SemanticLockManager:
         kernel: "Kernel",
         table: ConflictTable,
         default_timeout: Optional[float] = None,
-        deadlock_detection: bool = True,
         name: str = "L1",
     ):
         self._kernel = kernel
         self.table = table
         self.default_timeout = default_timeout
-        self.deadlock_detection = deadlock_detection
         self.name = name
         self._resources: dict[Hashable, _ResourceState] = {}
         self._graph = WaitsForGraph()
@@ -115,14 +113,13 @@ class SemanticLockManager:
         else:
             state.waiters.append(request)
         self._restate_blockers(resource)
-        if self.deadlock_detection:
-            cycle = self._graph.find_cycle_from(txn_id)
-            if cycle is not None:
-                self._remove_waiter(resource, request)
-                self.deadlocks += 1
-                raise DeadlockDetected(
-                    f"{self.name}: {txn_id} in cycle {' -> '.join(cycle)}"
-                )
+        cycle = self._graph.find_cycle_from(txn_id)
+        if cycle is not None:
+            self._remove_waiter(resource, request)
+            self.deadlocks += 1
+            raise DeadlockDetected(
+                f"{self.name}: {txn_id} in cycle {' -> '.join(cycle)}"
+            )
         request.future = Future(label=f"{self.name}:{resource}:{txn_id}")
         self.waits += 1
         if timeout is None:

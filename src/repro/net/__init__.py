@@ -8,7 +8,7 @@ conformance experiment (EXP-F1) and the message-complexity table
 """
 
 from repro.net.message import Message
-from repro.net.network import FixedLatency, Network, UniformLatency
+from repro.net.network import FixedLatency, Network
 from repro.net.node import Node
 
-__all__ = ["FixedLatency", "Message", "Network", "Node", "UniformLatency"]
+__all__ = ["FixedLatency", "Message", "Network", "Node"]

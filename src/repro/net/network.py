@@ -65,19 +65,6 @@ class FixedLatency:
         return self.delay
 
 
-class UniformLatency:
-    """Uniformly distributed message delay in ``[low, high]``."""
-
-    def __init__(self, low: float, high: float):
-        if low > high:
-            raise ValueError("low > high")
-        self.low = low
-        self.high = high
-
-    def sample(self, rng) -> float:
-        return rng.uniform(self.low, self.high)
-
-
 class _Xmit:
     """One reliable transmission, and the argument of its retransmit timer.
 
@@ -126,31 +113,39 @@ class _Xmit:
 class Network:
     """Star-topology message fabric."""
 
+    #: Upper bound of the extra delay a reordered transmission draws.
+    REORDER_SPREAD = 5.0
+    #: Each retransmission waits ``RETRANSMIT_BACKOFF`` times longer
+    #: than the previous attempt ...
+    RETRANSMIT_BACKOFF = 2.0
+    #: ... for at most this many retransmissions of one transmission ...
+    MAX_RETRANSMITS = 12
+    #: ... and never longer than this: the cap keeps retry schedules
+    #: sane under long partitions (15 · 2¹¹ ≈ 30k time units otherwise).
+    MAX_RETRANSMIT_DELAY = 300.0
+
     def __init__(
         self,
         kernel: "Kernel",
-        latency: Optional[FixedLatency | UniformLatency] = None,
+        latency: Optional[FixedLatency] = None,
         loss_rate: float = 0.0,
-        enforce_star: bool = True,
         batch_window: float = 0.0,
         batch_policy: str = "static",
         batch_max_msgs: int = 0,
         dup_rate: float = 0.0,
         reorder_rate: float = 0.0,
-        reorder_spread: float = 5.0,
         reliable: bool = False,
         retransmit_timeout: float = 15.0,
-        retransmit_backoff: float = 2.0,
-        max_retransmits: int = 12,
-        max_retransmit_delay: float = 300.0,
     ):
-        for name, rate in (("dup_rate", dup_rate), ("reorder_rate", reorder_rate)):
+        for name, rate in (
+            ("loss_rate", loss_rate), ("dup_rate", dup_rate),
+            ("reorder_rate", reorder_rate),
+        ):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} {rate} outside [0, 1]")
         self.kernel = kernel
         self.latency = latency or FixedLatency(1.0)
         self.loss_rate = loss_rate
-        self.enforce_star = enforce_star
         self.batch_window = batch_window
         # Per-link outboxes: (sender, dest) -> queued logical messages.
         self.outbox = FlushGroups(
@@ -158,12 +153,8 @@ class Network:
         )
         self.dup_rate = dup_rate
         self.reorder_rate = reorder_rate
-        self.reorder_spread = reorder_spread
         self.reliable = reliable
         self.retransmit_timeout = retransmit_timeout
-        self.retransmit_backoff = retransmit_backoff
-        self.max_retransmits = max_retransmits
-        self.max_retransmit_delay = max_retransmit_delay
         self._nodes: dict[str, Node] = {}
         # ``(sender, dest)`` pairs already checked against membership
         # and the star topology; cleared whenever a node is added.
@@ -251,7 +242,7 @@ class Network:
         dst = nodes.get(dest)
         if dst is None:
             raise NodeUnreachable(f"unknown node {dest}")
-        if self.enforce_star and not (src.is_central or dst.is_central):
+        if not (src.is_central or dst.is_central):
             raise TopologyViolation(f"local-to-local message {sender} -> {dest}")
         self._valid_links.add((sender, dest))
 
@@ -417,7 +408,7 @@ class Network:
             self.piggybacked += len(messages) - 1
         delay = self.latency.sample(self._rng)
         if self.reorder_rate and self._rng.random() < self.reorder_rate:
-            delay += self._rng.uniform(0.0, self.reorder_spread)
+            delay += self._rng.uniform(0.0, self.REORDER_SPREAD)
             self.reordered += 1
         self.kernel._schedule(delay, self._deliver_all, messages)
         if self.dup_rate and self._rng.random() < self.dup_rate:
@@ -453,7 +444,7 @@ class Network:
                 self.piggybacked += len(messages) - 1
             delay = self.latency.sample(self._rng)
             if self.reorder_rate and self._rng.random() < self.reorder_rate:
-                delay += self._rng.uniform(0.0, self.reorder_spread)
+                delay += self._rng.uniform(0.0, self.REORDER_SPREAD)
                 self.reordered += 1
             self.kernel._schedule(delay, self._deliver_reliable, xmit, messages)
             if self.dup_rate and self._rng.random() < self.dup_rate:
@@ -466,13 +457,12 @@ class Network:
         # record itself is the timer's argument; an earlier ack makes it
         # ``_done``, so the kernel skips it without advancing the clock.
         xmit.attempts = attempts + 1
-        # Exponential backoff, capped: uncapped it reaches
-        # retransmit_timeout * backoff**(max_retransmits - 1) -- with
-        # the defaults some 30k time units for one attempt, which turns
-        # a long partition into an effectively permanent message loss.
-        timeout = self.retransmit_timeout * (self.retransmit_backoff ** attempts)
-        if self.max_retransmit_delay > 0:
-            timeout = min(timeout, self.max_retransmit_delay)
+        # Exponential backoff, capped at MAX_RETRANSMIT_DELAY: uncapped,
+        # the last attempt would wait out a long partition for good.
+        timeout = min(
+            self.retransmit_timeout * self.RETRANSMIT_BACKOFF ** attempts,
+            self.MAX_RETRANSMIT_DELAY,
+        )
         kernel = self.kernel
         kernel._schedule(timeout, kernel._fire_timer, xmit)
         xmit.deadline = (kernel._now + timeout, kernel._sequence)
@@ -487,7 +477,7 @@ class Network:
                 xmit.retire()
                 return  # every rider gave up: stop retransmitting
             xmit.messages = live
-        if xmit.attempts > self.max_retransmits:
+        if xmit.attempts > self.MAX_RETRANSMITS:
             messages = xmit.messages
             xmit.retire()
             self.retransmit_drops += 1

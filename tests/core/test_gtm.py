@@ -62,21 +62,19 @@ def test_metrics_shape():
     assert "l1_hold_time" in metrics
 
 
-def test_retry_on_l1_timeout_eventually_commits():
+def test_retry_on_l1_timeout_eventually_commits(monkeypatch):
     """An L1 timeout aborts the attempt; the GTM retries and wins."""
-    from repro.core.gtm import GTMConfig
+    from repro.core.gtm import GlobalTransactionManager
     from repro.integration.federation import Federation, FederationConfig, SiteSpec
 
+    monkeypatch.setattr(GlobalTransactionManager, "L1_TIMEOUT", 8.0)
     fed = Federation(
         [SiteSpec("s0", tables={"t0": {"x": 100}})],
         FederationConfig(
-            seed=3,
-            gtm=GTMConfig(
-                protocol="before", granularity="per_action",
-                l1_timeout=8.0, retry_backoff=2.0,
-            ),
+            seed=3, gtm=GTMConfig(protocol="before", granularity="per_action")
         ),
     )
+    fed.gtm.RETRY_BACKOFF = 2.0
     # A long writer holds the X lock; a second writer times out at L1,
     # retries after backoff, then succeeds.
     ops_long = [write("t0", "x", 1)] * 6
@@ -90,20 +88,19 @@ def test_retry_on_l1_timeout_eventually_commits():
     assert p2.value.attempts > 1
 
 
-def test_retry_exhaustion_reports_abort():
-    from repro.core.gtm import GTMConfig
+def test_retry_exhaustion_reports_abort(monkeypatch):
+    from repro.core.gtm import GlobalTransactionManager
     from repro.integration.federation import Federation, FederationConfig, SiteSpec
 
+    monkeypatch.setattr(GlobalTransactionManager, "L1_TIMEOUT", 3.0)
     fed = Federation(
         [SiteSpec("s0", tables={"t0": {"x": 100}})],
         FederationConfig(
-            seed=3,
-            gtm=GTMConfig(
-                protocol="before", granularity="per_action",
-                l1_timeout=3.0, retry_attempts=1, retry_backoff=1.0,
-            ),
+            seed=3, gtm=GTMConfig(protocol="before", granularity="per_action")
         ),
     )
+    fed.gtm.RETRY_ATTEMPTS = 1
+    fed.gtm.RETRY_BACKOFF = 1.0
 
     def hog():
         # Hold the L1 lock directly, forever.

@@ -19,7 +19,6 @@ def build(
     coordinators: int = 4,
     protocol: str = "2pc",
     granularity: str = "per_site",
-    routing: str = "hash",
     seed: int = 5,
 ) -> Federation:
     preparable = protocol in ("2pc", "2pc-pa", "3pc")
@@ -36,7 +35,6 @@ def build(
         FederationConfig(
             seed=seed,
             coordinators=coordinators,
-            coordinator_routing=routing,
             gtm=GTMConfig(protocol=protocol, granularity=granularity),
         ),
     )
@@ -68,24 +66,19 @@ def test_hash_routing_is_crc32_of_gtxn_id():
     fed = build(coordinators=4)
     for name in ("G1", "alpha", "payment-77"):
         expected = zlib.crc32(name.encode()) % 4
-        assert fed.pool.shard_of(name, transfer(0)) == expected
-        # Deterministic: repeated calls agree.
-        assert fed.pool.shard_of(name, transfer(1)) == expected
-
-
-def test_affinity_routing_groups_by_first_site():
-    fed = build(coordinators=4, routing="affinity")
-    # Both transactions open at t0 -> s0: same shard regardless of id.
-    a = fed.pool.shard_of("G1", transfer(0))
-    b = fed.pool.shard_of("G999", transfer(0))
-    assert a == b == zlib.crc32(b"s0") % 4
-    # A transaction opening at t1 -> s1 may (and here does) differ.
-    assert fed.pool.shard_of("G1", transfer(1)) == zlib.crc32(b"s1") % 4
+        assert fed.pool.shard_of(name) == expected
 
 
 def test_unknown_routing_rejected():
-    with pytest.raises(ValueError):
-        build(coordinators=2, routing="bogus")
+    # Routing is hash-only: there is no routing knob left to set.
+    with pytest.raises(TypeError):
+        FederationConfig(coordinators=2, coordinator_routing="bogus")
+
+
+@pytest.mark.parametrize("coordinators", [0, -3])
+def test_coordinator_count_must_be_positive(coordinators):
+    with pytest.raises(ValueError, match="coordinators"):
+        FederationConfig(coordinators=coordinators)
 
 
 def test_single_coordinator_is_passthrough():
@@ -120,7 +113,7 @@ def test_shards_spread_transactions():
 def test_crashed_home_shard_reroutes_submission():
     fed = build(coordinators=2)
     name = "G1"
-    home = fed.pool.shard_of(name, transfer(0))
+    home = fed.pool.shard_of(name)
     fed.pool.crash(home)
     process = fed.pool.submit(transfer(0), name=name)
     fed.run()
@@ -222,7 +215,7 @@ def test_failover_redrives_hardened_commit():
     name = shard1_name = None
     for i in range(100):
         candidate = f"T{i}"
-        if fed.pool.shard_of(candidate, transfer(0)) == 1:
+        if fed.pool.shard_of(candidate) == 1:
             name = shard1_name = candidate
             break
     assert shard1_name is not None
@@ -274,7 +267,7 @@ def test_double_crash_of_same_shard_converges():
     """
     fed = build(coordinators=2)
     shard1 = [f"T{i}" for i in range(40)
-              if fed.pool.shard_of(f"T{i}", transfer(0)) == 1][:6]
+              if fed.pool.shard_of(f"T{i}") == 1][:6]
     assert len(shard1) == 6
 
     def submitter(name: str, delay: float, n: int):
@@ -345,7 +338,7 @@ def test_pool_metrics_aggregate_across_shards():
 def test_is_active_spans_shards_and_adoptions():
     fed = build(coordinators=2)
     name = "G1"
-    shard = fed.pool.shard_of(name, transfer(0))
+    shard = fed.pool.shard_of(name)
     fed.pool.submit(transfer(0), name=name)
     fed.kernel.run(until=2.0)  # mid-flight
     assert fed.pool.is_active(name)

@@ -14,7 +14,6 @@ def build(
     replication: int = 2,
     protocol: str = "2pc",
     granularity: str = "per_site",
-    lease_timeout: float = 40.0,
     keys: int = 12,
 ) -> Federation:
     preparable = protocol in ("2pc", "2pc-pa", "3pc", "paxos")
@@ -35,7 +34,6 @@ def build(
         FederationConfig(
             seed=5,
             placement=placement,
-            lease_timeout=lease_timeout,
             gtm=GTMConfig(protocol=protocol, granularity=granularity),
         ),
     )
@@ -80,11 +78,11 @@ def test_lease_expiry_promotes_replica_and_bumps_epoch():
     epochs = {p.pid: p.epoch for p in affected}
 
     fed.crash_site(victim, at=10.0)
-    fed.run(until=10.0 + dp.lease_timeout / 2)
+    fed.run(until=10.0 + dp.LEASE_TIMEOUT / 2)
     # Leases have not expired yet: membership unchanged.
     assert all(victim in p.members for p in affected)
 
-    fed.run(until=10.0 + dp.lease_timeout + 1.0)
+    fed.run(until=10.0 + dp.LEASE_TIMEOUT + 1.0)
     for partition in affected:
         assert victim not in partition.members
         assert victim in partition.offline

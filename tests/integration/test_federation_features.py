@@ -111,29 +111,26 @@ def test_peek_reads_buffer_then_disk():
     assert fed.peek("east", "customers", "missing") is None
 
 
-def test_latency_jitter_configuration():
-    from repro.net.network import UniformLatency
+def test_shared_gtm_config_keeps_each_federations_durable_status():
+    """A GTMConfig shared by two federation configs is never rewritten.
 
-    fed = Federation(
-        [SiteSpec("a", tables={"t": {"x": 1}})],
-        FederationConfig(seed=4, latency=2.0, latency_jitter=1.0),
+    The volatile federation's communication managers cannot confirm a
+    forward commit after a crash, so its recovery must not re-drive
+    undos through a durable ``status_query`` -- even when a sibling
+    in-database config built later shares the very same GTMConfig.
+    """
+    shared = GTMConfig(protocol="before", granularity="per_site")
+    volatile = FederationConfig(log_placement="volatile", gtm=shared)
+    FederationConfig(gtm=shared)
+    fed = Federation([SiteSpec("s0", tables={"t0": {"x": 100}})], volatile)
+    assert fed.gtm.durable_status is False
+    fed.gtm.undo_log.record(
+        "G9", "s0",
+        increment("t0", "x", 5).routed("s0", "t0"),
+        increment("t0", "x", -5).routed("s0", "t0"),
     )
-    assert isinstance(fed.network.latency, UniformLatency)
-    assert fed.network.latency.low == 1.0
-    assert fed.network.latency.high == 3.0
-    process = fed.submit([increment("t", "x", 1)])
+    fed.kernel.spawn(fed.gtm.recovery.redrive_undos("s0"))
     fed.run()
-    assert process.value.committed
-
-
-def test_jittered_runs_still_deterministic():
-    def once():
-        fed = Federation(
-            [SiteSpec("a", tables={"t": {"x": 1}})],
-            FederationConfig(seed=4, latency=2.0, latency_jitter=1.5),
-        )
-        process = fed.submit([increment("t", "x", 1)])
-        fed.run()
-        return process.value.response_time
-
-    assert once() == once()
+    assert "status_query" not in fed.network.message_counts()
+    assert fed.gtm.recovery.redriven_undos == 0
+    assert fed.peek("s0", "t0", "x") == 100

@@ -16,7 +16,7 @@ from repro.mlt.actions import increment
 
 def build(protocol: str, granularity: str, loss_rate: float, seed: int) -> Federation:
     preparable = protocol in ("2pc", "3pc")
-    return Federation(
+    fed = Federation(
         [
             SiteSpec("s0", tables={"t0": {"x": 100}}, preparable=preparable),
             SiteSpec("s1", tables={"t1": {"x": 100}}, preparable=preparable),
@@ -26,10 +26,12 @@ def build(protocol: str, granularity: str, loss_rate: float, seed: int) -> Feder
             loss_rate=loss_rate,
             gtm=GTMConfig(
                 protocol=protocol, granularity=granularity,
-                msg_timeout=12, status_poll_interval=4, retry_attempts=10,
+                msg_timeout=12, status_poll_interval=4,
             ),
         ),
     )
+    fed.gtm.RETRY_ATTEMPTS = 10
+    return fed
 
 
 TRANSFER = [increment("t0", "x", -10), increment("t1", "x", 10)]
@@ -82,7 +84,7 @@ def test_lost_undo_reply_does_not_double_undo():
 
 def test_lost_vote_aborts_2pc_cleanly():
     fed = build("2pc", "per_site", loss_rate=0.0, seed=7)
-    fed.gtm.config.retry_attempts = 0
+    fed.gtm.RETRY_ATTEMPTS = 0
     FaultInjector(fed).lose_next_message("vote")
     process = fed.submit(TRANSFER)
     fed.run()

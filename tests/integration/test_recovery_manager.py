@@ -18,7 +18,7 @@ from repro.net.message import Message
 
 def build(protocol: str, seed: int = 0, retries: int = 5, **extra) -> Federation:
     preparable = protocol in ("2pc", "2pc-pa", "3pc")
-    return Federation(
+    fed = Federation(
         [
             SiteSpec("s0", tables={"t0": {"x": 100}}, preparable=preparable),
             SiteSpec("s1", tables={"t1": {"x": 100}}, preparable=preparable),
@@ -28,11 +28,12 @@ def build(protocol: str, seed: int = 0, retries: int = 5, **extra) -> Federation
             gtm=GTMConfig(
                 protocol=protocol, granularity="per_site",
                 msg_timeout=15, status_poll_interval=5,
-                retry_attempts=retries,
             ),
             **extra,
         ),
     )
+    fed.gtm.RETRY_ATTEMPTS = retries
+    return fed
 
 
 TRANSFER = [increment("t0", "x", -10), increment("t1", "x", 10)]

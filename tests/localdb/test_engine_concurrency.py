@@ -115,7 +115,7 @@ def test_deadlock_victim_rolled_back_automatically(kernel):
 
 
 def test_lock_timeout_aborts_waiter(kernel):
-    db = setup_db(kernel, lock_timeout=5, deadlock_detection=False)
+    db = setup_db(kernel, lock_timeout=5)
     results = {}
 
     def holder():

@@ -9,7 +9,7 @@ from tests.conftest import run
 def make_db(kernel, window):
     db = LocalDatabase(
         kernel, "gc-site",
-        LocalDBConfig(group_commit_window=window, default_buckets=8),
+        LocalDBConfig(group_commit_window=window),
     )
 
     def init():

@@ -9,8 +9,8 @@ from tests.conftest import run
 S, X = LockMode.SHARED, LockMode.EXCLUSIVE
 
 
-def make(kernel, timeout=None, deadlock=True):
-    return LockManager(kernel, "site", default_timeout=timeout, deadlock_detection=deadlock)
+def make(kernel, timeout=None):
+    return LockManager(kernel, "site", default_timeout=timeout)
 
 
 def test_compatibility_matrix():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import TopologyViolation
 from repro.net.message import Message
-from repro.net.network import FixedLatency, Network, UniformLatency
+from repro.net.network import FixedLatency, Network
 from repro.net.node import Node
 from tests.conftest import run
 
@@ -32,13 +32,6 @@ def test_star_topology_enforced(kernel):
     net, _, a, b = make_net(kernel)
     with pytest.raises(TopologyViolation):
         net.send(Message(kind="gossip", sender="a", dest="b"))
-
-
-def test_star_enforcement_optional(kernel):
-    net = Network(kernel, enforce_star=False)
-    net.add_node(Node(kernel, "a"))
-    net.add_node(Node(kernel, "b"))
-    net.send(Message(kind="gossip", sender="a", dest="b"))  # allowed now
 
 
 def test_local_to_central_allowed(kernel):
@@ -95,17 +88,11 @@ def test_messages_traced(kernel):
     assert record.details["gtxn"] == "G1"
 
 
-def test_uniform_latency_within_bounds(kernel):
-    model = UniformLatency(1.0, 3.0)
-    rng = kernel.rng.stream("test")
-    samples = [model.sample(rng) for _ in range(50)]
-    assert all(1.0 <= s <= 3.0 for s in samples)
-    assert len(set(samples)) > 1
-
-
-def test_uniform_latency_validates_bounds():
-    with pytest.raises(ValueError):
-        UniformLatency(3.0, 1.0)
+@pytest.mark.parametrize("knob", ["loss_rate", "dup_rate", "reorder_rate"])
+@pytest.mark.parametrize("rate", [-0.5, 2.0])
+def test_fault_rates_outside_unit_interval_rejected(kernel, knob, rate):
+    with pytest.raises(ValueError, match=knob):
+        Network(kernel, **{knob: rate})
 
 
 def test_duplicate_node_rejected(kernel):

@@ -18,7 +18,6 @@ def make_net(kernel, **kwargs):
     kwargs.setdefault("latency", FixedLatency(1.0))
     kwargs.setdefault("reliable", True)
     kwargs.setdefault("retransmit_timeout", 5.0)
-    kwargs.setdefault("retransmit_backoff", 2.0)
     net = Network(kernel, **kwargs)
     central = net.add_node(Node(kernel, "central", is_central=True))
     a = net.add_node(Node(kernel, "a"))
@@ -103,7 +102,8 @@ def test_lost_ack_triggers_retransmit_but_not_redelivery(kernel):
 
 
 def test_partition_blocks_both_directions(kernel):
-    net, _, a = make_net(kernel, max_retransmits=2)
+    net, _, a = make_net(kernel)
+    net.MAX_RETRANSMITS = 2
     net.partition("central", "a")
     assert net.partitioned("central", "a")
     assert net.partitioned("a", "central")
@@ -171,7 +171,8 @@ def test_heal_all_emits_records_independent_of_hash_seed():
 
 
 def test_retry_budget_exhaustion_drops(kernel):
-    net, _, a = make_net(kernel, max_retransmits=3)
+    net, _, a = make_net(kernel)
+    net.MAX_RETRANSMITS = 3
     net.partition("central", "a")
     net.send(Message(kind="ping", sender="central", dest="a"))
     kernel.run()
@@ -231,8 +232,8 @@ def test_abandon_blocks_inflight_delivery(kernel):
 
 
 def test_reorder_overtakes(kernel):
-    net, _, a = make_net(kernel, reliable=False, reorder_rate=1.0,
-                         reorder_spread=10.0)
+    net, _, a = make_net(kernel, reliable=False, reorder_rate=1.0)
+    net.REORDER_SPREAD = 10.0
     net.send(Message(kind="first", sender="central", dest="a"))
     net.send(Message(kind="second", sender="central", dest="a"))
     kernel.run()

@@ -1,11 +1,12 @@
 """Retransmission backoff cap: long partitions stay recoverable.
 
 Uncapped exponential backoff reaches ``retransmit_timeout *
-backoff**(max_retransmits - 1)`` -- with the defaults some 30k time
-units for a single retry interval, turning a long-but-finite partition
-into an effectively permanent message loss.  ``max_retransmit_delay``
-clamps each interval; below the cap the schedule is bit-identical to
-the uncapped one, so default-config traces do not move.
+RETRANSMIT_BACKOFF**(MAX_RETRANSMITS - 1)`` -- with the defaults some
+30k time units for a single retry interval, turning a long-but-finite
+partition into an effectively permanent message loss.
+``Network.MAX_RETRANSMIT_DELAY`` clamps each interval; below the cap
+the schedule is bit-identical to the uncapped one, so default-config
+traces do not move.  The tests set the constants on the instance.
 """
 
 from repro.net.message import Message
@@ -13,16 +14,12 @@ from repro.net.network import FixedLatency, Network
 from repro.net.node import Node
 
 
-def make_net(kernel, **kwargs) -> Network:
+def make_net(kernel, cap: float) -> Network:
     net = Network(
-        kernel,
-        latency=FixedLatency(1.0),
-        reliable=True,
-        retransmit_timeout=1.0,
-        retransmit_backoff=2.0,
-        max_retransmits=6,
-        **kwargs,
+        kernel, latency=FixedLatency(1.0), reliable=True, retransmit_timeout=1.0
     )
+    net.MAX_RETRANSMITS = 6
+    net.MAX_RETRANSMIT_DELAY = cap
     net.add_node(Node(kernel, "central", is_central=True))
     net.add_node(Node(kernel, "a"))
     return net
@@ -43,22 +40,16 @@ def exhaust_retries(kernel, net: Network) -> float:
 
 def test_backoff_capped_schedule(kernel):
     # Intervals min(2**n, 4): 1, 2, 4, 4, 4, 4, 4 -> give up at t=23.
-    net = make_net(kernel, max_retransmit_delay=4.0)
+    net = make_net(kernel, cap=4.0)
     assert exhaust_retries(kernel, net) == 23.0
 
 
-def test_backoff_uncapped_schedule(kernel):
-    # Cap disabled (0): 1 + 2 + 4 + 8 + 16 + 32 + 64 -> t=127.
-    net = make_net(kernel, max_retransmit_delay=0.0)
-    assert exhaust_retries(kernel, net) == 127.0
-
-
 def test_cap_bounds_worst_case_interval():
-    """With the cap, (max interval) <= max_retransmit_delay always."""
+    """With the cap, (max interval) <= MAX_RETRANSMIT_DELAY always."""
     from repro.sim.kernel import Kernel
 
     capped = Kernel(seed=1)
-    net = make_net(capped, max_retransmit_delay=2.5)
+    net = make_net(capped, cap=2.5)
     give_up = exhaust_retries(capped, net)
     # 1 + 2 + 2.5 * 5 remaining intervals.
     assert give_up == 15.5
@@ -70,15 +61,16 @@ def test_cap_above_schedule_is_identity(kernel):
 
     import re
 
-    # Max interval is 1.0 * 2**5 = 32 < 100: both runs must be
-    # byte-identical, trace records included.  (msg_id is a
+    # Max interval is 1.0 * 2**6 = 64 < 100: a cap of 100 and a cap no
+    # interval can reach must give byte-identical runs, trace records
+    # included: 1 + 2 + 4 + 8 + 16 + 32 + 64 -> t=127.  (msg_id is a
     # process-global counter, so it is normalized out before comparing
     # two runs made in the same interpreter.)
     times = []
     traces = []
-    for cap in (100.0, 0.0):
+    for cap in (100.0, float("inf")):
         k = Kernel(seed=77)
-        net = make_net(k, max_retransmit_delay=cap)
+        net = make_net(k, cap=cap)
         times.append(exhaust_retries(k, net))
         traces.append(
             [re.sub(r"msg_id=\d+", "msg_id=*", str(r)) for r in k.trace.records]
@@ -90,14 +82,10 @@ def test_cap_above_schedule_is_identity(kernel):
 def test_default_cap_recovers_after_long_partition(kernel):
     """A partition longer than any uncapped retry interval still heals."""
     net = Network(
-        kernel,
-        latency=FixedLatency(1.0),
-        reliable=True,
-        retransmit_timeout=1.0,
-        retransmit_backoff=2.0,
-        max_retransmits=40,
-        max_retransmit_delay=5.0,
+        kernel, latency=FixedLatency(1.0), reliable=True, retransmit_timeout=1.0
     )
+    net.MAX_RETRANSMITS = 40
+    net.MAX_RETRANSMIT_DELAY = 5.0
     net.add_node(Node(kernel, "central", is_central=True))
     a = net.add_node(Node(kernel, "a"))
     net.partition("central", "a")

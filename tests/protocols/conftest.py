@@ -16,7 +16,6 @@ def build_fed(
     log_placement: str = "indb",
     msg_timeout: float = 30.0,
     poll: float = 5.0,
-    retry_attempts: int = 5,
     **site_kwargs,
 ) -> Federation:
     """Two-site (by default) federation with one funded table per site."""
@@ -40,7 +39,6 @@ def build_fed(
                 granularity=granularity,
                 msg_timeout=msg_timeout,
                 status_poll_interval=poll,
-                retry_attempts=retry_attempts,
             ),
         ),
     )

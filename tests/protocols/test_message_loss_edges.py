@@ -58,7 +58,8 @@ def test_lost_redo_result_not_double_applied():
 
 
 def test_lost_prepare_times_out_to_abort_2pc():
-    fed = build_fed("2pc", msg_timeout=10, retry_attempts=0)
+    fed = build_fed("2pc", msg_timeout=10)
+    fed.gtm.RETRY_ATTEMPTS = 0
     FaultInjector(fed).lose_next_message("prepare")
     outcome = submit_and_run(fed, TRANSFER)
     assert not outcome.committed

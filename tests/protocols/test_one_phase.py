@@ -116,7 +116,8 @@ def test_crash_during_commit_phase_resolved_by_marker():
 def _run_with_dead_last_site(presume: bool):
     """Kill s1's subtransaction before its (last) operation, so its
     piggybacked vote never exists."""
-    fed = build_fed("one_phase", retry_attempts=0)
+    fed = build_fed("one_phase")
+    fed.gtm.RETRY_ATTEMPTS = 0
     fed.gtm.protocol.presume_commit = presume
 
     def killer():

@@ -78,7 +78,8 @@ def test_readonly_site_releases_locks_at_vote():
 
 
 def test_abort_vote_still_possible():
-    fed = build_fed("2pc-pa", retry_attempts=0)
+    fed = build_fed("2pc-pa")
+    fed.gtm.RETRY_ATTEMPTS = 0
     outcome = submit_and_run(
         fed, [increment("t0", "missing", 1), increment("t1", "x", 1)]
     )

@@ -101,7 +101,8 @@ def test_exposer_abort_cascades_dependent_reader():
     """§3.3 in miniature: the global decision turns out to be abort
     after a reader consumed the exposed value -- the rollback restores
     the before-image and cascade-aborts the reader (retriable)."""
-    fed = build_fed("short_commit", msg_timeout=10, poll=5.0, retry_attempts=0)
+    fed = build_fed("short_commit", msg_timeout=10, poll=5.0)
+    fed.gtm.RETRY_ATTEMPTS = 0
     injector = FaultInjector(fed)
     # Cut central -> s1 before the prepares go out (sent ~6.4): s1's
     # vote never arrives, so the decision is abort -- but s0 already

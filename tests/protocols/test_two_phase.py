@@ -68,7 +68,8 @@ def test_locals_pass_through_ready_state():
 
 
 def test_participant_crash_before_vote_aborts():
-    fed = build_fed("2pc", msg_timeout=15, retry_attempts=0)
+    fed = build_fed("2pc", msg_timeout=15)
+    fed.gtm.RETRY_ATTEMPTS = 0
     injector = FaultInjector(fed)
     injector.crash_site("s1", at=1.0, recover_after=200.0)
     outcome = submit_and_run(fed, [increment("t0", "x", -10), increment("t1", "x", 10)])
