@@ -180,9 +180,7 @@ def measure_kill(
         "serializable": serializability_ok(fed),
         "counters": {
             **fed.network.reliability_counts(),
-            "paxos_concluded": sum(
-                g.recovery.paxos_concluded for g in fed.coordinators
-            ),
+            "paxos_concluded": sum(g.recovery.concluded for g in fed.coordinators),
         },
     }
 

@@ -65,6 +65,7 @@ class GlobalTransaction:
         gtxn_id: str,
         operations: list[Operation],
         origin: str = "central",
+        traced: bool = True,
     ):
         self._kernel = kernel
         self.gtxn_id = gtxn_id
@@ -73,7 +74,8 @@ class GlobalTransaction:
         self.state = GlobalTxnState.RUNNING
         self.submit_time = kernel.now
         self.decision: Optional[str] = None  # "commit" | "abort"
-        self._trace()
+        if traced:  # recovery rebuilds transactions it did not begin: untraced
+            self._trace()
 
     def set_state(self, state: GlobalTxnState, **details: Any) -> None:
         """Transition and trace (figure-conformance tests read these)."""

@@ -11,12 +11,15 @@ uniform, seed-free spread.
 The shards share one L1 lock service and one set of central logs
 (decision / redo / undo) -- the model of durable shared central
 storage.  That sharing is what makes **failover** sound: when a
-coordinator crashes, any peer can resolve its in-flight transactions
-through the existing recovery machinery, reading the crashed shard's
-hardened decisions from the very same logs (hardened-commit redrive,
-presumed abort, the §3.2 redo obligation, and commit-before undo
-redrive -- see :meth:`GlobalRecoveryManager.adopt_orphans
-<repro.core.recovery.GlobalRecoveryManager.adopt_orphans>`).
+coordinator crashes, a live peer *resumes the protocol* for each of
+its in-flight transactions, reading the crashed shard's durable record
+from the very same logs (or, for Paxos Commit, finishing the consensus
+instance at a higher ballot) -- see
+:meth:`GlobalRecoveryManager.adopt_orphans
+<repro.core.recovery.GlobalRecoveryManager.adopt_orphans>`.  Every
+protocol's orphans go through one hand-off queue; the protocol only
+says how long they wait first
+(:attr:`~repro.core.protocols.base.CommitProtocol.orphan_wait`).
 
 With one coordinator the pool is a transparent pass-through: routing,
 ids and event schedules are exactly the single-GTM seed's.
@@ -35,6 +38,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Kernel
     from repro.sim.process import Process
 
+#: Metrics of components every shard shares (the L1 lock service and
+#: the decision log): reported once, from shard 0.
+SHARED_METRICS = (
+    "l1_waits", "l1_wait_time", "l1_hold_time", "l1_deadlocks", "decision_forces",
+)
+
 
 class AllCoordinatorsDown(RuntimeError):
     """Every shard in the pool is crashed; nothing can accept work."""
@@ -42,11 +51,6 @@ class AllCoordinatorsDown(RuntimeError):
 
 class CoordinatorPool:
     """Routes global transactions across N coordinators with failover."""
-
-    #: Paxos Commit only: how long a crashed coordinator's peers wait
-    #: before taking over its undecided transactions at a higher ballot
-    #: (timeout-driven leader change, not orphan adoption).
-    PAXOS_TAKEOVER_TIMEOUT = 80.0
 
     def __init__(
         self,
@@ -59,7 +63,8 @@ class CoordinatorPool:
         self.coordinators = list(coordinators)
         self._ids = itertools.count(1)
         #: Orphans of crashed coordinators not yet handed to an adopter
-        #: (every live peer was down, or the adopter crashed too).
+        #: (their protocol's wait is not over, every live peer was down,
+        #: or the adopter crashed too).
         self._pending_orphans: dict[str, "GlobalTransaction"] = {}
         #: Adopter -> the (mutable) batch it is currently resolving;
         #: ``adopt_orphans`` pops entries as it settles them, so on an
@@ -70,14 +75,9 @@ class CoordinatorPool:
         #: into the running batch instead of spawning a duplicate
         #: adoption that would redrive the same transactions twice.
         self._adoption_running: set[int] = set()
-        #: Paxos coordinator mode: undecided transactions of a crashed
-        #: shard wait here for the takeover timeout, then a live peer
-        #: finishes their consensus instances at a higher ballot
-        #: (timeout-driven leader change, not orphan adoption).
-        self._pending_takeovers: dict[str, "GlobalTransaction"] = {}
-        self._takeover_batches: dict[int, dict[str, "GlobalTransaction"]] = {}
-        self._takeover_running: set[int] = set()
         self.crashes = 0
+        #: Hand-offs to an adopter; Paxos Commit's, which finish the
+        #: crashed leader's consensus at a higher ballot, are takeovers.
         self.failovers_started = 0
         self.takeovers_started = 0
         self.submissions_rerouted = 0
@@ -139,10 +139,6 @@ class CoordinatorPool:
                 return True
         if gtxn_id in self._pending_orphans:
             return True
-        if gtxn_id in self._pending_takeovers:
-            return True
-        if any(gtxn_id in batch for batch in self._takeover_batches.values()):
-            return True
         return any(gtxn_id in batch for batch in self._adoptions.values())
 
     def live_coordinator(self) -> "GlobalTransactionManager":
@@ -164,10 +160,7 @@ class CoordinatorPool:
     def unresolved_orphans(self) -> list[str]:
         """In-doubt gtxn ids no failover has settled yet (audits)."""
         unresolved = sorted(self._pending_orphans)
-        unresolved.extend(sorted(self._pending_takeovers))
         for batch in self._adoptions.values():
-            unresolved.extend(sorted(batch))
-        for batch in self._takeover_batches.values():
             unresolved.extend(sorted(batch))
         return unresolved
 
@@ -185,17 +178,12 @@ class CoordinatorPool:
         # processes: the interrupt runs each coordinator generator's
         # ``finally`` blocks, which pop ``gtm.active``.
         orphans: dict[str, "GlobalTransaction"] = dict(gtm.active)
-        # An adoption (or takeover) this shard was running for an
-        # earlier crash is itself orphaned now -- whatever it had not
-        # settled yet.
+        # An adoption this shard was running for an earlier crash is
+        # itself orphaned now -- whatever it had not settled yet.
         leftover = self._adoptions.pop(index, None)
         if leftover:
             orphans.update(leftover)
         self._adoption_running.discard(index)
-        leftover = self._takeover_batches.pop(index, None)
-        if leftover:
-            orphans.update(leftover)
-        self._takeover_running.discard(index)
         gtm.crashed = True
         if gtm.pipeline is not None:
             gtm.pipeline.crash()
@@ -211,16 +199,8 @@ class CoordinatorPool:
             if not process.done:
                 process.interrupt(cause=f"coordinator {gtm.name} crashed")
         gtm._service.clear()
-        if gtm.protocol.replicated_decisions:
-            # Paxos Commit: nobody adopts anything.  The undecided
-            # transactions wait out the takeover timeout, then a live
-            # peer finishes their consensus instances at a higher
-            # ballot -- non-blocking by the acceptor majority.
-            self._pending_takeovers.update(orphans)
-            self._schedule_takeover()
-        else:
-            self._pending_orphans.update(orphans)
-            self._start_failover()
+        self._pending_orphans.update(orphans)
+        self._schedule_failover()
 
     def restart(self, index: int) -> Generator[Any, Any, None]:
         """Restart coordinator ``index`` (a generator; spawn or yield from)."""
@@ -232,9 +212,24 @@ class CoordinatorPool:
         gtm.comm.respawn()
         self.kernel.trace.emit("coordinator_restart", gtm.name, gtm.name)
         # Orphans stranded while every peer was down: the reborn
-        # coordinator adopts (or, under paxos, takes over) them itself.
-        self._start_failover()
-        self._schedule_takeover()
+        # coordinator adopts them itself.
+        self._schedule_failover()
+
+    def _schedule_failover(self) -> None:
+        """Hand the pending orphans over once their protocol's wait is up.
+
+        Paxos Commit waits out a takeover timeout (a live peer then
+        finishes the consensus instances at a higher ballot --
+        non-blocking by the acceptor majority); the rest are adopted at
+        once.
+        """
+        if not self._pending_orphans:
+            return
+        wait = self.coordinators[0].protocol.orphan_wait
+        if wait:
+            self.kernel._schedule(wait, self._start_failover)
+        else:
+            self._start_failover()
 
     def _start_failover(self) -> None:
         """Hand all pending orphans to one live peer, if any exists."""
@@ -252,7 +247,10 @@ class CoordinatorPool:
         adopter_index = self.coordinators.index(adopter)
         existing = self._adoptions.setdefault(adopter_index, {})
         existing.update(batch)
-        self.failovers_started += 1
+        if adopter.protocol.replicated_decisions:
+            self.takeovers_started += 1
+        else:
+            self.failovers_started += 1
         if adopter_index in self._adoption_running:
             # The adopter is already draining its batch (a double crash
             # of the same shard landed mid-adoption): the merge above
@@ -280,93 +278,32 @@ class CoordinatorPool:
                 self._adoptions.pop(adopter_index, None)
 
     # ------------------------------------------------------------------
-    # Paxos takeover (protocols with replicated decisions)
-    # ------------------------------------------------------------------
-
-    def _schedule_takeover(self) -> None:
-        """Arm the takeover timer for the pending undecided batch."""
-        if not self._pending_takeovers:
-            return
-        self.kernel._schedule(self.PAXOS_TAKEOVER_TIMEOUT, self._takeover_due)
-
-    def _takeover_due(self) -> None:
-        """Timeout fired: hand the pending batch to one live peer."""
-        if not self._pending_takeovers:
-            return
-        adopter: Optional["GlobalTransactionManager"] = None
-        for gtm in self.coordinators:
-            if not gtm.crashed:
-                adopter = gtm
-                break
-        if adopter is None:
-            return  # total outage; a restart re-arms the timer
-        batch = dict(self._pending_takeovers)
-        self._pending_takeovers.clear()
-        adopter_index = self.coordinators.index(adopter)
-        existing = self._takeover_batches.setdefault(adopter_index, {})
-        existing.update(batch)
-        self.takeovers_started += 1
-        self.kernel.trace.emit(
-            "paxos_takeover", adopter.name, adopter.name, batch=len(batch)
-        )
-        if adopter_index in self._takeover_running:
-            return  # the running drain loop picks the merge up
-        self._takeover_running.add(adopter_index)
-        process = self.kernel.spawn(
-            self._run_takeover(adopter, adopter_index),
-            name=f"takeover:{adopter.name}",
-        )
-        adopter.track_service(process)
-
-    def _run_takeover(
-        self, adopter: "GlobalTransactionManager", adopter_index: int
-    ) -> Generator[Any, Any, None]:
-        batch = self._takeover_batches.get(adopter_index)
-        try:
-            while batch:
-                if adopter.crashed:
-                    return  # crash handling re-routes the leftover
-                gtxn_id = min(batch)
-                yield from adopter.recovery.takeover_paxos(batch[gtxn_id])
-                batch.pop(gtxn_id, None)
-        finally:
-            self._takeover_running.discard(adopter_index)
-            if not batch and self._takeover_batches.get(adopter_index) is batch:
-                self._takeover_batches.pop(adopter_index, None)
-
-    # ------------------------------------------------------------------
 
     def metrics(self) -> dict[str, Any]:
         """Pool-wide counters, shaped like one GTM's :meth:`metrics`.
 
-        Per-coordinator counters are summed; the L1 and decision-log
-        figures come from shard 0 because those components are shared
-        (summing them would double-count).  With one coordinator this
-        is exactly that coordinator's own metrics.
+        Every per-coordinator counter is summed, except the shared
+        components' figures (summing them would double-count) and the
+        mean response time, which is recomputed over every shard's
+        commits.  With one coordinator this is exactly that
+        coordinator's own metrics.
         """
         if len(self.coordinators) == 1:
             return self.coordinators[0].metrics()
         per_shard = [gtm.metrics() for gtm in self.coordinators]
-        summed = (
-            "global_committed", "global_aborted",
-            "redo_executions", "undo_executions",
-            "decision_groups", "decisions_grouped",
-            "recovery_passes", "recovery_resolved_indoubt",
-            "recovery_redriven_redos", "recovery_redriven_undos",
-            "recovery_orphans_terminated",
-        )
-        merged: dict[str, Any] = {key: sum(m[key] for m in per_shard) for key in summed}
-        for key in (
-            "l1_waits", "l1_wait_time", "l1_hold_time", "l1_deadlocks",
-            "decision_forces",
-        ):
-            merged[key] = per_shard[0][key]
         committed = [o for o in self.outcomes() if o.committed]
-        merged["mean_response_time"] = (
-            sum(o.response_time for o in committed) / len(committed)
-            if committed
-            else 0.0
-        )
+        merged: dict[str, Any] = {}
+        for key in per_shard[0]:
+            if key == "mean_response_time":
+                merged[key] = (
+                    sum(o.response_time for o in committed) / len(committed)
+                    if committed
+                    else 0.0
+                )
+            elif key in SHARED_METRICS:
+                merged[key] = per_shard[0][key]
+            else:
+                merged[key] = sum(m[key] for m in per_shard)
         merged["coordinator_crashes"] = self.crashes
         merged["failovers_started"] = self.failovers_started
         merged["submissions_rerouted"] = self.submissions_rerouted

@@ -11,6 +11,11 @@ them and differ in where the local commit point sits:
 (drive every local to its final state).  What a protocol needs from
 the layers *around* the coordinator -- its recovery policy -- is
 declared on :class:`CommitProtocol`.
+
+Recovery is the protocol, resumed: the recovery manager rebuilds a
+context from the durable record (:meth:`ProtocolContext.from_record`)
+and hands it to the protocol, whose recovery policy re-enters the very
+steps the live script runs.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import abc
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
-from repro.core.global_txn import GlobalTxnState
+from repro.core.global_txn import GlobalTransaction, GlobalTxnState
 from repro.errors import DeadlockDetected, LockTimeout, MessageTimeout, ProcessInterrupted
 from repro.mlt.actions import Operation, inverse_of
 from repro.mlt.conflicts import L1Mode
@@ -26,7 +31,7 @@ from repro.mlt.locks import SemanticLockManager
 from repro.net.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.global_txn import GlobalOutcome, GlobalTransaction
+    from repro.core.global_txn import GlobalOutcome
     from repro.core.gtm import GlobalTransactionManager, GTMConfig
     from repro.core.recovery import GlobalRecoveryManager
     from repro.core.redo import RedoLog
@@ -77,6 +82,40 @@ class ProtocolContext:
         self.decomposition = decomposition
         self.outcome = outcome
         self.intends_abort = intends_abort
+        #: Rebuilt by recovery (:meth:`from_record`), not begun by ``run``.
+        self.resumed = False
+
+    @classmethod
+    def from_record(
+        cls,
+        gtm: "GlobalTransactionManager",
+        gtxn: "GlobalTransaction | str",
+        operations: Iterable[Operation] = (),
+        site: Optional[str] = None,
+    ) -> "ProtocolContext":
+        """A context rebuilt from the durable record, to resume a step.
+
+        ``gtxn`` is a crashed coordinator's in-flight transaction, or the
+        id an in-doubt local or a redo-/undo-log entry names, with that
+        entry's routed ``operations`` and the ``site`` it concerns.
+        Resumed steps count their redos and undos into the recovery
+        manager's :attr:`~repro.core.recovery.GlobalRecoveryManager.tally`.
+        """
+        from repro.integration.decompose import Decomposition
+
+        if isinstance(gtxn, str):
+            gtxn = GlobalTransaction(
+                gtm.kernel, gtxn, list(operations), origin=gtm.name, traced=False
+            )
+        decomposition = Decomposition(ordered=list(gtxn.operations))
+        if site is not None:
+            decomposition.by_site[site] = list(gtxn.operations)
+        else:
+            for operation in gtxn.operations:
+                decomposition.by_site.setdefault(operation.site, []).append(operation)
+        ctx = cls(gtm, gtxn, decomposition, gtm.recovery.tally, intends_abort=False)
+        ctx.resumed = True
+        return ctx
 
     # -- L1 locking --------------------------------------------------------
 
@@ -168,19 +207,34 @@ class ProtocolContext:
             yield self.config.status_poll_interval
 
     def await_status(
-        self, site: str, marker_key: str
-    ) -> Generator[Any, Any, Message]:
-        """Poll ``status_query`` until the site answers (it may be down)."""
+        self, site: str, marker_key: str, once: bool = False
+    ) -> Generator[Any, Any, Optional[Message]]:
+        """Poll ``status_query`` until the site answers (it may be down, §3.3).
+
+        The live script pauses before every query.  A resumed context
+        asks first and pauses between tries; it asks the marker alone
+        (no gtxn id, so the site cannot answer from a local it still
+        holds) and gets ``None`` once its coordinator crashed.  With
+        ``once`` an unanswered query returns ``None`` at once.
+        """
         while True:
-            yield self.config.status_poll_interval
+            if not self.resumed:
+                yield self.config.status_poll_interval
             try:
-                reply = yield from self.request(
-                    site, "status_query", marker_key=marker_key,
-                    durable=self.gtm.durable_status,
+                reply = yield from self.comm.request(
+                    site, "status_query",
+                    gtxn_id=None if self.resumed else self.gtxn.gtxn_id,
+                    timeout=self.config.msg_timeout,
+                    marker_key=marker_key, durable=self.gtm.durable_status,
                 )
                 return reply
             except MessageTimeout:
-                pass  # site still down; wait for it to come up (§3.3)
+                if once:
+                    return None
+            if self.resumed:
+                yield self.config.status_poll_interval
+                if self.gtm.crashed:
+                    return None
 
     def parallel(
         self, jobs: dict[str, Generator[Any, Any, Any]], strict: bool = False
@@ -396,10 +450,13 @@ class CommitProtocol(abc.ABC):
 
     ``run`` is the coordinator's script; the other members are the
     protocol's *recovery policy* -- what the recovery manager, the pool
-    and the federation do on its behalf.  The defaults are the 2PC
-    family's (the hardened decision is authoritative, none means
-    presumed abort); subclasses inherit their parent's.  Name and
-    ``requires_prepare`` live in the registry row only.
+    and the federation do on its behalf.  The recovery methods take a
+    context rebuilt from the durable record
+    (:meth:`ProtocolContext.from_record`) and resume the script's own
+    steps.  The defaults are the 2PC family's (the hardened decision is
+    authoritative, none means presumed abort); subclasses inherit their
+    parent's.  Name and ``requires_prepare`` live in the registry row
+    only.
     """
 
     #: L1 lock manager class (used when the registry row names a table).
@@ -411,25 +468,40 @@ class CommitProtocol(abc.ABC):
     #: A reply nobody waits for proves the site holds a live local to
     #: terminate.  False when locals are terminal once they answer.
     stray_replies_reveal_orphans: bool = True
+    #: How long a crashed coordinator's in-flight transactions wait
+    #: before a live peer settles them (0: adopted at once).
+    orphan_wait: float = 0.0
 
     @abc.abstractmethod
     def run(self, ctx: ProtocolContext) -> Generator[Any, Any, None]:
         """Drive ``ctx.gtxn`` to a final state, filling ``ctx.outcome``."""
 
+    def durable_decision(self, ctx: ProtocolContext) -> Optional[str]:
+        """The decision recovery may act on: the hardened commit record,
+        else presumed abort.  A protocol that can answer ``None`` (not
+        readable yet) says in :meth:`conclude` how to choose one."""
+        return ctx.gtm.decision_log.decision_for(ctx.gtxn.gtxn_id) or "abort"
+
+    def conclude(self, ctx: ProtocolContext) -> Generator[Any, Any, str]:
+        """Choose the decision for a transaction nothing drives any more
+        whose :meth:`durable_decision` is unreadable (never, by default)."""
+        raise NotImplementedError(f"{type(self).__name__} always has a decision")
+
     def after_site_restart(
-        self, recovery: "GlobalRecoveryManager", site: str
-    ) -> Iterable[Any]:
-        """What to re-drive to a restarted ``site`` once its in-doubt
-        locals were decided from the durable decision (default: nothing)."""
-        return ()
+        self, ctx: ProtocolContext, site: str
+    ) -> Generator[Any, Any, None]:
+        """Resume a redo- or undo-log entry at a restarted ``site``, once
+        its in-doubt locals were decided (default: nothing is logged)."""
+        return
+        yield  # pragma: no cover - generator protocol
 
     def settle_orphan(
-        self, recovery: "GlobalRecoveryManager", gtxn: "GlobalTransaction"
+        self, ctx: ProtocolContext, recovery: "GlobalRecoveryManager"
     ) -> Generator[Any, Any, bool]:
         """Settle an in-flight transaction of a crashed coordinator (default:
-        the hardened decision or presumed abort, everywhere).  Returns
-        whether every site was settled; restart recovery does the rest."""
-        return recovery.failover_decide(gtxn)
+        the durable decision, everywhere).  Returns whether every site was
+        settled; restart recovery does the rest."""
+        return recovery.deliver_decision(ctx, self.durable_decision(ctx))
 
 
 def make_protocol(name: str) -> CommitProtocol:

@@ -24,14 +24,13 @@ guess, reproducing the paper's two erroneous situations (EXP-A2).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Iterable
+from typing import TYPE_CHECKING, Any, Generator
 
 from repro.core.global_txn import GlobalTxnState
 from repro.core.protocols.base import CommitProtocol, ExecutionFailure, ProtocolContext
 from repro.errors import MessageTimeout
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.global_txn import GlobalTransaction
     from repro.core.recovery import GlobalRecoveryManager
 
 
@@ -89,14 +88,39 @@ class CommitAfter(CommitProtocol):
     # -- recovery policy: the §3.2 redo obligation survives crashes ---------
 
     def after_site_restart(
-        self, recovery: "GlobalRecoveryManager", site: str
-    ) -> Iterable[Any]:
-        return recovery.redrive_redos(site)
+        self, ctx: ProtocolContext, site: str
+    ) -> Generator[Any, Any, None]:
+        """Repeat a logged subtransaction of a hardened commit once; a
+        later sweep (or the marker, if it did commit) settles the rest."""
+        gtxn_id = ctx.gtxn.gtxn_id
+        if self.durable_decision(ctx) != "commit":
+            return  # no hardened commit: nothing to redo
+        ctx.kernel.trace.emit("recovery_redo", ctx.gtm.name, gtxn_id, at=site)
+        outcome = yield from self._try_redo(
+            ctx, site, ctx.decomposition.by_site[site], gtxn_id
+        )
+        if outcome == "committed":
+            ctx.redo_log.mark_committed(gtxn_id, site)
+            ctx.outcome.redo_executions += 1
 
     def settle_orphan(
-        self, recovery: "GlobalRecoveryManager", gtxn: "GlobalTransaction"
+        self, ctx: ProtocolContext, recovery: "GlobalRecoveryManager"
     ) -> Generator[Any, Any, bool]:
-        return recovery.failover_decide(gtxn, redo_window=True)
+        """The durable decision everywhere; a hardened commit carries the
+        §3.2 obligation -- erroneously aborted locals show up as pending
+        redo-log entries and are repeated."""
+        gtxn_id = ctx.gtxn.gtxn_id
+        decision = self.durable_decision(ctx)
+        redo = decision == "commit"
+        settled = yield from recovery.deliver_decision(
+            ctx, decision, gtxn_id if redo else None
+        )
+        if redo:
+            for site in ctx.decomposition.sites:
+                yield from recovery.resume_logged(site, adopting=gtxn_id)
+        if settled:
+            ctx.redo_log.forget(gtxn_id)
+        return settled
 
     # ------------------------------------------------------------------
 

@@ -22,7 +22,7 @@ Two granularities:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from repro.core.global_txn import GlobalTxnState
 from repro.core.protocols.base import (
@@ -36,7 +36,6 @@ from repro.errors import MessageTimeout
 from repro.mlt.actions import Operation, inverse_of
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.global_txn import GlobalTransaction
     from repro.core.gtm import GTMConfig
     from repro.core.recovery import GlobalRecoveryManager
 
@@ -92,18 +91,85 @@ class CommitBefore(CommitProtocol):
     # -- recovery policy: presumed abort, compensating what committed -------
 
     def after_site_restart(
-        self, recovery: "GlobalRecoveryManager", site: str
-    ) -> Iterable[Any]:
-        if self.runs_per_action(recovery.gtm.config):
-            return ()  # per-action inverses are the coordinator's to finish
-        return recovery.redrive_undos(site)
+        self, ctx: ProtocolContext, site: str
+    ) -> Generator[Any, Any, None]:
+        """Per site: re-drive the logged inverse transaction, once the
+        durable commit marker confirms the forward subtransaction
+        committed.  Per-action inverses are the coordinator's to finish."""
+        if self.runs_per_action(ctx.config) or not ctx.gtm.durable_status:
+            return  # volatile placement cannot confirm the commit (EXP-A2)
+        gtxn_id = ctx.gtxn.gtxn_id
+        records = ctx.undo_log.inverses_for(gtxn_id, site)
+        if not records:
+            return
+        status = yield from ctx.await_status(site, f"{gtxn_id}:{site}", once=True)
+        if status is None or status.payload.get("outcome") != "committed":
+            return  # never undo a forward subtransaction that did not commit
+        ctx.kernel.trace.emit("recovery_undo", ctx.gtm.name, gtxn_id, at=site)
+        yield from self._run_inverse(
+            ctx, site, "undo_subtxn", f"undo:{gtxn_id}:{site}",
+            once=True, timeout=ctx.config.msg_timeout * 4,
+            inverse_ops=[record.inverse for record in records],
+        )
 
     def settle_orphan(
-        self, recovery: "GlobalRecoveryManager", gtxn: "GlobalTransaction"
+        self, ctx: ProtocolContext, recovery: "GlobalRecoveryManager"
     ) -> Generator[Any, Any, bool]:
-        if self.runs_per_action(recovery.gtm.config):
-            return recovery.failover_undo_actions(gtxn)
-        return recovery.failover_before_site(gtxn)
+        """Presumed abort: unfinished locals abort, durably committed
+        effects are compensated by inverse transactions."""
+        if self.runs_per_action(ctx.config):
+            return self._undo_orphan_actions(ctx)
+        return self._undo_orphan_sites(ctx, recovery)
+
+    def _undo_orphan_sites(
+        self, ctx: ProtocolContext, recovery: "GlobalRecoveryManager"
+    ) -> Generator[Any, Any, bool]:
+        # The abort settles unfinished locals (the cheap abort of a
+        # running subtransaction); a committed one reports back and its
+        # site's logged inverses are re-driven.  The orphan itself still
+        # counts as active there and is skipped (ROADMAP item 1(d)).
+        settled = yield from recovery.deliver_decision(ctx, "abort")
+        for site in ctx.decomposition.sites:
+            yield from recovery.resume_logged(site)
+        if settled:
+            ctx.undo_log.forget(ctx.gtxn.gtxn_id)
+        return settled
+
+    def _undo_orphan_actions(self, ctx: ProtocolContext) -> Generator[Any, Any, bool]:
+        """Walk the orphan's routed operations in reverse: an action whose
+        durable commit marker confirms it took effect is undone by an
+        inverse rebuilt from the marker's before-image -- the central
+        undo-log alone misses the last action when the crash ate its reply."""
+        if not ctx.gtm.durable_status:
+            return True  # volatile placement cannot confirm forward commits
+        gtxn_id = ctx.gtxn.gtxn_id
+        settled = True
+        for index, operation in reversed(list(enumerate(ctx.decomposition.ordered))):
+            if operation.site is None or operation.kind == "read":
+                continue
+            marker_key = f"{gtxn_id}:{index}"
+            status = yield from ctx.await_status(operation.site, marker_key)
+            if status is None:
+                settled = False
+                continue
+            if status.payload.get("outcome") != "committed":
+                continue  # the action never took durable effect
+            inverse = inverse_of(operation, status.payload.get("before"))
+            if inverse is None:
+                continue
+            ctx.kernel.trace.emit(
+                "recovery_undo", ctx.gtm.name, gtxn_id,
+                at=operation.site, op=str(inverse),
+            )
+            undone = yield from self._run_inverse(
+                ctx, operation.site, "execute_l0", f"undo:{marker_key}",
+                op=inverse, undo=True,
+            )
+            if not undone:
+                settled = False
+        if settled:
+            ctx.undo_log.forget(gtxn_id)
+        return settled
 
     # ------------------------------------------------------------------
     # Multi-level granularity: one L0 transaction per L1 action (§4)
@@ -210,28 +276,46 @@ class CommitBefore(CommitProtocol):
             )
 
     def _run_inverse(
-        self, ctx: ProtocolContext, site: str, kind: str, marker_key: str, **payload: Any
-    ) -> Generator[Any, Any, None]:
+        self,
+        ctx: ProtocolContext,
+        site: str,
+        kind: str,
+        marker_key: str,
+        once: bool = False,
+        timeout: Optional[float] = None,
+        **payload: Any,
+    ) -> Generator[Any, Any, bool]:
         """Repeat one inverse request until it committed (§3.3); count it.
 
         After a timeout the durable marker says whether the inverse did
-        commit, so it is never applied twice.
+        commit, so it is never applied twice.  A restart sweep sends the
+        request ``once`` (the next sweep retries); a resumed step gives
+        up when its coordinator crashed.  Returns whether it committed.
         """
         while True:
             try:
                 reply = yield from ctx.request(
-                    site, kind, marker_key=marker_key, **payload
+                    site, kind, timeout=timeout, marker_key=marker_key, **payload
                 )
             except MessageTimeout:
+                if once:
+                    return False
                 status = yield from ctx.await_status(site, marker_key)
+                if status is None:
+                    return False  # this coordinator crashed; a peer takes over
                 if status.payload["outcome"] == "committed":
                     break  # the inverse did commit; only its reply was lost
                 continue
             if reply.kind != "l0_failed" and reply.payload.get("outcome") != "failed":
                 break
+            if once:
+                return False
             yield ctx.config.status_poll_interval  # failed; retry (§3.3)
+            if ctx.resumed and ctx.gtm.crashed:
+                return False
         ctx.undo_log.note_undo()
         ctx.outcome.undo_executions += 1
+        return True
 
     # ------------------------------------------------------------------
     # Per-site granularity ([BST 90]/[WV 90] style)

@@ -14,10 +14,12 @@ What changes operationally:
   central decision log -- ``DecisionLog.harden`` is never called, and
   recovery reads :meth:`AcceptorGroup.decision_for
   <repro.core.paxos.AcceptorGroup.decision_for>` instead.
-* A coordinator crash mid-decision never blocks the transaction: a
-  live peer's takeover timer finishes the ballot at a higher number
-  (:meth:`PaxosLeader.resolve <repro.core.paxos.PaxosLeader.resolve>`),
-  so in-doubt locals resolve without waiting for the crashed shard.
+* A coordinator crash mid-decision never blocks the transaction: after
+  :attr:`PaxosCommit.PAXOS_TAKEOVER_TIMEOUT` a live peer *resumes* the
+  protocol at a higher ballot (:meth:`PaxosLeader.resolve
+  <repro.core.paxos.PaxosLeader.resolve>`) -- Gray & Lamport's
+  takeover is the same protocol, not a recovery algorithm -- so
+  in-doubt locals resolve without waiting for the crashed shard.
 * Any RM voting no short-circuits to presumed abort with no acceptor
   round at all -- a chosen *commit* therefore implies every RM is
   durably prepared.
@@ -25,17 +27,25 @@ What changes operationally:
 
 from __future__ import annotations
 
-from typing import Any, Generator
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.core.paxos import PaxosLeader
 from repro.core.protocols.base import ProtocolContext
 from repro.core.protocols.two_phase import TwoPhaseCommit
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.recovery import GlobalRecoveryManager
 
 
 class PaxosCommit(TwoPhaseCommit):
     """2PC voting with a replicated, non-blocking decision."""
 
     replicated_decisions = True
+    #: How long a crashed coordinator's undecided transactions wait
+    #: before a live peer takes them over at a higher ballot
+    #: (timeout-driven leader change).
+    PAXOS_TAKEOVER_TIMEOUT = 80.0
+    orphan_wait = PAXOS_TAKEOVER_TIMEOUT
 
     def decide(
         self, ctx: ProtocolContext, votes: dict[str, Any]
@@ -47,10 +57,7 @@ class PaxosCommit(TwoPhaseCommit):
             # group.  The returned value is whatever consensus *chose*
             # -- normally commit, but a takeover that presumed this
             # leader dead may have chosen abort first; its choice wins.
-            leader = PaxosLeader(
-                ctx.gtm, ctx.gtxn.gtxn_id, sorted(ctx.decomposition.sites)
-            )
-            decision = yield from leader.commit_fast(vote_map)
+            decision = yield from self._leader(ctx).commit_fast(vote_map)
         else:
             # Presumed abort: no acceptor round for a no vote.  A later
             # takeover reading an empty instance concludes abort too.
@@ -71,3 +78,37 @@ class PaxosCommit(TwoPhaseCommit):
             site, "decide", timeout=ctx.config.msg_timeout * 4,
             decision="commit", marker_key=None,
         )
+
+    def _leader(self, ctx: ProtocolContext) -> PaxosLeader:
+        return PaxosLeader(ctx.gtm, ctx.gtxn.gtxn_id, sorted(ctx.decomposition.sites))
+
+    # -- recovery policy: the acceptor majority is the durable record -------
+
+    def durable_decision(self, ctx: ProtocolContext) -> Optional[str]:
+        """The value chosen at an acceptor majority; ``None`` while the
+        instance is in flux (an in-flight ballot could yet choose commit)."""
+        return ctx.gtm.acceptors.decision_for(ctx.gtxn.gtxn_id)
+
+    def conclude(self, ctx: ProtocolContext) -> Generator[Any, Any, str]:
+        """Finish an instance nothing drives any more -- e.g. a fast-path
+        abort that never reached the acceptors -- with a takeover round:
+        it re-proposes any accepted value (a chosen commit survives) and
+        otherwise *chooses* abort, never presumes it."""
+        ctx.kernel.trace.emit("paxos_conclude", ctx.gtm.name, ctx.gtxn.gtxn_id)
+        decision = yield from self._leader(ctx).resolve()
+        return decision
+
+    def settle_orphan(
+        self, ctx: ProtocolContext, recovery: "GlobalRecoveryManager"
+    ) -> Generator[Any, Any, bool]:
+        """Take the crashed leader's instance over at a higher ballot and
+        deliver the chosen value.  No step waits on the dead shard."""
+        ctx.kernel.trace.emit(
+            "paxos_takeover_txn", ctx.gtm.name, ctx.gtxn.gtxn_id,
+            sites=len(ctx.decomposition.sites),
+        )
+        decision = yield from self._leader(ctx).resolve()
+        settled = yield from recovery.deliver_decision(
+            ctx, decision, cause="paxos takeover"
+        )
+        return settled

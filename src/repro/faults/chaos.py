@@ -428,9 +428,7 @@ def run_chaos(spec: ChaosSpec) -> ChaosResult:
         ),
         "coordinator_crashes": fed.pool.crashes,
         "takeovers_started": fed.pool.takeovers_started,
-        "paxos_concluded": sum(
-            g.recovery.paxos_concluded for g in fed.coordinators
-        ),
+        "paxos_concluded": sum(g.recovery.concluded for g in fed.coordinators),
         "failovers": sum(g.recovery.failovers for g in fed.coordinators),
         "failover_resolved": sum(
             g.recovery.failover_resolved for g in fed.coordinators

@@ -335,6 +335,23 @@ def test_pool_metrics_aggregate_across_shards():
     assert merged["unresolved_orphans"] == 0
 
 
+def test_pool_metrics_are_shaped_like_one_gtms():
+    """Every per-shard key survives the merge; only pool keys are added."""
+    fed = build(coordinators=2)
+    for n in range(6):
+        fed.submit(transfer(n))
+    fed.run()
+    merged = fed.pool.metrics()
+    per_shard = [gtm.metrics() for gtm in fed.coordinators]
+    assert set(merged) - set(per_shard[0]) == {
+        "coordinator_crashes", "failovers_started", "submissions_rerouted",
+        "unresolved_orphans",
+    }
+    assert set(per_shard[0]) <= set(merged)
+    for key in ("decision_size_flushes", "recovery_promotions_adopted"):
+        assert merged[key] == sum(m[key] for m in per_shard)
+
+
 def test_is_active_spans_shards_and_adoptions():
     fed = build(coordinators=2)
     name = "G1"

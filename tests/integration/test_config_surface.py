@@ -20,8 +20,8 @@ import pytest
 
 import repro
 from repro.core.gtm import GlobalTransactionManager, GTMConfig
-from repro.core.pool import CoordinatorPool
 from repro.core.protocols.commit_after import CommitAfter
+from repro.core.protocols.paxos_commit import PaxosCommit
 from repro.dataplane.manager import DataPlane
 from repro.faults.chaos import ChaosSpec
 from repro.integration.federation import FederationConfig
@@ -63,7 +63,7 @@ CONSTANTS = {
     (GlobalTransactionManager, "RETRY_ATTEMPTS"): 5,
     (GlobalTransactionManager, "RETRY_BACKOFF"): 5.0,
     (CommitAfter, "MAX_REDO_ROUNDS"): 50,
-    (CoordinatorPool, "PAXOS_TAKEOVER_TIMEOUT"): 80.0,
+    (PaxosCommit, "PAXOS_TAKEOVER_TIMEOUT"): 80.0,
 }
 
 #: Identifiers of deleted code paths; none may reappear under src/repro.

@@ -2,6 +2,7 @@
 
 
 from repro.core.gtm import GTMConfig
+from repro.core.protocols.base import ProtocolContext
 from repro.integration.federation import Federation, FederationConfig, SiteSpec
 from repro.integration.schema import Placement
 from repro.mlt.actions import increment, read
@@ -129,7 +130,8 @@ def test_shared_gtm_config_keeps_each_federations_durable_status():
         increment("t0", "x", 5).routed("s0", "t0"),
         increment("t0", "x", -5).routed("s0", "t0"),
     )
-    fed.kernel.spawn(fed.gtm.recovery.redrive_undos("s0"))
+    ctx = ProtocolContext.from_record(fed.gtm, "G9", site="s0")
+    fed.kernel.spawn(fed.gtm.protocol.after_site_restart(ctx, "s0"))
     fed.run()
     assert "status_query" not in fed.network.message_counts()
     assert fed.gtm.recovery.redriven_undos == 0

@@ -102,6 +102,27 @@ def test_f_acceptor_crashes_with_coordinator_crash_still_resolve():
     assert_converged(fed, processes)
 
 
+def test_takeover_counts_one_failover_per_hand_off():
+    """Two orphans, one hand-off: ``failovers`` counts the batch.
+
+    A takeover goes through the same adoption queue as every other
+    protocol's orphans, so the recovery manager's ``failovers`` (the
+    chaos harness's ``failovers`` counter) counts one per hand-off --
+    not one per taken-over transaction -- while ``failover_resolved``
+    still counts each settled orphan.
+    """
+    fed = build()
+    names = [name for name in (f"T{i}" for i in range(40)) if fed.pool.shard_of(name) == 1]
+    processes = [fed.submit(transfer(i), name=name) for i, name in enumerate(names[:2])]
+    fed.crash_coordinator(1, at=3.0)  # both still undecided
+    fed.run(until=HORIZON)
+    assert fed.pool.takeovers_started == 1
+    assert fed.pool.failovers_started == 0  # a takeover, not an adoption
+    assert sum(gtm.recovery.failovers for gtm in fed.coordinators) == 1
+    assert sum(gtm.recovery.failover_resolved for gtm in fed.coordinators) == 2
+    assert_converged(fed, processes)
+
+
 def test_chosen_commit_survives_coordinator_crash():
     """A decision the acceptors chose is never presumed aborted.
 
@@ -192,7 +213,7 @@ def test_fast_path_abort_in_doubt_local_is_concluded():
     assert process.done
     assert process.value.committed  # the retry attempt went through
     # Attempt G0's instance was concluded -- abort is *chosen*, durable.
-    assert fed.gtm.recovery.paxos_concluded == 1
+    assert fed.gtm.recovery.concluded == 1
     assert fed.acceptors.decision_for("G0") == "abort"
     assert fed.acceptors.decision_for(process.value.gtxn_id) == "commit"
     assert fed.engines["s0"].active_txns() == []

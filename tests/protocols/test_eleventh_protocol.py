@@ -1,7 +1,7 @@
 """Adding a protocol = one module + one registry row.
 
-Two throwaway protocols -- a :class:`TwoPhaseCommit` subclass and a
-:class:`CommitBefore` subclass, each under a name of its own -- are
+Throwaway protocols -- a :class:`TwoPhaseCommit` subclass and
+:class:`CommitBefore` subclasses, each under a name of its own -- are
 registered by monkeypatching ``PROTOCOL_REGISTRY`` for the duration of
 a test.  No other module knows those names, so everything the rest of
 the system does on a protocol's behalf must come from the registry row
@@ -83,16 +83,19 @@ def test_crash_at_every_force_keeps_invariants(info):
     )
 
 
-def test_coordinator_failover_settles_every_orphan(info):
-    n_sites, n_keys = 3, 16
+N_SITES, N_KEYS = 3, 16
+
+
+def run_failover(info: ProtocolInfo) -> Federation:
+    """12 two-site transfers over 3 coordinators; shard 1 crashes at t=4."""
     fed = Federation(
         [
             SiteSpec(
                 f"s{i}",
-                tables={f"t{i}": {f"k{j}": 100 for j in range(n_keys)}},
+                tables={f"t{i}": {f"k{j}": 100 for j in range(N_KEYS)}},
                 preparable=info.requires_prepare,
             )
-            for i in range(n_sites)
+            for i in range(N_SITES)
         ],
         FederationConfig(
             seed=5, coordinators=3,
@@ -104,8 +107,8 @@ def test_coordinator_failover_settles_every_orphan(info):
         [
             {
                 "operations": [
-                    increment(f"t{n % n_sites}", f"k{n}", -1),
-                    increment(f"t{(n + 1) % n_sites}", f"k{n}", 1),
+                    increment(f"t{n % N_SITES}", f"k{n}", -1),
+                    increment(f"t{(n + 1) % N_SITES}", f"k{n}", 1),
                 ],
                 "delay": float(n),
             }
@@ -113,12 +116,47 @@ def test_coordinator_failover_settles_every_orphan(info):
         ]
     )
     fed.run()  # drain failover stragglers
+    return fed
+
+
+def test_coordinator_failover_settles_every_orphan(info):
+    fed = run_failover(info)
     assert fed.pool.failovers_started == 1
     assert fed.pool.unresolved_orphans() == []
     assert atomicity_report(fed).ok
     assert serializability_ok(fed)
     assert sum(
         fed.peek(f"s{i}", f"t{i}", f"k{j}")
-        for i in range(n_sites)
-        for j in range(n_keys)
-    ) == n_sites * n_keys * 100
+        for i in range(N_SITES)
+        for j in range(N_KEYS)
+    ) == N_SITES * N_KEYS * 100
+
+
+class CountingCommit(CommitBefore):
+    """Commit-before that counts how often its one inverse step runs."""
+
+    inverse_steps = 0
+
+    def _run_inverse(self, ctx, site, kind, marker_key, **rest):
+        CountingCommit.inverse_steps += 1
+        committed = yield from super()._run_inverse(ctx, site, kind, marker_key, **rest)
+        return committed
+
+
+def test_failover_resumes_the_protocols_own_inverse_step(monkeypatch):
+    """One copy, proved: settling a crashed coordinator's commit-before
+    orphans runs ``CommitBefore._run_inverse`` -- the step the live
+    script uses -- and no mirror of it kept by the recovery manager."""
+    row = ProtocolInfo(
+        "counting", __name__, "CountingCommit", "commit-before counting inverses",
+        requires_prepare=False, granularity="per_action",
+        l1_table="semantic", per_action=True,
+    )
+    monkeypatch.setitem(PROTOCOL_REGISTRY, row.name, row)
+    monkeypatch.setattr(CountingCommit, "inverse_steps", 0)
+    fed = run_failover(row)
+    assert fed.pool.metrics()["undo_executions"] == 0  # no live script undid anything
+    redriven = sum(gtm.recovery.redriven_undos for gtm in fed.coordinators)
+    assert redriven > 0
+    assert CountingCommit.inverse_steps == redriven
+    assert atomicity_report(fed).ok
