@@ -126,13 +126,14 @@ class CommitBefore(CommitProtocol):
     ) -> Generator[Any, Any, bool]:
         # The abort settles unfinished locals (the cheap abort of a
         # running subtransaction); a committed one reports back and its
-        # site's logged inverses are re-driven.  The orphan itself still
-        # counts as active there and is skipped (ROADMAP item 1(d)).
+        # site's logged inverses are re-driven -- the orphan's own
+        # included, though the pool still counts it as active.
+        gtxn_id = ctx.gtxn.gtxn_id
         settled = yield from recovery.deliver_decision(ctx, "abort")
         for site in ctx.decomposition.sites:
-            yield from recovery.resume_logged(site)
+            yield from recovery.resume_logged(site, adopting=gtxn_id)
         if settled:
-            ctx.undo_log.forget(ctx.gtxn.gtxn_id)
+            ctx.undo_log.forget(gtxn_id)
         return settled
 
     def _undo_orphan_actions(self, ctx: ProtocolContext) -> Generator[Any, Any, bool]:

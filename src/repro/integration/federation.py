@@ -305,11 +305,11 @@ class Federation:
                                 )
                             yield from engine.commit(txn)
 
-        process = self.kernel.spawn(loader(), name="federation-setup")
+        # Park the construction-time serve loops on their mailboxes; the
+        # loader then runs alone, off the calendar, byte for byte as a
+        # spawned process would (see ``docs/performance.md``).
         self.kernel.run()
-        if not process.done:
-            raise RuntimeError("federation setup did not finish")
-        process.value  # re-raise setup errors, if any
+        self.kernel.run_alone(loader())
         # Give callers a clean t=0: setup time is not part of any run.
         self.kernel._now = 0.0
 

@@ -283,6 +283,55 @@ class Kernel:
                     raise exc
         return self._now
 
+    def _next_due(self) -> Optional[float]:
+        """The earliest queued timestamp, or ``None`` if nothing is queued."""
+        times = self._times
+        return times[0] if times else None
+
+    def run_alone(self, generator: Generator[Any, Any, Any]) -> Any:
+        """Drive ``generator`` in place, alone on the calendar; return its value.
+
+        The same result as ``kernel.spawn(generator)``, :meth:`run` and
+        the process's ``.value`` -- same clock, ``_sequence`` and
+        ``events_dispatched`` -- for a generator that only yields delays
+        while nothing else is due.  Each step is charged what the
+        calendar would have charged it (one sequence number for its
+        queue entry, one dispatch) without the entry ever being queued.
+        Anything that could let another event run first -- a yield that
+        is not a number, or a queued entry due at or before the next
+        wake-up -- raises :class:`SimulationError` instead of silently
+        reordering.  Entries due after the generator returns stay
+        queued for the next :meth:`run`.
+        """
+        if self._stopped:
+            raise KernelStopped("kernel already stopped")
+        if self._live is not None:
+            raise SimulationError("run_alone cannot nest inside a run")
+        wake = self._now
+        self._sequence += 1  # the spawn's queue entry
+        try:
+            while True:
+                due = self._next_due()
+                if due is not None and due <= wake:
+                    raise SimulationError(
+                        f"run_alone: an entry due at {due} would run before "
+                        f"the wake-up at {wake}"
+                    )
+                self._now = wake
+                self.events_dispatched += 1
+                try:
+                    effect = generator.send(None)
+                except StopIteration as stop:
+                    return stop.value
+                if not isinstance(effect, (int, float)):
+                    raise SimulationError(f"run_alone: unsupported effect {effect!r}")
+                if effect < 0:
+                    raise SimulationError(f"negative delay {effect}")
+                wake = self._now + effect
+                self._sequence += 1
+        finally:
+            generator.close()  # a refused yield unwinds its finally blocks
+
     def _run_controlled(self, until: Optional[float], raise_failures: bool) -> float:
         """Run loop with an external scheduling strategy in charge.
 

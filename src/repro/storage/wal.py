@@ -252,11 +252,12 @@ class LogManager:
             return
         if tail[-1].lsn <= upto_lsn:
             # Whole-tail force -- the overwhelmingly common case (a
-            # commit forces everything appended so far): snapshot with
-            # one slice instead of an attribute-access filter pass.
+            # commit forces everything appended so far).
             to_flush = tail[:]
         else:
-            to_flush = [r for r in tail if r.lsn <= upto_lsn]
+            # The tail is LSN-ordered: the records to force are the
+            # prefix up to the bisection point.
+            to_flush = tail[:bisect_right(tail, upto_lsn, key=_record_lsn)]
             if not to_flush:
                 return
         # The volatile tail is pruned only after the disk write lands:
@@ -264,7 +265,8 @@ class LogManager:
         yield from self._disk.append_log(to_flush)
         self.forced += 1
         self.flushed_lsn = to_flush[-1].lsn
-        # The tail is LSN-ordered, so the flushed prefix is contiguous.
+        # Re-read the tail: records may have been appended (or a crash
+        # may have wiped it) during the write.
         tail = self._tail
         cut = bisect_right(tail, upto_lsn, key=_record_lsn)
         if cut:

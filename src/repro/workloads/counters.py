@@ -28,8 +28,8 @@ def build_counter_site(
 ) -> tuple[LocalDatabase, list[str]]:
     """A single local database with counters, optionally co-paged.
 
-    Returns the engine and the counter key names; the caller drives the
-    returned setup generator through the kernel before using it.
+    Returns the engine and the counter key names, loaded: ``kernel``
+    must be fresh, since the load runs alone on its calendar.
     """
     engine = LocalDatabase(kernel, site, config)
     keys = [f"c{i}" for i in range(n_counters)]
@@ -47,9 +47,7 @@ def build_counter_site(
             yield from engine.insert(txn, "obj", key, initial)
         yield from engine.commit(txn)
 
-    process = kernel.spawn(setup(), name="counter-setup")
-    kernel.run()
-    process.value  # surface setup failures
+    kernel.run_alone(setup())
     return engine, keys
 
 

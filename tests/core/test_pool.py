@@ -173,10 +173,14 @@ def test_mid_flight_crash_leaves_no_orphans(protocol, granularity):
     assert fed.pool.unresolved_orphans() == []
     assert atomicity_report(fed).ok
     assert serializability_ok(fed)
-    if compensating:
-        # They inherit commit-before's recovery policy: the orphans'
-        # durably committed actions are compensated, not left behind.
+    if (protocol, granularity) != ("before", "per_action"):
+        # No drift: commit-before's orphans (per-site ones included,
+        # whose adopter re-drives their own logged inverses) are
+        # compensated, not left behind.  Per action it still drifts
+        # (ROADMAP item 1(b), pinned below).
         assert total_balance(fed) == INITIAL_TOTAL
+    if compensating:
+        # They inherit commit-before's recovery policy.
         assert sum(gtm.recovery.redriven_undos for gtm in fed.coordinators) > 0
 
 

@@ -21,7 +21,9 @@ queues funnels through two methods: ``_schedule``, which
 :class:`HeapKernel` overrides, and ``_resume``, whose live-slot append
 only happens while ``Kernel.run`` drains a slot -- ``HeapKernel.run``
 never sets ``_live``, so under it every resume is an ordinary
-``_schedule(0.0, ...)`` onto the heap.
+``_schedule(0.0, ...)`` onto the heap.  ``Kernel.run_alone`` -- the
+federation's initial load -- asks the queue what is due through
+``_next_due``, which :class:`HeapKernel` also overrides.
 """
 
 from __future__ import annotations
@@ -65,6 +67,9 @@ class HeapKernel(Kernel):
     @property
     def queued(self) -> int:
         return len(self._heap)
+
+    def _next_due(self):
+        return self._heap[0][0] if self._heap else None
 
     def _schedule(self, delay, callback, *args):
         if self._stopped:

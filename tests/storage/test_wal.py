@@ -58,6 +58,24 @@ def test_partial_force_up_to_lsn(kernel):
     assert [r.lsn for r in log.tail_records()] == [3, 4]
 
 
+def test_appends_during_a_partial_force_stay_volatile(kernel):
+    disk, log = make_log(kernel)
+    for i in range(3):
+        append_begin(log, f"t{i}")
+
+    def appender():
+        append_begin(log, "late")  # while the force's disk write is in flight
+        yield 0
+
+    def proc():
+        kernel.spawn(appender())
+        yield from log.force(2)
+
+    run(kernel, proc())
+    assert [r.lsn for r in disk.stable_log()] == [1, 2]
+    assert [r.lsn for r in log.tail_records()] == [3, 4]
+
+
 def test_force_already_flushed_is_noop(kernel):
     disk, log = make_log(kernel)
     append_begin(log)
