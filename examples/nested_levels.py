@@ -19,17 +19,17 @@ Run:  python examples/nested_levels.py
 from repro import Kernel, LocalDatabase
 from repro.mlt import ActionDef, LevelSpec, NestedTransactionManager, bottom_level
 from repro.mlt.actions import Operation
-from repro.mlt.conflicts import ConflictTable, L1Mode
+from repro.localdb.locks import ConflictTable, LockMode
 
 BUSINESS = ConflictTable(
     "business",
     {
-        "transfer": L1Mode.INCREMENT, "audit": L1Mode.SHARED,
-        "read": L1Mode.SHARED, "write": L1Mode.EXCLUSIVE,
-        "increment": L1Mode.INCREMENT, "insert": L1Mode.EXCLUSIVE,
-        "delete": L1Mode.EXCLUSIVE,
+        "transfer": LockMode.INCREMENT, "audit": LockMode.SHARED,
+        "read": LockMode.SHARED, "write": LockMode.EXCLUSIVE,
+        "increment": LockMode.INCREMENT, "insert": LockMode.EXCLUSIVE,
+        "delete": LockMode.EXCLUSIVE,
     },
-    [frozenset({L1Mode.SHARED}), frozenset({L1Mode.INCREMENT})],
+    [frozenset({LockMode.SHARED}), frozenset({LockMode.INCREMENT})],
 )
 
 

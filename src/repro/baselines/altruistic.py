@@ -26,31 +26,25 @@ from typing import TYPE_CHECKING, Any, Generator, Hashable, Optional
 from repro.core.protocols.base import ProtocolContext
 from repro.core.protocols.commit_before import CommitBefore
 from repro.errors import LockTimeout
+from repro.localdb.locks import ConflictTable, LockManager, _Request, _ResourceState
 from repro.mlt.actions import Operation
-from repro.mlt.conflicts import READ_WRITE_TABLE, ConflictTable
-from repro.mlt.locks import SemanticLockManager, _Request
 from repro.sim.events import Future
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Kernel
 
 
-class AltruisticLockManager(SemanticLockManager):
+class AltruisticLockManager(LockManager):
     """L1 lock table with donations and wake dependencies."""
 
     def __init__(
         self,
         kernel: "Kernel",
-        table: Optional[ConflictTable] = None,
+        name: str,
+        table: ConflictTable,
         default_timeout: Optional[float] = None,
-        name: str = "L1-altruistic",
     ):
-        super().__init__(
-            kernel,
-            table or READ_WRITE_TABLE,
-            default_timeout=default_timeout,
-            name=name,
-        )
+        super().__init__(kernel, f"{name}-altruistic", table, default_timeout)
         #: resource -> donors that released it early but still run
         self._donated: dict[Hashable, set[str]] = {}
         #: txn -> donors whose wake it entered
@@ -71,19 +65,18 @@ class AltruisticLockManager(SemanticLockManager):
         self.donations += 1
         self._dispatch(resource)
 
-    def _grantable(self, state, request: "_Request") -> bool:
-        resource = self._resource_of(state)
-        donors = self._donated.get(resource, set())
-        for holder, modes in state.holders.items():
-            if holder == request.txn_id:
+    def _grantable(self, state: _ResourceState, request: _Request) -> bool:
+        donors = self._donated.get(state.resource, set())
+        for holder in state.holders.values():
+            if holder.txn_id == request.txn_id:
                 continue
-            if any(not self.table.compatible(request.mode, m) for m in modes):
-                if holder not in donors:
+            if not self.table.compatible(request.mode, holder.mode):
+                if holder.txn_id not in donors:
                     return False
                 # Passing this donation would put the requester in the
                 # donor's wake; refuse if that closes a wake cycle
                 # (mutual waits would never resolve).
-                if self._wake_reaches(holder, request.txn_id):
+                if self._wake_reaches(holder.txn_id, request.txn_id):
                     return False
         return True
 
@@ -101,23 +94,16 @@ class AltruisticLockManager(SemanticLockManager):
             stack.extend(self.wake.get(node, ()))
         return False
 
-    def _grant(self, state, request: "_Request") -> None:
-        resource = self._resource_of(state)
-        donors = self._donated.get(resource, set())
-        for holder, modes in state.holders.items():
-            if holder == request.txn_id or holder not in donors:
+    def _grant(self, state: _ResourceState, request: _Request) -> None:
+        donors = self._donated.get(state.resource, set())
+        for holder in state.holders.values():
+            if holder.txn_id == request.txn_id or holder.txn_id not in donors:
                 continue
-            if any(not self.table.compatible(request.mode, m) for m in modes):
+            if not self.table.compatible(request.mode, holder.mode):
                 # Passing a donated incompatible lock: enter the wake.
-                self.wake.setdefault(request.txn_id, set()).add(holder)
+                self.wake.setdefault(request.txn_id, set()).add(holder.txn_id)
                 self.wake_entries += 1
         super()._grant(state, request)
-
-    def _resource_of(self, state) -> Hashable:
-        for resource, candidate in self._resources.items():
-            if candidate is state:
-                return resource
-        return None
 
     # -- completion tracking -----------------------------------------------------
 

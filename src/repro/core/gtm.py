@@ -31,7 +31,8 @@ from repro.core.protocols.base import make_protocol
 from repro.core.redo import RedoLog
 from repro.core.undo import UndoLog
 from repro.errors import DurabilityOrderViolation, MessageTimeout
-from repro.mlt.conflicts import READ_WRITE_TABLE, SEMANTIC_TABLE, ConflictTable
+from repro.localdb.locks import ConflictTable
+from repro.mlt.conflicts import READ_WRITE_TABLE, SEMANTIC_TABLE
 from repro.net.batching import FlushGroups, check_flush_knobs
 from repro.sim.events import Future
 
@@ -332,7 +333,7 @@ class GlobalTransactionManager:
             self.l1 = (
                 None if table is None
                 else self.protocol.l1_manager(
-                    kernel, table, default_timeout=self.L1_TIMEOUT
+                    kernel, "L1", table, default_timeout=self.L1_TIMEOUT
                 )
             )
             self.redo_log = RedoLog()

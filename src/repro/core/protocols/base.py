@@ -25,9 +25,8 @@ from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
 from repro.core.global_txn import GlobalTransaction, GlobalTxnState
 from repro.errors import DeadlockDetected, LockTimeout, MessageTimeout, ProcessInterrupted
+from repro.localdb.locks import LockManager
 from repro.mlt.actions import Operation, inverse_of
-from repro.mlt.conflicts import L1Mode
-from repro.mlt.locks import SemanticLockManager
 from repro.net.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -75,7 +74,7 @@ class ProtocolContext:
         self.kernel: "Kernel" = gtm.kernel
         self.config: "GTMConfig" = gtm.config
         self.comm: "CentralCommunicationManager" = gtm.comm
-        self.l1: Optional["SemanticLockManager"] = gtm.l1
+        self.l1: Optional[LockManager] = gtm.l1
         self.redo_log: "RedoLog" = gtm.redo_log
         self.undo_log: "UndoLog" = gtm.undo_log
         self.gtxn = gtxn
@@ -128,9 +127,10 @@ class ProtocolContext:
         """
         if self.l1 is None:
             return
-        mode: L1Mode = self.l1.table.mode_for(operation.kind)
         yield from self.l1.acquire(
-            self.gtxn.gtxn_id, (operation.table, operation.key), mode
+            self.gtxn.gtxn_id,
+            (operation.table, operation.key),
+            self.l1.table.mode_for(operation.kind),
         )
 
     def release_l1(self) -> None:
@@ -460,7 +460,7 @@ class CommitProtocol(abc.ABC):
     """
 
     #: L1 lock manager class (used when the registry row names a table).
-    l1_manager: type[SemanticLockManager] = SemanticLockManager
+    l1_manager: type[LockManager] = LockManager
     #: Decisions are chosen by an acceptor group, not forced at the
     #: central log: the federation builds the group and a crashed
     #: coordinator's transactions are taken over at a higher ballot.

@@ -24,7 +24,7 @@ exactly the hazard experiment EXP-A2 explores.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from repro.errors import (
     DatabaseError,
@@ -34,7 +34,7 @@ from repro.errors import (
 )
 from repro.core.redo import COMMITLOG_TABLE
 from repro.localdb.txn import LocalTxnState
-from repro.mlt.actions import Operation
+from repro.mlt.actions import Operation, apply
 from repro.net.message import Message
 from repro.sim.sync import FifoLock
 
@@ -298,7 +298,7 @@ class LocalCommunicationManager:
             self._reply(message, "op_failed", aborted=True, reason="no subtransaction")
             return
         try:
-            value, before = yield from self._apply_op(txn_id, operation)
+            value, before = yield from apply(self.interface, txn_id, operation)
         except TransactionAborted as exc:
             self._reply(message, "op_failed", aborted=True, reason=str(exc.reason))
             return
@@ -555,36 +555,33 @@ class LocalCommunicationManager:
         # Inverse transactions are tagged so the atomicity checker can
         # pair them off against the forward executions they neutralize.
         owner = f"{message.gtxn_id}!undo" if is_undo else message.gtxn_id
-        retries = 0
-        while True:
-            txn_id = self.interface.begin(gtxn_id=owner)
-            try:
-                value, before = yield from self._apply_op(txn_id, operation)
-                if (
-                    marker_key is not None
-                    and self.log_placement == "indb"
-                    and operation.kind != "read"
-                ):
-                    # The marker row carries the before-image so the
-                    # central undo-log can be rebuilt even if this reply
-                    # is lost to a crash.
-                    yield from self._write_marker(
-                        txn_id, marker_key, {"before": before, "value": value}
-                    )
-                yield from self.interface.commit(txn_id)
-                break
-            except TransactionAborted:
-                retries += 1
-                # Randomized backoff: concurrent repetitions contending
-                # on the same pages must not retry in lockstep.
-                yield self._retry_rng.uniform(1.0, 5.0 * retries)
-                if retries > self.max_l0_retries:
-                    self._reply(message, "l0_failed", aborted=True, reason="retries exhausted")
-                    return
-            except DatabaseError as exc:
-                yield from self._safe_abort(txn_id)
-                self._reply(message, "l0_failed", aborted=False, reason=str(exc))
-                return
+
+        def action(txn_id: str) -> Generator[Any, Any, tuple[Any, Any]]:
+            value, before = yield from apply(self.interface, txn_id, operation)
+            if (
+                marker_key is not None
+                and self.log_placement == "indb"
+                and operation.kind != "read"
+            ):
+                # The marker row carries the before-image so the
+                # central undo-log can be rebuilt even if this reply
+                # is lost to a crash.
+                yield from self._write_marker(
+                    txn_id, marker_key, {"before": before, "value": value}
+                )
+            return value, before
+
+        done = yield from self._until_committed(
+            owner,
+            action,
+            lambda exc: self._reply(
+                message, "l0_failed", aborted=exc is None,
+                reason="retries exhausted" if exc is None else str(exc),
+            ),
+        )
+        if done is None:
+            return
+        (value, before), retries = done
         self._note_outcome(marker_key, "committed")
         if is_undo:
             self.undo_executions += 1
@@ -603,28 +600,21 @@ class LocalCommunicationManager:
             self._reply(message, "undo_result", outcome="undone", retries=0)
             return
         owner = f"{message.gtxn_id}!undo" if message.gtxn_id else None
-        retries = 0
-        while True:
-            txn_id = self.interface.begin(gtxn_id=owner)
-            try:
-                if marker_key is not None and self.log_placement == "indb":
-                    yield from self._write_marker(txn_id, marker_key)
-                for operation in inverse_ops:
-                    yield from self._apply_op(txn_id, operation)
-                yield from self.interface.commit(txn_id)
-                break
-            except TransactionAborted:
-                retries += 1
-                # Randomized backoff: concurrent repetitions contending
-                # on the same pages must not retry in lockstep.
-                yield self._retry_rng.uniform(1.0, 5.0 * retries)
-                if retries > self.max_l0_retries:
-                    self._reply(message, "undo_result", outcome="failed")
-                    return
-            except DatabaseError as exc:
-                yield from self._safe_abort(txn_id)
-                self._reply(message, "undo_result", outcome="failed", reason=str(exc))
-                return
+
+        def inverse(txn_id: str) -> Generator[Any, Any, None]:
+            if marker_key is not None and self.log_placement == "indb":
+                yield from self._write_marker(txn_id, marker_key)
+            for operation in inverse_ops:
+                yield from apply(self.interface, txn_id, operation)
+
+        done = yield from self._until_committed(
+            owner,
+            inverse,
+            lambda exc: self._reply(message, "undo_result", outcome="failed", **_reason(exc)),
+        )
+        if done is None:
+            return
+        _, retries = done
         self._note_outcome(marker_key, "committed")
         self.undo_executions += 1
         self._reply(message, "undo_result", outcome="undone", retries=retries)
@@ -646,30 +636,24 @@ class LocalCommunicationManager:
         if already == "committed":
             self._reply(message, "redo_result", outcome="committed", retries=0)
             return
-        retries = 0
-        while True:
-            txn_id = self.interface.begin(gtxn_id=message.gtxn_id)
-            try:
-                for operation in operations:
-                    yield from self._apply_op(txn_id, operation)
-                if marker_key is not None and self.log_placement == "indb":
-                    yield from self._write_marker(txn_id, marker_key)
-                yield from self.interface.commit(txn_id)
-                if message.gtxn_id:
-                    self._subtxns[message.gtxn_id] = txn_id
-                break
-            except TransactionAborted:
-                retries += 1
-                # Randomized backoff: concurrent repetitions contending
-                # on the same pages must not retry in lockstep.
-                yield self._retry_rng.uniform(1.0, 5.0 * retries)
-                if retries > self.max_l0_retries:
-                    self._reply(message, "redo_result", outcome="failed")
-                    return
-            except DatabaseError as exc:
-                yield from self._safe_abort(txn_id)
-                self._reply(message, "redo_result", outcome="failed", reason=str(exc))
-                return
+
+        def redo(txn_id: str) -> Generator[Any, Any, str]:
+            for operation in operations:
+                yield from apply(self.interface, txn_id, operation)
+            if marker_key is not None and self.log_placement == "indb":
+                yield from self._write_marker(txn_id, marker_key)
+            return txn_id
+
+        done = yield from self._until_committed(
+            message.gtxn_id,
+            redo,
+            lambda exc: self._reply(message, "redo_result", outcome="failed", **_reason(exc)),
+        )
+        if done is None:
+            return
+        txn_id, retries = done
+        if message.gtxn_id:
+            self._subtxns[message.gtxn_id] = txn_id
         self._note_outcome(marker_key, "committed")
         self.redo_executions += 1
         self._reply(message, "redo_result", outcome="committed", retries=retries)
@@ -752,31 +736,39 @@ class LocalCommunicationManager:
     # Helpers
     # ------------------------------------------------------------------
 
-    def _apply_op(
-        self, txn_id: str, operation: Operation
-    ) -> Generator[Any, Any, tuple[Any, Any]]:
-        """Execute one operation; returns (value, before-image)."""
-        interface = self.interface
-        table = operation.local_table or operation.table
-        value = None
-        before = None
-        if operation.kind == "read":
-            value = yield from interface.read(txn_id, table, operation.key)
-        elif operation.kind == "write":
-            before = yield from interface.read(txn_id, table, operation.key)
-            yield from interface.write(txn_id, table, operation.key, operation.value)
-        elif operation.kind == "increment":
-            value = yield from interface.increment(
-                txn_id, table, operation.key, operation.value
-            )
-        elif operation.kind == "insert":
-            yield from interface.insert(txn_id, table, operation.key, operation.value)
-        elif operation.kind == "delete":
-            before = yield from interface.read(txn_id, table, operation.key)
-            yield from interface.delete(txn_id, table, operation.key)
-        else:
-            raise DatabaseError(f"unsupported operation {operation.kind!r}")
-        return value, before
+    def _until_committed(
+        self,
+        owner: Optional[str],
+        body: Callable[[str], Generator[Any, Any, Any]],
+        failed: Callable[[Optional[DatabaseError]], None],
+    ) -> Generator[Any, Any, Optional[tuple[Any, int]]]:
+        """Run ``body`` in a fresh local transaction until one commits.
+
+        Returns ``(what body returned, retries)``.  An erroneous abort
+        (deadlock victim, lock timeout, failed validation) is repeated
+        until ``max_l0_retries`` is exceeded, then ``failed(None)``
+        replies.  Any other database error aborts the local and
+        ``failed(error)`` replies.  Either failure returns ``None``.
+        """
+        retries = 0
+        while True:
+            txn_id = self.interface.begin(gtxn_id=owner)
+            try:
+                result = yield from body(txn_id)
+                yield from self.interface.commit(txn_id)
+                return result, retries
+            except TransactionAborted:
+                retries += 1
+                # Randomized backoff: concurrent repetitions contending
+                # on the same pages must not retry in lockstep.
+                yield self._retry_rng.uniform(1.0, 5.0 * retries)
+                if retries > self.max_l0_retries:
+                    failed(None)
+                    return None
+            except DatabaseError as exc:
+                yield from self._safe_abort(txn_id)
+                failed(exc)
+                return None
 
     def _write_marker(
         self, txn_id: str, marker_key: str, value: Any = "done"
@@ -832,3 +824,8 @@ class LocalCommunicationManager:
 
     def __repr__(self) -> str:
         return f"<LocalCommunicationManager {self.site} subtxns={len(self._subtxns)}>"
+
+
+def _reason(exc: Optional[DatabaseError]) -> dict[str, str]:
+    """A failure reply's ``reason`` field: the error, if there was one."""
+    return {} if exc is None else {"reason": str(exc)}

@@ -1,4 +1,4 @@
-"""Waits-for graph and cycle detection for the L0 lock manager."""
+"""Waits-for graph and cycle detection for the lock manager of every level."""
 
 from __future__ import annotations
 

@@ -1,9 +1,13 @@
-"""Strict two-phase-locking lock manager (level L0).
+"""Strict two-phase-locking lock manager, one for every level.
 
-Page-granularity shared/exclusive locks with FIFO queueing, upgrade
-support, waits-for deadlock detection (requester aborts) and optional
+The paper's multi-level transactions (§4.1) run the same strict 2PL at
+every level; only the conflict definition changes.  So one lock manager
+serves them all -- each site's page locks (L0), the GTM's semantic L1
+table, and every level of :mod:`repro.mlt.nested` -- with a
+:class:`ConflictTable` per level: FIFO queueing, conversions ahead of
+waiters, waits-for deadlock detection (requester aborts) and optional
 wait timeouts.  Lock waits, hold times and grants are counted so the
-experiments can report the paper's central quantity: how long L0 locks
+experiments can report the paper's central quantity: how long locks
 are held under each commit protocol.
 """
 
@@ -11,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import TYPE_CHECKING, Any, Generator, Hashable, Optional
+from typing import TYPE_CHECKING, Any, Generator, Hashable, Iterable, Optional
 
 from repro.errors import DeadlockDetected, LockTimeout, SiteCrashed
 from repro.localdb.deadlock import WaitsForGraph
@@ -22,27 +26,82 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class LockMode(enum.Enum):
-    """L0 lock modes (the L1 semantic modes live in :mod:`repro.mlt`)."""
+    """Lock modes; a level's conflict table says which ones it uses."""
 
-    SHARED = "S"
-    EXCLUSIVE = "X"
+    SHARED = "S"        # read
+    INCREMENT = "I"     # commutative increment/decrement
+    EXCLUSIVE = "X"     # write / insert / delete
 
 
-def compatible(a: LockMode, b: LockMode) -> bool:
-    """Two L0 modes are compatible only if both are shared."""
-    return a is LockMode.SHARED and b is LockMode.SHARED
+class ConflictTable:
+    """Compatibility between the lock modes of one level.
+
+    ``compatible_pairs`` lists the unordered mode pairs that may be held
+    concurrently (at L1: the operations commute); everything else
+    conflicts.  Compatibility is symmetric by construction and every
+    mode self-conflicts unless listed.  ``mode_of_kind`` maps operation
+    kinds to the mode they lock with.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        mode_of_kind: dict[str, LockMode],
+        compatible_pairs: Iterable[frozenset[LockMode]],
+    ):
+        self.name = name
+        self._mode_of_kind = dict(mode_of_kind)
+        pairs = {frozenset(pair) for pair in compatible_pairs}
+        #: mode -> the modes it may be held alongside; precomputed, as
+        #: the acquire path looks it up once per holder.
+        self.compatible_with: dict[LockMode, frozenset[LockMode]] = {
+            mode: frozenset(
+                other for other in LockMode if frozenset((mode, other)) in pairs
+            )
+            for mode in LockMode
+        }
+
+    def mode_for(self, kind: str) -> LockMode:
+        """Lock mode an operation of ``kind`` must hold."""
+        if kind not in self._mode_of_kind:
+            raise ValueError(f"no lock mode for operation kind {kind!r}")
+        return self._mode_of_kind[kind]
+
+    def compatible(self, a: LockMode, b: LockMode) -> bool:
+        """May the two modes be held concurrently?"""
+        return b in self.compatible_with[a]
+
+    def join(self, a: LockMode, b: LockMode) -> LockMode:
+        """The one mode a holder of both ``a`` and ``b`` holds.
+
+        Distinct modes join to exclusive.  That is exact -- the join
+        conflicts with precisely what ``a`` or ``b`` conflicts with --
+        whenever distinct modes conflict, as in every shipped table; in
+        a table where they commute it is conservative.
+        """
+        return a if a is b else LockMode.EXCLUSIVE
+
+    def conflicts(self, kind_a: str, kind_b: str) -> bool:
+        """Do operations of these kinds conflict on the same object?"""
+        return not self.compatible(self.mode_for(kind_a), self.mode_for(kind_b))
+
+    def __repr__(self) -> str:
+        return f"<ConflictTable {self.name}>"
+
+
+#: Page locks (L0): readers share, everything else conflicts.
+PAGE_TABLE = ConflictTable("page", {}, [frozenset((LockMode.SHARED,))])
 
 
 class _Request:
-    __slots__ = ("txn_id", "mode", "future", "request_time", "grant_time", "upgrade")
+    __slots__ = ("txn_id", "mode", "future", "request_time", "grant_time")
 
-    def __init__(self, txn_id: str, mode: LockMode, request_time: float, upgrade: bool):
+    def __init__(self, txn_id: str, mode: LockMode, request_time: float):
         self.txn_id = txn_id
         self.mode = mode
         self.future: Optional[Future] = None
         self.request_time = request_time
         self.grant_time: Optional[float] = None
-        self.upgrade = upgrade
 
 
 class _ResourceState:
@@ -59,16 +118,18 @@ class _ResourceState:
 
 
 class LockManager:
-    """Lock table for one site."""
+    """Lock table of one level: a site's pages, or global objects."""
 
     def __init__(
         self,
         kernel: "Kernel",
-        site: str,
+        name: str,
+        table: ConflictTable = PAGE_TABLE,
         default_timeout: Optional[float] = None,
     ):
         self._kernel = kernel
-        self.site = site
+        self.name = name
+        self.table = table
         self.default_timeout = default_timeout
         self._resources: dict[Hashable, _ResourceState] = {}
         self._state_serial = 0
@@ -104,19 +165,10 @@ class LockManager:
         return {txn: req.mode for txn, req in state.holders.items()}
 
     def holds(self, txn_id: str, resource: Hashable, mode: LockMode) -> bool:
-        """Does ``txn_id`` hold a lock at least as strong as ``mode``?"""
+        """Does ``txn_id`` hold a lock that covers ``mode``?"""
         state = self._resources.get(resource)
-        if state is None or txn_id not in state.holders:
-            return False
-        held = state.holders[txn_id].mode
-        return held is LockMode.EXCLUSIVE or mode is LockMode.SHARED
-
-    def locks_held_by(self, txn_id: str) -> list[Hashable]:
-        return [
-            resource
-            for resource, state in self._resources.items()
-            if txn_id in state.holders
-        ]
+        held = state.holders.get(txn_id) if state is not None else None
+        return held is not None and self.table.join(held.mode, mode) is held.mode
 
     # -- acquisition ---------------------------------------------------------
 
@@ -129,7 +181,8 @@ class LockManager:
     ) -> Generator[Any, Any, None]:
         """Acquire ``mode`` on ``resource`` for ``txn_id``, blocking.
 
-        Raises :class:`DeadlockDetected` if the request closes a
+        A holder's second request converts its lock to the join of both
+        modes.  Raises :class:`DeadlockDetected` if the request closes a
         waits-for cycle (the requester is the victim) and
         :class:`LockTimeout` if the wait exceeds the timeout.
         """
@@ -143,17 +196,18 @@ class LockManager:
             )
         held = state.holders.get(txn_id)
         if held is not None:
-            if held.mode is LockMode.EXCLUSIVE or mode is LockMode.SHARED:
-                return  # already sufficient
-            request = _Request(txn_id, mode, self._kernel.now, upgrade=True)
-            if len(state.holders) == 1:
-                # Sole holder: upgrade in place, ahead of any waiters.
-                held.mode = LockMode.EXCLUSIVE
-                self.grants += 1
+            mode = self.table.join(held.mode, mode)
+            if mode is held.mode:
+                return  # already covered
+            request = _Request(txn_id, mode, self._kernel.now)
+            if self._grantable(state, request):
+                self._grant(state, request)
                 return
-            state.waiters.appendleft(request)  # upgrades go first
+            # Conversions go first: queued behind a waiter that conflicts
+            # with the *held* mode they would deadlock undetectably.
+            state.waiters.appendleft(request)
         else:
-            request = _Request(txn_id, mode, self._kernel.now, upgrade=False)
+            request = _Request(txn_id, mode, self._kernel.now)
             if not state.waiters and self._grantable(state, request):
                 self._grant(state, request)
                 return
@@ -165,10 +219,10 @@ class LockManager:
             self._remove_waiter(resource, request)
             self.deadlocks += 1
             raise DeadlockDetected(
-                f"{self.site}: {txn_id} in cycle {' -> '.join(cycle)}"
+                f"{self.name}: {txn_id} in cycle {' -> '.join(cycle)}"
             )
 
-        request.future = Future(label=f"lock:{self.site}:{resource}:{txn_id}")
+        request.future = Future(label=f"lock:{self.name}:{resource}:{txn_id}")
         self.waits += 1
         yield from self._wait(resource, request, timeout)
         self.total_wait_time += self._kernel.now - request.request_time
@@ -190,14 +244,14 @@ class LockManager:
             return
         self._remove_waiter(resource, request)
         self.timeouts += 1
-        raise LockTimeout(f"{self.site}: {request.txn_id} on {resource}")
+        raise LockTimeout(f"{self.name}: {request.txn_id} on {resource}")
 
     def cancel_wait(self, txn_id: str, exc: BaseException) -> None:
         """Abort any pending wait of ``txn_id`` by failing its future."""
         for resource, state in self._resources.items():
             for request in list(state.waiters):
                 if request.txn_id == txn_id and request.future is not None:
-                    self._remove_waiter(resource, request, dispatch=True)
+                    self._remove_waiter(resource, request)
                     request.future.fail(exc)
 
     # -- release ---------------------------------------------------------------
@@ -295,23 +349,25 @@ class LockManager:
     # -- internals ----------------------------------------------------------------
 
     def _grantable(self, state: _ResourceState, request: _Request) -> bool:
-        return all(
-            compatible(request.mode, holder.mode)
-            for holder in state.holders.values()
-            if holder.txn_id != request.txn_id
-        )
+        compatible = self.table.compatible_with[request.mode]
+        for holder in state.holders.values():
+            if holder.mode not in compatible and holder.txn_id != request.txn_id:
+                return False
+        return True
 
     def _grant(self, state: _ResourceState, request: _Request) -> None:
         request.grant_time = self._kernel.now
-        if request.upgrade and request.txn_id in state.holders:
-            state.holders[request.txn_id].mode = LockMode.EXCLUSIVE
+        held = state.holders.get(request.txn_id)
+        if held is not None:
+            # A conversion: the hold is still clocked from the first grant.
+            held.mode = request.mode
         else:
             state.holders[request.txn_id] = request
-            held = self._held.get(request.txn_id)
-            if held is None:
+            resources = self._held.get(request.txn_id)
+            if resources is None:
                 self._held[request.txn_id] = {state.resource: None}
             else:
-                held[state.resource] = None
+                resources[state.resource] = None
         self.grants += 1
         if request.future is not None and not request.future.done:
             request.future.resolve(None)
@@ -321,24 +377,15 @@ class LockManager:
         state = self._resources.get(resource)
         if state is None:
             return
-        while state.waiters:
-            front = state.waiters[0]
-            if front.upgrade:
-                others = [h for h in state.holders.values() if h.txn_id != front.txn_id]
-                if others:
-                    break
-            elif not self._grantable(state, front):
-                break
-            state.waiters.popleft()
+        while state.waiters and self._grantable(state, state.waiters[0]):
+            front = state.waiters.popleft()
             self._graph.clear(resource, front.txn_id)
             self._grant(state, front)
         self._restate_blockers(resource)
         if not state.holders and not state.waiters:
             del self._resources[resource]
 
-    def _remove_waiter(
-        self, resource: Hashable, request: _Request, dispatch: bool = True
-    ) -> None:
+    def _remove_waiter(self, resource: Hashable, request: _Request) -> None:
         state = self._resources.get(resource)
         if state is None:
             return
@@ -347,26 +394,24 @@ class LockManager:
         except ValueError:
             pass
         self._graph.clear(resource, request.txn_id)
-        if dispatch:
-            self._dispatch(resource)
+        self._dispatch(resource)
 
     def _restate_blockers(self, resource: Hashable) -> None:
         """Refresh waits-for edges contributed by this resource's queue."""
         state = self._resources.get(resource)
         if state is None:
             return
+        compatible_with = self.table.compatible_with
         ahead: list[_Request] = []
         for waiter in state.waiters:
+            compatible = compatible_with[waiter.mode]
             blockers = {
                 holder.txn_id
                 for holder in state.holders.values()
-                if holder.txn_id != waiter.txn_id
-                and (waiter.upgrade or not compatible(waiter.mode, holder.mode))
+                if holder.txn_id != waiter.txn_id and holder.mode not in compatible
             }
             blockers.update(
-                prior.txn_id
-                for prior in ahead
-                if not compatible(waiter.mode, prior.mode)
+                prior.txn_id for prior in ahead if prior.mode not in compatible
             )
             self._graph.set_blockers(resource, waiter.txn_id, blockers)
             ahead.append(waiter)
@@ -376,10 +421,13 @@ class LockManager:
         for state in self._resources.values():
             for request in state.waiters:
                 if request.future is not None and not request.future.done:
-                    request.future.fail(SiteCrashed(f"{self.site} crashed"))
+                    request.future.fail(SiteCrashed(f"{self.name} crashed"))
         self._resources.clear()
         self._held.clear()
         self._graph = WaitsForGraph()
 
     def __repr__(self) -> str:
-        return f"<LockManager {self.site} resources={len(self._resources)}>"
+        return (
+            f"<LockManager {self.name} table={self.table.name} "
+            f"resources={len(self._resources)}>"
+        )

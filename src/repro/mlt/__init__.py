@@ -10,7 +10,9 @@ database systems:
 * **L0** -- local transactions executed by the existing transaction
   managers; each L1 action runs as one short L0 transaction.
 
-The semantic L1 lock manager (:class:`~repro.mlt.locks.SemanticLockManager`)
+Both levels lock through the one strict-2PL lock manager
+(:class:`~repro.localdb.locks.LockManager`); only the conflict table
+differs (:mod:`repro.mlt.conflicts` holds the L1 tables).  That manager
 and the inverse-action algebra (:mod:`repro.mlt.actions`) are reused by
 the commit-before protocol, which is the paper's headline point: the
 protocol adds no machinery beyond what multi-level transactions already
@@ -18,13 +20,7 @@ need.
 """
 
 from repro.mlt.actions import Operation, UndoEntry, inverse_of
-from repro.mlt.conflicts import (
-    READ_WRITE_TABLE,
-    SEMANTIC_TABLE,
-    ConflictTable,
-    L1Mode,
-)
-from repro.mlt.locks import SemanticLockManager
+from repro.mlt.conflicts import READ_WRITE_TABLE, SEMANTIC_TABLE
 from repro.mlt.manager import SingleLevelManager, TwoLevelManager
 from repro.mlt.nested import (
     ActionDef,
@@ -35,15 +31,12 @@ from repro.mlt.nested import (
 
 __all__ = [
     "ActionDef",
-    "ConflictTable",
-    "L1Mode",
     "LevelSpec",
     "NestedTransactionManager",
     "Operation",
     "bottom_level",
     "READ_WRITE_TABLE",
     "SEMANTIC_TABLE",
-    "SemanticLockManager",
     "SingleLevelManager",
     "TwoLevelManager",
     "UndoEntry",

@@ -4,13 +4,16 @@ An :class:`Operation` is both the unit a global transaction is written
 in and the L1 action of the multi-level model.  :func:`inverse_of`
 produces the action that semantically undoes an executed operation --
 the machinery the commit-before protocol uses to abort globally after
-locals already committed.
+locals already committed -- and :func:`apply` executes one, reading the
+before-image the inverse needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Generator, Optional
+
+from repro.errors import DatabaseError
 
 
 #: Primitive operation kinds every engine executes directly.  Higher
@@ -141,3 +144,33 @@ def inverse_of(operation: Operation, before: Any) -> Optional[Operation]:
     if operation.kind == "delete":
         return operation._retargeted("insert", before)
     raise ValueError(f"no inverse for {operation.kind!r}")
+
+
+def apply(db: Any, txn: Any, operation: Operation) -> Generator[Any, Any, tuple[Any, Any]]:
+    """Execute ``operation`` inside ``txn``; returns (value, before-image).
+
+    ``db`` is a local engine (``txn`` one of its transactions) or a TM
+    interface (``txn`` a transaction id): both speak read / write /
+    increment / insert / delete.  ``value`` is what a read or increment
+    returns; ``before`` is the value a write or delete replaced, which
+    :func:`inverse_of` needs to undo it.
+    """
+    table = operation.local_table or operation.table
+    key = operation.key
+    value = None
+    before = None
+    if operation.kind == "read":
+        value = yield from db.read(txn, table, key)
+    elif operation.kind == "write":
+        before = yield from db.read(txn, table, key)
+        yield from db.write(txn, table, key, operation.value)
+    elif operation.kind == "increment":
+        value = yield from db.increment(txn, table, key, operation.value)
+    elif operation.kind == "insert":
+        yield from db.insert(txn, table, key, operation.value)
+    elif operation.kind == "delete":
+        before = yield from db.read(txn, table, key)
+        yield from db.delete(txn, table, key)
+    else:
+        raise DatabaseError(f"unsupported operation {operation.kind!r}")
+    return value, before

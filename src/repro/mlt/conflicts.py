@@ -4,81 +4,37 @@ Two L1 actions conflict iff they do not generally commute (§4.1).  The
 *semantic* table knows that increments commute with each other; the
 *read/write* table is the flat approximation used as ablation EXP-A1 --
 it is what a system without semantic knowledge (or the commit-after
-protocol's extra CC module) must assume.
+protocol's extra CC module) must assume.  Both are
+:class:`~repro.localdb.locks.ConflictTable` instances for the one lock
+manager every level uses.
 """
 
 from __future__ import annotations
 
-import enum
-from typing import Iterable
-
-
-class L1Mode(enum.Enum):
-    """Semantic lock modes at level L1."""
-
-    SHARED = "S"        # read
-    INCREMENT = "I"     # commutative increment/decrement
-    EXCLUSIVE = "X"     # write / insert / delete
-
-
-class ConflictTable:
-    """Commutativity-based compatibility between L1 modes.
-
-    ``compatible_pairs`` lists the unordered mode pairs that commute;
-    everything else conflicts.  Compatibility is symmetric by
-    construction and every mode self-conflicts unless listed.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        mode_of_kind: dict[str, L1Mode],
-        compatible_pairs: Iterable[frozenset[L1Mode]],
-    ):
-        self.name = name
-        self._mode_of_kind = dict(mode_of_kind)
-        self._compatible = {frozenset(pair) for pair in compatible_pairs}
-
-    def mode_for(self, kind: str) -> L1Mode:
-        """Lock mode an operation of ``kind`` must hold."""
-        if kind not in self._mode_of_kind:
-            raise ValueError(f"no L1 mode for operation kind {kind!r}")
-        return self._mode_of_kind[kind]
-
-    def compatible(self, a: L1Mode, b: L1Mode) -> bool:
-        """Do the two modes commute (may be held concurrently)?"""
-        return frozenset((a, b)) in self._compatible
-
-    def conflicts(self, kind_a: str, kind_b: str) -> bool:
-        """Do operations of these kinds conflict on the same object?"""
-        return not self.compatible(self.mode_for(kind_a), self.mode_for(kind_b))
-
-    def __repr__(self) -> str:
-        return f"<ConflictTable {self.name}>"
-
+from repro.localdb.locks import ConflictTable, LockMode
 
 _BASE_MODES = {
-    "read": L1Mode.SHARED,
-    "write": L1Mode.EXCLUSIVE,
-    "insert": L1Mode.EXCLUSIVE,
-    "delete": L1Mode.EXCLUSIVE,
+    "read": LockMode.SHARED,
+    "write": LockMode.EXCLUSIVE,
+    "insert": LockMode.EXCLUSIVE,
+    "delete": LockMode.EXCLUSIVE,
 }
 
 #: Semantic table: reads share, increments commute with increments.
 SEMANTIC_TABLE = ConflictTable(
     "semantic",
-    {**_BASE_MODES, "increment": L1Mode.INCREMENT},
+    {**_BASE_MODES, "increment": LockMode.INCREMENT},
     [
-        frozenset((L1Mode.SHARED,)),
-        frozenset((L1Mode.INCREMENT,)),
+        frozenset((LockMode.SHARED,)),
+        frozenset((LockMode.INCREMENT,)),
     ],
 )
 
 #: Flat read/write table: increments are plain writes (ablation EXP-A1).
 READ_WRITE_TABLE = ConflictTable(
     "read-write",
-    {**_BASE_MODES, "increment": L1Mode.EXCLUSIVE},
+    {**_BASE_MODES, "increment": LockMode.EXCLUSIVE},
     [
-        frozenset((L1Mode.SHARED,)),
+        frozenset((LockMode.SHARED,)),
     ],
 )

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.errors import DeadlockDetected, LockTimeout, TransactionAborted
-from repro.mlt.actions import Operation, UndoEntry, inverse_of
-from repro.mlt.conflicts import SEMANTIC_TABLE, ConflictTable
-from repro.mlt.locks import SemanticLockManager
+from repro.localdb.locks import ConflictTable, LockManager
+from repro.mlt.actions import Operation, UndoEntry, apply, inverse_of
+from repro.mlt.conflicts import SEMANTIC_TABLE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.localdb.engine import LocalDatabase
@@ -55,10 +55,7 @@ class TwoLevelManager:
     ):
         self.kernel = kernel
         self.engine = engine
-        self.locks = SemanticLockManager(
-            kernel, conflicts, default_timeout=l1_timeout, name="L1"
-        )
-        self.conflicts = conflicts
+        self.locks = LockManager(kernel, "L1", conflicts, default_timeout=l1_timeout)
         self.max_l0_retries = max_l0_retries
         self._seq = 0
         #: (seq, l1_txn, kind, table, key) of every executed L1 action,
@@ -122,7 +119,7 @@ class TwoLevelManager:
     ) -> Generator[Any, Any, tuple[Any, Any, int]]:
         """One L1 action: L1 lock, then an L0 transaction, retried on
         erroneous L0 aborts (the action's effects are atomic at L0)."""
-        mode = self.conflicts.mode_for(operation.kind)
+        mode = self.locks.table.mode_for(operation.kind)
         yield from self.locks.acquire(l1_name, (operation.table, operation.key), mode)
         retries = 0
         while True:
@@ -142,25 +139,9 @@ class TwoLevelManager:
     def _run_l0(
         self, l1_name: str, operation: Operation
     ) -> Generator[Any, Any, tuple[Any, Any]]:
-        engine = self.engine
-        txn = engine.begin(gtxn_id=l1_name)
-        value = None
-        before = None
-        if operation.kind == "read":
-            value = yield from engine.read(txn, operation.table, operation.key)
-        elif operation.kind == "write":
-            before = yield from engine.read(txn, operation.table, operation.key)
-            yield from engine.write(txn, operation.table, operation.key, operation.value)
-        elif operation.kind == "increment":
-            value = yield from engine.increment(
-                txn, operation.table, operation.key, operation.value
-            )
-        elif operation.kind == "insert":
-            yield from engine.insert(txn, operation.table, operation.key, operation.value)
-        elif operation.kind == "delete":
-            before = yield from engine.read(txn, operation.table, operation.key)
-            yield from engine.delete(txn, operation.table, operation.key)
-        yield from engine.commit(txn)
+        txn = self.engine.begin(gtxn_id=l1_name)
+        value, before = yield from apply(self.engine, txn, operation)
+        yield from self.engine.commit(txn)
         return value, before
 
     def _undo(

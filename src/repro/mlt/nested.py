@@ -29,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
-from repro.errors import ReproError, TransactionAborted
-from repro.mlt.actions import Operation, inverse_of
-from repro.mlt.conflicts import SEMANTIC_TABLE, ConflictTable
-from repro.mlt.locks import SemanticLockManager
+from repro.errors import DeadlockDetected, LockTimeout, ReproError, TransactionAborted
+from repro.localdb.locks import ConflictTable, LockManager
+from repro.mlt.actions import Operation, apply, inverse_of
+from repro.mlt.conflicts import SEMANTIC_TABLE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.localdb.engine import LocalDatabase
@@ -127,10 +127,7 @@ class NestedTransactionManager:
         self.engine = engine
         self.levels = levels
         self.max_l0_retries = max_l0_retries
-        self.locks = [
-            SemanticLockManager(kernel, level.conflicts, name=level.name)
-            for level in levels
-        ]
+        self.locks = [LockManager(kernel, level.name, level.conflicts) for level in levels]
         self._seq = 0
         self._subtxn_counter = 0
         #: per level: (seq, owning txn at that level, kind, table, key)
@@ -155,13 +152,13 @@ class NestedTransactionManager:
             yield from self._run_level(
                 0, name, actions, result, abort_after, think_time
             )
-        except _IntendedAbort:
-            result.abort_reason = "intended"
-            self.aborts += 1
-            self.locks[0].release_all(name)
-            return result
-        except TransactionAborted as exc:
-            result.abort_reason = str(exc.reason)
+        except _ABORTS as exc:
+            if isinstance(exc, _IntendedAbort):
+                result.abort_reason = "intended"
+            elif isinstance(exc, TransactionAborted):
+                result.abort_reason = str(exc.reason)
+            else:
+                result.abort_reason = type(exc).__name__
             self.aborts += 1
             self.locks[0].release_all(name)
             return result
@@ -186,9 +183,10 @@ class NestedTransactionManager:
         Acquires this level's locks per action, executes each action as
         a transaction one level below (or against the engine at the
         bottom), and undoes the executed prefix with inverse actions if
-        anything fails.  On success the *caller* releases this level's
-        locks when ITS transaction ends -- except the top level, whose
-        locks are released by :meth:`run`.
+        anything fails -- an intended abort, an erroneous L0 abort, or a
+        deadlock or lock timeout at any level.  Either way the *caller*
+        releases this level's locks when ITS transaction ends -- except
+        the top level, whose locks are released by :meth:`run`.
         """
         level = self.levels[level_index]
         undo: list[tuple[Operation, dict]] = []
@@ -204,7 +202,7 @@ class NestedTransactionManager:
                 undo.append((action, context))
             if abort_after is not None and abort_after >= len(actions):
                 raise _IntendedAbort()
-        except (_IntendedAbort, TransactionAborted):
+        except _ABORTS:
             yield from self._undo_level(level_index, txn_name, undo, result)
             raise
 
@@ -251,22 +249,7 @@ class NestedTransactionManager:
         while True:
             txn = engine.begin(gtxn_id=txn_name)
             try:
-                value = None
-                before = None
-                if action.kind == "read":
-                    value = yield from engine.read(txn, action.table, action.key)
-                elif action.kind == "write":
-                    before = yield from engine.read(txn, action.table, action.key)
-                    yield from engine.write(txn, action.table, action.key, action.value)
-                elif action.kind == "increment":
-                    value = yield from engine.increment(
-                        txn, action.table, action.key, action.value
-                    )
-                elif action.kind == "insert":
-                    yield from engine.insert(txn, action.table, action.key, action.value)
-                elif action.kind == "delete":
-                    before = yield from engine.read(txn, action.table, action.key)
-                    yield from engine.delete(txn, action.table, action.key)
+                value, before = yield from apply(engine, txn, action)
                 yield from engine.commit(txn)
                 if action.kind == "read":
                     result.reads[f"{action.table}[{action.key!r}]"] = value
@@ -320,3 +303,9 @@ class NestedTransactionManager:
 
 class _IntendedAbort(Exception):
     """Marker: the transaction's own logic decided to abort."""
+
+
+#: What aborts a transaction at the level that raised it: its own
+#: logic, an erroneous L0 abort past the retries, or a deadlock victim
+#: or lock timeout at any level's lock manager.
+_ABORTS = (_IntendedAbort, TransactionAborted, DeadlockDetected, LockTimeout)

@@ -21,7 +21,8 @@ from repro.core.serializability import (
     check,
     ops_from_engine,
 )
-from repro.mlt.conflicts import SEMANTIC_TABLE, ConflictTable
+from repro.localdb.locks import ConflictTable
+from repro.mlt.conflicts import SEMANTIC_TABLE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.localdb.engine import LocalDatabase

@@ -3,7 +3,8 @@
 from repro.baselines.altruistic import AltruisticLockManager
 from repro.core.invariants import atomicity_report, serializability_ok
 from repro.mlt.actions import increment, write
-from repro.mlt.conflicts import READ_WRITE_TABLE, L1Mode
+from repro.localdb.locks import LockMode
+from repro.mlt.conflicts import READ_WRITE_TABLE
 from tests.conftest import run
 from tests.protocols.conftest import build_fed, submit_and_run, submit_delayed
 
@@ -46,15 +47,15 @@ def test_donation_lets_second_txn_pass_early():
 
 def test_wake_cycle_refused(kernel):
     """Mutual donation passing would deadlock; the manager refuses it."""
-    locks = AltruisticLockManager(kernel, READ_WRITE_TABLE, default_timeout=10)
+    locks = AltruisticLockManager(kernel, "L1", READ_WRITE_TABLE, default_timeout=10)
     timeline = []
 
     def t1():
-        yield from locks.acquire("T1", "a", L1Mode.EXCLUSIVE)
+        yield from locks.acquire("T1", "a", LockMode.EXCLUSIVE)
         locks.donate("T1", "a")
         yield 2
         try:
-            yield from locks.acquire("T1", "b", L1Mode.EXCLUSIVE)
+            yield from locks.acquire("T1", "b", LockMode.EXCLUSIVE)
             timeline.append("T1-got-b")
         except Exception as exc:
             timeline.append(f"T1-{type(exc).__name__}")
@@ -62,9 +63,9 @@ def test_wake_cycle_refused(kernel):
 
     def t2():
         yield 1
-        yield from locks.acquire("T2", "b", L1Mode.EXCLUSIVE)
+        yield from locks.acquire("T2", "b", LockMode.EXCLUSIVE)
         locks.donate("T2", "b")
-        yield from locks.acquire("T2", "a", L1Mode.EXCLUSIVE)  # passes T1's donation
+        yield from locks.acquire("T2", "a", LockMode.EXCLUSIVE)  # passes T1's donation
         timeline.append("T2-got-a")
         yield 5
         locks.finish("T2")
@@ -79,10 +80,10 @@ def test_wake_cycle_refused(kernel):
 
 
 def test_metrics_track_donations(kernel):
-    locks = AltruisticLockManager(kernel, READ_WRITE_TABLE)
+    locks = AltruisticLockManager(kernel, "L1", READ_WRITE_TABLE)
 
     def proc():
-        yield from locks.acquire("T1", "a", L1Mode.EXCLUSIVE)
+        yield from locks.acquire("T1", "a", LockMode.EXCLUSIVE)
         locks.donate("T1", "a")
         locks.finish("T1")
 

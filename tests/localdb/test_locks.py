@@ -1,9 +1,9 @@
-"""L0 lock manager: grants, waits, upgrades, deadlocks, timeouts."""
+"""The lock manager over the page table (L0): grants, waits, upgrades, deadlocks, timeouts."""
 
 import pytest
 
 from repro.errors import DeadlockDetected, LockTimeout
-from repro.localdb.locks import LockManager, LockMode, compatible
+from repro.localdb.locks import PAGE_TABLE, LockManager, LockMode
 from tests.conftest import run
 
 S, X = LockMode.SHARED, LockMode.EXCLUSIVE
@@ -14,10 +14,10 @@ def make(kernel, timeout=None):
 
 
 def test_compatibility_matrix():
-    assert compatible(S, S)
-    assert not compatible(S, X)
-    assert not compatible(X, S)
-    assert not compatible(X, X)
+    assert PAGE_TABLE.compatible(S, S)
+    assert not PAGE_TABLE.compatible(S, X)
+    assert not PAGE_TABLE.compatible(X, S)
+    assert not PAGE_TABLE.compatible(X, X)
 
 
 def test_immediate_grant_when_free(kernel):

@@ -2,19 +2,15 @@
 
 import pytest
 
-from repro.mlt.conflicts import (
-    READ_WRITE_TABLE,
-    SEMANTIC_TABLE,
-    ConflictTable,
-    L1Mode,
-)
+from repro.localdb.locks import PAGE_TABLE, ConflictTable, LockMode
+from repro.mlt.conflicts import READ_WRITE_TABLE, SEMANTIC_TABLE
 
 
 def test_semantic_modes():
-    assert SEMANTIC_TABLE.mode_for("read") is L1Mode.SHARED
-    assert SEMANTIC_TABLE.mode_for("increment") is L1Mode.INCREMENT
+    assert SEMANTIC_TABLE.mode_for("read") is LockMode.SHARED
+    assert SEMANTIC_TABLE.mode_for("increment") is LockMode.INCREMENT
     for kind in ("write", "insert", "delete"):
-        assert SEMANTIC_TABLE.mode_for(kind) is L1Mode.EXCLUSIVE
+        assert SEMANTIC_TABLE.mode_for(kind) is LockMode.EXCLUSIVE
 
 
 def test_semantic_increments_commute():
@@ -36,7 +32,7 @@ def test_semantic_write_conflicts_with_everything():
 
 
 def test_rw_table_increment_is_a_write():
-    assert READ_WRITE_TABLE.mode_for("increment") is L1Mode.EXCLUSIVE
+    assert READ_WRITE_TABLE.mode_for("increment") is LockMode.EXCLUSIVE
     assert READ_WRITE_TABLE.conflicts("increment", "increment")
 
 
@@ -60,11 +56,27 @@ def test_unknown_kind_rejected():
 def test_custom_table():
     table = ConflictTable(
         "everything-commutes",
-        {"read": L1Mode.SHARED, "increment": L1Mode.INCREMENT,
-         "write": L1Mode.EXCLUSIVE, "insert": L1Mode.EXCLUSIVE,
-         "delete": L1Mode.EXCLUSIVE},
-        [frozenset({L1Mode.SHARED}), frozenset({L1Mode.INCREMENT}),
-         frozenset({L1Mode.SHARED, L1Mode.INCREMENT})],
+        {"read": LockMode.SHARED, "increment": LockMode.INCREMENT,
+         "write": LockMode.EXCLUSIVE, "insert": LockMode.EXCLUSIVE,
+         "delete": LockMode.EXCLUSIVE},
+        [frozenset({LockMode.SHARED}), frozenset({LockMode.INCREMENT}),
+         frozenset({LockMode.SHARED, LockMode.INCREMENT})],
     )
     assert not table.conflicts("read", "increment")
     assert table.conflicts("write", "write")
+
+
+@pytest.mark.parametrize("table", [PAGE_TABLE, SEMANTIC_TABLE, READ_WRITE_TABLE])
+def test_join_conflicts_exactly_like_both_modes(table):
+    """A holder holds one mode, the join of what it asked for.  For every
+    shipped table that join conflicts with exactly what either mode
+    conflicts with, so grants and waits-for edges are the same as if the
+    holder kept both."""
+    for a in LockMode:
+        for b in LockMode:
+            joined = table.join(a, b)
+            assert table.join(joined, a) is joined and table.join(joined, b) is joined
+            for other in LockMode:
+                assert table.compatible(joined, other) == (
+                    table.compatible(a, other) and table.compatible(b, other)
+                )

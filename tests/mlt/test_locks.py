@@ -1,17 +1,17 @@
-"""Semantic L1 lock manager."""
+"""The lock manager over the L1 conflict tables."""
 
 import pytest
 
 from repro.errors import DeadlockDetected, LockTimeout
-from repro.mlt.conflicts import READ_WRITE_TABLE, SEMANTIC_TABLE, L1Mode
-from repro.mlt.locks import SemanticLockManager
+from repro.localdb.locks import LockManager, LockMode
+from repro.mlt.conflicts import READ_WRITE_TABLE, SEMANTIC_TABLE
 from tests.conftest import run
 
-S, I, X = L1Mode.SHARED, L1Mode.INCREMENT, L1Mode.EXCLUSIVE
+S, I, X = LockMode.SHARED, LockMode.INCREMENT, LockMode.EXCLUSIVE
 
 
 def make(kernel, table=SEMANTIC_TABLE, timeout=None):
-    return SemanticLockManager(kernel, table, default_timeout=timeout)
+    return LockManager(kernel, "L1", table, default_timeout=timeout)
 
 
 def test_increment_locks_commute(kernel):
@@ -65,15 +65,18 @@ def test_rw_table_serializes_increments(kernel):
     assert grant_time["g2"] == 5.0
 
 
-def test_mode_sets_accumulate(kernel):
+def test_conversion_holds_the_join(kernel):
+    """A holder holds one mode: S then I converts to X, which covers both."""
     locks = make(kernel)
 
     def proc():
         yield from locks.acquire("g1", ("t", "x"), S)
         yield from locks.acquire("g1", ("t", "x"), I)
-        return locks.holders_of(("t", "x"))["g1"]
+        yield from locks.acquire("g1", ("t", "x"), S)  # covered: no grant
+        return locks.holders_of(("t", "x"))["g1"], locks.grants
 
-    assert run(kernel, proc()) == {S, I}
+    assert run(kernel, proc()) == (X, 2)
+    assert locks.holds("g1", ("t", "x"), I)
 
 
 def test_conversion_priority_no_self_deadlock(kernel):

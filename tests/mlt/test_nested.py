@@ -11,8 +11,9 @@ A three-level banking stack:
 import pytest
 
 from repro.localdb.engine import LocalDatabase
+from repro.localdb.locks import ConflictTable, LockMode
 from repro.mlt.actions import Operation
-from repro.mlt.conflicts import ConflictTable, L1Mode
+from repro.mlt.manager import TwoLevelManager
 from repro.mlt.nested import (
     ActionDef,
     LevelSpec,
@@ -26,15 +27,15 @@ from tests.conftest import run
 BUSINESS_TABLE = ConflictTable(
     "business",
     {
-        "transfer": L1Mode.INCREMENT,
-        "audit": L1Mode.SHARED,
-        "write": L1Mode.EXCLUSIVE,
-        "read": L1Mode.SHARED,
-        "increment": L1Mode.INCREMENT,
-        "insert": L1Mode.EXCLUSIVE,
-        "delete": L1Mode.EXCLUSIVE,
+        "transfer": LockMode.INCREMENT,
+        "audit": LockMode.SHARED,
+        "write": LockMode.EXCLUSIVE,
+        "read": LockMode.SHARED,
+        "increment": LockMode.INCREMENT,
+        "insert": LockMode.EXCLUSIVE,
+        "delete": LockMode.EXCLUSIVE,
     },
-    [frozenset({L1Mode.SHARED}), frozenset({L1Mode.INCREMENT})],
+    [frozenset({LockMode.SHARED}), frozenset({LockMode.INCREMENT})],
 )
 
 
@@ -96,10 +97,10 @@ def stack(kernel):
     return engine, manager
 
 
-def balance(kernel, engine, key):
+def balance(kernel, engine, key, table="acc"):
     def proc():
         txn = engine.begin()
-        value = yield from engine.read(txn, "acc", key)
+        value = yield from engine.read(txn, table, key)
         yield from engine.commit(txn)
         return value
 
@@ -252,3 +253,75 @@ def test_history_attributes_actions_to_top_level_txn(kernel, stack):
     l1_owners = {txn for _, txn, _, _, _ in manager.histories[1]}
     assert l2_owners == {"T1"}
     assert l1_owners == {"T1"}
+
+
+@pytest.fixture
+def two_keys(kernel):
+    engine = LocalDatabase(kernel, "db")
+
+    def init():
+        yield from engine.create_table("t", 4)
+        txn = engine.begin()
+        for key in ("a", "b"):
+            yield from engine.insert(txn, "t", key, 100)
+        yield from engine.commit(txn)
+
+    run(kernel, init())
+    return engine
+
+
+@pytest.mark.parametrize("levels", ["nested", "two_level"])
+def test_deadlock_victim_is_undone_and_releases(kernel, two_keys, levels):
+    """T1 writes a then b, T2 writes b then a.  The deadlock aborts the
+    victim at the level that raised it: its executed prefix is inverted
+    and its locks are released, so the other transaction commits -- in
+    the n-level manager as in the two-level one."""
+    engine = two_keys
+    manager = (
+        NestedTransactionManager(kernel, engine, [bottom_level()])
+        if levels == "nested" else TwoLevelManager(kernel, engine)
+    )
+    results = {}
+
+    def txn(name, first, second):
+        results[name] = yield from manager.run(
+            name,
+            [Operation("write", "t", *first), Operation("write", "t", *second)],
+            think_time=5,
+        )
+
+    kernel.spawn(txn("T1", ("a", 1), ("b", 2)))
+    kernel.spawn(txn("T2", ("b", 1), ("a", 2)))
+    kernel.run()
+    assert results["T1"].committed
+    assert not results["T2"].committed
+    assert results["T2"].abort_reason == "DeadlockDetected"
+    assert (balance(kernel, engine, "a", "t"), balance(kernel, engine, "b", "t")) == (1, 2)
+
+
+def test_lock_timeout_aborts_nested_transaction(kernel, two_keys):
+    engine = two_keys
+    manager = NestedTransactionManager(kernel, engine, [bottom_level()])
+    manager.locks[0].default_timeout = 2.0
+    results = {}
+
+    def holder():
+        results["T1"] = yield from manager.run(
+            "T1", [Operation("write", "t", "a", 1), Operation("read", "t", "b")],
+            think_time=5,
+        )
+
+    def waiter():
+        yield 1.0
+        results["T2"] = yield from manager.run(
+            "T2", [Operation("write", "t", "b", 1), Operation("write", "t", "a", 2)]
+        )
+
+    kernel.spawn(holder())
+    kernel.spawn(waiter())
+    kernel.run()
+    assert results["T2"].abort_reason == "LockTimeout"
+    assert results["T2"].inverse_actions == 1
+    assert results["T1"].committed
+    assert results["T1"].reads == {"t['b']": 100}
+    assert (balance(kernel, engine, "a", "t"), balance(kernel, engine, "b", "t")) == (1, 100)

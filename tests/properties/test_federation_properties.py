@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from repro.bench.harness import protocol_federation
 from repro.integration.federation import SiteSpec
-from repro.mlt.conflicts import READ_WRITE_TABLE, SEMANTIC_TABLE, L1Mode
+from repro.localdb.locks import LockMode
+from repro.mlt.conflicts import READ_WRITE_TABLE, SEMANTIC_TABLE
 from repro.workloads import WorkloadGenerator, WorkloadSpec
 
 KINDS = ("read", "write", "increment", "insert", "delete")
@@ -51,10 +52,10 @@ def test_conflict_tables_symmetric_and_rw_dominates(a, b):
         assert READ_WRITE_TABLE.conflicts(a, b)
 
 
-@given(a=st.sampled_from(list(L1Mode)), b=st.sampled_from(list(L1Mode)))
+@given(a=st.sampled_from(list(LockMode)), b=st.sampled_from(list(LockMode)))
 @settings(max_examples=25)
 def test_exclusive_conflicts_with_everything(a, b):
-    if L1Mode.EXCLUSIVE in (a, b):
+    if LockMode.EXCLUSIVE in (a, b):
         assert not SEMANTIC_TABLE.compatible(a, b)
         assert not READ_WRITE_TABLE.compatible(a, b)
 

@@ -1,15 +1,22 @@
-"""Property-based tests of the lock managers."""
+"""Property-based tests of the lock manager at L0 and L1.
+
+Workers run to completion or the test fails: the kernel runs with
+``raise_failures=False`` (a victim's process may end in an exception),
+so each property also asserts that every worker reached its end --
+an error inside a worker, or inside a consistency check it runs, must
+not pass as a clean run.
+"""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import DeadlockDetected, LockTimeout
 from repro.localdb.locks import LockManager, LockMode
-from repro.mlt.conflicts import SEMANTIC_TABLE, L1Mode
-from repro.mlt.locks import SemanticLockManager
+from repro.mlt.conflicts import SEMANTIC_TABLE
 from repro.sim.kernel import Kernel
 
 l0_modes = st.sampled_from([LockMode.SHARED, LockMode.EXCLUSIVE])
-l1_modes = st.sampled_from([L1Mode.SHARED, L1Mode.INCREMENT, L1Mode.EXCLUSIVE])
+l1_modes = st.sampled_from([LockMode.SHARED, LockMode.INCREMENT, LockMode.EXCLUSIVE])
 resources = st.sampled_from(["r1", "r2"])
 txn_names = st.sampled_from(["t1", "t2", "t3"])
 
@@ -33,15 +40,15 @@ def lock_scripts(draw):
 
 
 def holders_consistent(manager: LockManager) -> bool:
-    """No two holders of one resource have incompatible L0 modes."""
-    from repro.localdb.locks import compatible
-
+    """Each holder holds one mode, and no two holders of one resource
+    hold modes the manager's table says are incompatible."""
     for resource in list(manager._resources):
-        holders = manager.holders_of(resource)
-        items = list(holders.items())
+        items = list(manager.holders_of(resource).items())
         for i, (txn_a, mode_a) in enumerate(items):
+            if not isinstance(mode_a, LockMode):
+                return False
             for txn_b, mode_b in items[i + 1:]:
-                if not compatible(mode_a, mode_b):
+                if not manager.table.compatible(mode_a, mode_b):
                     return False
     return True
 
@@ -52,6 +59,7 @@ def test_l0_no_incompatible_coholders_ever(script, seed):
     kernel = Kernel(seed=seed)
     manager = LockManager(kernel, "s", default_timeout=30)
     violations = []
+    finished = []
 
     def worker(txn, steps):
         for action, resource, mode in steps:
@@ -60,13 +68,13 @@ def test_l0_no_incompatible_coholders_ever(script, seed):
                     yield from manager.acquire(txn, resource, mode)
                 else:
                     manager.release_all(txn)
-            except Exception:
-                manager.release_all(txn)
-                return
+            except (DeadlockDetected, LockTimeout):
+                break
             if not holders_consistent(manager):
                 violations.append((txn, action, resource))
             yield 0.1
         manager.release_all(txn)
+        finished.append(txn)
 
     by_txn: dict[str, list] = {}
     for txn, action, resource, mode in script:
@@ -75,19 +83,7 @@ def test_l0_no_incompatible_coholders_ever(script, seed):
         kernel.spawn(worker(txn, steps))
     kernel.run(raise_failures=False)
     assert not violations
-
-
-def l1_holders_consistent(manager: SemanticLockManager) -> bool:
-    for resource in list(manager._resources):
-        holders = manager.holders_of(resource)
-        items = list(holders.items())
-        for i, (txn_a, modes_a) in enumerate(items):
-            for txn_b, modes_b in items[i + 1:]:
-                for mode_a in modes_a:
-                    for mode_b in modes_b:
-                        if not manager.table.compatible(mode_a, mode_b):
-                            return False
-    return True
+    assert sorted(finished) == sorted(by_txn)
 
 
 @given(
@@ -99,20 +95,21 @@ def l1_holders_consistent(manager: SemanticLockManager) -> bool:
 @settings(max_examples=60, deadline=None)
 def test_l1_no_conflicting_coholders_ever(script, seed):
     kernel = Kernel(seed=seed)
-    manager = SemanticLockManager(kernel, SEMANTIC_TABLE, default_timeout=30)
+    manager = LockManager(kernel, "L1", SEMANTIC_TABLE, default_timeout=30)
     violations = []
+    finished = []
 
     def worker(txn, steps):
         for resource, mode in steps:
             try:
                 yield from manager.acquire(txn, resource, mode)
-            except Exception:
-                manager.release_all(txn)
-                return
-            if not l1_holders_consistent(manager):
+            except (DeadlockDetected, LockTimeout):
+                break
+            if not holders_consistent(manager):
                 violations.append((txn, resource, mode))
             yield 0.1
         manager.release_all(txn)
+        finished.append(txn)
 
     by_txn: dict[str, list] = {}
     for txn, resource, mode in script:
@@ -121,6 +118,7 @@ def test_l1_no_conflicting_coholders_ever(script, seed):
         kernel.spawn(worker(txn, steps))
     kernel.run(raise_failures=False)
     assert not violations
+    assert sorted(finished) == sorted(by_txn)
 
 
 @given(
@@ -133,14 +131,14 @@ def test_l1_no_conflicting_coholders_ever(script, seed):
 def test_l1_all_workers_terminate(script, seed):
     """With timeouts + deadlock detection nobody hangs forever."""
     kernel = Kernel(seed=seed)
-    manager = SemanticLockManager(kernel, SEMANTIC_TABLE, default_timeout=20)
+    manager = LockManager(kernel, "L1", SEMANTIC_TABLE, default_timeout=20)
     finished = []
 
     def worker(txn, steps):
         for resource, mode in steps:
             try:
                 yield from manager.acquire(txn, resource, mode)
-            except Exception:
+            except (DeadlockDetected, LockTimeout):
                 break
             yield 1
         manager.release_all(txn)
