@@ -4,14 +4,19 @@ Builds conflict graphs from operation histories and checks
 (conflict-)serializability, both per level and globally across sites.
 Also implements the weaker *quasi-serializability* criterion of Du &
 Elmagarmid, used to classify the histories the saga baseline produces.
+
+The graph is linear: per object, a *run* is a maximal sequence of
+mutually commuting ops (reads; semantic increments), and each op gets an
+edge from every op of the run before its own, bar same-transaction
+pairs.  If commuting is transitive (``build_graph`` checks), each edge is
+a real conflict and all others follow by chains through the runs between,
+so verdicts, cycles and serial orders match the all-pairs graph's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
-
-import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -43,24 +48,69 @@ class SerializabilityReport:
         return self.serializable
 
 
+class ConflictGraph(dict):
+    """Transaction -> its successors, insertion-ordered: deterministic."""
+
+    @property
+    def nodes(self) -> list[str]:
+        return list(self)
+
+    @property
+    def edges(self) -> list[tuple[str, str]]:
+        return [(src, dst) for src, out in self.items() for dst in out]
+
+    def add_edge(self, src: str, dst: str) -> None:
+        self.setdefault(src, {})[dst] = None
+        self.setdefault(dst, {})
+
+    def merge(self, other: ConflictGraph) -> None:
+        for txn, out in other.items():
+            self.setdefault(txn, {}).update(out)
+
+    def report(self) -> SerializabilityReport:
+        """One iterative DFS: a cycle, or else a topological order."""
+        on_path: dict[Optional[str], bool] = {}  # False once finished
+        finished: list[Optional[str]] = []
+        stack = [(None, iter(self))]  # a virtual root: before every node, finished last
+        while stack:
+            for nxt in stack[-1][1]:
+                if nxt not in on_path:
+                    on_path[nxt] = True
+                    stack.append((nxt, iter(self[nxt])))
+                    break
+                if on_path[nxt]:
+                    path = [node for node, _ in stack]
+                    cycle = path[path.index(nxt) :] + [nxt]
+                    return SerializabilityReport(False, cycle=cycle, edges=self.edges)
+            else:
+                finished.append(stack.pop()[0])
+                on_path[finished[-1]] = False
+        return SerializabilityReport(True, serial_order=finished[-2::-1], edges=self.edges)
+
+
 def build_graph(
     ops: Iterable[HistoryOp],
     conflicts: Callable[[str, str], bool] = rw_conflict,
-) -> nx.DiGraph:
-    """Conflict graph: edge T1 -> T2 if an op of T1 precedes a
-    conflicting op of T2 on the same object."""
-    graph = nx.DiGraph()
-    by_object: dict[tuple[str, Any], list[HistoryOp]] = {}
+) -> ConflictGraph:
+    """Conflict graph: T2 is reachable from T1 iff an op of T1 precedes
+    a conflicting op of T2 on the same object (adjacent runs linked)."""
+    graph = ConflictGraph()
+    # object -> kinds, txns of the run before the current one, then of the current one
+    runs: dict[tuple[str, Any], list[dict[str, None]]] = {}
     for op in sorted(ops, key=lambda o: o.seq):
-        graph.add_node(op.txn)
-        by_object.setdefault((op.table, op.key), []).append(op)
-    for object_ops in by_object.values():
-        for i, earlier in enumerate(object_ops):
-            for later in object_ops[i + 1 :]:
-                if earlier.txn == later.txn:
-                    continue
-                if conflicts(earlier.kind, later.kind):
-                    graph.add_edge(earlier.txn, later.txn)
+        graph.setdefault(op.txn, {})
+        run = runs.setdefault((op.table, op.key), [{}, {}, {}, {}])
+        if not run[2] or conflicts(next(iter(run[2])), op.kind):
+            run[:] = run[2], run[3], {}, {}  # op starts a new run
+        before_kinds, before_txns, kinds, txns = run
+        odd = [k for k in kinds if conflicts(k, op.kind)]
+        odd += [k for k in before_kinds if not conflicts(k, op.kind)]
+        if odd:
+            raise ValueError(f"commutativity is not transitive: {odd[0]!r} vs {op.kind!r}")
+        for txn in before_txns:
+            if txn != op.txn:
+                graph.add_edge(txn, op.txn)
+        kinds[op.kind] = txns[op.txn] = None
     return graph
 
 
@@ -69,18 +119,7 @@ def check(
     conflicts: Callable[[str, str], bool] = rw_conflict,
 ) -> SerializabilityReport:
     """Full serializability report for one history."""
-    graph = build_graph(ops, conflicts)
-    try:
-        cycle_edges = nx.find_cycle(graph)
-    except nx.NetworkXNoCycle:
-        order = list(nx.topological_sort(graph))
-        return SerializabilityReport(
-            serializable=True, serial_order=order, edges=list(graph.edges)
-        )
-    cycle = [edge[0] for edge in cycle_edges] + [cycle_edges[-1][1]]
-    return SerializabilityReport(
-        serializable=False, cycle=cycle, edges=list(graph.edges)
-    )
+    return build_graph(ops, conflicts).report()
 
 
 def committed_projection(
@@ -107,20 +146,10 @@ def global_serializability(
     criterion the saga baseline violates (EXP-B1) and the paper's
     protocols preserve.
     """
-    union = nx.DiGraph()
+    union = ConflictGraph()
     for history in site_histories.values():
-        graph = build_graph(history, conflicts)
-        union.add_nodes_from(graph.nodes)
-        union.add_edges_from(graph.edges)
-    try:
-        cycle_edges = nx.find_cycle(union)
-    except nx.NetworkXNoCycle:
-        order = list(nx.topological_sort(union))
-        return SerializabilityReport(
-            serializable=True, serial_order=order, edges=list(union.edges)
-        )
-    cycle = [edge[0] for edge in cycle_edges] + [cycle_edges[-1][1]]
-    return SerializabilityReport(serializable=False, cycle=cycle, edges=list(union.edges))
+        union.merge(build_graph(history, conflicts))
+    return union.report()
 
 
 def quasi_serializability(
@@ -137,29 +166,15 @@ def quasi_serializability(
     purely local transactions are deliberately ignored; that is the
     weakening relative to global serializability.
     """
-    projected = nx.DiGraph()
-    projected.add_nodes_from(global_txns)
+    projected = ConflictGraph()
+    projected.update((txn, {}) for txn in sorted(global_txns))
     for history in site_histories.values():
         local_report = check(history, conflicts)
         if not local_report.serializable:
-            return SerializabilityReport(
-                serializable=False, cycle=local_report.cycle
-            )
-        graph = build_graph(history, conflicts)
-        for src, dst in graph.edges:
-            if src in global_txns and dst in global_txns:
-                projected.add_edge(src, dst)
-    try:
-        cycle_edges = nx.find_cycle(projected)
-    except nx.NetworkXNoCycle:
-        order = list(nx.topological_sort(projected))
-        return SerializabilityReport(
-            serializable=True, serial_order=order, edges=list(projected.edges)
-        )
-    cycle = [edge[0] for edge in cycle_edges] + [cycle_edges[-1][1]]
-    return SerializabilityReport(
-        serializable=False, cycle=cycle, edges=list(projected.edges)
-    )
+            return SerializabilityReport(False, cycle=local_report.cycle)
+        # Restricted first: the linear graph may route G1 -> G2 through a local txn.
+        projected.merge(build_graph([op for op in history if op.txn in global_txns], conflicts))
+    return projected.report()
 
 
 def ops_from_engine(engine, by_gtxn: bool = False, committed_only: bool = True) -> list[HistoryOp]:

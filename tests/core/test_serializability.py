@@ -1,5 +1,9 @@
 """Serialization-graph checkers."""
 
+import re
+
+import pytest
+
 from repro.core.serializability import (
     HistoryOp,
     build_graph,
@@ -9,7 +13,19 @@ from repro.core.serializability import (
     quasi_serializability,
     rw_conflict,
 )
+from repro.localdb.locks import ConflictTable, LockMode
 from repro.mlt.conflicts import SEMANTIC_TABLE
+
+#: Reads commute with increments and increments with each other, but
+#: reads conflict with reads: commuting is not transitive.
+ODD_TABLE = ConflictTable(
+    "odd",
+    {"read": LockMode.SHARED, "increment": LockMode.INCREMENT},
+    [
+        frozenset({LockMode.SHARED, LockMode.INCREMENT}),
+        frozenset({LockMode.INCREMENT}),
+    ],
+)
 
 
 def op(seq, txn, kind, key="x", table="t"):
@@ -109,6 +125,17 @@ def test_quasi_serializability_rejects_direct_global_cycle():
     assert not report.serializable
 
 
+def test_quasi_serializability_sees_direct_edges_behind_local_txns():
+    """G1 and G2 conflict directly on x although L1 sits between them;
+    site b orders them the other way.  Projecting the linear graph
+    (G1 -> L1 -> G2) onto global txns would lose G1 -> G2 and accept."""
+    site_a = [op(1, "G1", "write"), op(2, "L1", "write"), op(3, "G2", "write")]
+    site_b = [op(1, "G2", "write", key="y"), op(2, "G1", "write", key="y")]
+    report = quasi_serializability({"a": site_a, "b": site_b}, global_txns={"G1", "G2"})
+    assert not report.serializable
+    assert set(report.cycle) == {"G1", "G2"}
+
+
 def test_quasi_serializability_requires_local_serializability():
     cyclic = [
         op(1, "T1", "read", key="x"),
@@ -123,3 +150,21 @@ def test_quasi_serializability_requires_local_serializability():
 def test_build_graph_nodes_include_all_txns():
     graph = build_graph([op(1, "T1", "read"), op(2, "T2", "read")])
     assert set(graph.nodes) == {"T1", "T2"}
+
+
+@pytest.mark.parametrize(
+    "kinds, named",
+    [
+        # the second read joins the run {increment, read}, yet conflicts with its read
+        (["increment", "read", "read"], ("read", "read")),
+        # the second read starts a new run, yet commutes with the increment it closes
+        (["read", "increment", "read"], ("increment", "read")),
+        # the increment joins the second read's run, yet commutes with the first read
+        (["read", "read", "increment"], ("read", "increment")),
+    ],
+)
+def test_build_graph_refuses_non_transitive_commutativity(kinds, named):
+    history = [op(seq, f"T{seq}", kind) for seq, kind in enumerate(kinds, start=1)]
+    pattern = re.escape(f"{named[0]!r} vs {named[1]!r}")
+    with pytest.raises(ValueError, match=pattern):
+        build_graph(history, ODD_TABLE.conflicts)

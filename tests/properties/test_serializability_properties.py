@@ -3,16 +3,43 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.serializability import HistoryOp, build_graph, check
+from repro.core.serializability import HistoryOp, build_graph, check, rw_conflict
+from repro.localdb.locks import ConflictTable, LockMode
 from repro.mlt.conflicts import READ_WRITE_TABLE, SEMANTIC_TABLE
 
 txns = st.sampled_from(["T1", "T2", "T3"])
 kinds = st.sampled_from(["read", "write", "increment"])
 obj_keys = st.sampled_from(["x", "y"])
 
+#: Two kinds per mode, as an L2 business level has (transfers commute
+#: like increments, audits share like reads).
+TWO_KINDS_TABLE = ConflictTable(
+    "two-kinds",
+    {
+        "read": LockMode.SHARED,
+        "audit": LockMode.SHARED,
+        "increment": LockMode.INCREMENT,
+        "transfer": LockMode.INCREMENT,
+        "write": LockMode.EXCLUSIVE,
+        "delete": LockMode.EXCLUSIVE,
+    },
+    [frozenset({LockMode.SHARED}), frozenset({LockMode.INCREMENT})],
+)
+
+#: name -> (conflict predicate, the kinds it knows)
+CONFLICTS = {
+    "rw_conflict": (rw_conflict, ["read", "write", "increment", "insert"]),
+    "read-write": (READ_WRITE_TABLE.conflicts, ["read", "write", "increment"]),
+    "semantic": (SEMANTIC_TABLE.conflicts, ["read", "write", "increment"]),
+    "two-kinds": (
+        TWO_KINDS_TABLE.conflicts,
+        ["read", "audit", "increment", "transfer", "write", "delete"],
+    ),
+}
+
 
 @st.composite
-def histories(draw, min_size=0, max_size=12):
+def histories(draw, min_size=0, max_size=12, kinds=kinds, txns=txns):
     rows = draw(
         st.lists(st.tuples(txns, kinds, obj_keys), min_size=min_size, max_size=max_size)
     )
@@ -20,6 +47,36 @@ def histories(draw, min_size=0, max_size=12):
         HistoryOp(seq, txn, kind, "t", key)
         for seq, (txn, kind, key) in enumerate(rows, start=1)
     ]
+
+
+def reference_edges(history, conflicts=rw_conflict) -> set[tuple[str, str]]:
+    """The all-pairs conflict graph: T1 -> T2 for every op of T1 that
+    precedes a conflicting op of T2 on the same object."""
+    ordered = sorted(history, key=lambda op: op.seq)
+    return {
+        (earlier.txn, later.txn)
+        for i, earlier in enumerate(ordered)
+        for later in ordered[i + 1 :]
+        if (earlier.table, earlier.key) == (later.table, later.key)
+        and earlier.txn != later.txn
+        and conflicts(earlier.kind, later.kind)
+    }
+
+
+def reachability(nodes, edges) -> dict[str, set[str]]:
+    """Every node's set of nodes reachable by a non-empty path."""
+    successors = {node: set() for node in nodes}
+    for src, dst in edges:
+        successors[src].add(dst)
+    reach = {}
+    for node in nodes:
+        seen, frontier = set(), [node]
+        while frontier:
+            for nxt in successors[frontier.pop()] - seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+        reach[node] = seen
+    return reach
 
 
 @given(history=histories())
@@ -30,9 +87,34 @@ def test_serial_order_respects_every_conflict_edge(history):
         assert report.cycle is not None
         return
     order = {txn: i for i, txn in enumerate(report.serial_order)}
-    graph = build_graph(history)
-    for src, dst in graph.edges:
+    for src, dst in reference_edges(history):
         assert order[src] < order[dst]
+
+
+@given(data=st.data(), name=st.sampled_from(sorted(CONFLICTS)))
+@settings(max_examples=400)
+def test_linear_graph_matches_all_pairs_reference(data, name):
+    conflicts, known = CONFLICTS[name]
+    history = data.draw(
+        histories(
+            max_size=16,
+            kinds=st.sampled_from(known),
+            txns=st.sampled_from(["T1", "T2", "T3", "T4"]),
+        )
+    )
+    reference = reference_edges(history, conflicts)
+    graph = build_graph(history, conflicts)
+    nodes = {op.txn for op in history}
+    assert set(graph.nodes) == nodes
+    assert set(graph.edges) <= reference
+    assert reachability(nodes, graph.edges) == reachability(nodes, reference)
+    report = check(history, conflicts)
+    if report.serializable:
+        order = {txn: i for i, txn in enumerate(report.serial_order)}
+        assert all(order[src] < order[dst] for src, dst in reference)
+    else:
+        assert report.cycle[0] == report.cycle[-1]
+        assert set(zip(report.cycle, report.cycle[1:])) <= reference
 
 
 @given(history=histories())
