@@ -12,7 +12,7 @@ import random
 
 from repro.bench import format_table
 from repro.localdb.config import LocalDBConfig
-from repro.mlt.manager import SingleLevelManager, TwoLevelManager
+from repro.mlt.nested import NestedTransactionManager, SingleLevelManager, bottom_level
 from repro.sim.kernel import Kernel
 from repro.workloads.counters import build_counter_site, counter_transactions
 
@@ -34,7 +34,7 @@ def run_mode(two_level: bool) -> dict:
     start = kernel.now
     txns = counter_transactions(random.Random(4), keys, N_TXNS, increments_per_txn=2)
     manager = (
-        TwoLevelManager(kernel, engine)
+        NestedTransactionManager(kernel, engine, [bottom_level()])
         if two_level
         else SingleLevelManager(kernel, engine)
     )

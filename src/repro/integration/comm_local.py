@@ -34,7 +34,7 @@ from repro.errors import (
 )
 from repro.core.redo import COMMITLOG_TABLE
 from repro.localdb.txn import LocalTxnState
-from repro.mlt.actions import Operation, apply
+from repro.mlt.actions import MAX_L0_RETRIES, Operation, apply
 from repro.net.message import Message
 from repro.sim.sync import FifoLock
 
@@ -55,7 +55,6 @@ class LocalCommunicationManager:
         node: "Node",
         interface: "StandardTMInterface",
         log_placement: str = "indb",
-        max_l0_retries: int = 10,
     ):
         if log_placement not in ("indb", "volatile"):
             raise ValueError(f"unknown log placement {log_placement!r}")
@@ -64,7 +63,6 @@ class LocalCommunicationManager:
         self.node = node
         self.interface = interface
         self.log_placement = log_placement
-        self.max_l0_retries = max_l0_retries
         self._retry_rng = kernel.rng.stream(f"cm-retry:{node.name}")
         # gtxn_id -> local txn id of the current subtransaction.
         self._subtxns: dict[str, str] = {}
@@ -746,7 +744,7 @@ class LocalCommunicationManager:
 
         Returns ``(what body returned, retries)``.  An erroneous abort
         (deadlock victim, lock timeout, failed validation) is repeated
-        until ``max_l0_retries`` is exceeded, then ``failed(None)``
+        until ``MAX_L0_RETRIES`` is exceeded, then ``failed(None)``
         replies.  Any other database error aborts the local and
         ``failed(error)`` replies.  Either failure returns ``None``.
         """
@@ -762,7 +760,7 @@ class LocalCommunicationManager:
                 # Randomized backoff: concurrent repetitions contending
                 # on the same pages must not retry in lockstep.
                 yield self._retry_rng.uniform(1.0, 5.0 * retries)
-                if retries > self.max_l0_retries:
+                if retries > MAX_L0_RETRIES:
                     failed(None)
                     return None
             except DatabaseError as exc:

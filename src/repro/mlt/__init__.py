@@ -10,6 +10,11 @@ database systems:
 * **L0** -- local transactions executed by the existing transaction
   managers; each L1 action runs as one short L0 transaction.
 
+Over one local engine, :class:`NestedTransactionManager` runs this
+model with any number of levels (``[bottom_level()]`` is the two-level
+case of Figure 8), and :class:`SingleLevelManager` is the flat baseline
+it is compared with.
+
 Both levels lock through the one strict-2PL lock manager
 (:class:`~repro.localdb.locks.LockManager`); only the conflict table
 differs (:mod:`repro.mlt.conflicts` holds the L1 tables).  That manager
@@ -19,13 +24,13 @@ protocol adds no machinery beyond what multi-level transactions already
 need.
 """
 
-from repro.mlt.actions import Operation, UndoEntry, inverse_of
+from repro.mlt.actions import Operation, inverse_of
 from repro.mlt.conflicts import READ_WRITE_TABLE, SEMANTIC_TABLE
-from repro.mlt.manager import SingleLevelManager, TwoLevelManager
 from repro.mlt.nested import (
     ActionDef,
     LevelSpec,
     NestedTransactionManager,
+    SingleLevelManager,
     bottom_level,
 )
 
@@ -38,7 +43,5 @@ __all__ = [
     "READ_WRITE_TABLE",
     "SEMANTIC_TABLE",
     "SingleLevelManager",
-    "TwoLevelManager",
-    "UndoEntry",
     "inverse_of",
 ]

@@ -107,19 +107,6 @@ def delete(table: str, key: Any) -> Operation:
     return Operation("delete", table, key)
 
 
-@dataclass(frozen=True)
-class UndoEntry:
-    """Undo-log entry: the executed operation plus what undoes it.
-
-    ``before`` is the value observed before execution (needed to invert
-    state-based operations).  ``inverse`` is ``None`` for reads.
-    """
-
-    operation: Operation
-    before: Any
-    inverse: Optional[Operation]
-
-
 def inverse_of(operation: Operation, before: Any) -> Optional[Operation]:
     """The L1 action that semantically undoes ``operation``.
 
@@ -144,6 +131,13 @@ def inverse_of(operation: Operation, before: Any) -> Optional[Operation]:
     if operation.kind == "delete":
         return operation._retargeted("insert", before)
     raise ValueError(f"no inverse for {operation.kind!r}")
+
+
+#: How often :func:`apply`'s callers repeat an action whose local
+#: transaction aborted erroneously (deadlock victim, lock timeout,
+#: failed validation) before they give up: the n-level manager's bottom
+#: level and the communication manager's L0 actions.
+MAX_L0_RETRIES = 10
 
 
 def apply(db: Any, txn: Any, operation: Operation) -> Generator[Any, Any, tuple[Any, Any]]:

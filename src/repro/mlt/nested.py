@@ -1,4 +1,4 @@
-"""General n-level multi-level transactions (§4.1).
+"""Multi-level transactions over one local engine (§4.1, Figure 8).
 
 The paper instantiates the multi-level model with two levels for the
 federation, but defines it generally: a transaction at level ``L_i``
@@ -20,8 +20,14 @@ This module implements the general model over one local engine:
   undoing with inverse actions level by level;
 * per-level histories for the serializability theorem checker.
 
-The bottom level executes :class:`~repro.mlt.actions.Operation` objects
-as short engine transactions, exactly like the two-level manager.
+The bottom level executes :class:`~repro.mlt.actions.Operation` objects,
+each as one short engine transaction that commits at once and releases
+its page locks; the level's semantic lock is held until the
+transaction ends.  With ``[bottom_level()]`` alone this is the paper's
+two-level setting of Figure 8.  :class:`SingleLevelManager` runs the
+same action list as one flat engine transaction -- the baseline whose
+page locks are held to the very end.  The distributed versions of both
+strategies live in :mod:`repro.core.protocols`.
 """
 
 from __future__ import annotations
@@ -29,9 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
-from repro.errors import DeadlockDetected, LockTimeout, ReproError, TransactionAborted
+from repro.errors import DatabaseError, ReproError, TransactionAborted
 from repro.localdb.locks import ConflictTable, LockManager
-from repro.mlt.actions import Operation, apply, inverse_of
+from repro.mlt.actions import MAX_L0_RETRIES, Operation, apply, inverse_of
 from repro.mlt.conflicts import SEMANTIC_TABLE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -98,7 +104,7 @@ def bottom_level(name: str = "L1", conflicts: ConflictTable = SEMANTIC_TABLE) ->
 
 @dataclass
 class NestedResult:
-    """Outcome of a top-level nested transaction."""
+    """Outcome of a top-level transaction (nested or flat)."""
 
     name: str
     committed: bool
@@ -119,14 +125,12 @@ class NestedTransactionManager:
         kernel: "Kernel",
         engine: "LocalDatabase",
         levels: list[LevelSpec],
-        max_l0_retries: int = 10,
     ):
         if not levels:
             raise ValueError("need at least one level")
         self.kernel = kernel
         self.engine = engine
         self.levels = levels
-        self.max_l0_retries = max_l0_retries
         self.locks = [LockManager(kernel, level.name, level.conflicts) for level in levels]
         self._seq = 0
         self._subtxn_counter = 0
@@ -146,19 +150,21 @@ class NestedTransactionManager:
         abort_after: Optional[int] = None,
         think_time: float = 0.0,
     ) -> Generator[Any, Any, NestedResult]:
-        """Run a top-level transaction; returns its outcome."""
+        """Run a top-level transaction; returns its outcome.
+
+        ``abort_after=n`` aborts it intentionally after ``n`` actions,
+        exercising the inverse-action undo path.  ``think_time`` elapses
+        between its actions (transaction logic, user interaction); only
+        the top level's own locks are held during it, no page lock --
+        the source of the Figure 8 concurrency gain.
+        """
         result = NestedResult(name=name, committed=False)
         try:
             yield from self._run_level(
                 0, name, actions, result, abort_after, think_time
             )
         except _ABORTS as exc:
-            if isinstance(exc, _IntendedAbort):
-                result.abort_reason = "intended"
-            elif isinstance(exc, TransactionAborted):
-                result.abort_reason = str(exc.reason)
-            else:
-                result.abort_reason = type(exc).__name__
+            result.abort_reason = _abort_reason(exc)
             self.aborts += 1
             self.locks[0].release_all(name)
             return result
@@ -183,12 +189,12 @@ class NestedTransactionManager:
         Acquires this level's locks per action, executes each action as
         a transaction one level below (or against the engine at the
         bottom), and undoes the executed prefix with inverse actions if
-        anything fails -- an intended abort, an erroneous L0 abort, or a
-        deadlock or lock timeout at any level.  Either way the *caller*
-        releases this level's locks when ITS transaction ends -- except
-        the top level, whose locks are released by :meth:`run`.
+        anything fails -- an intended abort, an erroneous L0 abort, an
+        action's own database error, or a deadlock or lock timeout at
+        any level.  Either way the *caller* releases this level's locks
+        when ITS transaction ends -- except the top level, whose locks
+        are released by :meth:`run`.
         """
-        level = self.levels[level_index]
         undo: list[tuple[Operation, dict]] = []
         try:
             for index, action in enumerate(actions):
@@ -243,7 +249,12 @@ class NestedTransactionManager:
     def _execute_bottom(
         self, txn_name: str, action: Operation, result: NestedResult
     ) -> Generator[Any, Any, dict]:
-        """Run one record operation as a short engine transaction."""
+        """Run one record operation as a short engine transaction.
+
+        An erroneous abort is retried up to ``MAX_L0_RETRIES`` times.
+        Any other database error aborts the open engine transaction and
+        propagates, aborting the transaction at this level.
+        """
         engine = self.engine
         retries = 0
         while True:
@@ -251,13 +262,18 @@ class NestedTransactionManager:
             try:
                 value, before = yield from apply(engine, txn, action)
                 yield from engine.commit(txn)
-                if action.kind == "read":
-                    result.reads[f"{action.table}[{action.key!r}]"] = value
-                return {"value": value, "before": before}
             except TransactionAborted:
                 retries += 1
-                if retries > self.max_l0_retries:
+                if retries > MAX_L0_RETRIES:
                     raise
+                continue
+            except DatabaseError:
+                if txn.active:
+                    yield from engine.abort(txn)
+                raise
+            if action.kind == "read":
+                result.reads[f"{action.table}[{action.key!r}]"] = value
+            return {"value": value, "before": before}
 
     def _undo_level(
         self,
@@ -301,11 +317,67 @@ class NestedTransactionManager:
         return all(bool(report) for report in self.level_reports(committed))
 
 
+class SingleLevelManager:
+    """Baseline: the action list runs as one flat engine transaction."""
+
+    def __init__(self, kernel: "Kernel", engine: "LocalDatabase"):
+        self.kernel = kernel
+        self.engine = engine
+        self.commits = 0
+        self.aborts = 0
+
+    def run(
+        self,
+        name: str,
+        operations: list[Operation],
+        abort_after: Optional[int] = None,
+        think_time: float = 0.0,
+    ) -> Generator[Any, Any, NestedResult]:
+        """Execute all operations inside a single local transaction.
+
+        ``think_time`` elapses between operations *while all page locks
+        are held* -- flat transactions cannot release early.
+        """
+        engine = self.engine
+        result = NestedResult(name=name, committed=False)
+        txn = engine.begin(gtxn_id=name)
+        try:
+            for index, operation in enumerate(operations):
+                if abort_after is not None and index >= abort_after:
+                    raise _IntendedAbort()
+                if think_time and index > 0:
+                    yield think_time
+                value, _ = yield from apply(engine, txn, operation)
+                if operation.kind == "read":
+                    result.reads[f"{operation.table}[{operation.key!r}]"] = value
+            if abort_after is not None and abort_after >= len(operations):
+                raise _IntendedAbort()
+            yield from engine.commit(txn)
+        except _ABORTS as exc:
+            if txn.active:
+                yield from engine.abort(txn)
+            result.abort_reason = _abort_reason(exc)
+            self.aborts += 1
+            return result
+        result.committed = True
+        self.commits += 1
+        return result
+
+
 class _IntendedAbort(Exception):
     """Marker: the transaction's own logic decided to abort."""
 
 
 #: What aborts a transaction at the level that raised it: its own
-#: logic, an erroneous L0 abort past the retries, or a deadlock victim
-#: or lock timeout at any level's lock manager.
-_ABORTS = (_IntendedAbort, TransactionAborted, DeadlockDetected, LockTimeout)
+#: logic, or any database error -- an erroneous L0 abort past the
+#: retries, an action's own failure (a duplicate key, say), or a
+#: deadlock victim or lock timeout at any level's lock manager.
+_ABORTS = (_IntendedAbort, DatabaseError)
+
+
+def _abort_reason(exc: Exception) -> str:
+    if isinstance(exc, _IntendedAbort):
+        return "intended"
+    if isinstance(exc, TransactionAborted):
+        return str(exc.reason)
+    return type(exc).__name__

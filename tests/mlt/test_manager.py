@@ -1,11 +1,15 @@
-"""Two-level transaction manager (Figure 8 semantics)."""
+"""Two-level transactions (Figure 8 semantics) and the flat baseline.
+
+The two-level manager is the n-level executor with one semantic level
+above the engine: ``NestedTransactionManager(kernel, db, [bottom_level()])``.
+"""
 
 
 from repro.localdb.engine import LocalDatabase
-from repro.mlt.actions import increment, read, write
-from repro.mlt.conflicts import READ_WRITE_TABLE
-from repro.mlt.manager import SingleLevelManager, TwoLevelManager
-from repro.mlt.theory import check_l1, verify_two_level
+from repro.mlt.actions import delete, increment, read, write
+from repro.mlt.conflicts import READ_WRITE_TABLE, SEMANTIC_TABLE
+from repro.mlt.nested import NestedTransactionManager, SingleLevelManager, bottom_level
+from repro.mlt.theory import check_l0, check_l1
 from tests.conftest import run
 
 
@@ -25,6 +29,10 @@ def make_engine(kernel):
     return db
 
 
+def two_level(kernel, db, conflicts=SEMANTIC_TABLE):
+    return NestedTransactionManager(kernel, db, [bottom_level(conflicts=conflicts)])
+
+
 def read_value(kernel, db, key):
     def proc():
         txn = db.begin()
@@ -37,7 +45,7 @@ def read_value(kernel, db, key):
 
 def test_committed_increments_apply(kernel):
     db = make_engine(kernel)
-    mgr = TwoLevelManager(kernel, db)
+    mgr = two_level(kernel, db)
     result = run(kernel, mgr.run("T1", [increment("obj", "x", 3), increment("obj", "y", 2)]))
     assert result.committed
     assert read_value(kernel, db, "x") == 3
@@ -47,7 +55,7 @@ def test_committed_increments_apply(kernel):
 def test_figure8_concurrent_increments_on_same_object(kernel):
     """Both T1 and T2 hold increment locks on x concurrently (Figure 8)."""
     db = make_engine(kernel)
-    mgr = TwoLevelManager(kernel, db)
+    mgr = two_level(kernel, db)
     overlap = {}
 
     def t1():
@@ -64,13 +72,13 @@ def test_figure8_concurrent_increments_on_same_object(kernel):
     assert overlap == {"T1": True, "T2": True}
     assert read_value(kernel, db, "x") == 2
     assert read_value(kernel, db, "y") == 1
-    report = verify_two_level(db, mgr.l1_history, committed_l1={"T1", "T2"})
-    assert report.serializable
+    assert check_l0(db).serializable
+    assert mgr.serializable(committed={"T1", "T2"})
 
 
 def test_intended_abort_undoes_by_inverse_actions(kernel):
     db = make_engine(kernel)
-    mgr = TwoLevelManager(kernel, db)
+    mgr = two_level(kernel, db)
     result = run(
         kernel,
         mgr.run("T1", [increment("obj", "x", 5), increment("obj", "y", 7)], abort_after=2),
@@ -86,7 +94,7 @@ def test_undo_preserves_other_transactions_increment(kernel):
     """The Figure 8 recovery argument: undoing T1 by decrement must not
     destroy T2's interleaved increment (page-image undo would)."""
     db = make_engine(kernel)
-    mgr = TwoLevelManager(kernel, db)
+    mgr = two_level(kernel, db)
 
     def t1():
         yield from mgr.run(
@@ -105,12 +113,15 @@ def test_undo_preserves_other_transactions_increment(kernel):
 
 def test_partial_execution_abort(kernel):
     db = make_engine(kernel)
-    mgr = TwoLevelManager(kernel, db)
+    mgr = two_level(kernel, db)
     result = run(
         kernel,
         mgr.run("T1", [increment("obj", "x", 5), increment("obj", "y", 7)], abort_after=1),
     )
-    assert result.actions_executed == 1
+    # One forward action on x, then its inverse; y was never touched.
+    assert [row[1:] for row in mgr.histories[0]] == [
+        ("T1", "increment", "obj", "x"), ("T1", "increment", "obj", "x"),
+    ]
     assert result.inverse_actions == 1
     assert read_value(kernel, db, "x") == 0
     assert read_value(kernel, db, "y") == 0
@@ -118,23 +129,23 @@ def test_partial_execution_abort(kernel):
 
 def test_reads_collected(kernel):
     db = make_engine(kernel)
-    mgr = TwoLevelManager(kernel, db)
+    mgr = two_level(kernel, db)
     result = run(kernel, mgr.run("T1", [increment("obj", "x", 4), read("obj", "x")]))
     assert result.reads == {"obj['x']": 4}
 
 
 def test_inverse_actions_recorded_in_history(kernel):
     db = make_engine(kernel)
-    mgr = TwoLevelManager(kernel, db)
+    mgr = two_level(kernel, db)
     run(kernel, mgr.run("T1", [increment("obj", "x", 5)], abort_after=1))
-    kinds = [(txn, kind) for _, txn, kind, _, _ in mgr.l1_history]
+    kinds = [(txn, kind) for _, txn, kind, _, _ in mgr.histories[0]]
     assert kinds == [("T1", "increment"), ("T1", "increment")]  # fwd + inverse
 
 
 def test_rw_conflict_table_blocks_concurrent_increments(kernel):
     """Ablation: without commutativity the increments serialize."""
     db = make_engine(kernel)
-    mgr = TwoLevelManager(kernel, db, conflicts=READ_WRITE_TABLE)
+    mgr = two_level(kernel, db, conflicts=READ_WRITE_TABLE)
     times = {}
 
     def t(name, delay):
@@ -188,6 +199,18 @@ def test_single_level_intended_abort(kernel):
     mgr = SingleLevelManager(kernel, db)
     result = run(kernel, mgr.run("T1", [increment("obj", "x", 5)], abort_after=1))
     assert not result.committed
+    assert read_value(kernel, db, "x") == 0
+
+
+def test_single_level_database_error_aborts_its_transaction(kernel):
+    """A failing operation (deleting an absent key) aborts the flat
+    transaction instead of escaping with it still running."""
+    db = make_engine(kernel)
+    mgr = SingleLevelManager(kernel, db)
+    result = run(kernel, mgr.run("T1", [increment("obj", "x", 5), delete("obj", "nope")]))
+    assert not result.committed
+    assert result.abort_reason == "KeyNotFound"
+    assert db.active_txns() == []
     assert read_value(kernel, db, "x") == 0
 
 

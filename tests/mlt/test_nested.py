@@ -13,7 +13,6 @@ import pytest
 from repro.localdb.engine import LocalDatabase
 from repro.localdb.locks import ConflictTable, LockMode
 from repro.mlt.actions import Operation
-from repro.mlt.manager import TwoLevelManager
 from repro.mlt.nested import (
     ActionDef,
     LevelSpec,
@@ -270,17 +269,12 @@ def two_keys(kernel):
     return engine
 
 
-@pytest.mark.parametrize("levels", ["nested", "two_level"])
-def test_deadlock_victim_is_undone_and_releases(kernel, two_keys, levels):
+def test_deadlock_victim_is_undone_and_releases(kernel, two_keys):
     """T1 writes a then b, T2 writes b then a.  The deadlock aborts the
     victim at the level that raised it: its executed prefix is inverted
-    and its locks are released, so the other transaction commits -- in
-    the n-level manager as in the two-level one."""
+    and its locks are released, so the other transaction commits."""
     engine = two_keys
-    manager = (
-        NestedTransactionManager(kernel, engine, [bottom_level()])
-        if levels == "nested" else TwoLevelManager(kernel, engine)
-    )
+    manager = NestedTransactionManager(kernel, engine, [bottom_level()])
     results = {}
 
     def txn(name, first, second):
@@ -325,3 +319,33 @@ def test_lock_timeout_aborts_nested_transaction(kernel, two_keys):
     assert results["T1"].committed
     assert results["T1"].reads == {"t['b']": 100}
     assert (balance(kernel, engine, "a", "t"), balance(kernel, engine, "b", "t")) == (1, 100)
+
+
+def test_database_error_aborts_the_raising_level(kernel, two_keys):
+    """An action's own DatabaseError (here the insert's DuplicateKey)
+    aborts its open L0 transaction and then the transaction at the level
+    that raised: the committed prefix is inverted, the locks are freed,
+    and a later reader of the same object finishes."""
+    engine = two_keys
+    manager = NestedTransactionManager(kernel, engine, [bottom_level()])
+    results = {}
+
+    def writer():
+        results["T1"] = yield from manager.run(
+            "T1", [Operation("increment", "t", "a", 5), Operation("insert", "t", "a", 1)]
+        )
+
+    def reader():
+        yield 50
+        results["T2"] = yield from manager.run("T2", [Operation("read", "t", "a")])
+
+    kernel.spawn(writer())
+    kernel.spawn(reader())
+    kernel.run()
+    assert not results["T1"].committed
+    assert results["T1"].abort_reason == "DuplicateKey"
+    assert results["T1"].inverse_actions == 1
+    assert results["T2"].committed
+    assert results["T2"].reads == {"t['a']": 100}
+    assert engine.active_txns() == []
+    assert manager.locks[0].holders_of(("t", "a")) == {}
