@@ -269,18 +269,42 @@ def two_keys(kernel):
     return engine
 
 
-def test_deadlock_victim_is_undone_and_releases(kernel, two_keys):
-    """T1 writes a then b, T2 writes b then a.  The deadlock aborts the
+def bump_level() -> LevelSpec:
+    """An L2 whose ``bump`` increments one record under an exclusive L2
+    lock: bumps do not commute at L2, so crossing bumps deadlock there."""
+    level = LevelSpec("L2", BUSINESS_TABLE)
+    level.define(
+        ActionDef(
+            kind="bump",
+            mode_kind="write",
+            expand=lambda a, c: [Operation("increment", a.table, a.key, a.value)],
+            invert=lambda a, c: Operation("bump", a.table, a.key, -a.value),
+            resources=lambda a: [(a.table, a.key)],
+        )
+    )
+    return level
+
+
+@pytest.mark.parametrize("levels", ["nested", "two_level"])
+def test_deadlock_victim_is_undone_and_releases(kernel, two_keys, levels):
+    """T1 updates a then b, T2 updates b then a.  The deadlock aborts the
     victim at the level that raised it: its executed prefix is inverted
-    and its locks are released, so the other transaction commits."""
+    and its locks are released, so the other transaction commits -- at
+    L2 of a three-level stack (``nested``: exclusive bumps over L1
+    increments) as at L1 of the two-level one (``two_level``: writes)."""
     engine = two_keys
-    manager = NestedTransactionManager(kernel, engine, [bottom_level()])
+    if levels == "nested":
+        manager = NestedTransactionManager(kernel, engine, [bump_level(), bottom_level()])
+        kind, expected = "bump", (101, 102)
+    else:
+        manager = NestedTransactionManager(kernel, engine, [bottom_level()])
+        kind, expected = "write", (1, 2)
     results = {}
 
     def txn(name, first, second):
         results[name] = yield from manager.run(
             name,
-            [Operation("write", "t", *first), Operation("write", "t", *second)],
+            [Operation(kind, "t", *first), Operation(kind, "t", *second)],
             think_time=5,
         )
 
@@ -290,7 +314,9 @@ def test_deadlock_victim_is_undone_and_releases(kernel, two_keys):
     assert results["T1"].committed
     assert not results["T2"].committed
     assert results["T2"].abort_reason == "DeadlockDetected"
-    assert (balance(kernel, engine, "a", "t"), balance(kernel, engine, "b", "t")) == (1, 2)
+    assert results["T2"].inverse_actions == 1
+    assert (balance(kernel, engine, "a", "t"), balance(kernel, engine, "b", "t")) == expected
+    assert all(lock.holders_of(("t", "b")) == {} for lock in manager.locks)
 
 
 def test_lock_timeout_aborts_nested_transaction(kernel, two_keys):
