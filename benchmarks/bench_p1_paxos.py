@@ -136,7 +136,7 @@ def measure_kill(
     fed = build(protocol, coordinators=coordinators, paxos_f=paxos_f)
     if acceptor_crashes:
         for i in range(acceptor_crashes):
-            fed.crash_acceptor(i, at=KILL_AT)
+            fed.crash_site(fed.acceptors.names[i], at=KILL_AT)
 
     def submitter(index: int, batch: dict):
         yield batch["delay"]
@@ -150,7 +150,7 @@ def measure_kill(
         fed.kernel.spawn(submitter(i, batch), name=f"client:{i}")
         for i, batch in enumerate(transfers(KILL_TXNS, spacing=4.0))
     ]
-    fed.crash_coordinator(kill_index, at=KILL_AT)
+    fed.crash_site(fed.coordinators[kill_index].name, at=KILL_AT)
     fed.run(until=HORIZON)
     unresolved = fed.pool.unresolved_orphans()
     finish_times = [

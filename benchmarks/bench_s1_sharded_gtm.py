@@ -226,10 +226,10 @@ def measure_failover(protocol: str, granularity: str) -> dict:
             window_per_coordinator=WINDOW_PER_COORDINATOR,
         ),
     )
-    fed.crash_coordinator(1, at=40.0)
-    fed.crash_coordinator(2, at=55.0)
-    fed.restart_coordinator(1, at=320.0)
-    fed.restart_coordinator(2, at=340.0)
+    fed.crash_site(fed.coordinators[1].name, at=40.0)
+    fed.crash_site(fed.coordinators[2].name, at=55.0)
+    fed.restart_site(fed.coordinators[1].name, at=320.0)
+    fed.restart_site(fed.coordinators[2].name, at=340.0)
     result = driver.run(traffic(60))
     fed.run()  # drain failover + recovery stragglers
     unresolved = fed.pool.unresolved_orphans()

@@ -16,7 +16,6 @@ See ``docs/checking.md`` for a walkthrough, and
 
 from repro.check.engine import (
     CheckReport,
-    CrashPoint,
     ExecutionResult,
     enumerate_crash_points,
     enumerate_decision_boundaries,
@@ -36,6 +35,7 @@ from repro.check.scheduler import (
 )
 from repro.check.shrink import shrink_counterexample, shrink_schedule
 from repro.check.trace import ReproTrace, write_counterexample
+from repro.faults.injector import CrashPoint
 
 __all__ = [
     "CHECK_PROTOCOLS",

@@ -178,11 +178,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             f"{report.violation_count} with blocked transactions"
         )
         if report.counterexample is not None:
-            result = report.counterexample
-            crash = result.crashes[0]
-            print(f"first blocking window: {crash.site} killed at t={crash.at}:")
-            for violation in result.violations:
-                print(f"  {violation}")
+            _emit_counterexample(spec, report, args.out)
             return 1
         print("no execution blocked: every transaction resolved everywhere")
         return 0
@@ -190,14 +186,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.strategy == "pct":
         report = CheckReport(spec=spec)
         for offset in range(args.budget):
-            result = run_pct(spec, args.seed + offset)
-            report.executions += 1
-            report.choice_points += len(result.choices)
-            report.pruned += result.pruned
-            if result.violations:
-                report.violation_count += 1
-                if report.counterexample is None:
-                    report.counterexample = result
+            if report.record(run_pct(spec, args.seed + offset)):
                 break
         report.exhausted = report.counterexample is None
     else:

@@ -4,14 +4,18 @@ Stateless model checking: the simulation is a deterministic function of
 ``(CheckSpec, schedule choices, crash points)``, so the explorer simply
 re-executes the whole scenario once per schedule instead of snapshotting
 generator state.  One :func:`run_execution` builds a fresh federation,
-installs a scheduling strategy on the kernel, optionally injects site
-crashes, runs to quiescence and evaluates the full invariant battery of
+installs a scheduling strategy on the kernel, optionally schedules
+:class:`~repro.faults.injector.CrashPoint` crashes (data sites,
+coordinator shards and acceptors alike, by node name), runs to
+quiescence and evaluates the full invariant battery of
 :func:`repro.core.invariants.check_invariants`.
 
 :func:`explore` drives bounded-exhaustive DFS over schedule choices
 (with the commutativity pruning the strategies implement),
 :func:`explore_crash_points` enumerates one execution per durable
-log-force boundary discovered from a traced baseline run, and
+log-force boundary discovered from a traced baseline run,
+:func:`explore_coordinator_crash_points` kills the coordinator (and
+acceptors) at every such boundary through the same path, and
 :func:`run_pct` gives the seeded randomized schedule used by the sweep
 tests and the CLI.
 """
@@ -24,22 +28,7 @@ from typing import Any, Optional
 from repro.check.scenarios import CheckSpec, build_scenario
 from repro.check.scheduler import DfsStrategy, PctStrategy, ReplayStrategy, Strategy
 from repro.core.invariants import check_invariants
-
-
-@dataclass
-class CrashPoint:
-    """One site crash at a durable-force boundary, with its restart."""
-
-    site: str
-    at: float
-    restart_after: float = 60.0
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"site": self.site, "at": self.at, "restart_after": self.restart_after}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "CrashPoint":
-        return cls(**data)
+from repro.faults.injector import CrashPoint
 
 
 @dataclass
@@ -71,11 +60,7 @@ def run_execution(
     federation = scenario.federation
     federation.kernel.scheduler = strategy
     for crash in crashes:
-        federation.crash_site(crash.site, at=crash.at)
-        if crash.restart_after > 0:
-            # restart_after <= 0 means the site stays down for the rest
-            # of the execution -- the shape of the non-blocking question.
-            federation.restart_site(crash.site, at=crash.at + crash.restart_after)
+        crash.schedule(federation)
     end_time = federation.run(until=spec.horizon)
     result = ExecutionResult(end_time=end_time, crashes=list(crashes))
     if strategy is not None:
@@ -110,6 +95,18 @@ class CheckReport:
     @property
     def ok(self) -> bool:
         return self.violation_count == 0
+
+    def record(self, result: ExecutionResult) -> bool:
+        """Count one execution; true when it violated an invariant."""
+        self.executions += 1
+        self.choice_points += len(result.choices)
+        self.pruned += result.pruned
+        if not result.violations:
+            return False
+        self.violation_count += 1
+        if self.counterexample is None:
+            self.counterexample = result
+        return True
 
     def summary(self) -> dict[str, Any]:
         return {
@@ -151,16 +148,8 @@ def explore(
     prefix: Optional[list[int]] = []
     while prefix is not None and report.executions < budget:
         strategy = DfsStrategy(prefix, depth)
-        result = run_execution(spec, strategy)
-        report.executions += 1
-        report.choice_points += len(result.choices)
-        report.pruned += result.pruned
-        if result.violations:
-            report.violation_count += 1
-            if report.counterexample is None:
-                report.counterexample = result
-            if stop_on_violation:
-                return report
+        if report.record(run_execution(spec, strategy)) and stop_on_violation:
+            return report
         prefix = _next_prefix(strategy.bounded_trail())
     report.exhausted = prefix is None
     return report
@@ -187,33 +176,32 @@ def replay_execution(
     return run_execution(spec, ReplayStrategy(schedule), crashes=crashes)
 
 
-def enumerate_crash_points(
-    spec: CheckSpec, restart_after: float = 60.0
-) -> list[CrashPoint]:
-    """Durable-force boundaries of the baseline execution.
-
-    Runs the scenario once on the default loop with per-force tracing
-    enabled and turns every completed log force at a data site into one
-    crash point immediately after the force -- the instants where the
-    paper's recovery obligations actually change (a decision, prepare
-    or commit record just became durable).
-    """
-    scenario = build_scenario(spec)
-    federation = scenario.federation
+def _baseline_forces(spec: CheckSpec) -> tuple[Any, list]:
+    """The traced baseline: one default-loop run, every log force kept."""
+    federation = build_scenario(spec).federation
     for engine in federation.engines.values():
         engine.disk.trace_forces = True
     federation.run(until=spec.horizon)
-    points: list[CrashPoint] = []
-    seen: set[tuple[str, float]] = set()
-    for record in federation.kernel.trace.select(category="log_force"):
-        if record.site not in federation.engines:
-            continue
-        key = (record.site, record.time)
-        if key in seen:
-            continue
-        seen.add(key)
-        points.append(CrashPoint(record.site, record.time, restart_after))
-    return points
+    return federation, federation.kernel.trace.select(category="log_force")
+
+
+def enumerate_crash_points(
+    spec: CheckSpec, restart_after: float = 60.0
+) -> list[CrashPoint]:
+    """Durable-force boundaries of the baseline execution, data sites only.
+
+    Every completed log force at a data site becomes one crash point
+    immediately after the force -- the instants where the paper's
+    recovery obligations actually change (a decision, prepare or commit
+    record just became durable).
+    """
+    federation, forces = _baseline_forces(spec)
+    boundaries = dict.fromkeys(
+        (record.site, record.time)
+        for record in forces
+        if record.site in federation.engines
+    )
+    return [CrashPoint(site, at, restart_after) for site, at in boundaries]
 
 
 def enumerate_decision_boundaries(spec: CheckSpec) -> list[float]:
@@ -225,15 +213,24 @@ def enumerate_decision_boundaries(spec: CheckSpec) -> list[float]:
     durable somewhere and a coordinator crash changes who can finish
     the transaction.
     """
-    scenario = build_scenario(spec)
-    federation = scenario.federation
-    for engine in federation.engines.values():
-        engine.disk.trace_forces = True
-    federation.run(until=spec.horizon)
-    return sorted({
-        record.time
-        for record in federation.kernel.trace.select(category="log_force")
-    })
+    _federation, forces = _baseline_forces(spec)
+    return sorted({record.time for record in forces})
+
+
+def _explore_crash_plans(
+    spec: CheckSpec,
+    plans: list[tuple[CrashPoint, ...]],
+    max_points: Optional[int],
+    stop_on_violation: bool,
+) -> CheckReport:
+    """One default-loop execution per crash plan, invariants audited."""
+    exhausted = max_points is None or len(plans) <= max_points
+    plans = plans[:max_points]
+    report = CheckReport(spec=spec, crash_points=len(plans), exhausted=exhausted)
+    for crashes in plans:
+        if report.record(run_execution(spec, crashes=crashes)) and stop_on_violation:
+            break
+    return report
 
 
 def explore_coordinator_crash_points(
@@ -253,43 +250,19 @@ def explore_coordinator_crash_points(
     plain 2PC with one coordinator this leaves prepared participants
     blocked (convergence violations); under Paxos Commit with a live
     peer and F surviving acceptors every execution must stay clean.
+    Every kill is a :class:`CrashPoint`, so a counterexample replays.
     """
-    points = enumerate_decision_boundaries(spec)
-    if max_points is not None:
-        points = points[:max_points]
-    report = CheckReport(spec=spec, crash_points=len(points))
-    for at in points:
-        scenario = build_scenario(spec)
-        federation = scenario.federation
-        federation.crash_coordinator(coordinator, at=at)
-        if restart_after > 0:
-            federation.restart_coordinator(coordinator, at=at + restart_after)
-        for index in range(acceptor_crashes):
-            federation.crash_acceptor(index, at=at)
-            if restart_after > 0:
-                federation.restart_acceptor(index, at=at + restart_after)
-        end_time = federation.run(until=spec.horizon)
-        result = ExecutionResult(end_time=end_time)
-        result.crashes = [
-            CrashPoint(federation.coordinators[coordinator].name, at, restart_after)
-        ]
-        result.committed = sum(gtm.committed for gtm in federation.coordinators)
-        result.aborted = sum(gtm.aborted for gtm in federation.coordinators)
-        result.violations = [
-            str(violation)
-            for violation in check_invariants(
-                federation, processes=scenario.processes
-            )
-        ]
-        report.executions += 1
-        if result.violations:
-            report.violation_count += 1
-            if report.counterexample is None:
-                report.counterexample = result
-            if stop_on_violation:
-                break
-    report.exhausted = max_points is None or len(points) <= max_points
-    return report
+    federation, forces = _baseline_forces(spec)
+    victims = [federation.coordinators[coordinator].name]
+    if acceptor_crashes:
+        if federation.acceptors is None:
+            raise ValueError("acceptor_crashes requires protocol='paxos'")
+        victims += federation.acceptors.names[:acceptor_crashes]
+    plans = [
+        tuple(CrashPoint(name, at, restart_after) for name in victims)
+        for at in sorted({record.time for record in forces})
+    ]
+    return _explore_crash_plans(spec, plans, max_points, stop_on_violation)
 
 
 def explore_crash_points(
@@ -305,18 +278,5 @@ def explore_crash_points(
     default schedule keeps each execution directly comparable to the
     traced baseline the boundaries came from.
     """
-    points = enumerate_crash_points(spec, restart_after=restart_after)
-    if max_points is not None:
-        points = points[:max_points]
-    report = CheckReport(spec=spec, crash_points=len(points))
-    for point in points:
-        result = run_execution(spec, crashes=(point,))
-        report.executions += 1
-        if result.violations:
-            report.violation_count += 1
-            if report.counterexample is None:
-                report.counterexample = result
-            if stop_on_violation:
-                break
-    report.exhausted = max_points is None or len(points) <= max_points
-    return report
+    plans = [(point,) for point in enumerate_crash_points(spec, restart_after)]
+    return _explore_crash_plans(spec, plans, max_points, stop_on_violation)

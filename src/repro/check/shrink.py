@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.check.engine import CrashPoint, replay_execution
+from repro.check.engine import replay_execution
 from repro.check.scenarios import CheckSpec
+from repro.faults.injector import CrashPoint
 
 
 def shrink_schedule(

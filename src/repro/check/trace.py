@@ -14,8 +14,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from repro.check.engine import CrashPoint, ExecutionResult, replay_execution
+from repro.check.engine import ExecutionResult, replay_execution
 from repro.check.scenarios import CheckSpec
+from repro.faults.injector import CrashPoint
 
 FORMAT_VERSION = 1
 

@@ -7,12 +7,13 @@ from repro.faults.chaos import (
     chaos_matrix,
     run_chaos,
 )
-from repro.faults.injector import FaultInjector
+from repro.faults.injector import CrashPoint, FaultInjector
 
 __all__ = [
     "CHAOS_PROTOCOLS",
     "ChaosResult",
     "ChaosSpec",
+    "CrashPoint",
     "FaultInjector",
     "chaos_matrix",
     "run_chaos",

@@ -11,14 +11,15 @@ at ``fault_horizon`` and lets the system run on a clean network until
 The workload is conservation-checking by construction: every
 transaction moves value between accounts with balancing increments, so
 a committed-or-fully-undone history leaves the global total untouched.
-The result reports the three correctness obligations the paper's §3
-machinery must uphold under any such schedule:
-
-* a clean :func:`~repro.core.invariants.atomicity_report`;
-* a serializable committed history;
-* **convergence** -- every global transaction reached a terminal state
-  at every site within the post-fault horizon (no stuck coordinators,
-  no forgotten in-doubt locals, no lingering redo/undo obligations).
+The aftermath is audited by the shared invariant battery,
+:func:`~repro.core.invariants.check_invariants` -- atomicity, a
+serializable committed history, **convergence** (every global
+transaction reached a terminal state at every site within the
+post-fault horizon), lock release, drained redo/undo logs, inverse
+order and replica convergence -- plus conservation of the total.
+The scheduled coordinator, acceptor and data-site kills are
+:class:`~repro.faults.injector.CrashPoint` entries, the checker's own
+crash type.
 
 Everything is driven from named kernel RNG streams: the same
 (protocol, seed) pair replays the identical schedule, which is what
@@ -31,17 +32,13 @@ from dataclasses import dataclass, field
 from typing import Any, Generator
 
 from repro.core.gtm import GTMConfig
-from repro.core.invariants import (
-    atomicity_report,
-    replica_convergence_violations,
-    serializability_ok,
-)
+from repro.core.invariants import InvariantViolation, check_invariants
 from repro.core.protocols import (
     chaos_matrix_protocols,
     preparable_protocols,
     redo_window_protocols,
 )
-from repro.faults.injector import FaultInjector
+from repro.faults.injector import CrashPoint, FaultInjector
 from repro.integration.federation import Federation, FederationConfig, SiteSpec
 from repro.mlt.actions import increment
 
@@ -127,17 +124,11 @@ class ChaosResult:
     committed: int = 0
     aborted: int = 0
     end_time: float = 0.0
-    atomicity_ok: bool = False
-    violations: list = field(default_factory=list)
-    serializable: bool = False
-    converged: bool = True
-    stuck: list[str] = field(default_factory=list)
+    #: :func:`~repro.core.invariants.check_invariants` on the aftermath.
+    violations: list[InvariantViolation] = field(default_factory=list)
     conserved: bool = False
     total_balance: int = 0
     expected_balance: int = 0
-    #: Partitioned runs only: serving replicas hold identical images.
-    replicas_converged: bool = True
-    replica_violations: list = field(default_factory=list)
     #: Time from the fault silence to the last transaction finishing
     #: (0 when everything already resolved during the fault phase).
     time_to_resolution: float = 0.0
@@ -148,15 +139,33 @@ class ChaosResult:
     #: The live federation, kept for post-mortem trace dumps in tests.
     federation: Any = field(default=None, repr=False)
 
+    def _clean(self, invariant: str) -> bool:
+        return all(v.invariant != invariant for v in self.violations)
+
+    @property
+    def atomicity_ok(self) -> bool:
+        return self._clean("atomicity")
+
+    @property
+    def serializable(self) -> bool:
+        return self._clean("serializability")
+
+    @property
+    def converged(self) -> bool:
+        return self._clean("convergence")
+
+    @property
+    def stuck(self) -> list[str]:
+        return [v.detail for v in self.violations if v.invariant == "convergence"]
+
+    @property
+    def replicas_converged(self) -> bool:
+        """Partitioned runs only: serving replicas hold identical images."""
+        return self._clean("replica_convergence")
+
     @property
     def ok(self) -> bool:
-        return (
-            self.atomicity_ok
-            and self.serializable
-            and self.converged
-            and self.conserved
-            and self.replicas_converged
-        )
+        return not self.violations and self.conserved
 
 
 def _chaos_keys(spec: ChaosSpec) -> int:
@@ -264,42 +273,32 @@ def run_chaos(spec: ChaosSpec) -> ChaosResult:
 
     kernel.call_at(spec.fault_horizon, clear_faults)
 
-    # -- scheduled coordinator crash (sharded pools) -------------------
+    # -- scheduled crashes: coordinator shard, acceptors, data sites ---
+    crashes: list[CrashPoint] = []
     if spec.coordinators > 1 and spec.coordinator_crash_at > 0:
-        fed.crash_coordinator(
-            spec.coordinator_crash_index, at=spec.coordinator_crash_at
-        )
-        if spec.coordinator_outage > 0:
-            fed.restart_coordinator(
-                spec.coordinator_crash_index,
-                at=spec.coordinator_crash_at + spec.coordinator_outage,
-            )
-
-    # -- scheduled acceptor crashes (paxos coordinator mode) -----------
+        crashes.append(CrashPoint(
+            fed.coordinators[spec.coordinator_crash_index].name,
+            spec.coordinator_crash_at,
+            spec.coordinator_outage,
+        ))
     if spec.acceptor_crashes > 0 and spec.acceptor_crash_at > 0:
         if fed.acceptors is None:
             raise ValueError("acceptor_crashes requires protocol='paxos'")
-        for i in range(spec.acceptor_crashes):
-            fed.crash_acceptor(i, at=spec.acceptor_crash_at)
-            if spec.acceptor_outage > 0:
-                fed.restart_acceptor(
-                    i, at=spec.acceptor_crash_at + spec.acceptor_outage
-                )
-
-    # -- scheduled data-site crashes (partitioned data plane) ----------
+        crashes.extend(
+            CrashPoint(name, spec.acceptor_crash_at, spec.acceptor_outage)
+            for name in fed.acceptors.names[: spec.acceptor_crashes]
+        )
     if spec.partitions > 0 and spec.site_crashes > 0 and spec.site_crash_at > 0:
-        victims: list[str] = []
-        for partition in fed.dataplane.map.partitions:
-            if partition.primary not in victims:
-                victims.append(partition.primary)
-            if len(victims) >= spec.site_crashes:
-                break
-        for victim in victims:
-            fed.crash_site(victim, at=spec.site_crash_at)
-            if spec.replica_outage > 0:
-                fed.restart_site(
-                    victim, at=spec.site_crash_at + spec.replica_outage
-                )
+        # The first ``site_crashes`` distinct partition primaries.
+        victims = list(dict.fromkeys(
+            partition.primary for partition in fed.dataplane.map.partitions
+        ))[: spec.site_crashes]
+        crashes.extend(
+            CrashPoint(victim, spec.site_crash_at, spec.replica_outage)
+            for victim in victims
+        )
+    for crash in crashes:
+        crash.schedule(fed)
 
     # -- conservation workload: balanced cross-site transfers ----------
     def transfer_ops(txn_rng) -> list:
@@ -348,37 +347,7 @@ def run_chaos(spec: ChaosSpec) -> ChaosResult:
     result = ChaosResult(spec=spec, end_time=end_time)
     result.committed = sum(gtm.committed for gtm in fed.coordinators)
     result.aborted = sum(gtm.aborted for gtm in fed.coordinators)
-    report = atomicity_report(fed)
-    result.atomicity_ok = report.ok
-    result.violations = list(report.violations)
-    result.serializable = serializability_ok(fed)
-
-    for process in processes:
-        if not process.done:
-            result.converged = False
-            result.stuck.append(f"submitter {process.name} unfinished")
-    for gtm in fed.coordinators:
-        if gtm.active:
-            result.converged = False
-            result.stuck.extend(
-                f"gtxn {gtxn_id} still active at {gtm.name}"
-                for gtxn_id in sorted(gtm.active)
-            )
-    orphans = fed.pool.unresolved_orphans()
-    if orphans:
-        result.converged = False
-        result.stuck.extend(
-            f"gtxn {gtxn_id} orphaned in-doubt (no failover resolved it)"
-            for gtxn_id in orphans
-        )
-    for site, engine in fed.engines.items():
-        for txn in engine.active_txns():
-            if txn.gtxn_id:
-                result.converged = False
-                result.stuck.append(
-                    f"{site}: local {txn.txn_id} of {txn.gtxn_id} non-terminal"
-                )
-
+    result.violations = check_invariants(fed, processes=processes)
     result.expected_balance = (
         spec.n_sites * spec.keys_per_site * INITIAL_BALANCE
     )
@@ -387,9 +356,6 @@ def run_chaos(spec: ChaosSpec) -> ChaosResult:
             fed.peek_global("acct", f"k{j}") or 0
             for j in range(_chaos_keys(spec))
         )
-        violations = replica_convergence_violations(fed)
-        result.replicas_converged = not violations
-        result.replica_violations = [str(v) for v in violations]
     else:
         result.total_balance = sum(
             fed.peek(f"s{i}", f"t{i}", f"k{j}") or 0

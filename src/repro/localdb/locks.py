@@ -17,7 +17,7 @@ import enum
 from collections import deque
 from typing import TYPE_CHECKING, Any, Generator, Hashable, Iterable, Optional
 
-from repro.errors import DeadlockDetected, LockTimeout, SiteCrashed
+from repro.errors import DeadlockDetected, LockTimeout, ProcessInterrupted, SiteCrashed
 from repro.localdb.deadlock import WaitsForGraph
 from repro.sim.events import AnyOf, Future
 
@@ -231,11 +231,18 @@ class LockManager:
         self, resource: Hashable, request: _Request, timeout: Optional[float]
     ) -> Generator[Any, Any, None]:
         assert request.future is not None
-        if timeout is None:
-            yield request.future
-            return
-        timer = self._kernel.timer(timeout, label="lock-timeout")
-        index, _value = yield AnyOf([request.future, timer])
+        try:
+            if timeout is None:
+                yield request.future
+                return
+            timer = self._kernel.timer(timeout, label="lock-timeout")
+            index, _value = yield AnyOf([request.future, timer])
+        except ProcessInterrupted:
+            # The waiter died (crash): a request left queued would be
+            # granted later to nobody and never released.
+            if request.grant_time is None:
+                self._remove_waiter(resource, request)
+            raise
         if index == 0:
             return
         # Timer fired first -- but the grant may have landed at the very

@@ -12,8 +12,10 @@ import pytest
 
 from repro.check import (
     CheckSpec,
+    ReproTrace,
     enumerate_decision_boundaries,
     explore_coordinator_crash_points,
+    shrink_counterexample,
 )
 from repro.check.cli import main as check_main
 
@@ -67,6 +69,44 @@ def test_2pc_single_coordinator_kill_exhibits_blocking_window():
     assert "in-doubt" in text or "non-terminal" in text
 
 
+def _replayed(spec: CheckSpec, counterexample) -> ReproTrace:
+    """The counterexample after a round trip through its .repro.json bytes."""
+    trace = ReproTrace.from_result(spec, counterexample)
+    return ReproTrace.from_json_bytes(trace.to_json_bytes())
+
+
+def test_acceptor_kills_are_recorded_and_replay():
+    # Killing 2 > F acceptors with the coordinator blocks paxos; the
+    # counterexample must carry every kill, not only the coordinator's.
+    spec = CheckSpec(
+        protocol="paxos", granularity="per_site", coordinators=2, n_txns=2
+    )
+    report = explore_coordinator_crash_points(
+        spec, acceptor_crashes=2, restart_after=0.0
+    )
+    counterexample = report.counterexample
+    assert counterexample is not None
+    trace = _replayed(spec, counterexample)
+    assert [crash.site for crash in trace.crashes] == [
+        "central", "acceptor0", "acceptor1",
+    ]
+    assert trace.replay().violations == counterexample.violations
+
+
+def test_single_coordinator_kill_replays_as_a_gtm_crash():
+    # With one coordinator the kill crashes the GTM (pool failover
+    # bookkeeping included), in the sweep and in its replay alike.
+    spec = CheckSpec(protocol="2pc", granularity="per_site", coordinators=1)
+    counterexample = explore_coordinator_crash_points(spec).counterexample
+    assert counterexample is not None
+    assert "convergence: gtxn T0 orphaned in-doubt" in counterexample.violations
+    trace = _replayed(spec, counterexample)
+    assert trace.replay().violations == counterexample.violations
+    assert shrink_counterexample(
+        spec, trace.schedule, crashes=tuple(trace.crashes)
+    ) == []
+
+
 def test_cli_paxos_crash_points_exits_zero(capsys):
     status = check_main([
         "--protocol", "paxos", "--coordinators", "2",
@@ -78,14 +118,21 @@ def test_cli_paxos_crash_points_exits_zero(capsys):
     assert "no execution blocked" in out
 
 
-def test_cli_2pc_crash_points_exits_one(capsys):
+def test_cli_2pc_crash_points_exits_one(tmp_path, capsys):
+    out_path = tmp_path / "2pc-blocking.repro.json"
     status = check_main([
         "--protocol", "2pc", "--coordinators", "1",
-        "--coordinator-crash-points",
+        "--coordinator-crash-points", "--out", str(out_path),
     ])
     assert status == 1
     out = capsys.readouterr().out
-    assert "first blocking window" in out
+    assert "1 with blocked transactions" in out
+    assert f"wrote {out_path}" in out
+    # The written counterexample names the kill and replays to a block.
+    trace = ReproTrace.read(str(out_path))
+    assert [crash.site for crash in trace.crashes] == ["central"]
+    assert check_main(["--replay", str(out_path)]) == 1
+    assert trace.replay().violations == trace.violations
 
 
 def test_cli_rejects_acceptor_crashes_off_paxos():

@@ -62,7 +62,7 @@ def test_buffered_decisions_dropped_not_flushed():
     # Prepare completes within a few time units; the commit decision
     # then sits in the pipeline buffer until WINDOW elapses.  Crash the
     # shard squarely inside that window.
-    fed.crash_coordinator(1, at=20.0)
+    fed.crash_site(fed.coordinators[1].name, at=20.0)
     fed.run()
 
     # The scenario materialized: decisions were buffered and dropped.
@@ -87,7 +87,7 @@ def test_stale_flush_timer_is_inert_after_crash():
     name = shard1_name(2)
     shard = fed.coordinators[1]
     fed.submit([increment("t0", "k", -1), increment("t1", "k", 1)], name=name)
-    fed.crash_coordinator(1, at=20.0)
+    fed.crash_site(fed.coordinators[1].name, at=20.0)
     # Run well past decide-time + WINDOW: the flush timer has fired.
     fed.run(until=WINDOW * 3)
     fed.run()

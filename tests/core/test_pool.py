@@ -163,7 +163,7 @@ def test_mid_flight_crash_leaves_no_orphans(protocol, granularity):
     # The commit-before descendants crash earlier: at 6.0 they would hit
     # the adoption race pinned below (ROADMAP item 1(b)), not failover.
     compensating = protocol in ("saga", "altruistic")
-    fed.crash_coordinator(1, at=4.0 if compensating else 6.0)
+    fed.crash_site(fed.coordinators[1].name, at=4.0 if compensating else 6.0)
     batches = [
         {"operations": transfer(n), "delay": float(n)} for n in range(12)
     ]
@@ -195,7 +195,7 @@ def test_adoption_races_an_in_flight_action():
     crashes at t=6.0 -- the smallest known conservation drift with a
     clean atomicity report."""
     fed = build(coordinators=3, protocol="before", granularity="per_action")
-    fed.crash_coordinator(1, at=6.0)
+    fed.crash_site(fed.coordinators[1].name, at=6.0)
     fed.run_transactions(
         [{"operations": transfer(n), "delay": float(n)} for n in range(12)]
     )
@@ -224,7 +224,7 @@ def test_failover_redrives_hardened_commit():
             break
     assert shard1_name is not None
     fed.pool.submit(transfer(0), name=name)
-    fed.crash_coordinator(1, at=9.7)
+    fed.crash_site(fed.coordinators[1].name, at=9.7)
     fed.run()
     assert fed.coordinators[1].decision_log.decision_for(name) == "commit"
     # Both sites applied the transfer: nothing was presumed aborted.
@@ -288,9 +288,9 @@ def test_double_crash_of_same_shard_converges():
         )
         for i, name in enumerate(shard1)
     ]
-    fed.crash_coordinator(1, at=5.0)
-    fed.restart_coordinator(1, at=9.0)
-    fed.crash_coordinator(1, at=11.0)  # again, mid-adoption of batch 1
+    fed.crash_site(fed.coordinators[1].name, at=5.0)
+    fed.restart_site(fed.coordinators[1].name, at=9.0)
+    fed.crash_site(fed.coordinators[1].name, at=11.0)  # again, mid-adoption of batch 1
     fed.run()
     assert fed.pool.crashes == 2
     assert fed.pool.failovers_started == 2
@@ -304,8 +304,8 @@ def test_double_crash_of_same_shard_converges():
 
 def test_restart_rejoins_the_pool():
     fed = build(coordinators=2)
-    fed.crash_coordinator(0, at=5.0)
-    fed.restart_coordinator(0, at=50.0)
+    fed.crash_site(fed.coordinators[0].name, at=5.0)
+    fed.restart_site(fed.coordinators[0].name, at=50.0)
     batches = [
         {"operations": transfer(n), "delay": 60.0 + n} for n in range(4)
     ]

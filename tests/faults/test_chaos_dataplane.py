@@ -32,7 +32,7 @@ def test_chaos_partitioned_matrix(protocol, granularity, seed):
         site_crash_at=80.0,
     ))
     assert_chaos_ok(result)
-    assert result.replicas_converged, result.replica_violations
+    assert result.replicas_converged, result.violations
     assert result.committed + result.aborted == result.spec.n_txns
 
 
@@ -50,7 +50,7 @@ def test_chaos_partitioned_crash_exercises_failover():
         replica_outage=120.0,
     ))
     assert_chaos_ok(result)
-    assert result.replicas_converged, result.replica_violations
+    assert result.replicas_converged, result.violations
     counters = result.counters
     assert counters["dataplane_promotions"] + counters["dataplane_evictions"] >= 1
     assert counters["dataplane_rejoins"] >= 1

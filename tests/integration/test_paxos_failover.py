@@ -79,7 +79,7 @@ def test_coordinator_crash_resolves_by_takeover():
     fed = build()
     processes = submit_all(fed)
     # G0..G3 hash to shard 1 (crc32 % 2): kill the shard with work.
-    fed.crash_coordinator(1, at=8.0)  # stays down for good
+    fed.crash_site(fed.coordinators[1].name, at=8.0)  # stays down for good
     fed.run(until=HORIZON)
     assert fed.pool.crashes == 1
     assert fed.pool.takeovers_started >= 1
@@ -96,8 +96,8 @@ def test_coordinator_crash_resolves_by_takeover():
 def test_f_acceptor_crashes_with_coordinator_crash_still_resolve():
     fed = build(paxos_f=1)
     processes = submit_all(fed)
-    fed.crash_coordinator(1, at=8.0)
-    fed.crash_acceptor(0, at=8.0)  # F=1: one of three may die
+    fed.crash_site(fed.coordinators[1].name, at=8.0)
+    fed.crash_site(fed.acceptors.names[0], at=8.0)  # F=1: one of three may die
     fed.run(until=HORIZON)
     assert_converged(fed, processes)
 
@@ -114,7 +114,7 @@ def test_takeover_counts_one_failover_per_hand_off():
     fed = build()
     names = [name for name in (f"T{i}" for i in range(40)) if fed.pool.shard_of(name) == 1]
     processes = [fed.submit(transfer(i), name=name) for i, name in enumerate(names[:2])]
-    fed.crash_coordinator(1, at=3.0)  # both still undecided
+    fed.crash_site(fed.coordinators[1].name, at=3.0)  # both still undecided
     fed.run(until=HORIZON)
     assert fed.pool.takeovers_started == 1
     assert fed.pool.failovers_started == 0  # a takeover, not an adoption
@@ -147,7 +147,7 @@ def test_chosen_commit_survives_coordinator_crash():
     fed = build(seed=9)
     home = zlib.crc32(b"G0") % 2
     processes = submit_all(fed, n=1, spacing=0.0)
-    fed.crash_coordinator(home, at=chosen_at + 0.5)
+    fed.crash_site(fed.coordinators[home].name, at=chosen_at + 0.5)
     fed.run(until=HORIZON)
     assert fed.acceptors.decision_for("G0") == "commit"
     # Both sites applied the transfer: nothing was presumed aborted.
@@ -167,7 +167,7 @@ def test_undecided_transaction_aborts_via_takeover_phase1():
     fed = build(seed=9)
     home = zlib.crc32(b"G0") % 2
     processes = submit_all(fed, n=1, spacing=0.0)
-    fed.crash_coordinator(home, at=2.0)  # before prepare completes
+    fed.crash_site(fed.coordinators[home].name, at=2.0)  # before prepare completes
     fed.run(until=HORIZON)
     assert fed.acceptors.decision_for("G0") == "abort"
     assert fed.peek("s0", "t0", "k0") == 100  # nothing applied
@@ -225,9 +225,9 @@ def test_fast_path_abort_in_doubt_local_is_concluded():
 def test_beyond_f_outage_blocks_then_drains_after_heal():
     fed = build(paxos_f=1)
     processes = submit_all(fed)
-    fed.crash_acceptor(0, at=5.0)
-    fed.crash_acceptor(1, at=5.0)  # 2 > F=1: majority unreachable
-    fed.restart_acceptor(0, at=300.0)
+    fed.crash_site(fed.acceptors.names[0], at=5.0)
+    fed.crash_site(fed.acceptors.names[1], at=5.0)  # 2 > F=1: majority unreachable
+    fed.restart_site(fed.acceptors.names[0], at=300.0)
     fed.run(until=HORIZON)
     # Healed back to 2 of 3: everything must have drained.
     assert_converged(fed, processes)

@@ -302,6 +302,39 @@ def test_crash_fails_all_waiters(kernel):
     assert locks.holders_of("r") == {}
 
 
+@pytest.mark.parametrize("timeout", [None, 50.0])
+def test_interrupted_wait_leaves_no_queued_request(kernel, timeout):
+    """A waiter killed in the queue must not be granted the lock later."""
+    locks = make(kernel, timeout=timeout)
+    queued = []
+
+    def holder():
+        yield from locks.acquire("t1", "r", X)
+        yield 10
+        locks.release_all("t1")
+
+    def waiter():
+        yield 1
+        try:
+            yield from locks.acquire("t2", "r", X)
+        finally:
+            locks.release_all("t2")  # what a dying transaction does
+
+    def later():
+        yield 2
+        yield from locks.acquire("t3", "r", X)
+        queued.append(kernel.now)
+        locks.release_all("t3")
+
+    kernel.spawn(holder())
+    victim = kernel.spawn(waiter())
+    kernel.spawn(later())
+    kernel.call_at(5, victim.interrupt, "crashed")
+    kernel.run(raise_failures=False)
+    assert queued == [10.0]  # t3 got the lock t2 no longer waits for
+    assert locks.holders_of("r") == {}
+
+
 def test_metrics_wait_and_hold_time(kernel):
     locks = make(kernel)
 

@@ -102,7 +102,7 @@ def run_failover(info: ProtocolInfo) -> Federation:
             gtm=GTMConfig(protocol=info.name, granularity=info.granularity),
         ),
     )
-    fed.crash_coordinator(1, at=4.0)
+    fed.crash_site(fed.coordinators[1].name, at=4.0)
     fed.run_transactions(
         [
             {

@@ -132,7 +132,7 @@ def test_coordinator_crash_counts_interrupted():
         fed,
         OpenLoopSpec(arrival_rate=1.0, n_txns=24, window_per_coordinator=4),
     )
-    fed.crash_coordinator(1, at=6.0)
+    fed.crash_site(fed.coordinators[1].name, at=6.0)
     result = driver.run(traffic(24))
     fed.run()  # drain failover
     # Interrupted in-flight txns are classified, not miscounted as
