@@ -214,12 +214,6 @@ class AcceptorGroup:
     def majority(self) -> int:
         return self.f + 1
 
-    def crash(self, index: int) -> None:
-        self.acceptors[index].crash()
-
-    def restart(self, index: int) -> Generator[Any, Any, None]:
-        yield from self.acceptors[index].restart()
-
     def total_forces(self) -> int:
         return sum(a.forces for a in self.acceptors)
 

@@ -110,13 +110,13 @@ def test_fewer_than_majority_readable_is_unreadable(kernel):
     for name in group.names:
         send(net, name, "paxos_p2a", record=record_for())
     kernel.run()
-    group.crash(0)
+    group.acceptors[0].crash()
     assert group.decision_for(GTXN) == "commit"  # 2 readable >= 2
-    group.crash(1)
+    group.acceptors[1].crash()
     assert group.decision_for(GTXN) is None  # 1 readable < 2
     # Stable state survived the crash: restoring one acceptor makes
     # the chosen decision readable again.
-    run(kernel, group.restart(0), name="restart-acceptor0")
+    run(kernel, group.acceptors[0].restart(), name="restart-acceptor0")
     assert group.decision_for(GTXN) == "commit"
 
 
@@ -213,7 +213,7 @@ def test_metrics_shape(kernel):
     for name in group.names:
         send(net, name, "paxos_p2a", record=record_for())
     kernel.run()
-    group.crash(2)
+    group.acceptors[2].crash()
     metrics = group.metrics()
     assert metrics["acceptors"] == 3
     assert metrics["f"] == 1

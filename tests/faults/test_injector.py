@@ -43,6 +43,20 @@ def test_crash_and_recover_cycle():
     assert injector.injected_crashes == 1
 
 
+def test_coordinator_crash_routes_through_the_pool_and_recovers():
+    """A coordinator name crashes the GTM, so its restart brings it back."""
+    fed = build_fed("2pc")
+    name = fed.coordinators[0].name
+    injector = FaultInjector(fed)
+    injector.crash_site(name, at=1.0, recover_after=30.0)
+    fed.run(until=5.0)
+    assert fed.gtm.crashed and fed.nodes[name].crashed
+    fed.run(until=60.0)
+    assert not fed.gtm.crashed and not fed.nodes[name].crashed
+    outcome = submit_and_run(fed, [increment("t0", "x", 1)])
+    assert outcome.committed
+
+
 def test_crash_traced():
     fed = build_fed("before")
     FaultInjector(fed).crash_site("s0", at=1.0)
