@@ -86,9 +86,6 @@ def _build(n_sites: int, protocol: str, granularity: str, **config) -> Federatio
 
 def measure(n_sites: int, protocol: str = "before", granularity: str = "per_action") -> dict:
     fed = _build(n_sites, protocol, granularity)
-    # Bootstrap forces are a fixed per-engine cost; the per-transaction
-    # accounting below must not scale them with the federation size.
-    startup_forces = sum(e.disk.log_forces for e in fed.engines.values())
     rng = random.Random(n_sites)
     outcomes = []
     for _ in range(N_TXNS):
@@ -102,10 +99,7 @@ def measure(n_sites: int, protocol: str = "before", granularity: str = "per_acti
     return {
         "msgs_per_txn": fed.network.sent / N_TXNS,
         "mean_resp": sum(o.response_time for o in outcomes) / N_TXNS,
-        "forces_per_txn": (
-            sum(e.disk.log_forces for e in fed.engines.values())
-            - startup_forces
-        ) / N_TXNS,
+        "forces_per_txn": sum(e.disk.log_forces for e in fed.engines.values()) / N_TXNS,
         "x_hold_per_txn": sum(
             e.locks.total_exclusive_hold_time for e in fed.engines.values()
         ) / N_TXNS,

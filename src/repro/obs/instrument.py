@@ -16,10 +16,8 @@ two opt-in hooks touch the hot path, both following the
   trace records so :func:`repro.obs.spans.build_spans` can build
   log-force spans.
 
-Counters bumped during federation setup (initial loads commit real
-transactions) are snapshotted at attach time and subtracted, so every
-reported number covers the run only -- matching the trace, whose
-setup prefix is skipped via :attr:`Observability.trace_mark`.
+The federation zeroes its counters and traces nothing while it loads
+its initial data, so every reported number covers the run only.
 """
 
 from __future__ import annotations
@@ -47,7 +45,8 @@ _GTM_COUNTERS = (
 _LOCAL_TERMINAL = ("committed", "aborted")
 
 
-def _site_snapshot(engine: Any) -> dict[str, float]:
+def _site_counters(engine: Any) -> dict[str, float]:
+    locks = engine.locks
     return {
         "local_commits": engine.commits,
         "local_ops": engine.ops,
@@ -56,11 +55,6 @@ def _site_snapshot(engine: Any) -> dict[str, float]:
         "log_force_writes": engine.log.forced,
         "page_reads": engine.disk.page_reads,
         "page_writes": engine.disk.page_writes,
-    }
-
-
-def _lock_snapshot(locks: Any) -> dict[str, float]:
-    return {
         "lock_grants": locks.grants,
         "lock_waits": locks.waits,
         "lock_releases": locks.releases,
@@ -79,33 +73,22 @@ class Observability:
         self.registry = MetricsRegistry()
         self.protocol = federation.config.gtm.protocol
         self.spans_enabled = spans
-        trace = federation.kernel.trace
-        #: Number of setup trace records to skip when building spans.
-        self.trace_mark = len(trace.records)
-        self._site_base = {
-            site: _site_snapshot(engine)
-            for site, engine in federation.engines.items()
-        }
-        self._lock_base = {
-            site: _lock_snapshot(engine.locks)
-            for site, engine in federation.engines.items()
-        }
         # Idempotent-scan cursors (collect() may run many times).
         # Outcome cursors are per coordinator shard: each shard appends
         # to its own outcome list.
         self._outcome_scan: dict[str, int] = {}
-        self._trace_scan = self.trace_mark
+        self._trace_scan = 0
         self._ready_since: dict[tuple[str, str], float] = {}
 
         if spans:
-            trace.enabled = True  # spans are built from the record stream
+            federation.kernel.trace.enabled = True  # spans are built from the record stream
             for engine in federation.engines.values():
                 engine.disk.trace_forces = True
 
         for site in federation.engines:
             self._attach_lock_observer(site)
-            # A restart replaces the site's LockManager (and zeroes its
-            # counters): re-attach the observer and re-baseline.
+            # A restart replaces the site's LockManager: re-attach the
+            # observer.
             federation.nodes[site].on_restart.append(self._restart_hook(site))
 
         self.registry.register_collector(self._collect)
@@ -122,7 +105,6 @@ class Observability:
 
     def _restart_hook(self, site: str):
         def reattach() -> None:
-            self._lock_base[site] = dict.fromkeys(self._lock_base[site], 0.0)
             self._attach_lock_observer(site)
             if self.spans_enabled:
                 self.federation.engines[site].disk.trace_forces = True
@@ -191,16 +173,8 @@ class Observability:
                 )
 
         for site, engine in federation.engines.items():
-            base = self._site_base[site]
-            for name, value in _site_snapshot(engine).items():
-                registry.counter(name, site=site, protocol=protocol).set_total(
-                    value - base[name]
-                )
-            lock_base = self._lock_base[site]
-            for name, value in _lock_snapshot(engine.locks).items():
-                registry.counter(name, site=site, protocol=protocol).set_total(
-                    value - lock_base[name]
-                )
+            for name, value in _site_counters(engine).items():
+                registry.counter(name, site=site, protocol=protocol).set_total(value)
             registry.gauge("lock_max_hold_time", site=site, protocol=protocol).set(
                 engine.locks.max_hold_time
             )
@@ -262,8 +236,8 @@ class Observability:
     # -- spans ----------------------------------------------------------
 
     def span_forest(self) -> SpanForest:
-        """Build the span forest of the run so far (setup skipped)."""
-        return build_spans(self.federation.kernel.trace, skip_before=self.trace_mark)
+        """Build the span forest of the run so far."""
+        return build_spans(self.federation.kernel.trace)
 
     def __repr__(self) -> str:
         return (

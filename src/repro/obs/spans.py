@@ -111,17 +111,9 @@ class SpanForest:
         return totals
 
 
-def build_spans(
-    trace: TraceLog | Iterable[TraceRecord],
-    skip_before: int = 0,
-) -> SpanForest:
-    """Group trace records into a span forest.
-
-    ``skip_before`` drops the first N records (the federation's setup
-    prefix, whose timestamps predate the run's t=0 reset).
-    """
+def build_spans(trace: TraceLog | Iterable[TraceRecord]) -> SpanForest:
+    """Group trace records into a span forest."""
     records = list(trace.records if isinstance(trace, TraceLog) else trace)
-    records = records[skip_before:]
 
     spans: list[Span] = []
     next_id = [0]

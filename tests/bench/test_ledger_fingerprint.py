@@ -22,6 +22,11 @@ current instant instead of waiting one window, which moves every
 latency in the workload (full-size ``sim_p50_response`` 30.9 ->
 17.9).  The other three workloads never batch and kept their digests.
 
+All 36 digests were re-pinned once, on purpose, when federation
+set-up stopped being counted: the sites' force, page, buffer, lock-hold
+and local-commit counters now start at zero after the initial load.
+No other field moved.
+
 The ``events`` counter is left out of the digest on purpose: a change
 may legitimately remove *no-op* dispatches (and must say so); it may
 not change what the simulation computes.
@@ -45,48 +50,48 @@ SEED = 1
 
 PINNED = {
     "commit_matrix": {
-        "before/nominal": "938b27ebc93e3e986324",
-        "before/saturated": "916d52e34e491367b1aa",
-        "after/nominal": "d794dd98d4fdf5aeea8c",
-        "after/saturated": "8c856c1bfa8503ac9ca6",
-        "2pc/nominal": "7d348378c0de61f74571",
-        "2pc/saturated": "5abc10164c98444a5faf",
-        "2pc-pa/nominal": "7d348378c0de61f74571",
-        "2pc-pa/saturated": "5abc10164c98444a5faf",
-        "3pc/nominal": "99e4298f977d72d17447",
-        "3pc/saturated": "abe1c8d59c0c1a2cd72d",
-        "paxos/nominal": "01f882c674d0a9c1b963",
-        "paxos/saturated": "b7815d4a8be9ddafd587",
-        "saga/nominal": "ce9c4646d8c6c137d649",
-        "saga/saturated": "a53b97deb078d5e8b952",
-        "altruistic/nominal": "938b27ebc93e3e986324",
-        "altruistic/saturated": "916d52e34e491367b1aa",
-        "one_phase/nominal": "add30ce1e3d263b60773",
-        "one_phase/saturated": "2c46a07ee3b7d911c455",
-        "short_commit/nominal": "2fd63f869d19888f61af",
-        "short_commit/saturated": "72195c8a9cba41f9b2cb",
+        "before/nominal": "ab2be9669d9620ae8240",
+        "before/saturated": "5a6b4c1a89a00f496bcd",
+        "after/nominal": "f7257585ea901207dc18",
+        "after/saturated": "c4b7f2b5d8d0ba95d02f",
+        "2pc/nominal": "2042572d8e5352408482",
+        "2pc/saturated": "aa71ea127ea4e6687e65",
+        "2pc-pa/nominal": "2042572d8e5352408482",
+        "2pc-pa/saturated": "aa71ea127ea4e6687e65",
+        "3pc/nominal": "8a2384b564942e336105",
+        "3pc/saturated": "b656a643a13be32be9e4",
+        "paxos/nominal": "a572e4262f317f91e34e",
+        "paxos/saturated": "f573cda8483d8d0de197",
+        "saga/nominal": "dadd4961d74900134f2f",
+        "saga/saturated": "b1dce1d86039adcc1dca",
+        "altruistic/nominal": "ab2be9669d9620ae8240",
+        "altruistic/saturated": "5a6b4c1a89a00f496bcd",
+        "one_phase/nominal": "1805fc0c176102912737",
+        "one_phase/saturated": "689c09ec78f093071d88",
+        "short_commit/nominal": "42cc09c66a8b8df26911",
+        "short_commit/saturated": "8476a5d6e535cf2b02fd",
     },
     "contended_mix": {
-        "before/nominal": "4219a91e01fc50f0c86e",
-        "before/saturated": "85ee73ac4d3517653049",
-        "after/nominal": "d6256f415dc4e9af7c2f",
-        "after/saturated": "3b80aa688c025d4076c0",
-        "2pc/nominal": "1ad76f8f5812cb2710f7",
-        "2pc/saturated": "ecd835d459f57881b400",
+        "before/nominal": "6b23570bbf1b6cd57dcb",
+        "before/saturated": "aea345dcde7d296b2044",
+        "after/nominal": "3755c5b6d3bb276430ab",
+        "after/saturated": "a2a0c92a260c15e843e6",
+        "2pc/nominal": "06a445a1b21b20eaacd7",
+        "2pc/saturated": "473ae6812fec4303d193",
     },
     "replicated_sharded": {
-        "2pc/nominal": "50676c0c0f2d0054106d",
-        "2pc/saturated": "7c88160eb08b79746728",
-        "paxos/nominal": "a72149218103abf8dc2c",
-        "paxos/saturated": "eca415c5819cd773d1f8",
-        "one_phase/nominal": "2ae6526abbaf7c75658c",
-        "one_phase/saturated": "f3d1e360a371cf9d465d",
+        "2pc/nominal": "0da67a3dc370581450c0",
+        "2pc/saturated": "b84b976ed7a3ca451bbb",
+        "paxos/nominal": "d4e02f9700163b1711f1",
+        "paxos/saturated": "032dbdda9d750c6979c6",
+        "one_phase/nominal": "ddf2ec4d4e8f6eb6ffdc",
+        "one_phase/saturated": "671afc16417933a81ed4",
     },
     "crash_recovery": {
-        "before/chaos": "c6bf4ce6c09bdf16cef6",
-        "after/chaos": "e49f457ba6f022e11e21",
-        "2pc/chaos": "5b9c875e667565964790",
-        "paxos/chaos": "765c08aad8f0c0ebc832",
+        "before/chaos": "9959be98de230d9d2080",
+        "after/chaos": "f0d83d4904b2657ad76d",
+        "2pc/chaos": "6d1bca2c475d5307866b",
+        "paxos/chaos": "57ae976d222aee30ae93",
     },
 }
 

@@ -8,6 +8,11 @@ tree (pre-dataplane); any drift in these digests means the default,
 unpartitioned configuration is no longer byte-identical and is a
 regression by definition.
 
+Re-pinned once, on purpose, when federation set-up stopped being
+counted: the initial load now runs untraced and its dispatches are
+zeroed, so each trace lost its 4-6 set-up records and ``events`` its
+set-up dispatches.  Every other field kept its value.
+
 The fingerprint covers, per (protocol, coordinator count):
 
 * every global outcome's committed flag,
@@ -42,18 +47,18 @@ N_SITES, N_KEYS, N_TXNS = 3, 8, 18
 
 #: Pinned against the pre-dataplane tree; see the module docstring.
 GOLDEN_DIGESTS = {
-    "2pc/1": "18da28144ee5f0d8d4c4fb751e9993f73c9f386e7a3e930c564f740f8563a94d",
-    "2pc/2": "0f66fa322d38db9d245a19fc8f51bb6d8e47505ec7ccb55b5395784e77a38f9b",
-    "2pc-pa/1": "0876b1bf0f74983232b9ec04b60e76d3a525be7301cc3e7345157835483abe4e",
-    "2pc-pa/2": "1ae1a20547bb5e851524e6bccad95abddc3f071942eb04b53ea3f75badc8304d",
-    "3pc/1": "1583c36a1c026c4603aec7637123373f31cef6d9949a7cbd49352a1a69933ce0",
-    "3pc/2": "9e8a92874d0a1ffc23a4fbc25877848dbb8e9f46e57ca4e119a6a0adb72332f0",
-    "after/1": "53805d599235184b6039519dc1b608cfdf97fdb81c5f336e42a045bbe33f528f",
-    "after/2": "1eba21e3de7ad27fbd2b8333d2dc4922108cf1136672a0a8fcda4e1ad1b6a469",
-    "before/1": "908ee3dca8e8f9e3d9ad3f04609b09e931e187b626bd2e590cfce1c58fc1928e",
-    "before/2": "d9fb0fd815bedb3748daac6870475dc90dd32a79d51780f2ecdaf3804247f8f8",
-    "paxos/1": "c8e27371eff3c58f3b63ecdeda83105f1e03f7ce5da532157fbdaaab5c3d4aeb",
-    "paxos/2": "13f2c617429fc207ad98cd9d9e5ce7e408ad88ad8ad4f5d06e1042be93e163bf",
+    "2pc/1": "de25d26f15177c3cf46916dd64ef3802dec3348628d52eb96c9844a00510191e",
+    "2pc/2": "81939e089ac7cb6b14cc1d093dcea998674c44c4d0db72411aa19d6295d265ce",
+    "2pc-pa/1": "23df74370b94a58665ba58ec80fd6aff9674b47fe1a3d18c443a41d1da47ffb2",
+    "2pc-pa/2": "8615b88080d942b53f589debd11b8ddcf7c7addfaf9b3fa3975b7b021796bd93",
+    "3pc/1": "8c67c5bac965c5c2fe6c08e1b7020aee81215e92bcb77b45d83f192e635a7fe7",
+    "3pc/2": "97b3d7f99b86b0f1e60f62d26d8fd0170af0c9ea99358a98351c87982ee0ac1b",
+    "after/1": "864c4c9412674a97e772acfa7d55c1b3cb5d0315f63a70f09c8e88e7200f3a2c",
+    "after/2": "fcdb34b7d63b66123fdea9fa46c4282e8625d4e10a9f0e6443a2b344297de697",
+    "before/1": "30f5ae7cac565b7c1f390179f2eaf01eccd59dd0092d0c3db94a5ce3e685ce48",
+    "before/2": "dc68bd48ee3c5f3681a61ee65bca37a697b0a872bdbfea217cc0b37bbe6edc27",
+    "paxos/1": "9e72f5a114abd6d916bb099907e65484b867b967cb0371ef59441f495be21cd3",
+    "paxos/2": "3ff39bf012b50a5f219ddf6df2360294e9fa346fc62e0c5b5cc014f2efd8190e",
 }
 
 

@@ -118,7 +118,7 @@ class TestSpanForest:
 
     def test_without_span_mode_no_log_force_spans(self):
         fed = run_fed(spans=False)
-        forest = build_spans(fed.kernel.trace, skip_before=fed.obs.trace_mark)
+        forest = build_spans(fed.kernel.trace)
         assert forest.by_category("log_force") == []
         assert forest.by_category("gtxn")  # the rest still builds
 

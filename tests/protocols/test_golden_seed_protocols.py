@@ -12,6 +12,11 @@ the pre-one-phase/Short-Commit tree (the tip this change is stacked
 on).  Any drift means a seed protocol's execution is no longer
 byte-identical and is a regression by definition.
 
+Re-pinned once, on purpose, when federation set-up stopped being
+counted: the initial load now runs untraced and its dispatches are
+zeroed, so each trace lost its 4-6 set-up records and ``events`` its
+set-up dispatches.  Every other field kept its value.
+
 The scenario deliberately includes a site crash/recovery cycle and
 intended aborts so the commit, abort and recovery paths are all inside
 the fingerprint -- but no stochastic erroneous-abort injection, whose
@@ -51,15 +56,15 @@ PREPARABLE = frozenset({"2pc", "2pc-pa", "3pc", "paxos"})
 
 #: Pinned against the seed tree; see the module docstring.
 GOLDEN_DIGESTS: dict[str, str] = {
-    "before/per_action": "46398df66597aaa80c125c23f88ebacbf7884cdda117f77bf9a5c07fda41ad43",
-    "before/per_site": "6eb954d8794f11d197fa6401222e8c9dd8a1a08690ed0087a57aa6ce6aef11ab",
-    "after/per_site": "6da9bac033e40631cdc5943a564decc63a2fe8c4bac942adfab79e1f6871a01b",
-    "2pc/per_site": "22ec6b588f1a78a174524234f61f0fd8f1ba37f801d5b8761627207ed92f7dd6",
-    "2pc-pa/per_site": "d781275844c1cc8999d40690126195e1606f324b104515d13db52174ab206ada",
-    "3pc/per_site": "af1b75f804a4cbe0676a02fc3ba33ab4af8162c4294950be084da89372b369ee",
-    "paxos/per_site": "539ef0f70389adf7e940fbf9d25c7f9ce7c055ca0dc2518548640c305b73ff01",
-    "saga/per_action": "46398df66597aaa80c125c23f88ebacbf7884cdda117f77bf9a5c07fda41ad43",
-    "altruistic/per_action": "0fc6affe299d9d5164d46dbeedafbed4e66b4fe5a6dbf38813e166f162e11cf0",
+    "before/per_action": "82cfa85f8157061114b4137d3add0f0bb0f036f557789b7f1b4ab2173dad0284",
+    "before/per_site": "ba9b84f269798ee89871412b8db0929bd917924f1a549108f7595958abd670bf",
+    "after/per_site": "9ace05ec691d99735af5f07cc9c8b597af756690e80902a6361be98562c5e5d6",
+    "2pc/per_site": "2a948c07e146ba449cccb92694963989c265c29901ff52f7f16c0d5fae23c37a",
+    "2pc-pa/per_site": "5b69bbc745b8171347108bc1b67ae183a20a8c4be004f02e0e018cedba4bc354",
+    "3pc/per_site": "e5ad3f57a97999108b92fe984a91de331c4b46523bb9942f414ba9fd2ffa7136",
+    "paxos/per_site": "78dbcc818233f698492782192648518d22a83baf4738d5cfec2ecb5a79872688",
+    "saga/per_action": "82cfa85f8157061114b4137d3add0f0bb0f036f557789b7f1b4ab2173dad0284",
+    "altruistic/per_action": "0ab21c717408ef998e9e4f94193fe3d062f3686af02f9497865b96253b1c6ed3",
 }
 
 

@@ -122,10 +122,21 @@ def test_federation_load_matches_the_calendar(monkeypatch, build):
 
 
 def test_paged_load_evicts():
-    """Guard the fixture: the 512-page load must overflow 64 frames."""
-    site = _fingerprint(_paged())["sites"]["s0"]
-    assert len(site["frames"]) == 64
-    assert site["metrics"]["page_writes"] > 0
+    """Guard the fixture: the 512-page load must overflow 64 frames.
+
+    Set-up counters are zeroed, so eviction is read from state: every
+    row whose page left the pool is on that page's stable image.
+    """
+    engine = _paged().engines["s0"]
+    heap = engine.catalog.heap("t0")
+    evicted = [
+        key for key in (f"k{j}" for j in range(512))
+        if not engine.buffer.resident(heap.page_of(key))
+    ]
+    assert len(engine.buffer._frames) == 64
+    assert evicted
+    for key in evicted:
+        assert engine.disk.stable_page(heap.page_of(key)).get(key) == 1000
 
 
 @pytest.mark.parametrize("same_page", [True, False])
