@@ -1,0 +1,180 @@
+"""Alternating parent/change pairs of the commit ledger, with a verdict.
+
+Runs ``benchmarks/ledger/run.py`` for one workload in two checkouts --
+a parent tree and a change tree -- once per seed, alternating which
+side goes first (even-indexed pairs run the parent first).  Each run is
+the ledger's own contract command::
+
+    python3 benchmarks/ledger/run.py --workload W --seed N --seconds S --trace 0
+
+and only its last output line (the result JSON) is read.  Then it
+prints
+
+* one row per pair: every wall-clock metric, parent -> change;
+* per metric: each side's median [q1, q3], the change in the medians,
+  how many pairs the change won, and whether its median stays inside
+  the ``BENCHMARK.json`` bound;
+* the verdict of the measuring rule for a claimed gain: at least ten
+  pairs, the change better in at least nine tenths of them (ties count
+  for neither), better on every held-out seed, and the medians apart by
+  more than the parent's own quartile spread.
+
+Every ``sim_*`` metric, ``served_share``, ``attempted`` and ``failed``
+must be exactly equal within each pair: a wall-clock change must not
+move the simulation.  Any difference, or a failed run, exits 1.
+
+Usage (from the repo root)::
+
+    python3 scripts/ledger_pairs.py --parent ../parent --change . \\
+        --workload commit_matrix --seeds 2 3 4 5 6 7 8 9 10 11 \\
+        --held-out 97 [--seconds 24] [--json pairs.json]
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import pathlib
+import statistics
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+#: Result fields that must not move between parent and change.
+COUNTS = ("attempted", "failed")
+
+
+def run_ledger(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ledger run in ``tree``; returns its result line, parsed."""
+    command = [
+        sys.executable, "benchmarks/ledger/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+    ]
+    done = subprocess.run(command, cwd=tree, capture_output=True, text=True, check=False)
+    if done.returncode != 0:
+        raise RuntimeError(
+            f"{tree}: seed {seed} exited {done.returncode}\n{done.stderr[-2000:]}"
+        )
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    values = {name: metric["value"] for name, metric in result["metrics"].items()}
+    return {"correct": result["correct"], **{k: result[k] for k in COUNTS}, "metrics": values}
+
+
+def must_match(name: str) -> bool:
+    """Simulated figures: a wall-clock change leaves them exactly equal."""
+    return name.startswith("sim_") or name == "served_share"
+
+
+def mismatches(parent: dict, change: dict) -> list[str]:
+    """Names of the fields that must be equal but differ in one pair."""
+    names = [k for k in ("correct",) + COUNTS if parent[k] != change[k]]
+    return names + [
+        name for name, value in parent["metrics"].items()
+        if must_match(name) and change["metrics"].get(name) != value
+    ]
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(q1, median, q3); one value is its own quartiles."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def verdict(
+    parent: list[float],
+    change: list[float],
+    better: str,
+    held_out: list[tuple[float, float]] = (),
+) -> dict:
+    """The measuring rule for a claimed gain over paired runs.
+
+    ``parent[i]`` and ``change[i]`` are pair ``i``; ``better`` is
+    ``"lower"`` or ``"higher"``; ``held_out`` holds (parent, change)
+    pairs on seeds not used while the change was written.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(1 for p, c in zip(parent, change) if sign * (p - c) > 0)
+    q1, parent_median, q3 = quartiles(parent)
+    gap = sign * (parent_median - statistics.median(change))
+    held_wins = sum(1 for p, c in held_out if sign * (p - c) > 0)
+    if len(parent) < 10:
+        outcome = "too few pairs"
+    elif wins >= 0.9 * len(parent) and gap > q3 - q1 and held_wins == len(held_out):
+        outcome = "met"
+    else:
+        outcome = "not met"
+    return {
+        "pairs": len(parent), "wins": wins, "gap": gap, "parent_spread": q3 - q1,
+        "held_out": len(held_out), "held_out_wins": held_wins, "outcome": outcome,
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    contract = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=pathlib.Path, required=True)
+    parser.add_argument("--change", type=pathlib.Path, required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--held-out", type=int, nargs="*", default=[])
+    parser.add_argument("--seconds", type=float, default=contract["run_seconds"])
+    parser.add_argument("--json", type=pathlib.Path, help="write every run here")
+    args = parser.parse_args(argv)
+
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    pairs = []
+    for index, seed in enumerate(args.seeds + args.held_out):
+        order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+        runs = {side: run_ledger(sides[side], args.workload, seed, args.seconds) for side in order}
+        pairs.append({"seed": seed, "first": order[0], **runs})
+        print(f"pair {index}: seed {seed}, {order[0]} first", flush=True)
+    if args.json:
+        args.json.write_text(json.dumps(pairs, indent=1) + "\n")
+
+    timed = [m for m in contract["end_to_end"] if not must_match(m["name"])]
+    print(f"\n{args.workload}, --seconds {args.seconds:g}: parent -> change")
+    for pair in pairs:
+        cells = "  ".join(
+            f"{m['name']} {pair['parent']['metrics'][m['name']]:.4g} -> "
+            f"{pair['change']['metrics'][m['name']]:.4g}" for m in timed
+        )
+        print(f"  seed {pair['seed']:>4}  {cells}")
+
+    claimed = pairs[:len(args.seeds)]
+    held = pairs[len(args.seeds):]
+    for metric in timed:
+        name = metric["name"]
+        parent = [p["parent"]["metrics"][name] for p in claimed]
+        change = [p["change"]["metrics"][name] for p in claimed]
+        rule = verdict(parent, change, metric["better"], [
+            (p["parent"]["metrics"][name], p["change"]["metrics"][name]) for p in held
+        ])
+        (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(parent), quartiles(change)
+        delta = (cmed - pmed) / pmed if pmed else 0.0
+        worse = delta if metric["better"] == "lower" else -delta
+        bound = "inside" if worse <= metric["bound"] else "OUTSIDE"
+        print(
+            f"\n{name} ({metric['unit']}, {metric['better']} is better)\n"
+            f"  parent {pmed:.4g} [{pq1:.4g}, {pq3:.4g}]  change {cmed:.4g} "
+            f"[{cq1:.4g}, {cq3:.4g}]  median {delta:+.1%}  "
+            f"({bound} the {metric['bound']:.0%} bound)\n"
+            f"  change better in {rule['wins']}/{rule['pairs']} pairs"
+            f" and {rule['held_out_wins']}/{rule['held_out']} held out; median gap "
+            f"{rule['gap']:.4g} vs parent spread {rule['parent_spread']:.4g}: "
+            f"claim {rule['outcome']}"
+        )
+
+    moved = {p["seed"]: mismatches(p["parent"], p["change"]) for p in pairs}
+    moved = {seed: names for seed, names in moved.items() if names}
+    if moved:
+        print(f"\nSIMULATION MOVED (must be identical): {moved}")
+        return 1
+    print("\nevery sim_* metric, served_share, attempted and failed identical in every pair")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -153,6 +153,7 @@ class PlacementMap:
         self._by_table: dict[str, list[Partition]] = {}
         self._partitioners: dict[str, Any] = {}
         self._spec_by_table: dict[str, PlacementSpec] = {}
+        self._initial_rows: list[dict] = []  # by pid
         for spec in self.specs:
             if spec.table in self._by_table:
                 raise PlacementError(f"table {spec.table!r} placed twice")
@@ -183,6 +184,10 @@ class PlacementMap:
                 self.partitions.append(partition)
                 table_partitions.append(partition)
             self._by_table[spec.table] = table_partitions
+            slices: list[dict] = [{} for _ in table_partitions]
+            for key, value in spec.rows.items():
+                slices[partitioner.partition_of(key)][key] = value
+            self._initial_rows.extend(slices)
 
     # -- resolution --------------------------------------------------------
 
@@ -209,13 +214,7 @@ class PlacementMap:
 
     def initial_rows(self, partition: Partition) -> dict:
         """The slice of the spec's initial rows landing in ``partition``."""
-        spec = self._spec_by_table[partition.table]
-        partitioner = self._partitioners[partition.table]
-        return {
-            key: value
-            for key, value in spec.rows.items()
-            if partitioner.partition_of(key) == partition.index
-        }
+        return dict(self._initial_rows[partition.pid])
 
     def spec_for(self, table: str) -> PlacementSpec:
         return self._spec_by_table[table]

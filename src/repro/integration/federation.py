@@ -280,7 +280,7 @@ class Federation:
                 for table, rows in spec.tables.items():
                     yield from engine.create_table(table, spec.buckets)
                     if rows:
-                        yield from engine.load(table, rows)
+                        engine.load(table, rows)
             if self.dataplane is not None:
                 # Partition local tables: every member holds exactly
                 # the partitions it serves (partial replication), each
@@ -294,7 +294,7 @@ class Federation:
                             partition.local_table, spec.buckets
                         )
                         if rows:
-                            yield from engine.load(partition.local_table, rows)
+                            engine.load(partition.local_table, rows)
 
         # Park the construction-time serve loops on their mailboxes; the
         # loader then runs alone, off the calendar, byte for byte as a

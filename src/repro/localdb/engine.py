@@ -132,13 +132,12 @@ class LocalDatabase:
         self.catalog.attach_heap(name, heap)
         yield from heap.initialize()
 
-    def load(self, table: str, rows: dict[Any, Any]) -> Generator[Any, Any, None]:
+    def load(self, table: str, rows: dict[Any, Any]) -> None:
         """Bulk-insert ``rows`` into ``table``, freshly created and empty.
 
-        Leaves the log, pages and buffer pool exactly as ``begin`` /
-        :meth:`insert` per row / :meth:`commit` would, minus the locks,
-        duplicate-key probes and CPU ticks: nothing else can reach the
-        table yet.
+        Builds the log, pages and buffer pool ``begin`` / :meth:`insert`
+        per row / :meth:`commit` would leave, in no simulated time: the
+        database exists before the run starts (``BufferPool.load``).
         """
         txn = self.begin()
         if self.config.scheduler == "occ":
@@ -148,10 +147,12 @@ class LocalDatabase:
             ).lsn
         heap = self.catalog.heap(table)
         for key, value in rows.items():
-            record = self._log_update(txn, table, key, None, value, heap.page_of(key))
-            yield from heap.write(key, value, record.lsn)
+            page_id = heap.page_of(key)
+            lsn = self._log_update(txn, table, key, None, value, page_id).lsn
+            self.buffer.load(page_id).put(key, value, lsn)
+            self.buffer.mark_dirty(page_id, lsn)
             self._record_op(txn, "insert", table, key)
-        yield from self._force_commit_record(txn)
+        self.log.harden(self._append_commit_record(txn))
         self._finalize_commit(txn)
 
     def pin_key(self, table: str, key: Any, bucket_index: int) -> None:
@@ -340,7 +341,7 @@ class LocalDatabase:
         if self.config.scheduler == "occ" and txn.state is LocalTxnState.RUNNING:
             yield from self._occ_commit(txn)
             return
-        yield from self._force_commit_record(txn)
+        yield from self.log.force(self._append_commit_record(txn))
         if self.crashed:
             # The force rode a group window that a crash emptied; the
             # commit record never reached stable storage.
@@ -726,13 +727,13 @@ class LocalDatabase:
             if aborted:
                 self.force_abort(reader_id, LocalAbortReason.CASCADE)
 
-    def _force_commit_record(self, txn: LocalTransaction) -> Generator[Any, Any, None]:
+    def _append_commit_record(self, txn: LocalTransaction) -> int:
         txn.finishing = True
         record = self.log.append(
             lambda lsn: CommitRecord(lsn=lsn, txn_id=txn.txn_id, prev_lsn=txn.last_lsn)
         )
         txn.last_lsn = record.lsn
-        yield from self.log.force(record.lsn)
+        return record.lsn
 
     def _finalize_commit(self, txn: LocalTransaction) -> None:
         txn.state = LocalTxnState.COMMITTED
@@ -833,7 +834,7 @@ class LocalDatabase:
 
     def _occ_commit(self, txn: LocalTransaction) -> Generator[Any, Any, None]:
         yield from self._occ_install(txn)
-        yield from self._force_commit_record(txn)
+        yield from self.log.force(self._append_commit_record(txn))
         self._finalize_commit(txn)
 
     def _occ_install(self, txn: LocalTransaction) -> Generator[Any, Any, None]:

@@ -44,6 +44,7 @@ the unreliable seed system: no extra random draws, no extra events.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.errors import NodeUnreachable, TopologyViolation
@@ -171,7 +172,7 @@ class Network:
         # destination (receiver-side duplicate suppression).
         self._xmit_ids = itertools.count(1)
         self._pending_xmits: dict[int, _Xmit] = {}
-        self._seen_xmits: dict[str, set[int]] = {}
+        self._seen_xmits: defaultdict[str, set[int]] = defaultdict(set)
         # Logical messages whose requester gave up (request timeout):
         # never retransmitted again, never delivered late.  Keeps the
         # at-most-once-per-request-window semantics the protocols'
@@ -496,7 +497,7 @@ class Network:
             return  # no ack: the sender keeps retransmitting
         # Ack duplicates too -- the original ack may have been the loss.
         self._send_ack(dest, messages[0].sender, xmit)
-        seen = self._seen_xmits.setdefault(dest, set())
+        seen = self._seen_xmits[dest]
         xid = xmit.xid
         if xid in seen:
             self.duplicates_suppressed += len(messages)

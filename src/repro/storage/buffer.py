@@ -59,6 +59,26 @@ class BufferPool:
         self._frames[page_id] = page
         return page
 
+    def load(self, page_id: int) -> Page:
+        """:meth:`fetch` with no I/O, for building a pre-existing database.
+
+        The same victims leave in the same order, a dirty one after the
+        log covering it is stable; its dropped frame becomes its image.
+        """
+        page = self._frames.get(page_id)
+        if page is not None:
+            self._frames.move_to_end(page_id)
+            return page
+        while len(self._frames) >= self.capacity:
+            victim = self._frames.pop(self._choose_victim())
+            if victim.page_id in self._dirty:
+                self._log.harden(victim.page_lsn)  # the WAL rule
+                self._disk.install_image(victim)
+                self._dirty.discard(victim.page_id)
+                self._rec_lsn.pop(victim.page_id, None)
+        page = self._frames[page_id] = self._disk.stable_page(page_id)
+        return page
+
     def create(self, page: Page) -> Generator[Any, Any, Page]:
         """Register a brand-new page (no disk read)."""
         yield from self._make_room()

@@ -107,6 +107,10 @@ class StableDisk:
         self.page_writes += 1
         self._pages[image.page_id] = image
 
+    def install_image(self, image: Page) -> None:
+        """:meth:`write_image` at once, uncounted: pre-existing state only."""
+        self._pages[image.page_id] = image
+
     def stable_page(self, page_id: int) -> Optional[Page]:
         """Direct (timeless) access for assertions and recovery analysis."""
         page = self._pages.get(page_id)
@@ -143,6 +147,10 @@ class StableDisk:
             self._log_device.release()
         except RuntimeError:
             pass  # reset by a crash while we held it
+
+    def install_log(self, records: list[Any]) -> None:
+        """:meth:`append_log` at once, uncounted: pre-existing state only."""
+        self._log.extend(records)
 
     def stable_log(self) -> list[Any]:
         """The forced log prefix (what recovery will see)."""

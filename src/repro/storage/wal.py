@@ -247,19 +247,9 @@ class LogManager:
         yield from self._force_now(upto_lsn)
 
     def _force_now(self, upto_lsn: int) -> Generator[Any, Any, None]:
-        tail = self._tail
-        if not tail:
+        to_flush = self._prefix(upto_lsn)
+        if not to_flush:
             return
-        if tail[-1].lsn <= upto_lsn:
-            # Whole-tail force -- the overwhelmingly common case (a
-            # commit forces everything appended so far).
-            to_flush = tail[:]
-        else:
-            # The tail is LSN-ordered: the records to force are the
-            # prefix up to the bisection point.
-            to_flush = tail[:bisect_right(tail, upto_lsn, key=_record_lsn)]
-            if not to_flush:
-                return
         # The volatile tail is pruned only after the disk write lands:
         # a crash during the write must still wipe these records.
         yield from self._disk.append_log(to_flush)
@@ -271,6 +261,26 @@ class LogManager:
         cut = bisect_right(tail, upto_lsn, key=_record_lsn)
         if cut:
             self._tail = tail[cut:]
+
+    def harden(self, upto_lsn: int) -> None:
+        """Make the records :meth:`force` would write stable at once, in
+        no time: only for building a pre-existing database's state."""
+        to_flush = self._prefix(upto_lsn)
+        if to_flush:
+            self._disk.install_log(to_flush)
+            self.flushed_lsn = to_flush[-1].lsn
+            self._tail = self._tail[len(to_flush):]
+
+    def _prefix(self, upto_lsn: int) -> list[LogRecord]:
+        """The volatile records a force up to ``upto_lsn`` must write."""
+        tail = self._tail
+        if tail and tail[-1].lsn <= upto_lsn:
+            # Whole-tail force -- the overwhelmingly common case (a
+            # commit forces everything appended so far).
+            return tail[:]
+        # The tail is LSN-ordered: the records to force are the prefix
+        # up to the bisection point.
+        return tail[:bisect_right(tail, upto_lsn, key=_record_lsn)]
 
     def _group_force(self, upto_lsn: int) -> Generator[Any, Any, None]:
         """Join (or lead) the current commit group."""

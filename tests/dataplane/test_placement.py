@@ -102,6 +102,16 @@ def test_initial_rows_sliced_by_partitioner():
     assert seen == rows  # every row lands in exactly one partition
 
 
+def test_initial_rows_keep_row_order_and_come_as_a_copy():
+    rows = {f"k{i}": i for i in range(32)}
+    placement = PlacementMap([PlacementSpec(table="acct", partitions=4, rows=rows)], ["s0"])
+    for partition in placement.partitions:
+        slice_ = placement.initial_rows(partition)
+        assert list(slice_) == [k for k in rows if _stable_hash(k) % 4 == partition.index]
+        slice_["extra"] = -1
+        assert "extra" not in placement.initial_rows(partition)
+
+
 def test_partitions_for_site_includes_offline_memberships():
     placement = PlacementMap(
         [PlacementSpec(table="acct", partitions=2, replication=2)],

@@ -12,6 +12,8 @@ from __future__ import annotations
 from repro.localdb.config import LocalDBConfig
 from repro.localdb.engine import LocalDatabase
 from repro.sim.kernel import Kernel
+from repro.storage.disk import StableDisk
+from repro.storage.wal import LogManager
 from tests.conftest import run
 
 #: (table, buckets, rows) loaded in order: the second load starts from
@@ -24,6 +26,11 @@ OPTIMISTIC = [
     ("t", 16, {f"k{j}": j for j in range(40)}),
     ("u", 8, {f"u{j}": -j for j in range(12)}),
 ]
+
+
+def _loaded(db, table, rows):
+    db.load(table, rows)  # no simulated time: nothing to yield
+    yield from ()
 
 
 def _inserted(db, table, rows):
@@ -65,21 +72,51 @@ def _state(db, tables) -> dict:
             (op.seq, op.txn_id, op.kind, op.table, op.key) for op in db.op_history
         ],
         "txn_counter": db._txn_counter,
+        "flushed_lsn": db.log.flushed_lsn,
+        "next_lsn": db.log.next_lsn,
+        "tail": db.log.tail_records(),
+        "records": [repr(db.log.record_at(lsn)) for lsn in range(1, db.log.next_lsn)],
     }
 
 
 def test_load_leaves_what_inserts_leave():
     config = LocalDBConfig(buffer_capacity=64)
-    loaded = _state(_build(LocalDatabase.load, PAGED, config), PAGED)
+    loaded = _state(_build(_loaded, PAGED, config), PAGED)
     inserted = _state(_build(_inserted, PAGED, config), PAGED)
     assert len(loaded["frames"]) == 64 and loaded["dirty"]
+    assert loaded["tail"] == [] and loaded["flushed_lsn"] == loaded["next_lsn"] - 1
     assert loaded == inserted
 
 
 def test_optimistic_load_leaves_the_pages_and_pool_of_inserts():
     config = LocalDBConfig(scheduler="occ", buffer_capacity=4)
-    loaded = _state(_build(LocalDatabase.load, OPTIMISTIC, config), OPTIMISTIC)
+    loaded = _state(_build(_loaded, OPTIMISTIC, config), OPTIMISTIC)
     inserted = _state(_build(_inserted, OPTIMISTIC, config), OPTIMISTIC)
     # An optimistic insert is recorded as a "write" when it installs.
     del loaded["ops"], inserted["ops"]
     assert loaded == inserted
+
+
+def _installs_ahead_of_the_log(monkeypatch) -> list[int]:
+    """Load PAGED, noting each page image installed before its log."""
+    ahead: list[int] = []
+    install = StableDisk.install_image
+
+    def checked(disk, image):
+        stable = disk.stable_log()
+        if image.page_lsn > (stable[-1].lsn if stable else 0):
+            ahead.append(image.page_id)
+        install(disk, image)
+
+    monkeypatch.setattr(StableDisk, "install_image", checked)
+    _build(_loaded, PAGED, LocalDBConfig(buffer_capacity=64))
+    return ahead
+
+
+def test_load_keeps_the_wal_rule(monkeypatch):
+    assert _installs_ahead_of_the_log(monkeypatch) == []
+
+
+def test_the_wal_rule_check_sees_a_missing_log_cut(monkeypatch):
+    monkeypatch.setattr(LogManager, "harden", lambda log, upto_lsn: None)
+    assert _installs_ahead_of_the_log(monkeypatch)
