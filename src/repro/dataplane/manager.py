@@ -286,19 +286,14 @@ class DataPlane:
     def table_records(self, site: str, table: str) -> dict:
         """Current committed-ish records of one local table (peek-style).
 
-        Prefers buffered page images, falling back to stable pages --
-        the same view as :meth:`Federation.peek`, table-wide.
+        The same view as :meth:`Federation.peek`, table-wide.
         """
         engine = self.federation.engines[site]
-        heap = engine.catalog.heap(table)
         records: dict = {}
-        for page_id in heap.page_ids:
-            if engine.buffer.resident(page_id):
-                records.update(engine.buffer._frames[page_id].records)
-            else:
-                page = engine.disk.stable_page(page_id)
-                if page is not None:
-                    records.update(page.records)
+        for page_id in engine.catalog.heap(table).page_ids:
+            page = engine.current_page(page_id)
+            if page is not None:
+                records.update(page.records)
         return records
 
     # ------------------------------------------------------------------

@@ -57,10 +57,6 @@ class BufferPoolFull(StorageError):
     """No frame can be evicted because every page is pinned."""
 
 
-class LogCorruption(StorageError):
-    """The write-ahead log contains an unreadable or truncated record."""
-
-
 # ---------------------------------------------------------------------------
 # Local database engine
 # ---------------------------------------------------------------------------
@@ -108,10 +104,6 @@ class LockTimeout(DatabaseError):
     """A lock request waited longer than the configured timeout."""
 
 
-class ValidationFailure(DatabaseError):
-    """Optimistic concurrency control rejected the transaction at commit."""
-
-
 class SiteCrashed(DatabaseError):
     """The site executing the request crashed before replying."""
 
@@ -144,28 +136,6 @@ class TopologyViolation(NetworkError):
 
 class ProtocolError(ReproError):
     """Base class for global transaction management failures."""
-
-
-class GlobalAbort(ProtocolError):
-    """The global transaction was aborted; ``reason`` says why."""
-
-    def __init__(self, gtxn_id: str, reason: str):
-        super().__init__(f"global transaction {gtxn_id} aborted: {reason}")
-        self.gtxn_id = gtxn_id
-        self.reason = reason
-
-
-class AtomicityViolation(ProtocolError):
-    """Subtransactions of one global transaction reached mixed outcomes.
-
-    The protocols in this library are designed to make this impossible;
-    the invariant checkers raise it when a bug or a deliberately broken
-    configuration (used in experiments) lets it happen.
-    """
-
-
-class SerializabilityViolation(ProtocolError):
-    """The serialization-graph checker found a cycle."""
 
 
 class DurabilityOrderViolation(ProtocolError):

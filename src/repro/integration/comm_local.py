@@ -3,8 +3,13 @@
 One of these sits *on top of* each existing database system.  It
 listens on the network for global calls, drives the local transaction
 manager through its (unchanged) interface, and packages status and data
-into reply messages.  All protocol behaviour that the paper places at
-the local side lives here:
+into reply messages.  It speaks only
+:class:`~repro.localdb.interface.StandardTMInterface`: begin, data
+operations, commit, abort, status.  The ready state's bookkeeping (the
+read-only vote, a reinstated ready local, the in-doubt list) is asked
+of :class:`~repro.localdb.interface.PreparableTMInterface`, and only
+when the interface ``has_prepare``.  All protocol behaviour that the
+paper places at the local side lives here:
 
 * answering ``prepare`` as the vote request asks (``_on_prepare``): by
   entering the ready state, immediately after the last action *while
@@ -14,9 +19,9 @@ the local side lives here:
 * committing the local transaction before the global decision for the
   commit-before protocol (``finish_subtxn`` / ``execute_l0``);
 * executing redo subtransactions and inverse (undo) transactions;
-* the commit-marker relation (:data:`~repro.core.redo.COMMITLOG_TABLE`)
-  that makes local commit and its propagation atomic when
-  ``log_placement == "indb"``.
+* the commit-marker relation (:data:`~repro.core.redo.COMMITLOG_TABLE`,
+  created with the site's schema at set-up) that makes local commit and
+  its propagation atomic when ``log_placement == "indb"``.
 
 The manager's own memory is volatile: a site crash empties it, which is
 exactly the hazard experiment EXP-A2 explores.
@@ -107,11 +112,6 @@ class LocalCommunicationManager:
     # ------------------------------------------------------------------
     # Startup / crash hooks
     # ------------------------------------------------------------------
-
-    def setup(self) -> Generator[Any, Any, None]:
-        """Create the commit-marker relation (in-DB log placement)."""
-        if self.log_placement == "indb" and COMMITLOG_TABLE not in self.interface._engine.catalog:
-            yield from self.interface._engine.create_table(COMMITLOG_TABLE, 2)
 
     def on_crash(self) -> None:
         """The site failed: all communication-manager memory is lost."""
@@ -383,19 +383,23 @@ class LocalCommunicationManager:
             self._reply(message, "vote", vote="abort", reason=f"state={status}")
             return
         if ask == "ready":
-            if payload.get("allow_readonly"):
+            if (
+                payload.get("allow_readonly")
+                and self.interface.has_prepare
+                and self.interface.is_read_only(txn_id)
+            ):
                 # Read-only optimization ([ML 83]): a participant that
                 # wrote nothing commits right away and drops out of
                 # phase 2 -- no prepare force, no decision message.
-                txn = self.interface._engine.txn(txn_id)
-                if not txn.write_set:
-                    try:
-                        yield from self.interface.commit(txn_id)
-                    except TransactionAborted as exc:
-                        self._reply(message, "vote", vote="abort", reason=str(exc.reason))
-                        return
-                    self._reply(message, "vote", vote="readonly")
+                # Only a modified TM can tell; a standard one fails at
+                # prepare below, reader or writer.
+                try:
+                    yield from self.interface.commit(txn_id)
+                except TransactionAborted as exc:
+                    self._reply(message, "vote", vote="abort", reason=str(exc.reason))
                     return
+                self._reply(message, "vote", vote="readonly")
+                return
             try:
                 yield from self.interface.prepare(txn_id)
             except TransactionAborted as exc:
@@ -488,10 +492,9 @@ class LocalCommunicationManager:
             # After a crash the manager forgot the subtransaction.  For
             # 2PC an in-doubt transaction may have been reinstated by
             # recovery; find it by its global transaction id.
-            recovered = self.interface._engine.find_by_gtxn(gtxn) if gtxn else None
-            if recovered is not None and recovered.state is LocalTxnState.READY:
-                txn_id = recovered.txn_id
-            else:
+            if gtxn and self.interface.has_prepare:
+                txn_id = self.interface.ready_txn(gtxn)
+            if txn_id is None:
                 return "aborted"
         if decision == "commit":
             outcome = yield from self._finish_local(txn_id, marker_key)
@@ -593,8 +596,8 @@ class LocalCommunicationManager:
         """
         inverse_ops: list[Operation] = message.payload["inverse_ops"]
         marker_key = message.payload.get("marker_key")
-        already = yield from self._marker_outcome(marker_key)
-        if already == "committed":
+        already = yield from self._marker_value(marker_key)
+        if already is not None:
             self._reply(message, "undo_result", outcome="undone", retries=0)
             return
         owner = f"{message.gtxn_id}!undo" if message.gtxn_id else None
@@ -630,8 +633,8 @@ class LocalCommunicationManager:
         """
         operations: list[Operation] = message.payload["ops"]
         marker_key = message.payload.get("marker_key")
-        already = yield from self._marker_outcome(marker_key)
-        if already == "committed":
+        already = yield from self._marker_value(marker_key)
+        if already is not None:
             self._reply(message, "redo_result", outcome="committed", retries=0)
             return
 
@@ -710,16 +713,10 @@ class LocalCommunicationManager:
         """List the in-doubt globals local recovery reinstated (READY).
 
         The global recovery manager asks this after a restart; the
-        answer drives its protocol-specific re-resolution pass.
+        answer drives its protocol-specific re-resolution pass.  A TM
+        with no ready state has nothing in doubt.
         """
-        engine = self.interface._engine
-        in_doubt = sorted(
-            {
-                txn.gtxn_id
-                for txn in engine._txns.values()
-                if txn.gtxn_id and txn.state is LocalTxnState.READY
-            }
-        )
+        in_doubt = self.interface.in_doubt() if self.interface.has_prepare else []
         self._reply(message, "recover_report", in_doubt=in_doubt)
         return
         yield  # pragma: no cover - generator protocol
@@ -774,21 +771,13 @@ class LocalCommunicationManager:
         """Write the commit marker inside the local transaction itself."""
         yield from self.interface.write(txn_id, COMMITLOG_TABLE, marker_key, value)
 
-    def _marker_outcome(self, marker_key: Optional[str]) -> Generator[Any, Any, Optional[str]]:
-        """Best effort: did the transaction behind ``marker_key`` commit?
-
-        Uses the durable marker with in-DB placement, volatile memory
-        otherwise (which is precisely what EXP-A2 shows to be unsafe).
-        """
-        if marker_key is None:
-            return None
-        if self.log_placement == "indb":
-            marker = yield from self._read_marker(marker_key)
-            return "committed" if marker is not None else None
-        return self._outcomes.get(marker_key)
-
     def _marker_value(self, marker_key: Optional[str]) -> Generator[Any, Any, Any]:
-        """The marker row itself (carries before/value for L0 actions)."""
+        """The marker row of a committed transaction, else ``None``.
+
+        The row carries before/value for L0 actions.  Uses the durable
+        marker with in-DB placement, volatile memory otherwise (which
+        is precisely what EXP-A2 shows to be unsafe).
+        """
         if marker_key is None:
             return None
         if self.log_placement == "indb":

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Generator, Optional
 
 from repro.core.gtm import GlobalTransactionManager, GTMConfig
+from repro.core.redo import COMMITLOG_TABLE
 from repro.integration.comm_central import CentralCommunicationManager
 from repro.integration.comm_local import LocalCommunicationManager
 from repro.integration.schema import GlobalSchema
@@ -276,7 +277,9 @@ class Federation:
         def loader() -> Generator[Any, Any, None]:
             for spec in site_specs:
                 engine = self.engines[spec.name]
-                yield from self.comms[spec.name].setup()
+                if self.config.log_placement == "indb":
+                    # The commit-marker relation (in-DB log placement).
+                    yield from engine.create_table(COMMITLOG_TABLE, 2)
                 for table, rows in spec.tables.items():
                     yield from engine.create_table(table, spec.buckets)
                     if rows:
@@ -468,15 +471,12 @@ class Federation:
     def peek(self, site: str, table: str, key: Any) -> Any:
         """Non-transactional peek at the current committed-ish value.
 
-        Prefers the buffered page image, falling back to the stable
-        disk image; for assertions in tests and experiments only.
+        Reads the page :meth:`LocalDatabase.current_page
+        <repro.localdb.engine.LocalDatabase.current_page>` shows; for
+        assertions in tests and experiments only.
         """
         engine = self.engines[site]
-        heap = engine.catalog.heap(table)
-        page_id = heap.page_of(key)
-        if engine.buffer.resident(page_id):
-            return engine.buffer._frames[page_id].get(key)
-        page = engine.disk.stable_page(page_id)
+        page = engine.current_page(engine.catalog.heap(table).page_of(key))
         return page.get(key) if page is not None else None
 
     def peek_global(self, table: str, key: Any) -> Any:

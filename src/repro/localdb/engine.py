@@ -48,6 +48,7 @@ from repro.storage.wal import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Kernel
     from repro.sim.process import Process
+    from repro.storage.page import Page
 
 
 @dataclass(frozen=True)
@@ -530,26 +531,18 @@ class LocalDatabase:
         self.kernel.trace.emit("site", self.site, "restart")
 
     # ------------------------------------------------------------------
-    # Durable outcome lookup (for communication managers)
+    # Inspection
     # ------------------------------------------------------------------
 
-    def stable_outcome(self, txn_id: str) -> Optional[str]:
-        """``"committed"``/``"aborted"`` per the stable log, else ``None``.
+    def current_page(self, page_id: int) -> Optional[Page]:
+        """The page as an outside observer sees it, with no I/O or locks.
 
-        This models a commit-log the local system keeps *inside* its
-        database ([WV 90]); the unreliable alternative -- volatile
-        memory of the communication manager -- is exercised by
-        experiment EXP-A2.
+        The buffered image if resident, else the stable one (``None``
+        if the page was never written); for assertions and audits only.
         """
-        outcome = None
-        for record in self.disk.stable_log():
-            if record.txn_id != txn_id:
-                continue
-            if isinstance(record, CommitRecord):
-                outcome = "committed"
-            elif isinstance(record, AbortRecord):
-                outcome = "aborted"
-        return outcome
+        if self.buffer.resident(page_id):
+            return self.buffer._frames[page_id]
+        return self.disk.stable_page(page_id)
 
     # ------------------------------------------------------------------
     # Metrics

@@ -102,10 +102,6 @@ class StandardTMInterface:
         except Exception:
             return None
 
-    def durable_outcome(self, txn_id: str) -> Optional[str]:
-        """Outcome per the stable log; models an in-database commit log."""
-        return self._engine.stable_outcome(txn_id)
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.site}>"
 
@@ -127,3 +123,30 @@ class PreparableTMInterface(StandardTMInterface):
         pure lock-table operation, no log I/O.
         """
         return self._engine.short_release(self._engine.txn(txn_id), downgrade=downgrade)
+
+    # -- the ready state's bookkeeping -------------------------------------------
+
+    def is_read_only(self, txn_id: str) -> bool:
+        """Has the transaction written nothing? (read-only vote, [ML 83])"""
+        return not self._engine.txn(txn_id).write_set
+
+    def ready_txn(self, gtxn_id: str) -> Optional[str]:
+        """The local of ``gtxn_id`` if it is in the ready state, else ``None``.
+
+        After a crash, local recovery reinstates prepared transactions;
+        the communication manager forgot them and finds them here.
+        """
+        txn = self._engine.find_by_gtxn(gtxn_id)
+        if txn is not None and txn.state is LocalTxnState.READY:
+            return txn.txn_id
+        return None
+
+    def in_doubt(self) -> list[str]:
+        """Sorted global ids of every local in the ready state."""
+        return sorted(
+            {
+                txn.gtxn_id
+                for txn in self._engine.active_txns()
+                if txn.gtxn_id and txn.state is LocalTxnState.READY
+            }
+        )

@@ -79,14 +79,6 @@ class BufferPool:
         page = self._frames[page_id] = self._disk.stable_page(page_id)
         return page
 
-    def create(self, page: Page) -> Generator[Any, Any, Page]:
-        """Register a brand-new page (no disk read)."""
-        yield from self._make_room()
-        self._frames[page.page_id] = page
-        self._dirty.add(page.page_id)
-        self._rec_lsn.setdefault(page.page_id, 0)
-        return page
-
     def pin(self, page_id: int) -> None:
         """Prevent eviction of ``page_id`` until unpinned."""
         self._pins[page_id] = self._pins.get(page_id, 0) + 1

@@ -209,24 +209,6 @@ def test_metrics_counters(kernel, db):
     assert metrics["ops"] >= 2
 
 
-def test_stable_outcome_reflects_log(kernel, db):
-    def proc():
-        txn = db.begin()
-        yield from db.write(txn, "t", "k", 1)
-        yield from db.commit(txn)
-        txn2 = db.begin()
-        yield from db.write(txn2, "t", "k", 2)
-        yield from db.abort(txn2)
-        return txn.txn_id, txn2.txn_id
-
-    committed_id, aborted_id = run(kernel, proc())
-    assert db.stable_outcome(committed_id) == "committed"
-    # The abort record may still sit in the unforced tail.
-    run(kernel, db.log.force())
-    assert db.stable_outcome(aborted_id) == "aborted"
-    assert db.stable_outcome("never-existed") is None
-
-
 def test_gtxn_id_attached(kernel, db):
     txn = db.begin(gtxn_id="G1")
     assert txn.gtxn_id == "G1"

@@ -100,21 +100,31 @@ def test_prepare_forces_log(kernel, engine):
     assert engine.disk.log_forces == before + 1
 
 
+def test_ready_state_bookkeeping_is_named(kernel, engine):
+    """The read-only test, a ready local by global id, the in-doubt list."""
+    interface = PreparableTMInterface(engine)
+    reader = interface.begin(gtxn_id="G1")
+    writer = interface.begin(gtxn_id="G2")
+
+    def proc():
+        yield from engine.create_table("u", 1)
+        yield from interface.read(reader, "u", "k")
+        yield from interface.write(writer, "t", "k", 1)
+        assert interface.is_read_only(reader)
+        assert not interface.is_read_only(writer)
+        assert interface.ready_txn("G2") is None  # still running
+        yield from interface.prepare(writer)
+
+    run(kernel, proc())
+    assert interface.ready_txn("G2") == writer
+    assert interface.ready_txn("G1") is None
+    assert interface.ready_txn("G9") is None
+    assert interface.in_doubt() == ["G2"]
+
+
 def test_status_of_unknown_txn_is_none(engine):
     interface = StandardTMInterface(engine)
     assert interface.status("ghost") is None
-
-
-def test_durable_outcome_passthrough(kernel, engine):
-    interface = StandardTMInterface(engine)
-    txn_id = interface.begin()
-
-    def proc():
-        yield from interface.write(txn_id, "t", "k", 1)
-        yield from interface.commit(txn_id)
-
-    run(kernel, proc())
-    assert interface.durable_outcome(txn_id) == "committed"
 
 
 def test_all_operations_via_interface(kernel, engine):

@@ -2,6 +2,7 @@
 
 from repro.core.invariants import atomicity_report
 from repro.faults import FaultInjector
+from repro.localdb.interface import StandardTMInterface
 from repro.mlt.actions import increment, read, write
 from tests.protocols.conftest import build_fed, submit_and_run
 
@@ -38,21 +39,33 @@ def test_logic_error_aborts_globally():
     assert fed.peek("s0", "t0", "x") == 100  # first site rolled back too
 
 
-def test_standard_interface_cannot_run_2pc():
-    """Pointing 2PC at unchangeable TMs fails at prepare -- the premise."""
-    fed = build_fed("2pc", msg_timeout=10)
-    # Override: plain (standard) interfaces despite the 2PC protocol.
-    from repro.localdb.interface import StandardTMInterface
-
+def standard_fed(protocol):
+    """``protocol`` pointed at plain (standard) interfaces regardless."""
+    fed = build_fed(protocol, msg_timeout=10)
     for site, comm in fed.comms.items():
         comm.interface = StandardTMInterface(fed.engines[site])
         fed.interfaces[site] = comm.interface
+    return fed
+
+
+def test_standard_interface_cannot_run_2pc():
+    """Pointing 2PC at unchangeable TMs fails at prepare -- the premise."""
+    fed = standard_fed("2pc")
     process = fed.submit([increment("t0", "x", -10), increment("t1", "x", 10)])
     fed.kernel.run(raise_failures=False)
     outcome = process.value
     assert not outcome.committed
     assert fed.peek("s0", "t0", "x") == 100
     assert fed.peek("s1", "t1", "x") == 100
+
+
+def test_standard_interface_cannot_vote_readonly():
+    """The read-only vote needs the modified TM too: a reader fails at
+    prepare on an unchangeable TM just as a writer does."""
+    fed = standard_fed("2pc-pa")
+    process = fed.submit([read("t0", "x"), read("t1", "x")])
+    fed.kernel.run(raise_failures=False)
+    assert not process.value.committed
 
 
 def test_locals_pass_through_ready_state():
