@@ -33,7 +33,7 @@ FAULT_COUNTERS: dict[str, int] = {}
 _COUNTER_KEYS = (
     "injected_aborts", "injected_crashes", "injected_partitions",
     "retransmissions", "duplicates_suppressed", "abandoned_messages",
-    "duplicate_requests", "recovery_passes", "recovery_resolved_indoubt",
+    "recovery_passes", "recovery_resolved_indoubt",
     "recovery_redriven_redos", "recovery_orphans_terminated",
 )
 

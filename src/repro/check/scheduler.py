@@ -16,11 +16,14 @@ in how they pick:
   fired.  Reordering within a link would report phantom bugs the real
   network cannot produce.
 * **Partial-order reduction**: same-time deliveries to *different*
-  destinations commute (disjoint receiver state, see
-  :meth:`repro.net.message.Message.commutes_with`), so exploring both
-  orders is redundant.  Candidates are narrowed to those sharing the
-  first candidate's destination; the alternatives are counted in
-  :attr:`Strategy.pruned` instead of branched on.
+  destinations commute.  They touch disjoint node state and exchange
+  no information within one simulated instant, so either order yields
+  the same continuation and exploring both is redundant.  Deliveries
+  to the same destination share the receiver's state (lock queues,
+  GTM bookkeeping, dedup tables) and are both explored.  Candidates
+  are narrowed to those sharing the first candidate's destination; the
+  alternatives are counted in :attr:`Strategy.pruned` instead of
+  branched on.
 
 Every strategy records the index it chose at each real choice point
 (arity > 1) together with the arity, so any execution can be replayed

@@ -358,9 +358,9 @@ class GlobalTransactionManager:
         # -- all of them die with the coordinator.
         self.crashed = False
         self.pool: Optional[Any] = None
-        # Query the in-database commit markers on ambiguity.  The
-        # federation installs its ``log_placement`` verdict here: a
-        # volatile placement cannot answer after a site crash.
+        # Can a site's status answer survive its crash?  The federation
+        # installs its ``log_placement`` verdict here (only in-database
+        # commit markers do); recovery chooses its path by it.
         self.durable_status = True
         # Paxos coordinator mode: the federation installs the shared
         # AcceptorGroup here; ``None`` on every classic path.

@@ -225,7 +225,7 @@ class ProtocolContext:
                     site, "status_query",
                     gtxn_id=None if self.resumed else self.gtxn.gtxn_id,
                     timeout=self.config.msg_timeout,
-                    marker_key=marker_key, durable=self.gtm.durable_status,
+                    marker_key=marker_key,
                 )
                 return reply
             except MessageTimeout:

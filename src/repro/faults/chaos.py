@@ -376,9 +376,6 @@ def run_chaos(spec: ChaosSpec) -> ChaosResult:
     result.counters = {
         **fed.network.reliability_counts(),
         **injector.counters(),
-        "duplicate_requests": sum(
-            comm.duplicate_requests for comm in fed.comms.values()
-        ),
         "recovery_passes": sum(g.recovery.passes for g in fed.coordinators),
         "recovery_resolved_indoubt": sum(
             g.recovery.resolved_indoubt for g in fed.coordinators

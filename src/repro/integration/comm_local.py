@@ -23,8 +23,20 @@ paper places at the local side lives here:
   created with the site's schema at set-up) that makes local commit and
   its propagation atomic when ``log_placement == "indb"``.
 
-The manager's own memory is volatile: a site crash empties it, which is
-exactly the hazard experiment EXP-A2 explores.
+The manager's own memory is volatile, and a site crash empties it.  It
+keeps only what no other layer holds:
+
+* the open subtransaction of each global transaction (``_subtxns``),
+  so later operations, votes and decisions find their local;
+* one lock per global transaction while a request on it runs, so a
+  retried decide cannot interleave with an in-flight redo;
+* under ``log_placement == "volatile"`` only, the outcome of each
+  marker key (``_outcomes``) -- the log that placement lacks, lost in
+  a crash, which is exactly the hazard experiment EXP-A2 explores.
+
+It keeps no request or reply cache.  The reliable network's receiver
+filter is the only duplicate filter, and a request the coordinator
+retries is made safe by the commit markers (§3.2), not by memory.
 """
 
 from __future__ import annotations
@@ -71,18 +83,10 @@ class LocalCommunicationManager:
         self._retry_rng = kernel.rng.stream(f"cm-retry:{node.name}")
         # gtxn_id -> local txn id of the current subtransaction.
         self._subtxns: dict[str, str] = {}
-        # Volatile outcome memory: marker key -> "committed" | "aborted".
+        # Outcome memory of the volatile log placement: marker key ->
+        # "committed" | "aborted".  In-DB placement keeps it empty: the
+        # marker relation is its log.
         self._outcomes: dict[str, str] = {}
-        # Request-level duplicate suppression: request msg_id -> the
-        # exact reply sent (None if the handler finished without
-        # replying).  A redelivered request re-sends the cached reply
-        # instead of re-running the handler; a request still being
-        # handled is dropped (the sender's retransmission covers it).
-        # Volatile by design -- after a crash the durable commit
-        # markers, not this cache, make redelivery safe.
-        self._processed_replies: dict[int, Optional[Message]] = {}
-        self._in_flight: set[int] = set()
-        self.duplicate_requests = 0
         # Per-global-transaction mutex: a retried decide and an
         # in-flight redo (or two redo retries) must never interleave on
         # the same subtransaction.  An entry lives only while its lock
@@ -117,8 +121,6 @@ class LocalCommunicationManager:
         """The site failed: all communication-manager memory is lost."""
         self._subtxns.clear()
         self._outcomes.clear()
-        self._processed_replies.clear()
-        self._in_flight.clear()
         for lock in self._gtxn_locks.values():
             lock.reset(SiteCrashed(f"{self.site} crashed"))
         self._gtxn_locks.clear()
@@ -159,8 +161,6 @@ class LocalCommunicationManager:
 
     def _serve(self) -> Generator[Any, Any, None]:
         node = self.node
-        processed = self._processed_replies
-        in_flight = self._in_flight
         dispatch = self._dispatch
         spawn = self.kernel.spawn
         while True:
@@ -168,22 +168,6 @@ class LocalCommunicationManager:
                 message = yield from node.recv()
             except NodeUnreachable:
                 return
-            msg_id = message.msg_id
-            if msg_id in processed:
-                # Redelivered request already handled: re-send the same
-                # reply (the first one may have been lost) and do NOT
-                # re-run the handler.
-                self.duplicate_requests += 1
-                cached = processed[msg_id]
-                if cached is not None and not node.crashed:
-                    self.network.send(cached)
-                continue
-            if msg_id in in_flight:
-                # Redelivered while the first delivery is still being
-                # handled; the reply (or the sender's retry machinery)
-                # covers it.
-                self.duplicate_requests += 1
-                continue
             entry = dispatch.get(message.kind)
             if entry is None:
                 entry = self._resolve_kind(message.kind)
@@ -210,21 +194,14 @@ class LocalCommunicationManager:
         if handler is None:
             self._reply(message, "error", error=f"unknown kind {message.kind}")
             return
-        msg_id = message.msg_id
         lock = self._gtxn_lock(message.gtxn_id) if serialized else None
-        self._in_flight.add(msg_id)
         try:
             if lock is not None:
                 yield from lock.acquire()
             yield from handler(message)
-            # Handler ran to completion: remember that (and the reply
-            # _reply recorded, if any) so a redelivery is answered from
-            # the cache instead of re-executed.
-            self._processed_replies.setdefault(msg_id, None)
         except (SiteCrashed, NodeUnreachable):
             return  # the site died mid-request; the central will time out
         finally:
-            self._in_flight.discard(msg_id)
             if lock is not None:
                 self._release_gtxn_lock(message.gtxn_id, lock)
 
@@ -233,11 +210,9 @@ class LocalCommunicationManager:
             return
         # ``message.reply(kind, **payload)`` without the second kwargs
         # repack: every handled request ends here.
-        reply = Message(
+        self.network.send(Message(
             kind, message.dest, message.sender, payload, message.gtxn_id, message.msg_id
-        )
-        self._processed_replies[message.msg_id] = reply
-        self.network.send(reply)
+        ))
 
     # ------------------------------------------------------------------
     # Subtransaction lifecycle (2PC and commit-after)
@@ -666,13 +641,12 @@ class LocalCommunicationManager:
     def _on_status_query(self, message: Message) -> Generator[Any, Any, None]:
         """Answer "what happened to this subtransaction?".
 
-        With ``durable=True`` the commit-marker relation inside the
+        With in-DB log placement the commit-marker relation inside the
         database is consulted (survives crashes); otherwise only the
         manager's volatile memory -- after a crash the honest answer is
         ``unknown``.
         """
         marker_key = message.payload.get("marker_key")
-        durable = message.payload.get("durable", True)
         gtxn = message.gtxn_id
         txn_id = self._subtxns.get(gtxn or "")
         if txn_id is not None:
@@ -686,7 +660,7 @@ class LocalCommunicationManager:
             if status is LocalTxnState.ABORTED:
                 self._reply(message, "status_report", outcome="aborted")
                 return
-        if durable and self.log_placement == "indb" and marker_key is not None:
+        if self.log_placement == "indb" and marker_key is not None:
             marker = yield from self._read_marker(marker_key)
             if marker is None:
                 self._reply(message, "status_report", outcome="aborted")
@@ -806,7 +780,8 @@ class LocalCommunicationManager:
                 pass
 
     def _note_outcome(self, marker_key: Optional[str], outcome: str) -> None:
-        if marker_key is not None:
+        """Remember an outcome; only the volatile placement needs to."""
+        if marker_key is not None and self.log_placement == "volatile":
             self._outcomes[marker_key] = outcome
 
     def __repr__(self) -> str:

@@ -16,7 +16,7 @@ from repro.core.gtm import GlobalTransactionManager, GTMConfig
 from repro.core.redo import COMMITLOG_TABLE
 from repro.integration.comm_central import CentralCommunicationManager
 from repro.integration.comm_local import LocalCommunicationManager
-from repro.integration.schema import GlobalSchema
+from repro.integration.schema import GlobalSchema, SchemaError
 from repro.localdb.config import LocalDBConfig
 from repro.localdb.engine import LocalDatabase
 from repro.localdb.interface import PreparableTMInterface, StandardTMInterface
@@ -56,7 +56,9 @@ class FederationConfig:
         Per-transmission probabilities, each in ``[0, 1]``, of losing,
         duplicating or delaying a transmission (the delay is drawn up
         to :attr:`Network.REORDER_SPREAD
-        <repro.net.network.Network.REORDER_SPREAD>`).
+        <repro.net.network.Network.REORDER_SPREAD>`).  ``dup_rate > 0``
+        needs ``reliable=True``: the reliable receiver is the only
+        duplicate filter, so a site gets each transmission at most once.
     batch_window:
         ``> 0`` turns on per-link message batching: logical messages
         bound for the same site within the window share one physical
@@ -270,7 +272,7 @@ class Federation:
         for table in spec.tables:
             try:
                 self.schema.map_table(table, spec.name, table)
-            except Exception:
+            except SchemaError:
                 pass  # caller maps ambiguous tables explicitly
 
     def _load_initial_data(self, site_specs: list[SiteSpec]) -> None:
@@ -512,9 +514,6 @@ class Federation:
                 "piggybacked": self.network.piggybacked,
                 "by_kind": self.network.message_counts(),
                 "reliability": self.network.reliability_counts(),
-                "duplicate_requests": sum(
-                    c.duplicate_requests for c in self.comms.values()
-                ),
             },
             "sites": {site: engine.metrics() for site, engine in self.engines.items()},
         }

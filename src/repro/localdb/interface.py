@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from repro.errors import UnsupportedInterface
+from repro.errors import InvalidTransactionState, UnsupportedInterface
 from repro.localdb.txn import LocalAbortReason, LocalTxnState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -99,7 +99,7 @@ class StandardTMInterface:
         """Volatile status: ``None`` if this manager forgot the id (crash)."""
         try:
             return self._engine.txn(txn_id).state
-        except Exception:
+        except InvalidTransactionState:
             return None
 
     def __repr__(self) -> str:

@@ -74,19 +74,6 @@ class Message:
         """
         return (self.sender, self.dest)
 
-    def commutes_with(self, other: "Message | BatchMessage") -> bool:
-        """Do the two deliveries commute (order cannot matter)?
-
-        Deliveries to different destination nodes touch disjoint node
-        state and exchange no information within one simulated instant,
-        so either order yields the same continuation -- the
-        partial-order reduction of the checker prunes one of them.
-        Deliveries to the same destination share the receiver's state
-        (lock queues, GTM bookkeeping, dedup tables) and must both be
-        explored.
-        """
-        return self.dest != other.dest
-
     def reply(self, kind: str, **payload: Any) -> "Message":
         """Build a response correlated with this message."""
         return Message(
@@ -162,15 +149,6 @@ class BatchMessage:
 
     def __len__(self) -> int:
         return len(self.messages)
-
-    @property
-    def link(self) -> tuple[str, str]:
-        """The directed link of the envelope (see :attr:`Message.link`)."""
-        return (self.sender, self.dest)
-
-    def commutes_with(self, other: "Message | BatchMessage") -> bool:
-        """Envelope-level commutativity (see :meth:`Message.commutes_with`)."""
-        return self.dest != other.dest
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BatchMessage):

@@ -35,10 +35,14 @@ With ``reliable=True`` every physical transmission is acknowledged by
 the receiving end: unacknowledged transmissions are retransmitted with
 exponential backoff up to a retry budget, and the receiver suppresses
 duplicate transmissions (re-acking them, in case the first ack was
-lost).  Acks and retransmissions are *physical* control traffic -- they
-never appear in the logical ``sent``/``by_kind`` accounting.  All new
-knobs at their defaults leave the transmission path byte-identical to
-the unreliable seed system: no extra random draws, no extra events.
+lost).  That receiver filter is the system's only duplicate filter:
+no node above the network remembers which requests it has handled.
+So ``dup_rate > 0`` requires ``reliable=True``, and a retransmitted
+or duplicated transmission reaches its node at most once.  Acks and
+retransmissions are *physical* control traffic -- they never appear
+in the logical ``sent``/``by_kind`` accounting.  All new knobs at
+their defaults leave the transmission path byte-identical to the
+unreliable seed system: no extra random draws, no extra events.
 """
 
 from __future__ import annotations
@@ -144,6 +148,10 @@ class Network:
         ):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} {rate} outside [0, 1]")
+        if dup_rate and not reliable:
+            # Only the reliable receiver filters duplicates; nothing
+            # above the network does.
+            raise ValueError(f"dup_rate {dup_rate} needs reliable=True")
         self.kernel = kernel
         self.latency = latency or FixedLatency(1.0)
         self.loss_rate = loss_rate
@@ -277,7 +285,7 @@ class Network:
             self.outbox.add((message.sender, message.dest), message)
         elif (
             self.reliable or self._partitioned or self.loss_rate
-            or self.reorder_rate or self.dup_rate
+            or self.reorder_rate
         ):
             self._transmit(message.sender, message.dest, (message,))
         else:
@@ -412,11 +420,6 @@ class Network:
             delay += self._rng.uniform(0.0, self.REORDER_SPREAD)
             self.reordered += 1
         self.kernel._schedule(delay, self._deliver_all, messages)
-        if self.dup_rate and self._rng.random() < self.dup_rate:
-            self.duplicates_injected += len(messages)
-            self.kernel._schedule(
-                self.latency.sample(self._rng), self._deliver_all, messages
-            )
 
     # -- reliable delivery -----------------------------------------------------
 

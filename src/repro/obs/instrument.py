@@ -154,9 +154,6 @@ class Observability:
             registry.counter(
                 "retransmit_budget_exhausted", site=dest, protocol=protocol
             ).set_total(count)
-        registry.counter("duplicate_requests", protocol=protocol).set_total(
-            sum(comm.duplicate_requests for comm in federation.comms.values())
-        )
 
         # One instrument set per coordinator shard; shard 0 keeps the
         # historical site="central" labels, so single-coordinator runs

@@ -73,7 +73,6 @@ def test_chaos_counters_recorded():
         "abandoned_messages",
         "injected_crashes",
         "injected_partitions",
-        "duplicate_requests",
         "recovery_passes",
         "recovery_orphans_terminated",
     ):
@@ -99,6 +98,31 @@ def test_chaos_soak_matrix(protocol, granularity, seed):
         ChaosSpec(protocol=protocol, granularity=granularity, seed=seed)
     )
     assert_chaos_ok(result)
+
+
+def run_duplicating_chaos(protocol: str, granularity: str, seed: int) -> None:
+    """Heavy duplication: the network's receiver filter, the only
+    duplicate filter, keeps every audit clean on its own."""
+    result = run_chaos(
+        ChaosSpec(
+            protocol=protocol, granularity=granularity, seed=seed, dup_rate=0.5
+        )
+    )
+    assert_chaos_ok(result)
+    assert result.counters["duplicates_suppressed"] > 0
+
+
+@pytest.mark.parametrize("protocol,granularity", CHAOS_PROTOCOLS)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_chaos_heavy_duplication(protocol, granularity, seed):
+    run_duplicating_chaos(protocol, granularity, seed)
+
+
+@pytest.mark.soak
+@pytest.mark.parametrize("protocol,granularity", CHAOS_PROTOCOLS)
+@pytest.mark.parametrize("seed", list(range(20)))
+def test_chaos_heavy_duplication_soak(protocol, granularity, seed):
+    run_duplicating_chaos(protocol, granularity, seed)
 
 
 @pytest.mark.parametrize("batch_policy", ["static", "adaptive"])

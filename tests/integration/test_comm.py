@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import MessageTimeout
 from repro.core.redo import COMMITLOG_TABLE
+from repro.faults import CHAOS_PROTOCOLS, ChaosSpec, run_chaos
 from repro.integration.federation import Federation, FederationConfig, SiteSpec
 from repro.mlt.actions import increment, read, write
 
@@ -87,26 +88,42 @@ def test_l0_marker_carries_before_image(fed):
         fed, "a", "execute_l0", gtxn="G1",
         op=write("t", "x", 7).routed("a", "t"), marker_key="G1:0",
     )
-    reply = request(fed, "a", "status_query", gtxn="G1", marker_key="G1:0", durable=True)
+    reply = request(fed, "a", "status_query", gtxn="G1", marker_key="G1:0")
     assert reply.payload["outcome"] == "committed"
     assert reply.payload["before"] == 10
 
 
 def test_status_of_unexecuted_marker_is_aborted(fed):
-    reply = request(fed, "a", "status_query", gtxn="G9", marker_key="G9:0", durable=True)
+    reply = request(fed, "a", "status_query", gtxn="G9", marker_key="G9:0")
     assert reply.payload["outcome"] == "aborted"
 
 
-def test_volatile_status_unknown_after_crash(fed):
+def test_volatile_status_unknown_after_crash():
+    fed = Federation(
+        [SiteSpec("a", tables={"t": {"x": 10}})],
+        FederationConfig(seed=11, log_placement="volatile"),
+    )
     request(
         fed, "a", "execute_l0", gtxn="G1",
         op=increment("t", "x", 5).routed("a", "t"), marker_key="G1:0",
     )
+    reply = request(fed, "a", "status_query", marker_key="G1:0")
+    assert reply.payload["outcome"] == "committed"
     fed.nodes["a"].crash()
     fed.restart_site("a")
     fed.run()
-    reply = request(fed, "a", "status_query", gtxn="G1", marker_key="G1:0", durable=False)
+    reply = request(fed, "a", "status_query", marker_key="G1:0")
     assert reply.payload["outcome"] == "unknown"
+
+
+@pytest.mark.parametrize("protocol,granularity", CHAOS_PROTOCOLS)
+def test_indb_site_keeps_no_outcome_memory(protocol, granularity):
+    """With in-DB placement the marker relation is the site's log: the
+    manager remembers no outcome, whatever the protocol or fault."""
+    result = run_chaos(ChaosSpec(protocol=protocol, granularity=granularity, seed=7))
+    assert result.committed > 0
+    for comm in result.federation.comms.values():
+        assert comm._outcomes == {}
 
 
 def test_durable_status_survives_crash(fed):
@@ -117,7 +134,7 @@ def test_durable_status_survives_crash(fed):
     fed.nodes["a"].crash()
     fed.restart_site("a")
     fed.run()
-    reply = request(fed, "a", "status_query", gtxn="G1", marker_key="G1:0", durable=True)
+    reply = request(fed, "a", "status_query", gtxn="G1", marker_key="G1:0")
     assert reply.payload["outcome"] == "committed"
 
 

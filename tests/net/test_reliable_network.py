@@ -5,6 +5,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import repro
 from repro.net.message import Message
 from repro.net.network import FixedLatency, Network
@@ -88,6 +90,35 @@ def test_duplicate_transmissions_suppressed(kernel):
     assert net.duplicates_suppressed >= 1
     # The duplicate is re-acked: its ack may have been the lost one.
     assert net.acks_sent >= 2
+
+
+@pytest.mark.parametrize("batch_window", [0.0, 1.0])
+def test_duplicates_stop_at_the_receiving_node(kernel, batch_window):
+    """The receiver filter is the only duplicate filter: every logical
+    message reaches its node exactly once, duplicated and lossy links
+    notwithstanding."""
+    net, _, a = make_net(
+        kernel, dup_rate=1.0, loss_rate=0.3, batch_window=batch_window
+    )
+    sent = [Message(kind="ping", sender="central", dest="a") for _ in range(60)]
+    for i, message in enumerate(sent):
+        kernel.call_at(i * 0.5, net.send, message)
+    arrivals = []
+
+    def receiver():
+        while True:
+            message = yield from a.recv()
+            arrivals.append(message.msg_id)
+
+    kernel.spawn(receiver())
+    kernel.run()
+    assert sorted(arrivals) == sorted(m.msg_id for m in sent)
+    assert net.duplicates_suppressed > 0
+
+
+def test_duplication_without_reliable_delivery_refused(kernel):
+    with pytest.raises(ValueError, match="reliable=True"):
+        Network(kernel, dup_rate=0.1)
 
 
 def test_lost_ack_triggers_retransmit_but_not_redelivery(kernel):

@@ -158,7 +158,7 @@ class TestFaultCounterMigration:
         result = run_chaos(spec)
         for key in (
             "retransmissions", "injected_aborts", "injected_crashes",
-            "injected_partitions", "duplicate_requests", "recovery_passes",
+            "injected_partitions", "recovery_passes",
         ):
             assert key in result.counters
         assert result.registry is not None
