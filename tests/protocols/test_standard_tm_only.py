@@ -27,7 +27,7 @@ from repro.core.protocols import PROTOCOL_REGISTRY
 from repro.localdb.engine import LocalDatabase
 from repro.localdb.interface import StandardTMInterface
 from tests.protocols.test_golden_seed_protocols import (
-    GOLDEN_DIGESTS,
+    GOLDEN,
     SEED_PROTOCOLS,
     fingerprint,
 )
@@ -82,7 +82,7 @@ def test_proxy_refuses_everything_beyond_the_standard_interface(kernel):
 )
 def test_golden_scenario_on_the_standard_tm_alone(strict_sites, protocol, granularity):
     key = f"{protocol}/{granularity}"
-    assert fingerprint(protocol, granularity) == GOLDEN_DIGESTS[key]
+    assert fingerprint(protocol, granularity) == GOLDEN[key]
 
 
 @pytest.mark.parametrize(
