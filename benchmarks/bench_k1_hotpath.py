@@ -17,7 +17,7 @@ transaction, by layer, is the commit ledger's job:
   ~610k events/s on it.)
 * **timeout race** -- ``wait_with_timeout`` where the awaited future
   wins: one ``TimedWait`` per wait, its deadline entry skipped by the
-  run loop once the winner has cancelled it.
+  run loop because the wake settled the wait.
 * **one-way send** -- unbatched star traffic with nobody receiving:
   ``Network.send`` -> ``_deliver_all`` -> ``Mailbox.put``.  (The former
   ``bench_kernel_wallclock`` network loop, ~228k messages/s on the

@@ -96,8 +96,8 @@ class CentralCommunicationManager:
         message = Message(kind, self.node.name, site, payload, gtxn_id)
         # One object is the pending-table entry, the deadline's queue
         # entry and what this process parks on.  The deadline is armed
-        # when the process parks -- after the send, like the timer of
-        # the future-and-timer race this replaces.
+        # when the process parks, after the send; the reply's wake
+        # retires it.
         wait = TimedWait(timeout)
         self._pending[message.msg_id] = wait
         self.requests += 1
@@ -112,7 +112,6 @@ class CentralCommunicationManager:
             # on a transaction the coordinator already resolved.
             self.network.abandon(message.msg_id)
             raise MessageTimeout(f"{kind} to {site} (gtxn={gtxn_id})")
-        wait.cancel()
         return reply
 
     def __repr__(self) -> str:

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Any, Generator, Hashable, Iterable, Optional
 
 from repro.errors import DeadlockDetected, LockTimeout, ProcessInterrupted, SiteCrashed
 from repro.localdb.deadlock import WaitsForGraph
-from repro.sim.events import AnyOf, Future
+from repro.sim.events import Future
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Kernel
@@ -230,24 +230,29 @@ class LockManager:
     def _wait(
         self, resource: Hashable, request: _Request, timeout: Optional[float]
     ) -> Generator[Any, Any, None]:
+        """Park until the grant, a failure or the timeout.
+
+        A grant (or :meth:`cancel_wait`'s failure) retires the deadline
+        at once: :meth:`Kernel.wait_with_timeout` parks on a
+        :class:`~repro.sim.events.TimedWait`, whose spent deadline the
+        run loop skips.  A grant in the same instant as the deadline,
+        but after it fired, still counts as an acquisition.
+        """
         assert request.future is not None
         try:
             if timeout is None:
                 yield request.future
                 return
-            timer = self._kernel.timer(timeout, label="lock-timeout")
-            index, _value = yield AnyOf([request.future, timer])
+            granted, _value = yield from self._kernel.wait_with_timeout(
+                request.future, timeout
+            )
         except ProcessInterrupted:
             # The waiter died (crash): a request left queued would be
             # granted later to nobody and never released.
             if request.grant_time is None:
                 self._remove_waiter(resource, request)
             raise
-        if index == 0:
-            return
-        # Timer fired first -- but the grant may have landed at the very
-        # same instant; treat that as a successful acquisition.
-        if request.grant_time is not None:
+        if granted or request.grant_time is not None:
             return
         self._remove_waiter(resource, request)
         self.timeouts += 1

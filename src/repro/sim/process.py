@@ -25,7 +25,7 @@ import itertools
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.errors import ProcessInterrupted, SimulationError
-from repro.sim.events import Delay, Future, _effect_uids
+from repro.sim.events import Future
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Kernel
@@ -88,7 +88,6 @@ class Process(Future):
         self._exception = None
         self._callbacks = None
         self.label = name or f"process-{next(_anonymous_ids)}"
-        self._uid = next(_effect_uids)
         self._kernel = kernel
         self._generator = generator
         self._epoch = 0
@@ -128,9 +127,7 @@ class Process(Future):
     # -- completion ----------------------------------------------------------
 
     def _odd_effect(self, effect: Any, epoch: int) -> None:
-        """The rare yields: a :class:`Delay`, a numeric subclass, garbage."""
-        if isinstance(effect, Delay):
-            effect = effect.duration
+        """The rare yields: a numeric subclass (say, ``True``), or garbage."""
         if isinstance(effect, (int, float)):
             self._kernel._schedule(float(effect), _step, self, epoch, None, None)
             return

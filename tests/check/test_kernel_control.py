@@ -8,16 +8,15 @@ Three guarantees:
 * A controlled run that always takes choice 0 fires events in exactly
   the default loop's order, so its trace is byte-identical too (the
   checker's "default schedule" really is the production schedule).
-* The satellite fixes underneath the checker hold: effect comparison
-  is total (creation-ordered), and forked RNG families cannot collide
-  with the root streams or with each other.
+* The satellite fixes underneath the checker hold: queue entries are
+  ordered by ``(time, sequence)`` alone, and forked RNG families cannot
+  collide with the root streams or with each other.
 """
 
 import hashlib
 import random
 
 from repro.check import CheckSpec, ReplayStrategy, build_scenario
-from repro.sim.events import Delay, Future
 from repro.sim.kernel import Kernel
 from repro.sim.rng import RandomStreams
 
@@ -54,20 +53,14 @@ def test_scheduler_defaults_to_none():
 # -- satellite: total event ordering ----------------------------------------
 
 
-def test_effect_comparison_is_total_and_creation_ordered():
-    effects = [Future(label="a"), Delay(1.0), Future(label="b"), Delay(0.5)]
-    assert sorted(effects) == effects  # uids are monotonic
-    # Mixed comparisons neither raise nor depend on identity.
-    assert effects[0] < effects[1] < effects[2] < effects[3]
-    assert not (effects[2] < effects[1])
-
-
-def test_heap_entries_with_equal_time_and_seq_break_ties_by_effect():
-    # Tuples comparing (time, seq, fn, args) can reach the args when fn
-    # objects compare equal; Future/Delay __lt__ keeps that total
-    # instead of raising TypeError.
-    a, b = Future(label="x"), Future(label="y")
-    assert (a < b) != (b < a)
+def test_queue_entries_are_ordered_by_time_and_sequence_alone():
+    # Every entry carries its own sequence number, so comparing two
+    # ``(time, seq, fn, args)`` entries never reaches ``fn`` or ``args``.
+    scenario = build_scenario(SPEC)
+    kernel = scenario.federation.kernel
+    entries = [entry for bucket in kernel._buckets.values() for entry in bucket]
+    assert len(entries) > 1
+    assert len({entry[1] for entry in entries}) == len(entries)
 
 
 # -- satellite: fork-path RNG derivation ------------------------------------

@@ -67,7 +67,10 @@ CONSTANTS = {
 }
 
 #: Identifiers of deleted code paths; none may reappear under src/repro.
-GONE = ("ROUTINGS", "UniformLatency", "enforce_star", "deadlock_detection", "default_buckets")
+GONE = (
+    "ROUTINGS", "UniformLatency", "enforce_star", "deadlock_detection", "default_buckets",
+    "AnyOf", "call_at_bulk", "_effect_uids",
+)
 
 
 def field_names(cls) -> tuple[str, ...]:

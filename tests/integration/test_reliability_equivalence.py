@@ -60,20 +60,22 @@ def scenario(protocol: str, granularity: str, **extra):
 
 
 #: Captured from the seed revision (pre-reliability).  A knobs-off run
-#: must reproduce every one of these numbers exactly.
+#: must reproduce every one of these numbers exactly.  ``end_time`` was
+#: re-pinned once, on purpose, when a granted lock wait stopped leaving
+#: its timeout queued: the runs now end at their last real event.
 GOLDEN = {
     ("2pc", "per_site"): {
         "by_kind": {"begin_subtxn": 30, "decide": 30, "execute_op": 28,
                     "finished": 30, "op_done": 17, "op_failed": 11,
                     "subtxn_begun": 30},
-        "committed": 0, "delivered": 176, "dropped": 0, "end_time": 264.6,
+        "committed": 0, "delivered": 176, "dropped": 0, "end_time": 235.5,
         "envelopes": 176, "sent": 176,
         "values": {"s0.x": 100, "s0.y": 50, "s1.x": 100, "s1.y": 50},
     },
     ("2pc-pa", "per_site"): {
         "by_kind": {"begin_subtxn": 30, "decide": 30, "execute_op": 28,
                     "op_done": 17, "op_failed": 11, "subtxn_begun": 30},
-        "committed": 0, "delivered": 146, "dropped": 0, "end_time": 254.6,
+        "committed": 0, "delivered": 146, "dropped": 0, "end_time": 225.5,
         "envelopes": 146, "sent": 146,
         "values": {"s0.x": 100, "s0.y": 50, "s1.x": 100, "s1.y": 50},
     },
@@ -81,7 +83,7 @@ GOLDEN = {
         "by_kind": {"begin_subtxn": 30, "decide": 30, "execute_op": 28,
                     "finished": 30, "op_done": 17, "op_failed": 11,
                     "subtxn_begun": 30},
-        "committed": 0, "delivered": 176, "dropped": 0, "end_time": 264.6,
+        "committed": 0, "delivered": 176, "dropped": 0, "end_time": 235.5,
         "envelopes": 176, "sent": 176,
         "values": {"s0.x": 100, "s0.y": 50, "s1.x": 100, "s1.y": 50},
     },
@@ -89,13 +91,13 @@ GOLDEN = {
         "by_kind": {"begin_subtxn": 26, "decide": 26, "execute_op": 26,
                     "finished": 26, "op_done": 20, "op_failed": 6,
                     "subtxn_begun": 26},
-        "committed": 0, "delivered": 156, "dropped": 0, "end_time": 262.7,
+        "committed": 0, "delivered": 156, "dropped": 0, "end_time": 233.6,
         "envelopes": 156, "sent": 156,
         "values": {"s0.x": 100, "s0.y": 50, "s1.x": 100, "s1.y": 50},
     },
     ("before", "per_action"): {
         "by_kind": {"execute_l0": 8, "l0_done": 8},
-        "committed": 2, "delivered": 16, "dropped": 0, "end_time": 59.6,
+        "committed": 2, "delivered": 16, "dropped": 0, "end_time": 22.4,
         "envelopes": 16, "sent": 16,
         "values": {"s0.x": 90, "s0.y": 55, "s1.x": 110, "s1.y": 45},
     },
@@ -104,7 +106,7 @@ GOLDEN = {
                     "local_outcome": 6, "op_done": 6, "prepare": 6,
                     "subtxn_begun": 6, "undo_result": 2, "undo_subtxn": 2,
                     "vote": 6},
-        "committed": 2, "delivered": 52, "dropped": 0, "end_time": 59.4,
+        "committed": 2, "delivered": 52, "dropped": 0, "end_time": 24.2,
         "envelopes": 52, "sent": 52,
         "values": {"s0.x": 90, "s0.y": 55, "s1.x": 110, "s1.y": 45},
     },

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import DeadlockDetected, LockTimeout
 from repro.localdb.locks import PAGE_TABLE, LockManager, LockMode
+from repro.mlt.conflicts import READ_WRITE_TABLE
 from tests.conftest import run
 
 S, X = LockMode.SHARED, LockMode.EXCLUSIVE
@@ -231,6 +232,29 @@ def test_timeout_raises_and_cleans_queue(kernel):
     kernel.run()
     assert result["t2"] == 6.0
     assert locks.timeouts == 1
+
+
+@pytest.mark.parametrize(
+    "table,timeout", [(PAGE_TABLE, 50.0), (READ_WRITE_TABLE, 150.0)], ids=["L0", "L1"]
+)
+def test_granted_wait_retires_its_timeout(kernel, table, timeout):
+    """A grant ends the run at the grant, not at the unused deadline."""
+    locks = LockManager(kernel, "s0", table, default_timeout=timeout)
+
+    def holder():
+        yield from locks.acquire("t1", "r", X)
+        yield 1
+        locks.release_all("t1")
+
+    def waiter():
+        yield from locks.acquire("t2", "r", X)
+
+    kernel.spawn(holder())
+    kernel.spawn(waiter())
+    assert kernel.run() == 1.0
+    # Two starts, the release, the waiter's resumption: no timeout event.
+    assert kernel.events_dispatched == 4
+    assert locks.holds("t2", "r", X)
 
 
 def test_release_all_wakes_compatible_batch(kernel):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import KernelStopped, ProcessInterrupted, SimulationError
+from repro.errors import KernelStopped, ProcessInterrupted
 from repro.sim.events import TIMED_OUT, Future, TimedWait
 from repro.sim.kernel import Kernel
 from repro.sim.sync import FifoLock, Mailbox
@@ -22,6 +22,17 @@ from repro.sim.sync import FifoLock, Mailbox
 @pytest.fixture
 def kernel():
     return Kernel(seed=1)
+
+
+def _park(kernel, wait, log):
+    def proc():
+        try:
+            log.append((yield wait))
+        except ProcessInterrupted:
+            log.append("interrupted")
+            yield 1000.0
+
+    return kernel.spawn(proc(), name="waiter")
 
 
 # -- slot drains ------------------------------------------------------------
@@ -137,12 +148,14 @@ def test_resume_after_stop_inside_a_drain_is_refused(kernel):
 
 
 def test_slot_of_cancelled_timers_leaves_the_clock_alone(kernel):
-    first, second = kernel.timer(5.0), kernel.timer(5.0)
-    kernel.call_at(2.0, first.resolve, None)
-    kernel.call_at(2.0, second.resolve, None)
+    first, second = TimedWait(5.0), TimedWait(5.0)
+    _park(kernel, first, [])
+    _park(kernel, second, [])
+    kernel.call_at(2.0, first.wake)
+    kernel.call_at(2.0, second.wake)
     assert kernel.run() == 2.0
     assert kernel.now == 2.0
-    assert kernel.events_dispatched == 2
+    assert kernel.events_dispatched == 6  # two parks, two wakes, two resumptions
     assert kernel.queued == 0
 
 
@@ -157,57 +170,29 @@ def test_run_until_leaves_future_slots_queued(kernel):
     assert order == [1, 5]
 
 
-# -- bulk scheduling --------------------------------------------------------
-
-
-def test_call_at_bulk_interleaves_with_call_at_by_sequence(kernel):
-    order = []
-    kernel.call_at(1.0, order.append, "a")
-    kernel.call_at_bulk([
-        (1.0, order.append, ("b",)),
-        (0.5, order.append, ("c",)),
-    ])
-    kernel.call_at(1.0, order.append, "d")
-    kernel.run()
-    assert order == ["c", "a", "b", "d"]
-
-
-def test_call_at_bulk_rejects_past_times(kernel):
-    kernel.call_at(1.0, lambda: None)
-    kernel.run()
-    with pytest.raises(SimulationError):
-        kernel.call_at_bulk([(0.5, lambda: None, ())])
-
-
 # -- timed waits --------------------------------------------------------------
 
 
-def _park(kernel, wait, log):
-    def proc():
-        try:
-            log.append((yield wait))
-        except ProcessInterrupted:
-            log.append("interrupted")
-            yield 1000.0
-
-    return kernel.spawn(proc(), name="waiter")
-
-
 def test_woken_timed_wait_retires_its_deadline(kernel):
-    """The winner cancels; the deadline's entry is skipped -- no event,
-    no clock movement -- exactly like a cancelled ``Kernel.timer``."""
+    """The wake settles the wait; the deadline's entry is skipped -- no
+    event, no clock movement."""
     log = []
     wait = TimedWait(5.0)
-
-    def proc():
-        log.append((yield wait))
-        wait.cancel()
-
-    kernel.spawn(proc(), name="waiter")
+    _park(kernel, wait, log)
     kernel.call_at(1.0, wait.wake, 42)
     assert kernel.run() == 1.0
     assert log == [42]
     assert kernel.events_dispatched == 3  # first step, the wake, the resumption
+
+
+def test_wake_earlier_in_the_deadlines_instant_skips_the_deadline(kernel):
+    log = []
+    wait = TimedWait(5.0)
+    kernel.call_at(5.0, wait.wake, "reply")  # queued ahead of the deadline
+    _park(kernel, wait, log)
+    assert kernel.run() == 5.0
+    assert log == ["reply"]
+    assert kernel.events_dispatched == 3  # the park, the wake, its step
 
 
 def test_expired_timed_wait_resumes_with_the_sentinel(kernel):
@@ -243,9 +228,9 @@ def test_timed_wait_settled_before_parking_still_costs_one_hop(kernel):
     _park(kernel, wait, log)
     kernel.run()
     assert log == ["early"]
-    # first step + the hop; the uncancelled deadline then fires for real.
-    assert kernel.events_dispatched == 3
-    assert kernel.now == 5.0
+    # first step + the hop; the deadline, armed at the park, is spent.
+    assert kernel.events_dispatched == 2
+    assert kernel.now == 0.0
 
 
 def test_wait_with_timeout_bridges_a_future(kernel):
@@ -266,9 +251,8 @@ def test_wait_with_timeout_bridges_a_future(kernel):
 
 
 def test_interrupted_timed_waiter_leaves_a_live_deadline(kernel):
-    """An interrupted waiter never cancels: its deadline fires as a real
-    event (the clock moves) and queues a stale, no-op step -- what the
-    future-and-timer race did, and final times depend on it."""
+    """An interrupt does not settle the wait: its deadline fires as a
+    real event (the clock moves) and queues a stale, no-op step."""
     log = []
     wait = TimedWait(5.0)
     process = _park(kernel, wait, log)
@@ -291,8 +275,8 @@ def test_stale_reply_to_an_interrupted_timed_waiter_is_a_noop_step(kernel):
     kernel.call_at(2.0, wait.wake, "reply")
     kernel.run(until=10.0)
     assert log == ["interrupted"]  # the reply woke nobody
-    # ... but cost its hop, and the never-cancelled deadline still fired.
-    assert kernel.events_dispatched == 6
+    # ... but cost its hop, and settled the wait: the deadline is skipped.
+    assert kernel.events_dispatched == 5
 
 
 def test_interrupted_mailbox_waiter_still_consumes_the_next_item(kernel):
@@ -346,11 +330,12 @@ def test_interrupted_fifolock_waiter_is_still_handed_the_lock(kernel):
 
 
 def test_events_dispatched_counts_fired_events_only(kernel):
-    timer = kernel.timer(1.0)
-    timer.resolve(None)  # cancelled before firing: queue maintenance
+    wait = TimedWait(1.0)
+    _park(kernel, wait, [])
+    kernel.call_at(0.5, wait.wake)  # its deadline is now queue maintenance
     kernel.call_at(2.0, lambda: None)
     kernel.run()
-    assert kernel.events_dispatched == 1
+    assert kernel.events_dispatched == 4  # the park, the wake, its step, the call
 
 
 def test_queued_and_repr_reflect_pending_events(kernel):

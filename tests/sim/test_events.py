@@ -1,8 +1,8 @@
-"""Futures and AnyOf races."""
+"""Futures and timed waits."""
 
 import pytest
 
-from repro.sim.events import AnyOf, Delay, Future
+from repro.sim.events import Future, TimedWait
 from tests.conftest import run
 
 
@@ -49,16 +49,6 @@ def test_callback_on_already_done_future():
     assert seen == ["y"]
 
 
-def test_negative_delay_rejected():
-    with pytest.raises(ValueError):
-        Delay(-1)
-
-
-def test_anyof_needs_futures():
-    with pytest.raises(ValueError):
-        AnyOf([])
-
-
 def test_process_wakes_on_future(kernel):
     future = Future()
 
@@ -91,39 +81,41 @@ def test_failed_future_raises_in_process(kernel):
     assert run(kernel, waiter()) == "caught"
 
 
-def test_anyof_returns_first_winner(kernel):
-    def proc():
-        index, value = yield AnyOf([kernel.timer(10), kernel.timer(3)])
-        return index, kernel.now
-
-    assert run(kernel, proc()) == (1, 3.0)
-
-
-def test_anyof_ignores_later_resolutions(kernel):
-    slow = Future()
-    fast = Future()
+def test_wait_with_timeout_deadline_beats_a_later_future(kernel):
+    late = Future()
+    kernel.call_at(10.0, late.resolve, "late")
 
     def proc():
-        index, _ = yield AnyOf([slow, fast])
-        yield 5  # let the loser resolve afterwards
-        return index
+        outcome = yield from kernel.wait_with_timeout(late, timeout=3)
+        return outcome, kernel.now
 
-    def resolver():
+    assert run(kernel, proc()) == ((False, None), 3.0)
+
+
+def test_timed_wait_ignores_later_wakes(kernel):
+    wait = TimedWait(50.0)
+
+    def proc():
+        value = yield wait
+        yield 5  # let the later wake land afterwards
+        return value
+
+    def waker():
         yield 1
-        fast.resolve("fast")
+        wait.wake("fast")
         yield 1
-        slow.resolve("slow")
+        wait.wake("slow")
 
-    kernel.spawn(resolver())
-    assert run(kernel, proc()) == 1
+    kernel.spawn(waker())
+    assert run(kernel, proc()) == "fast"
 
 
-def test_anyof_with_already_done_future(kernel):
+def test_wait_with_timeout_on_an_already_done_future(kernel):
     ready = Future()
     ready.resolve("now")
 
     def proc():
-        index, value = yield AnyOf([Future(), ready])
-        return index, value
+        outcome = yield from kernel.wait_with_timeout(ready, timeout=3)
+        return outcome, kernel.now
 
-    assert run(kernel, proc()) == (1, "now")
+    assert run(kernel, proc()) == ((True, "now"), 0.0)

@@ -8,13 +8,12 @@ data structure changed, the schedule did not.
 
 :class:`HeapKernel` below is the seed's run loop, kept verbatim as an
 executable reference (heap of ``(time, seq, fn, args)``, per-event
-pops, ``AnyOf``-based ``wait_with_timeout``).  Every test runs the
-same federation workload under both kernels -- the reference is
-injected by monkeypatching the ``Kernel`` name Federation instantiates
--- and demands identical fingerprints for every protocol in
-``PROTOCOL_REGISTRY`` x {1, 2, 8} coordinators, plus identical
-``repro.check`` DFS exploration statistics (the controlled-scheduling
-path).
+pops).  Every test runs the same federation workload under both
+kernels -- the reference is injected by monkeypatching the ``Kernel``
+name Federation instantiates -- and demands identical fingerprints for
+every protocol in ``PROTOCOL_REGISTRY`` x {1, 2, 8} coordinators, plus
+identical ``repro.check`` DFS exploration statistics (the
+controlled-scheduling path).
 
 The reference stays honest because everything the production kernel
 queues funnels through two methods: ``_schedule``, which
@@ -40,7 +39,6 @@ from repro.errors import KernelStopped, SimulationError
 from repro.integration.federation import Federation, FederationConfig, SiteSpec
 from repro.mlt.actions import increment
 from repro.net.message import reset_message_ids
-from repro.sim.events import AnyOf, Future
 from repro.sim.kernel import Kernel
 
 N_SITES = 3
@@ -78,20 +76,6 @@ class HeapKernel(Kernel):
             raise SimulationError(f"negative delay {delay}")
         self._sequence += 1
         heapq.heappush(self._heap, (self._now + delay, self._sequence, callback, args))
-
-    def call_at_bulk(self, entries):
-        if self._stopped:
-            raise KernelStopped("kernel already stopped")
-        queue = self._heap
-        now = self._now
-        push = heapq.heappush
-        sequence = self._sequence
-        for time, fn, args in entries:
-            if time < now:
-                raise SimulationError(f"time {time} is in the past (now={now})")
-            sequence += 1
-            push(queue, (time, sequence, fn, args))
-        self._sequence = sequence
 
     def run(self, until=None, raise_failures=True):
         if self.scheduler is not None:
@@ -154,15 +138,6 @@ class HeapKernel(Kernel):
     def stop(self) -> None:
         self._heap.clear()
         self._stopped = True
-
-    def wait_with_timeout(self, future: Future, timeout: float):
-        timer = self.timer(timeout, label="timeout")
-        index, value = yield AnyOf([future, timer])
-        if index == 0:
-            if not timer._done:
-                timer.resolve(None)
-            return True, value
-        return False, None
 
 
 # ---------------------------------------------------------------------------

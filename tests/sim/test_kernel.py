@@ -117,17 +117,14 @@ def test_observed_failure_propagates_to_joiner_only(kernel):
     assert run(kernel, parent()) == "caught"
 
 
-def test_timer_resolves_at_deadline(kernel):
-    def proc():
-        yield kernel.timer(7)
-        return kernel.now
-
-    assert run(kernel, proc()) == 7.0
-
-
 def test_wait_with_timeout_success(kernel):
+    from repro.sim.events import Future
+
+    future = Future()
+    kernel.call_at(2, future.resolve, None)
+
     def proc():
-        ok, _ = yield from kernel.wait_with_timeout(kernel.timer(2), timeout=10)
+        ok, _ = yield from kernel.wait_with_timeout(future, timeout=10)
         return ok, kernel.now
 
     assert run(kernel, proc()) == (True, 2.0)
@@ -193,14 +190,16 @@ def test_call_at_absolute_time(kernel):
 
 
 def test_cancelled_timer_does_not_advance_clock(kernel):
-    """A timer resolved early is skipped by the run loop without
+    """A deadline retired early is skipped by the run loop without
     advancing simulated time -- a sim must not end at the deadline of
     a retransmit/timeout timer that was cancelled long before."""
+    from repro.sim.events import TimedWait
+
+    wait = TimedWait(1000.0)
+    kernel.call_at(1.0, wait.wake)  # cancel: the awaited event arrived
 
     def proc():
-        timer = kernel.timer(1000.0, label="cancelled")
-        yield 1.0
-        timer.resolve(None)  # cancel: the awaited event arrived
+        yield wait
         yield 2.0
 
     run(kernel, proc())
