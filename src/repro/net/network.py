@@ -111,7 +111,7 @@ class _Xmit:
         self.retired = True
         self.network._pending_xmits.pop(self.xid, None)
 
-    def _expire(self, now: float) -> None:
+    def _expire(self) -> None:
         self.network._retransmit(self)
 
 
