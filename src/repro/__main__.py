@@ -168,13 +168,9 @@ def run_single(
         if zipf > 0.0:
             from bisect import bisect_left
 
-            weights = [1.0 / (rank + 1) ** zipf for rank in range(len(keys))]
-            total = sum(weights)
-            cdf, running = [], 0.0
-            for weight in weights:
-                running += weight / total
-                cdf.append(running)
-            cdf[-1] = 1.0
+            from repro.workloads.generator import zipf_cdf
+
+            cdf = zipf_cdf(len(keys), zipf)
             rng = fed.kernel.rng.stream("cli-zipf")
             picker = lambda: keys[bisect_left(cdf, rng.random())]  # noqa: E731
         for index in range(txns):

@@ -37,6 +37,10 @@ class UndoLog:
 
     records: list[UndoRecord] = field(default_factory=list)
     total_undos: int = 0
+    # Next record's sequence number.  Never reused: :meth:`forget`
+    # shrinks ``records``, and a repeated number would tie two objects
+    # in :func:`optimize_inverses`' undo order.
+    _next_sequence: int = field(default=0, init=False, repr=False)
 
     def record(
         self,
@@ -45,7 +49,8 @@ class UndoLog:
         operation: Operation,
         inverse: Optional[Operation],
     ) -> UndoRecord:
-        entry = UndoRecord(gtxn_id, site, len(self.records), operation, inverse)
+        entry = UndoRecord(gtxn_id, site, self._next_sequence, operation, inverse)
+        self._next_sequence += 1
         self.records.append(entry)
         return entry
 

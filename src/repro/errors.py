@@ -53,10 +53,6 @@ class PageNotFound(StorageError):
     """A page identifier does not exist on the simulated disk."""
 
 
-class BufferPoolFull(StorageError):
-    """No frame can be evicted because every page is pinned."""
-
-
 # ---------------------------------------------------------------------------
 # Local database engine
 # ---------------------------------------------------------------------------

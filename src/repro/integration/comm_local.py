@@ -678,11 +678,6 @@ class LocalCommunicationManager:
         outcome = self._outcomes.get(marker_key or "", "unknown")
         self._reply(message, "status_report", outcome=outcome)
 
-    def _on_ping(self, message: Message) -> Generator[Any, Any, None]:
-        self._reply(message, "pong")
-        return
-        yield  # pragma: no cover - generator protocol
-
     def _on_recover_query(self, message: Message) -> Generator[Any, Any, None]:
         """List the in-doubt globals local recovery reinstated (READY).
 
@@ -696,7 +691,11 @@ class LocalCommunicationManager:
         yield  # pragma: no cover - generator protocol
 
     def _on_pre_commit(self, message: Message) -> Generator[Any, Any, None]:
-        """3PC pre-commit: force a note that commit is imminent, ack."""
+        """3PC pre-commit: acknowledge at once.
+
+        Nothing is logged: 3PC's participant pre-commit record is not
+        modelled, so the ack only costs the message round.
+        """
         self._reply(message, "pre_commit_ack")
         return
         yield  # pragma: no cover - generator protocol

@@ -5,10 +5,11 @@ every level; only the conflict definition changes.  So one lock manager
 serves them all -- each site's page locks (L0), the GTM's semantic L1
 table, and every level of :mod:`repro.mlt.nested` -- with a
 :class:`ConflictTable` per level: FIFO queueing, conversions ahead of
-waiters, waits-for deadlock detection (requester aborts) and optional
-wait timeouts.  Lock waits, hold times and grants are counted so the
-experiments can report the paper's central quantity: how long locks
-are held under each commit protocol.
+waiters, deadlock detection (requester aborts) and optional wait
+timeouts.  The lock table is the manager's only state: waits-for
+cycles are read off its holders and queues.  Lock waits, hold times
+and grants are counted so the experiments can report the paper's
+central quantity: how long locks are held under each commit protocol.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, Generator, Hashable, Iterable, Optional
 
 from repro.errors import DeadlockDetected, LockTimeout, ProcessInterrupted, SiteCrashed
-from repro.localdb.deadlock import WaitsForGraph
-from repro.sim.events import Future
+from repro.sim.events import TIMED_OUT, TimedWait
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Kernel
@@ -94,12 +94,13 @@ PAGE_TABLE = ConflictTable("page", {}, [frozenset((LockMode.SHARED,))])
 
 
 class _Request:
-    __slots__ = ("txn_id", "mode", "future", "request_time", "grant_time")
+    __slots__ = ("txn_id", "mode", "wait", "request_time", "grant_time")
 
     def __init__(self, txn_id: str, mode: LockMode, request_time: float):
         self.txn_id = txn_id
         self.mode = mode
-        self.future: Optional[Future] = None
+        # What a queued request parks on; ``None`` until it parks.
+        self.wait: Optional[TimedWait] = None
         self.request_time = request_time
         self.grant_time: Optional[float] = None
 
@@ -137,7 +138,6 @@ class LockManager:
         # release_all table scan into a direct lookup; kept in sync by
         # _grant / release_all / crash.
         self._held: dict[str, dict[Hashable, None]] = {}
-        self._graph = WaitsForGraph()
         # Metrics.
         self.grants = 0
         self.waits = 0
@@ -213,8 +213,7 @@ class LockManager:
                 return
             state.waiters.append(request)
 
-        self._restate_blockers(resource)
-        cycle = self._graph.find_cycle_from(txn_id)
+        cycle = self._find_cycle(txn_id)
         if cycle is not None:
             self._remove_waiter(resource, request)
             self.deadlocks += 1
@@ -222,49 +221,41 @@ class LockManager:
                 f"{self.name}: {txn_id} in cycle {' -> '.join(cycle)}"
             )
 
-        request.future = Future(label=f"lock:{self.name}:{resource}:{txn_id}")
+        request.wait = TimedWait(timeout)
         self.waits += 1
-        yield from self._wait(resource, request, timeout)
+        yield from self._wait(resource, request)
         self.total_wait_time += self._kernel.now - request.request_time
 
-    def _wait(
-        self, resource: Hashable, request: _Request, timeout: Optional[float]
-    ) -> Generator[Any, Any, None]:
-        """Park until the grant, a failure or the timeout.
+    def _wait(self, resource: Hashable, request: _Request) -> Generator[Any, Any, None]:
+        """Park on the request's wait until the grant, a failure or the timeout.
 
-        A grant (or :meth:`cancel_wait`'s failure) retires the deadline
-        at once: :meth:`Kernel.wait_with_timeout` parks on a
-        :class:`~repro.sim.events.TimedWait`, whose spent deadline the
-        run loop skips.  A grant in the same instant as the deadline,
-        but after it fired, still counts as an acquisition.
+        A grant (or :meth:`cancel_wait`'s or :meth:`crash`'s failure)
+        wakes the :class:`~repro.sim.events.TimedWait`, which retires
+        its deadline at once: the run loop skips a settled wait's.  A
+        grant in the same instant as the deadline, but after it fired,
+        still counts as an acquisition.
         """
-        assert request.future is not None
         try:
-            if timeout is None:
-                yield request.future
-                return
-            granted, _value = yield from self._kernel.wait_with_timeout(
-                request.future, timeout
-            )
+            value = yield request.wait
         except ProcessInterrupted:
             # The waiter died (crash): a request left queued would be
             # granted later to nobody and never released.
             if request.grant_time is None:
                 self._remove_waiter(resource, request)
             raise
-        if granted or request.grant_time is not None:
+        if value is not TIMED_OUT or request.grant_time is not None:
             return
         self._remove_waiter(resource, request)
         self.timeouts += 1
         raise LockTimeout(f"{self.name}: {request.txn_id} on {resource}")
 
     def cancel_wait(self, txn_id: str, exc: BaseException) -> None:
-        """Abort any pending wait of ``txn_id`` by failing its future."""
+        """Abort any pending wait of ``txn_id`` by raising ``exc`` in it."""
         for resource, state in self._resources.items():
             for request in list(state.waiters):
-                if request.txn_id == txn_id and request.future is not None:
+                if request.txn_id == txn_id and request.wait is not None:
                     self._remove_waiter(resource, request)
-                    request.future.fail(exc)
+                    request.wait.wake(exc=exc)
 
     # -- release ---------------------------------------------------------------
 
@@ -285,7 +276,6 @@ class LockManager:
                     self._account_hold(resource, request)
                     self.releases += 1
                     self._dispatch(resource)
-        self._graph.clear_txn(txn_id)
 
     def short_release(self, txn_id: str, downgrade: bool = True) -> list[Hashable]:
         """Early release at commit-phase start (Short-Commit).
@@ -381,8 +371,8 @@ class LockManager:
             else:
                 resources[state.resource] = None
         self.grants += 1
-        if request.future is not None and not request.future.done:
-            request.future.resolve(None)
+        if request.wait is not None:
+            request.wait.wake()
 
     def _dispatch(self, resource: Hashable) -> None:
         """Grant from the queue front while requests are compatible."""
@@ -390,10 +380,7 @@ class LockManager:
         if state is None:
             return
         while state.waiters and self._grantable(state, state.waiters[0]):
-            front = state.waiters.popleft()
-            self._graph.clear(resource, front.txn_id)
-            self._grant(state, front)
-        self._restate_blockers(resource)
+            self._grant(state, state.waiters.popleft())
         if not state.holders and not state.waiters:
             del self._resources[resource]
 
@@ -405,38 +392,68 @@ class LockManager:
             state.waiters.remove(request)
         except ValueError:
             pass
-        self._graph.clear(resource, request.txn_id)
         self._dispatch(resource)
 
-    def _restate_blockers(self, resource: Hashable) -> None:
-        """Refresh waits-for edges contributed by this resource's queue."""
-        state = self._resources.get(resource)
-        if state is None:
-            return
+    def _find_cycle(self, start: str) -> Optional[list[str]]:
+        """A waits-for cycle through ``start``, read off the lock table.
+
+        A waiter waits for the holders it conflicts with and for the
+        conflicting requests queued ahead of it (conversions queue at
+        the front).  The search is depth-first from ``start`` with
+        neighbours in sorted order, so the same table always yields the
+        same cycle; a cycle that does not pass through ``start`` is not
+        reported.
+        """
         compatible_with = self.table.compatible_with
-        ahead: list[_Request] = []
-        for waiter in state.waiters:
-            compatible = compatible_with[waiter.mode]
-            blockers = {
-                holder.txn_id
-                for holder in state.holders.values()
-                if holder.txn_id != waiter.txn_id and holder.mode not in compatible
-            }
-            blockers.update(
-                prior.txn_id for prior in ahead if prior.mode not in compatible
-            )
-            self._graph.set_blockers(resource, waiter.txn_id, blockers)
-            ahead.append(waiter)
+        adjacency: dict[str, set[str]] = {}
+        for state in self._resources.values():
+            if not state.waiters:
+                continue
+            ahead: list[_Request] = []
+            for waiter in state.waiters:
+                compatible = compatible_with[waiter.mode]
+                blockers = {
+                    txn for txn, holder in state.holders.items()
+                    if holder.mode not in compatible
+                }
+                blockers.update(
+                    prior.txn_id for prior in ahead if prior.mode not in compatible
+                )
+                blockers.discard(waiter.txn_id)
+                if blockers:
+                    adjacency.setdefault(waiter.txn_id, set()).update(blockers)
+                ahead.append(waiter)
+
+        path: list[str] = []
+        on_path: set[str] = set()
+        visited: set[str] = set()
+
+        def dfs(node: str) -> Optional[list[str]]:
+            path.append(node)
+            on_path.add(node)
+            for neighbour in sorted(adjacency.get(node, ())):
+                if neighbour == start:
+                    return path + [start]
+                if neighbour in on_path or neighbour in visited:
+                    continue
+                cycle = dfs(neighbour)
+                if cycle is not None:
+                    return cycle
+            on_path.discard(node)
+            visited.add(node)
+            path.pop()
+            return None
+
+        return dfs(start)
 
     def crash(self) -> None:
         """Site crash: fail every waiter, drop the whole lock table."""
         for state in self._resources.values():
             for request in state.waiters:
-                if request.future is not None and not request.future.done:
-                    request.future.fail(SiteCrashed(f"{self.name} crashed"))
+                if request.wait is not None:
+                    request.wait.wake(exc=SiteCrashed(f"{self.name} crashed"))
         self._resources.clear()
         self._held.clear()
-        self._graph = WaitsForGraph()
 
     def __repr__(self) -> str:
         return (

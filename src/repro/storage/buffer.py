@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from repro.errors import BufferPoolFull
 from repro.storage.page import Page
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -35,12 +34,11 @@ class BufferPool:
         # (the recovery LSN) -- log truncation must never pass the
         # minimum of these.
         self._rec_lsn: dict[int, int] = {}
-        self._pins: dict[int, int] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    # -- fetch / pin -------------------------------------------------------------
+    # -- fetch -------------------------------------------------------------
 
     def fetch(self, page_id: int) -> Generator[Any, Any, Page]:
         """Return the in-memory image of ``page_id``, reading on a miss."""
@@ -70,7 +68,7 @@ class BufferPool:
             self._frames.move_to_end(page_id)
             return page
         while len(self._frames) >= self.capacity:
-            victim = self._frames.pop(self._choose_victim())
+            _, victim = self._frames.popitem(last=False)  # LRU first
             if victim.page_id in self._dirty:
                 self._log.harden(victim.page_lsn)  # the WAL rule
                 self._disk.install_image(victim)
@@ -78,17 +76,6 @@ class BufferPool:
                 self._rec_lsn.pop(victim.page_id, None)
         page = self._frames[page_id] = self._disk.stable_page(page_id)
         return page
-
-    def pin(self, page_id: int) -> None:
-        """Prevent eviction of ``page_id`` until unpinned."""
-        self._pins[page_id] = self._pins.get(page_id, 0) + 1
-
-    def unpin(self, page_id: int) -> None:
-        count = self._pins.get(page_id, 0)
-        if count <= 1:
-            self._pins.pop(page_id, None)
-        else:
-            self._pins[page_id] = count - 1
 
     def mark_dirty(self, page_id: int, lsn: int = 0) -> None:
         """Record that the resident image differs from the disk image.
@@ -113,14 +100,8 @@ class BufferPool:
 
     def _make_room(self) -> Generator[Any, Any, None]:
         while len(self._frames) >= self.capacity:
-            victim_id = self._choose_victim()
-            yield from self._evict(victim_id)
-
-    def _choose_victim(self) -> int:
-        for page_id in self._frames:  # OrderedDict iterates LRU-first
-            if self._pins.get(page_id, 0) == 0:
-                return page_id
-        raise BufferPoolFull(f"all {self.capacity} frames pinned")
+            # OrderedDict iterates LRU-first.
+            yield from self._evict(next(iter(self._frames)))
 
     def _evict(self, page_id: int) -> Generator[Any, Any, None]:
         page = self._frames[page_id]
@@ -170,7 +151,6 @@ class BufferPool:
         self._frames.clear()
         self._dirty.clear()
         self._rec_lsn.clear()
-        self._pins.clear()
 
     def __repr__(self) -> str:
         return (

@@ -47,6 +47,24 @@ class WorkloadSpec:
             raise ValueError("zipf_s must be non-negative")
 
 
+def zipf_cdf(n: int, s: float) -> list[float]:
+    """Cumulative Zipf(s) weights over ranks ``0..n-1``.
+
+    Rank r is weighted 1/(r+1)^s.  One uniform draw and a
+    ``bisect_left`` into the result give a deterministic, seeded skewed
+    pick (EXP-S2 key skew).
+    """
+    weights = [1.0 / (rank + 1) ** s for rank in range(n)]
+    total = sum(weights)
+    cdf: list[float] = []
+    running = 0.0
+    for weight in weights:
+        running += weight / total
+        cdf.append(running)
+    cdf[-1] = 1.0  # guard against float drift
+    return cdf
+
+
 class WorkloadGenerator:
     """Draws transactions from a :class:`WorkloadSpec` over given objects."""
 
@@ -57,17 +75,7 @@ class WorkloadGenerator:
         self.objects = list(objects)
         self.hot = self.objects[: max(1, min(spec.hot_object_count, len(objects)))]
         self.cold = self.objects[len(self.hot):] or self.hot
-        # Cumulative Zipf(s) weights: one uniform draw + a bisect gives
-        # a deterministic, seeded skewed pick (EXP-S2 key skew).
-        self._zipf_cdf: list[float] = []
-        if spec.zipf_s > 0.0:
-            weights = [1.0 / (rank + 1) ** spec.zipf_s for rank in range(len(self.objects))]
-            total = sum(weights)
-            running = 0.0
-            for weight in weights:
-                running += weight / total
-                self._zipf_cdf.append(running)
-            self._zipf_cdf[-1] = 1.0  # guard against float drift
+        self._zipf_cdf = zipf_cdf(len(self.objects), spec.zipf_s) if spec.zipf_s > 0.0 else []
 
     def next_transaction(self, rng: random.Random) -> tuple[list[Operation], bool]:
         """One transaction: (operations, intends_abort)."""

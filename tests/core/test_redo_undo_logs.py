@@ -1,7 +1,7 @@
 """Redo-log and undo-log bookkeeping."""
 
 from repro.core.redo import RedoLog
-from repro.core.undo import UndoLog
+from repro.core.undo import UndoLog, optimize_inverses
 from repro.mlt.actions import increment, inverse_of, read, write
 
 
@@ -65,3 +65,19 @@ def test_undo_forget():
     log.forget("G1")
     assert log.inverses_for("G1") == []
     assert len(log.inverses_for("G2")) == 1
+
+
+def test_undo_sequences_increase_across_another_forget():
+    """Forgetting one transaction must not reuse another's sequence numbers."""
+    log = UndoLog()
+    for gtxn, key in [("A", "x"), ("B", "w"), ("A", "y")]:
+        op = write("t", key, 1)
+        log.record(gtxn, "a", op, inverse_of(op, 0))
+    log.forget("B")
+    op = write("t", "z", 1)
+    log.record("A", "a", op, inverse_of(op, 0))
+    sequences = [r.sequence for r in log.records]
+    assert sequences == sorted(set(sequences))
+    # The optimizer undoes objects newest-touch first: z, then y, then x.
+    records = list(reversed(log.inverses_for("A")))
+    assert [op.key for op in optimize_inverses(records)] == ["z", "y", "x"]

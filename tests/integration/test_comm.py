@@ -29,9 +29,10 @@ def request(fed, site, kind, gtxn=None, **payload):
     return process.value
 
 
-def test_ping_pong(fed):
+def test_unknown_kind_gets_an_error_reply(fed):
     reply = request(fed, "a", "ping")
-    assert reply.kind == "pong"
+    assert reply.kind == "error"
+    assert reply.payload["error"] == "unknown kind ping"
 
 
 def test_begin_and_execute_op(fed):

@@ -69,7 +69,8 @@ CONSTANTS = {
 #: Identifiers of deleted code paths; none may reappear under src/repro.
 GONE = (
     "ROUTINGS", "UniformLatency", "enforce_star", "deadlock_detection", "default_buckets",
-    "AnyOf", "call_at_bulk", "_effect_uids",
+    "AnyOf", "call_at_bulk", "_effect_uids", "WaitsForGraph", "find_cycle_from",
+    "_restate_blockers", "BufferPoolFull",
 )
 
 

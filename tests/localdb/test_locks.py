@@ -5,6 +5,7 @@ import pytest
 from repro.errors import DeadlockDetected, LockTimeout
 from repro.localdb.locks import PAGE_TABLE, LockManager, LockMode
 from repro.mlt.conflicts import READ_WRITE_TABLE
+from repro.sim.kernel import Kernel
 from tests.conftest import run
 
 S, X = LockMode.SHARED, LockMode.EXCLUSIVE
@@ -209,6 +210,108 @@ def test_three_way_deadlock_detected(kernel):
     kernel.spawn(worker("t3", "c", "a"))
     kernel.run()
     assert len(deadlocks) >= 1  # at least one victim breaks the cycle
+
+
+def play(kernel, locks, requests):
+    """Issue ``(time, txn, resource, mode)`` requests; nobody releases.
+
+    Returns each request's outcome: ``"granted"``, the deadlock message,
+    or ``"waiting"`` for one still queued when the run goes idle.
+    """
+    outcomes = {}
+
+    def request(key, time, txn, resource, mode):
+        yield time
+        outcomes[key] = "waiting"
+        try:
+            yield from locks.acquire(txn, resource, mode)
+            outcomes[key] = "granted"
+        except DeadlockDetected as exc:
+            outcomes[key] = str(exc)
+
+    for time, txn, resource, mode in requests:
+        key = (txn, resource, mode)
+        kernel.spawn(request(key, time, txn, resource, mode))
+    kernel.run()
+    return outcomes
+
+
+def test_waits_for_chain_is_not_a_deadlock(kernel):
+    locks = make(kernel)
+    outcomes = play(kernel, locks, [
+        (0, "c", "r2", X), (0, "b", "r1", X),
+        (1, "b", "r2", X),  # b waits for c
+        (2, "a", "r1", X),  # a waits for b
+    ])
+    assert outcomes[("b", "r2", X)] == outcomes[("a", "r1", X)] == "waiting"
+    assert locks.deadlocks == 0
+
+
+def test_two_cycle_aborts_the_requester(kernel):
+    locks = make(kernel)
+    outcomes = play(kernel, locks, [
+        (0, "t1", "a", X), (0, "t2", "b", X),
+        (1, "t1", "b", X),
+        (2, "t2", "a", X),
+    ])
+    assert outcomes[("t1", "b", X)] == "waiting"
+    assert outcomes[("t2", "a", X)] == "site: t2 in cycle t2 -> t1 -> t2"
+    assert locks.deadlocks == 1
+
+
+def test_four_cycle_aborts_the_requester(kernel):
+    locks = make(kernel)
+    ring = ["t1", "t2", "t3", "t4"]
+    holds = [(0, txn, f"r{i}", X) for i, txn in enumerate(ring)]
+    waits = [(1 + i, txn, f"r{(i + 1) % 4}", X) for i, txn in enumerate(ring)]
+    outcomes = play(kernel, locks, holds + waits)
+    assert [outcomes[(txn, resource, X)] for _, txn, resource, _ in waits] == [
+        "waiting", "waiting", "waiting",
+        "site: t4 in cycle t4 -> t1 -> t2 -> t3 -> t4",
+    ]
+
+
+def test_conversion_queues_ahead_of_waiters_without_a_deadlock(kernel):
+    """t1's upgrade waits for the other reader only, not the queued writer."""
+    locks = make(kernel)
+    outcomes = play(kernel, locks, [
+        (0, "t1", "r", S), (0, "t2", "r", S),
+        (1, "t3", "r", X),  # waits for t1 and t2
+        (2, "t1", "r", X),  # conversion: at the front, waits for t2
+    ])
+    assert outcomes[("t1", "r", X)] == outcomes[("t3", "r", X)] == "waiting"
+    assert locks.deadlocks == 0
+    locks.release_all("t2")
+    kernel.run()
+    assert locks.holders_of("r") == {"t1": X}
+
+
+def test_two_conversions_deadlock_on_their_own_reads(kernel):
+    """A converter never waits for its own hold; two of them do deadlock."""
+    locks = make(kernel)
+    outcomes = play(kernel, locks, [
+        (0, "t1", "r", S), (0, "t2", "r", S),
+        (1, "t1", "r", X),
+        (2, "t2", "r", X),
+    ])
+    assert outcomes[("t1", "r", X)] == "waiting"
+    assert outcomes[("t2", "r", X)] == "site: t2 in cycle t2 -> t1 -> t2"
+
+
+def test_same_script_reports_the_same_cycle():
+    """Two cycles close at once; neighbours are searched in sorted order."""
+
+    def once():
+        kernel = Kernel(seed=1)
+        return play(kernel, make(kernel), [
+            (0, "a", "ra", X), (0, "c", "rb", S), (0, "b", "rb", S),
+            (1, "c", "ra", X),  # c waits for a
+            (2, "b", "ra", X),  # b waits for a (and c, queued ahead)
+            (3, "a", "rb", X),  # a waits for b and c: closes both cycles
+        ])
+
+    assert once()[("a", "rb", X)] == "site: a in cycle a -> b -> a"
+    assert once() == once()
 
 
 def test_timeout_raises_and_cleans_queue(kernel):

@@ -1,8 +1,7 @@
-"""Buffer pool: LRU, steal/no-force, WAL rule, pins."""
+"""Buffer pool: LRU, steal/no-force, WAL rule."""
 
 import pytest
 
-from repro.errors import BufferPoolFull
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import StableDisk
 from repro.storage.page import Page
@@ -95,33 +94,6 @@ def test_wal_rule_forces_log_before_flush(kernel):
         pool.mark_dirty(0)
         yield from pool.fetch(1)  # eviction must force the log first
         return log.flushed_lsn >= record.lsn
-
-    assert run(kernel, proc()) is True
-
-
-def test_pinned_pages_never_evicted(kernel):
-    disk, _, pool = make_pool(kernel, capacity=1)
-    seed_pages(kernel, disk, 2)
-
-    def proc():
-        yield from pool.fetch(0)
-        pool.pin(0)
-        yield from pool.fetch(1)
-
-    with pytest.raises(BufferPoolFull):
-        run(kernel, proc())
-
-
-def test_unpin_allows_eviction(kernel):
-    disk, _, pool = make_pool(kernel, capacity=1)
-    seed_pages(kernel, disk, 2)
-
-    def proc():
-        yield from pool.fetch(0)
-        pool.pin(0)
-        pool.unpin(0)
-        yield from pool.fetch(1)
-        return pool.resident(1)
 
     assert run(kernel, proc()) is True
 
