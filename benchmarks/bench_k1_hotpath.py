@@ -15,9 +15,9 @@ transaction, by layer, is the commit ledger's job:
   ``_schedule`` + heap-of-timestamps path.  (The former
   ``bench_kernel_wallclock`` kernel loop; the seed tree measured
   ~610k events/s on it.)
-* **timeout race** -- ``wait_with_timeout`` where the awaited future
-  wins: one ``TimedWait`` per wait, its deadline entry skipped by the
-  run loop because the wake settled the wait.
+* **timeout race** -- a ``TimedWait`` whose wake beats its deadline:
+  the deadline entry is skipped by the run loop because the wake
+  settled the wait.
 * **one-way send** -- unbatched star traffic with nobody receiving:
   ``Network.send`` -> ``_deliver_all`` -> ``Mailbox.put``.  (The former
   ``bench_kernel_wallclock`` network loop, ~228k messages/s on the
@@ -49,7 +49,7 @@ from repro.bench import format_table
 from repro.net.message import Message
 from repro.net.network import FixedLatency, Network
 from repro.net.node import Node
-from repro.sim.events import Future
+from repro.sim.events import TIMED_OUT, TimedWait
 from repro.sim.kernel import Kernel
 
 from benchmarks._common import RESULTS_DIR, run_once, save_result
@@ -109,16 +109,15 @@ def measure_staggered() -> dict:
 
 
 def measure_timeout_race() -> dict:
-    """wait_with_timeout won by the future: the deadline is cancelled."""
+    """A TimedWait won by its wake: the deadline is cancelled."""
     kernel = Kernel(seed=1)
     kernel.trace.enabled = False
 
     def proc():
         for _ in range(N_TIMEOUT_RACES):
-            future = Future(label="work")
-            kernel.call_at(kernel.now + 1.0, future.resolve, None)
-            ok, _value = yield from kernel.wait_with_timeout(future, timeout=10.0)
-            assert ok
+            wait = TimedWait(10.0)
+            kernel.call_at(kernel.now + 1.0, wait.wake)
+            assert (yield wait) is not TIMED_OUT
 
     kernel.spawn(proc(), name="racer")
     start = time.perf_counter()

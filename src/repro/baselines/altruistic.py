@@ -28,7 +28,7 @@ from repro.core.protocols.commit_before import CommitBefore
 from repro.errors import LockTimeout
 from repro.localdb.locks import ConflictTable, LockManager, _Request, _ResourceState
 from repro.mlt.actions import Operation
-from repro.sim.events import Future
+from repro.sim.events import TIMED_OUT, TimedWait
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Kernel
@@ -49,8 +49,10 @@ class AltruisticLockManager(LockManager):
         self._donated: dict[Hashable, set[str]] = {}
         #: txn -> donors whose wake it entered
         self.wake: dict[str, set[str]] = {}
-        #: txn -> future resolved when the transaction finishes
-        self._finished: dict[str, Future] = {}
+        #: Transactions that finished (their wakes are over)
+        self._finished: set[str] = set()
+        #: running donor -> the wake waits its finish settles, in order
+        self._wake_waits: dict[str, list[TimedWait]] = {}
         self.donations = 0
         self.wake_entries = 0
 
@@ -107,19 +109,14 @@ class AltruisticLockManager(LockManager):
 
     # -- completion tracking -----------------------------------------------------
 
-    def finished_future(self, txn_id: str) -> Future:
-        if txn_id not in self._finished:
-            self._finished[txn_id] = Future(label=f"altruistic-finish:{txn_id}")
-        return self._finished[txn_id]
-
     def finish(self, txn_id: str) -> None:
         """The transaction ended: release, clear donations, wake waiters."""
         self.release_all(txn_id)
         for donors in self._donated.values():
             donors.discard(txn_id)
-        future = self.finished_future(txn_id)
-        if not future.done:
-            future.resolve(None)
+        self._finished.add(txn_id)
+        for wait in self._wake_waits.pop(txn_id, ()):
+            wait.wake()
 
     def wait_for_wake(
         self, txn_id: str, timeout: Optional[float] = None
@@ -131,13 +128,13 @@ class AltruisticLockManager(LockManager):
         cross-structure waits the simplified wake rule cannot exclude.
         """
         for donor in sorted(self.wake.get(txn_id, ())):
-            future = self.finished_future(donor)
-            if timeout is None:
-                yield future
+            wait = TimedWait(timeout)
+            if donor in self._finished:
+                wait.wake()  # still one hop, and the deadline is armed
             else:
-                ok, _ = yield from self._kernel.wait_with_timeout(future, timeout)
-                if not ok:
-                    raise LockTimeout(f"wake wait on {donor} timed out")
+                self._wake_waits.setdefault(donor, []).append(wait)
+            if (yield wait) is TIMED_OUT:
+                raise LockTimeout(f"wake wait on {donor} timed out")
         self.wake.pop(txn_id, None)
 
 

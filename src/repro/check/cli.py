@@ -132,8 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--coordinator-crash-points", action="store_true",
-        help="non-blocking exhibit: kill coordinator shard 0 (no restart) "
-        "at every durable-force boundary instead of exploring schedules",
+        help="non-blocking exhibit: kill each coordinator shard in turn "
+        "(no restart) at every durable-force boundary instead of "
+        "exploring schedules",
     )
     parser.add_argument(
         "--acceptor-crashes", type=int, default=0,
@@ -173,9 +174,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             if args.acceptor_crashes else ""
         )
         print(
-            f"{label}: coordinator killed at each of {report.crash_points} "
-            f"durable-force boundaries, {report.executions} executions, "
-            f"{report.violation_count} with blocked transactions"
+            f"{label}: a shard killed in each of {report.crash_points} "
+            f"(shard, durable-force boundary) plans, {report.executions} "
+            f"executions, {report.violation_count} with blocked transactions"
         )
         if report.counterexample is not None:
             _emit_counterexample(spec, report, args.out)

@@ -14,8 +14,8 @@ quiescence and evaluates the full invariant battery of
 (with the commutativity pruning the strategies implement),
 :func:`explore_crash_points` enumerates one execution per durable
 log-force boundary discovered from a traced baseline run,
-:func:`explore_coordinator_crash_points` kills the coordinator (and
-acceptors) at every such boundary through the same path, and
+:func:`explore_coordinator_crash_points` kills each coordinator shard
+in turn (and acceptors) at every such boundary through the same path, and
 :func:`run_pct` gives the seeded randomized schedule used by the sweep
 tests and the CLI.
 """
@@ -235,32 +235,37 @@ def _explore_crash_plans(
 
 def explore_coordinator_crash_points(
     spec: CheckSpec,
-    coordinator: int = 0,
     acceptor_crashes: int = 0,
     restart_after: float = 0.0,
     max_points: Optional[int] = None,
     stop_on_violation: bool = True,
 ) -> CheckReport:
-    """One execution per decision boundary, coordinator killed there.
+    """One execution per (shard, decision boundary), that shard killed there.
 
-    The non-blocking exhibit: at every durable-force instant of the
-    baseline, crash coordinator shard ``coordinator`` (and, for Paxos
+    The non-blocking exhibit: every coordinator shard in turn, at every
+    durable-force instant of the baseline, is crashed (and, for Paxos
     Commit, the first ``acceptor_crashes`` acceptors at the same
-    instant).  ``restart_after`` <= 0 keeps them down for good.  Under
-    plain 2PC with one coordinator this leaves prepared participants
-    blocked (convergence violations); under Paxos Commit with a live
-    peer and F surviving acceptors every execution must stay clean.
-    Every kill is a :class:`CrashPoint`, so a counterexample replays.
+    instant) -- each shard owns the transactions that hash to it, so
+    only a sweep over all of them reaches every one.
+    ``restart_after`` <= 0 keeps them down for good.  Under plain 2PC
+    with one coordinator this leaves prepared participants blocked
+    (convergence violations); under Paxos Commit with a live peer and
+    F surviving acceptors every execution must stay clean.  Every kill
+    is a :class:`CrashPoint`, so a counterexample replays.
     """
     federation, forces = _baseline_forces(spec)
-    victims = [federation.coordinators[coordinator].name]
+    acceptors: list[str] = []
     if acceptor_crashes:
         if federation.acceptors is None:
             raise ValueError("acceptor_crashes requires protocol='paxos'")
-        victims += federation.acceptors.names[:acceptor_crashes]
+        acceptors = federation.acceptors.names[:acceptor_crashes]
+    boundaries = sorted({record.time for record in forces})
     plans = [
-        tuple(CrashPoint(name, at, restart_after) for name in victims)
-        for at in sorted({record.time for record in forces})
+        tuple(
+            CrashPoint(name, at, restart_after) for name in [gtm.name, *acceptors]
+        )
+        for gtm in federation.coordinators
+        for at in boundaries
     ]
     return _explore_crash_plans(spec, plans, max_points, stop_on_violation)
 

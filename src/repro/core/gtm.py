@@ -227,7 +227,7 @@ class DecisionPipeline:
         self, site: str, entries: list[tuple[str, str, Optional[str], Future]]
     ) -> None:
         """The groups' send step: one ``decide_group`` for ``site``."""
-        if self.gtm.crashed or self.gtm.comm.node.crashed:
+        if self.gtm.crashed:
             # A deadline can outlive the coordinator; its decisions
             # may not.
             self.dropped_on_crash += len(entries)
@@ -350,13 +350,11 @@ class GlobalTransactionManager:
         # manager consults this so a restart never aborts an in-doubt
         # subtransaction whose coordinator is still deciding.
         self.active: dict[str, GlobalTransaction] = {}
-        # Coordinator-crash support.  ``crashed`` mirrors the node's
-        # state at the GTM layer; ``pool`` is the backref a
+        # Coordinator-crash support.  ``pool`` is the backref a
         # CoordinatorPool installs; ``_inflight`` maps gtxn id to its
         # coordinator process and ``_service`` holds auxiliary
         # processes (recovery sweeps, orphan terminations, failovers)
         # -- all of them die with the coordinator.
-        self.crashed = False
         self.pool: Optional[Any] = None
         # Can a site's status answer survive its crash?  The federation
         # installs its ``log_placement`` verdict here (only in-database
@@ -377,6 +375,11 @@ class GlobalTransactionManager:
         # Stragglers answering an abandoned request reveal orphaned
         # subtransactions; the recovery manager terminates them.
         self.comm.on_unmatched.append(self.recovery.note_orphan_reply)
+
+    @property
+    def crashed(self) -> bool:
+        """A coordinator is down exactly while its node is."""
+        return self.comm.node.crashed
 
     # ------------------------------------------------------------------
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from repro.errors import MessageTimeout, NodeUnreachable
+from repro.errors import MessageTimeout
 from repro.net.node import Node
 from repro.sim.events import Future
 
@@ -83,7 +83,9 @@ class PaxosAcceptor:
         # central keeps the star topology check honest without opening
         # local-to-local links.
         self.node = network.add_node(Node(kernel, self.name, is_central=True))
-        self.node.on_restart.append(self._respawn)
+        # A crash loses the force in flight: the serve process dies at
+        # its yield point, before the state mutates.
+        self.node.on_crash.append(self._interrupt_force)
         # Stable (crash-surviving) per-transaction state.
         self.max_ballot: dict[str, int] = {}
         self.accepted: dict[str, dict] = {}
@@ -91,41 +93,22 @@ class PaxosAcceptor:
         self.promises = 0
         self.acceptances = 0
         self.rejections = 0
-        self._serve_process = kernel.spawn(self._serve(), name=f"{self.name}-serve")
+        self.node.serve(self._handle, f"{self.name}-serve")
 
-    # -- fault injection -----------------------------------------------------
-
-    def crash(self) -> None:
-        """Fail the acceptor; stable state survives, volatile work dies."""
-        if self.node.crashed:
-            return
-        self.node.crash()
-        if not self._serve_process.done:
-            self._serve_process.interrupt(cause=f"{self.name} crashed")
-
-    def restart(self) -> Generator[Any, Any, None]:
-        """Bring the acceptor back (the serve loop respawns via hook)."""
-        yield from self.node.restart()
-
-    def _respawn(self) -> None:
-        if self._serve_process.done:
-            self._serve_process = self.kernel.spawn(
-                self._serve(), name=f"{self.name}-serve"
-            )
+    def _interrupt_force(self) -> None:
+        server = self.node.server
+        if not server.done:
+            server.interrupt(cause=f"{self.name} crashed")
 
     # -- the acceptor protocol -------------------------------------------------
 
-    def _serve(self) -> Generator[Any, Any, None]:
-        while True:
-            try:
-                message = yield from self.node.recv()
-            except NodeUnreachable:
-                return
-            if message.kind == "paxos_p1a":
-                yield from self._on_p1a(message)
-            elif message.kind == "paxos_p2a":
-                yield from self._on_p2a(message)
-            # Unknown kinds are dropped: acceptors speak only Paxos.
+    def _handle(self, message: "Message") -> Optional[Generator[Any, Any, None]]:
+        """Serve one message; the node's loop drives the forced write."""
+        if message.kind == "paxos_p1a":
+            return self._on_p1a(message)
+        if message.kind == "paxos_p2a":
+            return self._on_p2a(message)
+        return None  # acceptors speak only Paxos
 
     def _on_p1a(self, message: "Message") -> Generator[Any, Any, None]:
         """Phase 1a: promise not to accept below ``ballot``."""

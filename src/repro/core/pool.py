@@ -27,6 +27,7 @@ ids and event schedules are exactly the single-GTM seed's.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import zlib
 from typing import TYPE_CHECKING, Any, Generator, Optional
@@ -81,8 +82,11 @@ class CoordinatorPool:
         self.failovers_started = 0
         self.takeovers_started = 0
         self.submissions_rerouted = 0
-        for gtm in self.coordinators:
+        for index, gtm in enumerate(self.coordinators):
             gtm.pool = self
+            node = gtm.comm.node
+            node.on_crash.append(functools.partial(self._on_crash, index))
+            node.after_restart.append(functools.partial(self._on_restarted, gtm))
 
     # ------------------------------------------------------------------
     # Routing
@@ -168,11 +172,9 @@ class CoordinatorPool:
     # Crash + failover
     # ------------------------------------------------------------------
 
-    def crash(self, index: int) -> None:
-        """Crash coordinator ``index``; a live peer adopts its orphans."""
+    def _on_crash(self, index: int) -> None:
+        """Shard ``index``'s node crashed; a live peer adopts its orphans."""
         gtm = self.coordinators[index]
-        if gtm.crashed:
-            return
         self.crashes += 1
         # Capture in-flight transactions *before* interrupting their
         # processes: the interrupt runs each coordinator generator's
@@ -184,13 +186,11 @@ class CoordinatorPool:
         if leftover:
             orphans.update(leftover)
         self._adoption_running.discard(index)
-        gtm.crashed = True
         if gtm.pipeline is not None:
             gtm.pipeline.crash()
         self.kernel.trace.emit(
             "coordinator_crash", gtm.name, gtm.name, inflight=len(orphans)
         )
-        gtm.comm.node.crash()
         for process in list(gtm._inflight.values()):
             if not process.done:
                 process.interrupt(cause=f"coordinator {gtm.name} crashed")
@@ -202,14 +202,8 @@ class CoordinatorPool:
         self._pending_orphans.update(orphans)
         self._schedule_failover()
 
-    def restart(self, index: int) -> Generator[Any, Any, None]:
-        """Restart coordinator ``index`` (a generator; spawn or yield from)."""
-        gtm = self.coordinators[index]
-        if not gtm.crashed:
-            return
-        yield from gtm.comm.node.restart()
-        gtm.crashed = False
-        gtm.comm.respawn()
+    def _on_restarted(self, gtm: "GlobalTransactionManager") -> None:
+        """A shard is back up and serving."""
         self.kernel.trace.emit("coordinator_restart", gtm.name, gtm.name)
         # Orphans stranded while every peer was down: the reborn
         # coordinator adopts them itself.

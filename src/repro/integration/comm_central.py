@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from repro.errors import MessageTimeout, NodeUnreachable
+from repro.errors import MessageTimeout
 from repro.net.message import Message
 from repro.sim.events import TIMED_OUT, TimedWait
 
@@ -30,7 +30,10 @@ class CentralCommunicationManager:
         self.node = node
         # Request msg_id -> the requester parked on its reply.
         self._pending: dict[int, TimedWait] = {}
-        self._serve_process = kernel.spawn(self._serve(), name="central-comm")
+        # Replies to a crashed incarnation's requests are strangers to
+        # the restarted one: they flow to the ``on_unmatched`` hooks.
+        node.on_restart.append(self._pending.clear)
+        node.serve(self._route_reply, "central-comm")
         self.requests = 0
         self.timeouts = 0
         # Observers of replies that matched no pending request -- the
@@ -38,37 +41,19 @@ class CentralCommunicationManager:
         # (a site answered after the requester had already moved on).
         self.on_unmatched: list = []
 
-    def _serve(self) -> Generator[Any, Any, None]:
-        """Route incoming replies to the requesters awaiting them."""
-        while True:
-            try:
-                message = yield from self.node.recv()
-            except NodeUnreachable:
-                return
-            # ``reply_to`` is None on a non-reply; None is never a key.
-            wait = self._pending.pop(message.reply_to, None)
-            if wait is not None:
-                wait.wake(message)
-            else:
-                self.kernel.trace.emit(
-                    "message_unmatched", self.node.name, message.kind,
-                    sender=message.sender,
-                )
-                for hook in self.on_unmatched:
-                    hook(message)
-
-    def respawn(self) -> None:
-        """Restart the serve loop after the node came back.
-
-        The crash drove :meth:`_serve` to its ``NodeUnreachable`` exit; a restarted coordinator needs
-        a fresh loop (and a clean pending table -- replies to the old
-        incarnation's requests are strangers now and flow to the
-        ``on_unmatched`` hooks).
-        """
-        if not self._serve_process.done:
-            return
-        self._pending.clear()
-        self._serve_process = self.kernel.spawn(self._serve(), name="central-comm")
+    def _route_reply(self, message: Message) -> None:
+        """Hand an incoming reply to the requester awaiting it."""
+        # ``reply_to`` is None on a non-reply; None is never a key.
+        wait = self._pending.pop(message.reply_to, None)
+        if wait is not None:
+            wait.wake(message)
+        else:
+            self.kernel.trace.emit(
+                "message_unmatched", self.node.name, message.kind,
+                sender=message.sender,
+            )
+            for hook in self.on_unmatched:
+                hook(message)
 
     # -- API used by the GTM and the protocols --------------------------------
 

@@ -96,7 +96,7 @@ class LocalCommunicationManager:
         # or None, takes the gtxn lock?, "{site}:{kind}" process name)
         # -- no getattr probe, set lookup or f-string per request.
         self._dispatch: dict[str, tuple[Any, bool, str]] = {}
-        self._serve_process = kernel.spawn(self._serve(), name=f"comm:{node.name}")
+        node.serve(self._dispatch_message, f"comm:{node.name}")
         self.redo_executions = 0
         self.undo_executions = 0
         # Data-plane placement: the federation installs the shared
@@ -114,7 +114,7 @@ class LocalCommunicationManager:
         return self.node.name
 
     # ------------------------------------------------------------------
-    # Startup / crash hooks
+    # Crash hook and per-transaction mutexes
     # ------------------------------------------------------------------
 
     def on_crash(self) -> None:
@@ -147,31 +147,16 @@ class LocalCommunicationManager:
             if self._gtxn_locks.get(key) is lock:
                 del self._gtxn_locks[key]
 
-    def on_restart(self) -> Generator[Any, Any, None]:
-        """Respawn the serve loop after the node came back."""
-        self._serve_process = self.kernel.spawn(
-            self._serve(), name=f"comm:{self.node.name}"
-        )
-        return
-        yield  # pragma: no cover - generator protocol
-
     # ------------------------------------------------------------------
-    # Serve loop
+    # Dispatch
     # ------------------------------------------------------------------
 
-    def _serve(self) -> Generator[Any, Any, None]:
-        node = self.node
-        dispatch = self._dispatch
-        spawn = self.kernel.spawn
-        while True:
-            try:
-                message = yield from node.recv()
-            except NodeUnreachable:
-                return
-            entry = dispatch.get(message.kind)
-            if entry is None:
-                entry = self._resolve_kind(message.kind)
-            spawn(self._handle(message, entry[0], entry[1]), entry[2])
+    def _dispatch_message(self, message: Message) -> None:
+        """The node's serve loop hands each request here: one process each."""
+        entry = self._dispatch.get(message.kind)
+        if entry is None:
+            entry = self._resolve_kind(message.kind)
+        self.kernel.spawn(self._handle(message, entry[0], entry[1]), entry[2])
 
     #: Request kinds that mutate a subtransaction's fate; retries of
     #: these must not interleave with each other on one gtxn.

@@ -151,8 +151,7 @@ class Federation:
         self.comms: dict[str, LocalCommunicationManager] = {}
         self.nodes: dict[str, Node] = {}
 
-        central = self.network.add_node(Node(self.kernel, self.CENTRAL, is_central=True))
-        self.nodes[self.CENTRAL] = central
+        central = Node(self.kernel, self.CENTRAL, is_central=True)
         self.central_comm = CentralCommunicationManager(self.kernel, self.network, central)
         self.gtm = GlobalTransactionManager(
             self.kernel, self.network, self.schema, self.central_comm, self.config.gtm
@@ -167,10 +166,7 @@ class Federation:
 
         self.coordinators: list[GlobalTransactionManager] = [self.gtm]
         for index in range(1, self.config.coordinators):
-            peer_node = self.network.add_node(
-                Node(self.kernel, f"central{index}", is_central=True)
-            )
-            self.nodes[peer_node.name] = peer_node
+            peer_node = Node(self.kernel, f"central{index}", is_central=True)
             peer_comm = CentralCommunicationManager(self.kernel, self.network, peer_node)
             self.coordinators.append(
                 GlobalTransactionManager(
@@ -179,6 +175,11 @@ class Federation:
                 )
             )
         self.pool = CoordinatorPool(self.kernel, self.coordinators)
+        # The coordinator nodes join the network only now, after the
+        # pool hooked their crashes: a shard's ``coordinator_crash``
+        # record then precedes its outbox purge's ``message_drop`` ones.
+        for gtm in self.coordinators:
+            self.nodes[gtm.name] = self.network.add_node(gtm.comm.node)
         # The GTM's ambiguity resolution must match what the local
         # communication managers can actually answer: only in-database
         # commit markers survive a site crash.
@@ -200,12 +201,13 @@ class Federation:
             for gtm in self.coordinators:
                 gtm.acceptors = self.acceptors
 
-        # Per-site end-of-outage time; overlapping crash schedules
-        # extend it so stale restarts cannot resurrect a site early.
+        # Per-node end-of-outage time; overlapping crash schedules
+        # extend it so stale restarts cannot resurrect a node early.
         self._outage_until: dict[str, float] = {}
-        # Sites with a restart-and-recover already in flight: a second
-        # restart landing at the same instant must no-op instead of
-        # running a second, concurrent recovery pass.
+        # Nodes with a restart spawned whose process has not run yet
+        # (from then on ``Node.restarting`` guards): a second restart
+        # landing at the same instant must no-op instead of running a
+        # second, concurrent recovery pass.
         self._restarting: set[str] = set()
 
         for spec in site_specs:
@@ -261,7 +263,7 @@ class Federation:
         node.on_crash.append(engine.crash)
         node.on_crash.append(comm.on_crash)
         node.on_restart.append(engine.restart)
-        node.on_restart.append(comm.on_restart)
+        node.after_restart.append(lambda: self._recover_site(spec.name))
         self.engines[spec.name] = engine
         self.interfaces[spec.name] = interface
         self.comms[spec.name] = comm
@@ -361,110 +363,80 @@ class Federation:
     # Fault control
     # ------------------------------------------------------------------
 
-    def _coordinator_index(self, name: str) -> Optional[int]:
-        for index, gtm in enumerate(self.coordinators):
-            if gtm.name == name:
-                return index
-        return None
-
-    def _is_acceptor(self, name: str) -> bool:
-        return self.acceptors is not None and name in self.acceptors.by_name
-
     def crash_site(self, name: str, at: Optional[float] = None) -> None:
-        """Crash ``name`` now or at simulated time ``at``.
+        """Crash node ``name`` now or at simulated time ``at``.
 
-        Every node is crashed by name.  A coordinator name crashes that
-        pool shard, with one coordinator too (a live peer, or the shard
-        itself on restart, adopts its in-flight transactions from the
-        shared central logs); an acceptor name crashes that acceptor,
-        whose stable state survives (up to ``paxos_f`` may be down at
-        once); any other name crashes the node.
+        Data sites, coordinator shards and acceptors alike: each role's
+        crash work hangs on its node (a coordinator's in-flight
+        transactions go to a live peer, or to the shard itself on
+        restart, from the shared central logs; an acceptor's stable
+        state survives, and up to ``paxos_f`` may be down at once).
         """
-        index = self._coordinator_index(name)
-        if index is not None:
-            crash, args = self.pool.crash, (index,)
-        elif self._is_acceptor(name):
-            crash, args = self.acceptors.by_name[name].crash, ()
-        else:
-            crash, args = self.nodes[name].crash, ()
+        crash = self.nodes[name].crash
         if at is None:
-            crash(*args)
+            crash()
         else:
-            self.kernel.call_at(at, crash, *args)
+            self.kernel.call_at(at, crash)
 
     def hold_down(self, name: str, until: float) -> None:
         """Extend ``name``'s outage: restarts before ``until`` are ignored.
 
         Overlapping crash schedules extend (never shorten) each other --
         a crash landing inside another outage must not let the earlier
-        outage's restart resurrect the site early.
+        outage's restart resurrect the node early.
         """
         current = self._outage_until.get(name, 0.0)
         self._outage_until[name] = max(current, until)
 
     def restart_site(self, name: str, at: Optional[float] = None) -> None:
-        """Restart ``name`` now or at simulated time ``at``.
+        """Restart node ``name`` now or at simulated time ``at``.
 
-        Idempotent: restarting a running site is a no-op, and a restart
+        Idempotent: restarting a running node is a no-op, and a restart
         scheduled before the node's current outage ends (see
         :meth:`hold_down`) is ignored -- the outage that extended the
-        downtime carries its own, later restart.  Coordinators and
-        acceptors are routed as in :meth:`crash_site`.
+        downtime carries its own, later restart.  :meth:`Node.restart
+        <repro.net.node.Node.restart>` recovers the node and then runs
+        its role's duties.
         """
-        index = self._coordinator_index(name)
         node = self.nodes[name]
 
         def do_restart() -> None:
             if self.kernel.now < self._outage_until.get(name, 0.0):
                 return  # a longer overlapping outage owns the restart
-            if index is not None:
-                self.kernel.spawn(self.pool.restart(index), name=f"restart:{name}")
-                return
-            if not node.crashed or name in self._restarting:
+            if not node.crashed or node.restarting or name in self._restarting:
                 return  # already up / already coming up: nothing to do
-            if self._is_acceptor(name):
-                self.kernel.spawn(
-                    self.acceptors.by_name[name].restart(), name=f"restart:{name}"
-                )
-                return
             self._restarting.add(name)
-            self.kernel.spawn(
-                self._restart_and_recover(name), name=f"restart:{name}"
-            )
+            self.kernel.spawn(self._restart(node), name=f"restart:{name}")
 
         if at is None:
             do_restart()
         else:
             self.kernel.call_at(at, do_restart)
 
-    def _restart_and_recover(self, name: str) -> Generator[Any, Any, None]:
-        """Bring the node back, then re-resolve its in-doubt globals."""
-        node = self.nodes[name]
-        try:
-            yield from node.restart()
-        finally:
-            self._restarting.discard(name)
-        if node.crashed:
-            return  # the restart was pre-empted (crashed again mid-recovery)
-        if name in self.engines:
-            # Recovery duty falls to a live coordinator: shard 0 when
-            # it is up (the seed's exact path), else any live peer.
-            if not self.gtm.crashed or len(self.coordinators) == 1:
-                yield from self.gtm.recovery.recover_site(name)
-            else:
-                from repro.core.pool import AllCoordinatorsDown
+    def _restart(self, node: Node) -> Generator[Any, Any, None]:
+        """Run ``node``'s restart; its own ``restarting`` flag guards now."""
+        self._restarting.discard(node.name)
+        yield from node.restart()
 
-                try:
-                    owner = self.pool.live_coordinator()
-                except AllCoordinatorsDown:
-                    return  # the next coordinator restart re-sweeps
-                yield from owner.recovery.recover_site(name)
-            # Rejoin evicted partition memberships *after* global
-            # recovery settled the site's in-doubt locals: the resync
-            # must reconcile settled state, never race a pending
-            # decision.
-            if self.dataplane is not None and not node.crashed:
-                yield from self.dataplane.rejoin(name)
+    def _recover_site(self, name: str) -> Generator[Any, Any, None]:
+        """A restarted site's duty: re-resolve its in-doubt globals."""
+        # Recovery duty falls to a live coordinator: shard 0 when it is
+        # up (the seed's exact path), else any live peer.
+        if not self.gtm.crashed or len(self.coordinators) == 1:
+            yield from self.gtm.recovery.recover_site(name)
+        else:
+            from repro.core.pool import AllCoordinatorsDown
+
+            try:
+                owner = self.pool.live_coordinator()
+            except AllCoordinatorsDown:
+                return  # the next coordinator restart re-sweeps
+            yield from owner.recovery.recover_site(name)
+        # Rejoin evicted partition memberships *after* global recovery
+        # settled the site's in-doubt locals: the resync must reconcile
+        # settled state, never race a pending decision.
+        if self.dataplane is not None and not self.nodes[name].crashed:
+            yield from self.dataplane.rejoin(name)
 
     # ------------------------------------------------------------------
     # Inspection

@@ -1,8 +1,8 @@
-"""Network nodes (sites)."""
+"""Network nodes: every participant's mailbox, serve loop and lifecycle."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from repro.errors import NodeUnreachable
 from repro.net.message import Message
@@ -10,14 +10,22 @@ from repro.sim.sync import Mailbox
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Kernel
+    from repro.sim.process import Process
 
 
 class Node:
-    """A site on the network with a message mailbox.
+    """A participant on the network: mailbox, serve loop and lifecycle.
 
-    ``on_crash`` / ``on_restart`` callbacks let the integration layer
-    tie the node's fate to its local database engine and communication
-    manager.
+    Every role -- data site, coordinator shard, Paxos acceptor --
+    crashes, restarts and serves through its node, and hangs its own
+    work on the node's hooks:
+
+    * ``on_crash`` callbacks run, in registration order, when it crashes;
+    * ``on_restart`` callbacks recover it while it comes back up (one
+      may return a generator, which the restart drives);
+    * ``after_restart`` duties run once it is up and serving again
+      (global recovery, failover), unless it crashed again meanwhile;
+    * :meth:`serve` runs its receive loop, which every restart respawns.
     """
 
     def __init__(self, kernel: "Kernel", name: str, is_central: bool = False):
@@ -31,7 +39,11 @@ class Node:
         # not re-enter recovery.
         self.restarting = False
         self.on_crash: list[Callable[[], None]] = []
-        self.on_restart: list[Callable[[], None]] = []
+        self.on_restart: list[Callable[[], Any]] = []
+        self.after_restart: list[Callable[[], Any]] = []
+        #: The serve loop's process (see :meth:`serve`).
+        self.server: Optional["Process"] = None
+        self._handle: Optional[Callable[[Message], Any]] = None
 
     def recv(self) -> Generator[Any, Any, Message]:
         """Receive the next message (blocks); use with ``yield from``.
@@ -50,6 +62,27 @@ class Node:
         self.mailbox.put(message)
         return True
 
+    def serve(self, handle: Callable[[Message], Any], name: str) -> None:
+        """Spawn the loop that runs ``handle(message)`` on every arrival.
+
+        ``handle`` may return a generator; the loop drives it before
+        the next receive, so such messages are handled one at a time.
+        A crash ends the loop and :meth:`restart` spawns a fresh one
+        under the same process ``name``.
+        """
+        self._handle = handle
+        self.server = self.kernel.spawn(self._serve(handle), name=name)
+
+    def _serve(self, handle: Callable[[Message], Any]) -> Generator[Any, Any, None]:
+        while True:
+            try:
+                message = yield from self.recv()
+            except NodeUnreachable:
+                return
+            work = handle(message)
+            if work is not None:
+                yield from work
+
     def crash(self) -> None:
         """Fail the node: pending mail is lost, components notified."""
         if self.crashed:
@@ -61,13 +94,14 @@ class Node:
             callback()
 
     def restart(self) -> Generator[Any, Any, None]:
-        """Bring the node back up (components recover first).
+        """Bring the node back up: recover, serve, then run its duties.
 
         Restarting a running node is a no-op, and so is a restart that
         lands while another restart is mid-recovery: both generators
         would otherwise pass the ``crashed`` check (the flag only
         clears after the recovery callbacks) and run ARIES recovery
-        twice, concurrently, over the same logs.
+        twice, concurrently, over the same logs.  The duties run after
+        ``restarting`` cleared: a crash during them may restart anew.
         """
         if not self.crashed or self.restarting:
             return
@@ -76,13 +110,25 @@ class Node:
             self.mailbox = Mailbox(name=f"{self.name}:mail")
             for callback in self.on_restart:
                 result = callback()
-                if result is not None and hasattr(result, "__next__"):
+                if result is not None:
                     yield from result
+            server = self.server
+            if server is not None and server.done:
+                self.server = self.kernel.spawn(
+                    self._serve(self._handle), name=server.label
+                )
             self.crashed = False
         finally:
             self.restarting = False
+        for duty in self.after_restart:
+            if self.crashed:
+                return  # crashed again: the next restart owns the duties
+            result = duty()
+            if result is not None:
+                yield from result
 
     def __repr__(self) -> str:
         role = "central" if self.is_central else "local"
         status = "down" if self.crashed else "up"
         return f"<Node {self.name} ({role}, {status})>"
+

@@ -21,29 +21,26 @@ instant.  A waiter is a bare ``(process, epoch)`` pair -- no closure,
 no intermediate future -- and a wake-up whose epoch the process has
 moved past (it was interrupted meanwhile) is a no-op step.
 
-Futures favour flat slots and lazy structures: the callback list is
+Futures favour flat slots and lazy structures: the waiter list is
 only materialised when someone actually waits.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 
 class Future:
     """A one-shot container for a value or an exception.
 
-    Futures are the kernel's only blocking primitive.  ``resolve`` and
-    ``fail`` may each be called at most once; callbacks registered with
-    :meth:`add_callback` run synchronously at resolution time (the
-    kernel uses them to schedule process resumption at the current
-    simulated instant).
+    ``resolve`` and ``fail`` may each be called at most once; each
+    process parked on the future (``value = yield future``) is then
+    queued to resume at the current simulated instant.
 
     The waiter list (``_callbacks``) is ``None`` until the first waiter
-    arrives -- most futures resolve with exactly one -- and holds two
-    kinds of entry: plain callables, and ``(process, epoch)`` tuples
-    planted by :meth:`_add_waiter`, which completion turns straight
-    into a kernel-queued step of the process without a closure.
+    arrives -- most futures resolve with exactly one -- and holds the
+    ``(process, epoch)`` pairs planted by :meth:`_add_waiter`, which
+    completion turns straight into a kernel-queued step of the process.
     """
 
     __slots__ = ("_done", "_value", "_exception", "_callbacks", "label")
@@ -93,33 +90,17 @@ class Future:
             self._callbacks = None
             self._notify(callbacks)
 
-    def _notify(self, callbacks: list) -> None:
-        for entry in callbacks:
-            if type(entry) is tuple:
-                # A waiting process: schedule its resumption directly.
-                process, epoch = entry
-                process._kernel._resume(process, epoch, self._value, self._exception)
-            else:
-                entry(self)
-
-    def add_callback(self, callback: Callable[["Future"], None]) -> None:
-        """Run ``callback(self)`` on completion (immediately if done)."""
-        if self._done:
-            callback(self)
-        elif self._callbacks is None:
-            self._callbacks = [callback]
-        else:
-            self._callbacks.append(callback)
+    def _notify(self, waiters: list) -> None:
+        for process, epoch in waiters:
+            process._kernel._resume(process, epoch, self._value, self._exception)
 
     def _add_waiter(self, process, epoch: int) -> None:
         """Register a process to be stepped when this future completes.
 
-        The fast-path twin of :meth:`add_callback`: the waiter is a
-        ``(process, epoch)`` tuple and completion queues the process's
-        next step without building a closure.  If the future is already
-        done, the step is queued now -- at the current instant,
-        preserving the one-event resumption hop a pending future would
-        have cost.
+        The waiter is a ``(process, epoch)`` pair and completion queues
+        the process's next step.  If the future is already done, the
+        step is queued now -- at the current instant, preserving the
+        one-event resumption hop a pending future would have cost.
         """
         if self._done:
             process._kernel._resume(process, epoch, self._value, self._exception)
@@ -185,10 +166,6 @@ class TimedWait:
             self._early = (value, exc)
         else:
             process._kernel._resume(process, self._epoch, value, exc)
-
-    def wake_from(self, future: Future) -> None:
-        """:meth:`Future.add_callback` adapter: settle as ``future`` did."""
-        self.wake(future._value, future._exception)
 
     def _expire(self) -> None:
         """The deadline fired first (the run loops skip a settled wait's)."""

@@ -56,7 +56,6 @@ from operator import length_hint
 from typing import Any, Callable, Generator, Optional
 
 from repro.errors import KernelStopped, SimulationError
-from repro.sim.events import TIMED_OUT, Future, TimedWait
 from repro.sim.process import Process, _step
 from repro.sim.rng import RandomStreams
 from repro.sim.tracing import TraceLog
@@ -358,25 +357,6 @@ class Kernel:
 
     def _on_process_failure(self, process: Process, exc: BaseException) -> None:
         self.failures.append((process, exc))
-
-    # -- helpers usable from inside processes -----------------------------------
-
-    def wait_with_timeout(
-        self, future: Future, timeout: float
-    ) -> Generator[Any, Any, tuple[bool, Any]]:
-        """Wait for ``future`` or a timeout, whichever comes first.
-
-        Returns ``(True, value)`` if the future resolved in time and
-        ``(False, None)`` on timeout.  A failed future re-raises inside
-        the caller.  A future that resolves first retires the deadline:
-        its queue entry is skipped, not dispatched.
-        """
-        wait = TimedWait(timeout)
-        future.add_callback(wait.wake_from)
-        value = yield wait
-        if value is TIMED_OUT:
-            return False, None
-        return True, value
 
     def __repr__(self) -> str:
         return f"<Kernel t={self._now} queued={self.queued}>"

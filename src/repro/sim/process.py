@@ -98,13 +98,8 @@ class Process(Future):
     def name(self) -> str:
         return self.label
 
-    def add_callback(self, callback) -> None:  # type: ignore[override]
-        """Mark the process as observed so its failures count as handled."""
-        self._observed = True
-        super().add_callback(callback)
-
     def _add_waiter(self, process: "Process", epoch: int) -> None:  # type: ignore[override]
-        """Joining a process observes it, like :meth:`add_callback`."""
+        """Joining a process observes it: its failure counts as handled."""
         self._observed = True
         Future._add_waiter(self, process, epoch)
 

@@ -2,6 +2,7 @@
 
 from repro.baselines.altruistic import AltruisticLockManager
 from repro.core.invariants import atomicity_report, serializability_ok
+from repro.errors import LockTimeout
 from repro.mlt.actions import increment, write
 from repro.localdb.locks import LockMode
 from repro.mlt.conflicts import READ_WRITE_TABLE
@@ -89,3 +90,59 @@ def test_metrics_track_donations(kernel):
 
     run(kernel, proc())
     assert locks.donations == 1
+
+
+def enter_wake(kernel, locks):
+    """T2 passes T1's donated lock on ``a``: T2 is in T1's wake."""
+
+    def setup():
+        yield from locks.acquire("T1", "a", LockMode.EXCLUSIVE)
+        locks.donate("T1", "a")
+        yield from locks.acquire("T2", "a", LockMode.EXCLUSIVE)
+
+    run(kernel, setup())
+    assert locks.wake == {"T2": {"T1"}}
+
+
+def wake_waiter(kernel, locks, timeout):
+    def waiter():
+        try:
+            yield from locks.wait_for_wake("T2", timeout=timeout)
+        except LockTimeout:
+            return "timed out", kernel.now
+        return "done", kernel.now
+
+    return waiter()
+
+
+def test_wait_for_wake_on_a_finished_donor_returns_at_once(kernel):
+    locks = AltruisticLockManager(kernel, "L1", READ_WRITE_TABLE)
+    enter_wake(kernel, locks)
+    locks.finish("T1")
+    start = kernel.now
+    assert run(kernel, wake_waiter(kernel, locks, timeout=10)) == ("done", start)
+    assert "T2" not in locks.wake
+    # The deadline armed at the park was retired, not fired.
+    assert kernel.now == start
+
+
+def test_wait_for_wake_returns_when_the_donor_finishes(kernel):
+    locks = AltruisticLockManager(kernel, "L1", READ_WRITE_TABLE)
+    enter_wake(kernel, locks)
+    start = kernel.now
+    kernel.call_at(start + 5, locks.finish, "T1")
+    assert run(kernel, wake_waiter(kernel, locks, timeout=10)) == ("done", start + 5)
+    assert "T2" not in locks.wake
+    assert kernel.now == start + 5
+
+
+def test_wait_for_wake_times_out_with_lock_timeout(kernel):
+    locks = AltruisticLockManager(kernel, "L1", READ_WRITE_TABLE)
+    enter_wake(kernel, locks)
+    start = kernel.now
+    result = run(kernel, wake_waiter(kernel, locks, timeout=4))
+    assert result == ("timed out", start + 4)
+    # A donor finishing after the deadline wakes nobody.
+    locks.finish("T1")
+    kernel.run()
+    assert kernel.now == start + 4

@@ -18,6 +18,8 @@ from repro.check import (
     shrink_counterexample,
 )
 from repro.check.cli import main as check_main
+from repro.core.protocols import check_matrix
+from repro.core.recovery import GlobalRecoveryManager
 
 
 def paxos_spec(coordinators: int = 2) -> CheckSpec:
@@ -39,9 +41,7 @@ def test_decision_boundaries_cover_acceptor_forces():
 
 
 def test_paxos_coordinator_kill_at_every_boundary_never_blocks():
-    report = explore_coordinator_crash_points(
-        paxos_spec(), coordinator=0, acceptor_crashes=1
-    )
+    report = explore_coordinator_crash_points(paxos_spec(), acceptor_crashes=1)
     assert report.crash_points > 0
     assert report.executions == report.crash_points
     assert report.violation_count == 0, report.counterexample.violations
@@ -49,13 +49,33 @@ def test_paxos_coordinator_kill_at_every_boundary_never_blocks():
 
 
 def test_paxos_survives_kill_of_either_shard():
-    # The crashed shard's in-flight work lands on its peer regardless
-    # of which shard the workload hashed to.
-    for coordinator in (0, 1):
-        report = explore_coordinator_crash_points(
-            paxos_spec(), coordinator=coordinator
-        )
-        assert report.violation_count == 0
+    # The sweep kills each shard in turn at every boundary: the crashed
+    # shard's in-flight work lands on its peer regardless of which
+    # shard the workload hashed to.
+    report = explore_coordinator_crash_points(paxos_spec())
+    boundaries = enumerate_decision_boundaries(paxos_spec())
+    assert report.crash_points == report.executions == 2 * len(boundaries)
+    assert report.violation_count == 0
+
+
+@pytest.mark.parametrize("protocol,granularity", check_matrix())
+def test_default_two_shard_sweep_adopts_orphans(protocol, granularity, monkeypatch):
+    # Killing only the shard no transaction hashed to would hand the
+    # peer nothing and prove nothing: the sweep must reach orphans.
+    adopted = []
+    adopt = GlobalRecoveryManager.adopt_orphans
+
+    def counting(self, batch):
+        adopted.extend(batch)
+        return adopt(self, batch)
+
+    monkeypatch.setattr(GlobalRecoveryManager, "adopt_orphans", counting)
+    spec = CheckSpec(protocol=protocol, granularity=granularity, coordinators=2)
+    report = explore_coordinator_crash_points(
+        spec, acceptor_crashes=1 if protocol == "paxos" else 0
+    )
+    assert report.violation_count == 0
+    assert adopted, f"{protocol}: no kill left an orphan to adopt"
 
 
 def test_2pc_single_coordinator_kill_exhibits_blocking_window():

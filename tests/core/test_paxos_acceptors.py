@@ -110,13 +110,13 @@ def test_fewer_than_majority_readable_is_unreadable(kernel):
     for name in group.names:
         send(net, name, "paxos_p2a", record=record_for())
     kernel.run()
-    group.acceptors[0].crash()
+    group.acceptors[0].node.crash()
     assert group.decision_for(GTXN) == "commit"  # 2 readable >= 2
-    group.acceptors[1].crash()
+    group.acceptors[1].node.crash()
     assert group.decision_for(GTXN) is None  # 1 readable < 2
     # Stable state survived the crash: restoring one acceptor makes
     # the chosen decision readable again.
-    run(kernel, group.acceptors[0].restart(), name="restart-acceptor0")
+    run(kernel, group.acceptors[0].node.restart(), name="restart-acceptor0")
     assert group.decision_for(GTXN) == "commit"
 
 
@@ -194,12 +194,12 @@ def test_crash_mid_force_loses_the_write(kernel):
     acceptor = group.acceptors[0]
     send(net, acceptor.name, "paxos_p2a", record=record_for())
     # Delivery at t=1, force completes at t=2: interrupt in between.
-    kernel.call_at(1.5, acceptor.crash)
+    kernel.call_at(1.5, acceptor.node.crash)
     kernel.run()
     assert acceptor.accepted == {}
     assert acceptor.forces == 0
     # After restart the serve loop is back and the write can land.
-    run(kernel, acceptor.restart(), name="restart-acceptor0")
+    run(kernel, acceptor.node.restart(), name="restart-acceptor0")
     replies = collect(kernel, central, 1)
     send(net, acceptor.name, "paxos_p2a", record=record_for())
     kernel.run()
@@ -213,7 +213,7 @@ def test_metrics_shape(kernel):
     for name in group.names:
         send(net, name, "paxos_p2a", record=record_for())
     kernel.run()
-    group.acceptors[2].crash()
+    group.acceptors[2].node.crash()
     metrics = group.metrics()
     assert metrics["acceptors"] == 3
     assert metrics["f"] == 1

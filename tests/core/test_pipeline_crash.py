@@ -7,10 +7,11 @@ it would later fire on behalf of the dead coordinator, harden a commit
 and message sites -- while a failover peer may already have presumed
 those very transactions aborted from the (empty) decision log.
 
-Now ``CoordinatorPool.crash`` calls ``pipeline.crash()`` (dropping the
-buffers, counted in ``dropped_on_crash``) and ``_flush`` itself refuses
-to run for a crashed GTM, so the only resolution path is the failover
-peer's presumed abort.
+Now the pool's crash hook on the shard's node calls
+``pipeline.crash()`` (dropping the buffers, counted in
+``dropped_on_crash``) and ``_flush`` itself refuses to run for a
+crashed GTM, so the only resolution path is the failover peer's
+presumed abort.
 """
 
 import zlib

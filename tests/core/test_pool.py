@@ -114,7 +114,7 @@ def test_crashed_home_shard_reroutes_submission():
     fed = build(coordinators=2)
     name = "G1"
     home = fed.pool.shard_of(name)
-    fed.pool.crash(home)
+    fed.coordinators[home].comm.node.crash()
     process = fed.pool.submit(transfer(0), name=name)
     fed.run()
     assert process.value.committed
@@ -125,8 +125,8 @@ def test_crashed_home_shard_reroutes_submission():
 
 def test_all_coordinators_down_raises():
     fed = build(coordinators=2)
-    fed.pool.crash(0)
-    fed.pool.crash(1)
+    fed.coordinators[0].comm.node.crash()
+    fed.coordinators[1].comm.node.crash()
     with pytest.raises(AllCoordinatorsDown):
         fed.pool.submit(transfer(0))
     with pytest.raises(AllCoordinatorsDown):
@@ -135,8 +135,8 @@ def test_all_coordinators_down_raises():
 
 def test_crash_is_idempotent():
     fed = build(coordinators=3)
-    fed.pool.crash(1)
-    fed.pool.crash(1)
+    fed.coordinators[1].comm.node.crash()
+    fed.coordinators[1].comm.node.crash()
     assert fed.pool.crashes == 1
 
 
@@ -363,7 +363,7 @@ def test_is_active_spans_shards_and_adoptions():
     fed.pool.submit(transfer(0), name=name)
     fed.kernel.run(until=2.0)  # mid-flight
     assert fed.pool.is_active(name)
-    fed.pool.crash(shard)
+    fed.coordinators[shard].comm.node.crash()
     # Now in-doubt: either pending or already adopted by the peer.
     assert fed.pool.is_active(name)
     fed.run()

@@ -70,7 +70,8 @@ CONSTANTS = {
 GONE = (
     "ROUTINGS", "UniformLatency", "enforce_star", "deadlock_detection", "default_buckets",
     "AnyOf", "call_at_bulk", "_effect_uids", "WaitsForGraph", "find_cycle_from",
-    "_restate_blockers", "BufferPoolFull",
+    "_restate_blockers", "BufferPoolFull", "wait_with_timeout", "wake_from",
+    "add_callback", "_coordinator_index", "_is_acceptor", "_serve_process",
 )
 
 

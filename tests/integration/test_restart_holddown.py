@@ -6,22 +6,28 @@ restarts landing at the same instant used to run the §3.1 recovery
 sweep twice (double-redriving in-doubt decisions).  Both orderings of
 ``hold_down`` vs ``restart_site`` must behave identically, restarting
 a running site must be a no-op, and concurrent restarts must fold into
-one recovery pass.
+one recovery pass.  The same edges hold for every role that lives on a
+node -- data site, coordinator shard and Paxos acceptor -- since they
+all crash and restart through it.
 """
+
+import pytest
 
 from repro.core.gtm import GTMConfig
 from repro.integration.federation import Federation, FederationConfig, SiteSpec
 from repro.mlt.actions import increment
 
 
-def build(protocol: str = "2pc") -> Federation:
+def build(protocol: str = "2pc", coordinators: int = 1) -> Federation:
     specs = [
         SiteSpec("s0", tables={"t0": {"k": 100}}, preparable=True),
         SiteSpec("s1", tables={"t1": {"k": 100}}, preparable=True),
     ]
     return Federation(
         specs,
-        FederationConfig(seed=4, gtm=GTMConfig(protocol=protocol)),
+        FederationConfig(
+            seed=4, coordinators=coordinators, gtm=GTMConfig(protocol=protocol)
+        ),
     )
 
 
@@ -110,3 +116,84 @@ def test_restart_after_restart_completes_is_noop():
     fed.run()
     assert not fed.nodes["s0"].crashed
     assert fed.gtm.recovery.passes == 1
+
+
+# ---------------------------------------------------------------------------
+# Every role: a data site, a coordinator shard and a Paxos acceptor
+# ---------------------------------------------------------------------------
+
+ROLES = ["s0", "central1", "acceptor0"]
+
+
+def build_roles() -> Federation:
+    """Two coordinator shards and a 3-acceptor group next to the sites."""
+    return build(protocol="paxos", coordinators=2)
+
+
+def count_restarts(fed: Federation, name: str) -> list[float]:
+    """Record the instants at which ``name``'s node restart runs."""
+    node = fed.nodes[name]
+    calls: list[float] = []
+    restart = node.restart
+
+    def counted():
+        calls.append(fed.kernel.now)
+        return restart()
+
+    node.restart = counted
+    return calls
+
+
+@pytest.mark.parametrize("name", ROLES)
+def test_holddown_defers_the_restart_of_every_role(name):
+    fed = build_roles()
+    fed.crash_site(name, at=10.0)
+    fed.hold_down(name, until=100.0)
+    fed.restart_site(name, at=50.0)  # inside the hold-down: ignored
+    fed.restart_site(name, at=120.0)
+    mid = sample(fed, 60.0, name)
+    late = sample(fed, 130.0, name)
+    fed.run()
+    assert mid == [True]
+    assert late == [False]
+
+
+@pytest.mark.parametrize("name", ROLES)
+def test_same_instant_restarts_of_every_role_fold_into_one(name):
+    fed = build_roles()
+    calls = count_restarts(fed, name)
+    fed.crash_site(name, at=1.0)
+    fed.restart_site(name, at=40.0)
+    fed.restart_site(name, at=40.0)  # duplicate schedule, same instant
+    fed.run()
+    assert not fed.nodes[name].crashed
+    assert calls == [40.0]
+
+
+@pytest.mark.parametrize("name", ROLES)
+def test_restart_of_every_running_role_is_noop(name):
+    fed = build_roles()
+    server = fed.nodes[name].server
+    calls = count_restarts(fed, name)
+    fed.restart_site(name)  # immediate, the node is up
+    fed.restart_site(name, at=5.0)
+    fed.run()
+    assert not fed.nodes[name].crashed
+    assert calls == []
+    assert fed.nodes[name].server is server
+
+
+@pytest.mark.parametrize("name", ROLES)
+def test_restarted_role_serves_from_a_fresh_live_server(name):
+    fed = build_roles()
+    node = fed.nodes[name]
+    old = node.server
+    assert old.alive
+    fed.crash_site(name, at=10.0)
+    fed.restart_site(name, at=40.0)
+    fed.run()
+    assert not node.crashed
+    assert not old.alive
+    assert node.server is not old
+    assert node.server.alive
+    assert node.server.name == old.name

@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import KernelStopped, ProcessInterrupted
-from repro.sim.events import TIMED_OUT, Future, TimedWait
+from repro.sim.events import TIMED_OUT, TimedWait
 from repro.sim.kernel import Kernel
 from repro.sim.sync import FifoLock, Mailbox
 
@@ -233,18 +233,18 @@ def test_timed_wait_settled_before_parking_still_costs_one_hop(kernel):
     assert kernel.now == 0.0
 
 
-def test_wait_with_timeout_bridges_a_future(kernel):
-    future = Future(label="work")
-    kernel.call_at(1.0, future.resolve, 42)
+def test_a_woken_wait_leaves_no_deadline_behind(kernel):
+    first = TimedWait(5.0)
+    kernel.call_at(1.0, first.wake, 42)
     outcome = []
 
     def proc():
-        outcome.append((yield from kernel.wait_with_timeout(future, 5.0)))
-        outcome.append((yield from kernel.wait_with_timeout(Future(), 2.0)))
+        outcome.append((yield first))
+        outcome.append((yield TimedWait(2.0)))
 
     kernel.spawn(proc(), name="racer")
     assert kernel.run() == 3.0  # 1.0 + the second wait's 2.0; not the stale 5.0
-    assert outcome == [(True, 42), (False, None)]
+    assert outcome == [42, TIMED_OUT]
 
 
 # -- interrupted waiters and their stale queue entries ------------------------

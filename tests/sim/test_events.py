@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.events import Future, TimedWait
+from repro.sim.events import TIMED_OUT, Future, TimedWait
 from tests.conftest import run
 
 
@@ -31,22 +31,6 @@ def test_future_double_resolve_rejected():
 def test_value_before_resolution_rejected():
     with pytest.raises(RuntimeError):
         Future().value
-
-
-def test_callback_on_resolution():
-    future = Future()
-    seen = []
-    future.add_callback(lambda f: seen.append(f._value))
-    future.resolve("x")
-    assert seen == ["x"]
-
-
-def test_callback_on_already_done_future():
-    future = Future()
-    future.resolve("y")
-    seen = []
-    future.add_callback(lambda f: seen.append(f._value))
-    assert seen == ["y"]
 
 
 def test_process_wakes_on_future(kernel):
@@ -81,15 +65,15 @@ def test_failed_future_raises_in_process(kernel):
     assert run(kernel, waiter()) == "caught"
 
 
-def test_wait_with_timeout_deadline_beats_a_later_future(kernel):
-    late = Future()
-    kernel.call_at(10.0, late.resolve, "late")
+def test_timed_wait_deadline_beats_a_later_wake(kernel):
+    wait = TimedWait(3)
+    kernel.call_at(10.0, wait.wake, "late")
 
     def proc():
-        outcome = yield from kernel.wait_with_timeout(late, timeout=3)
-        return outcome, kernel.now
+        value = yield wait
+        return value, kernel.now
 
-    assert run(kernel, proc()) == ((False, None), 3.0)
+    assert run(kernel, proc()) == (TIMED_OUT, 3.0)
 
 
 def test_timed_wait_ignores_later_wakes(kernel):
@@ -110,12 +94,16 @@ def test_timed_wait_ignores_later_wakes(kernel):
     assert run(kernel, proc()) == "fast"
 
 
-def test_wait_with_timeout_on_an_already_done_future(kernel):
-    ready = Future()
-    ready.resolve("now")
+def test_timed_wait_woken_before_its_park_arms_and_retires_its_deadline(kernel):
+    wait = TimedWait(3)
+    wait.wake("now")
 
     def proc():
-        outcome = yield from kernel.wait_with_timeout(ready, timeout=3)
-        return outcome, kernel.now
+        value = yield wait
+        return value, kernel.now
 
-    assert run(kernel, proc()) == ((True, "now"), 0.0)
+    assert run(kernel, proc()) == ("now", 0.0)
+    # Spawn, deadline and resumption each took a sequence number; the
+    # spent deadline was skipped without moving the clock.
+    assert kernel._sequence == 3
+    assert kernel.now == 0.0

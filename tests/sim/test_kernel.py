@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.sim.events import TIMED_OUT, TimedWait
 from repro.sim.kernel import Kernel
 from tests.conftest import run
 
@@ -117,27 +118,23 @@ def test_observed_failure_propagates_to_joiner_only(kernel):
     assert run(kernel, parent()) == "caught"
 
 
-def test_wait_with_timeout_success(kernel):
-    from repro.sim.events import Future
-
-    future = Future()
-    kernel.call_at(2, future.resolve, None)
+def test_timed_wait_woken_in_time(kernel):
+    wait = TimedWait(10)
+    kernel.call_at(2, wait.wake, "done")
 
     def proc():
-        ok, _ = yield from kernel.wait_with_timeout(future, timeout=10)
-        return ok, kernel.now
+        value = yield wait
+        return value, kernel.now
 
-    assert run(kernel, proc()) == (True, 2.0)
+    assert run(kernel, proc()) == ("done", 2.0)
 
 
-def test_wait_with_timeout_expires(kernel):
-    from repro.sim.events import Future
-
+def test_timed_wait_expires(kernel):
     def proc():
-        ok, value = yield from kernel.wait_with_timeout(Future(), timeout=3)
-        return ok, value, kernel.now
+        value = yield TimedWait(3)
+        return value, kernel.now
 
-    assert run(kernel, proc()) == (False, None, 3.0)
+    assert run(kernel, proc()) == (TIMED_OUT, 3.0)
 
 
 def test_same_seed_same_schedule():
@@ -206,24 +203,21 @@ def test_cancelled_timer_does_not_advance_clock(kernel):
     assert kernel.now == 3.0
 
 
-def test_winning_wait_with_timeout_cancels_its_timer(kernel):
-    """When the awaited future wins the race, the timeout timer is
-    cancelled so the queue drains at the event's time, not the
-    timeout's."""
-    from repro.sim.events import Future
+def test_winning_wake_skips_its_timer(kernel):
+    """When the wake wins the race, the timeout timer is skipped, so
+    the queue drains at the wake's time, not the timeout's."""
+    wait = TimedWait(500.0)
 
-    future = Future()
-
-    def resolver():
+    def waker():
         yield 2.0
-        future.resolve("value")
+        wait.wake("value")
 
     def waiter():
-        ok, value = yield from kernel.wait_with_timeout(future, 500.0)
-        return ok, value
+        value = yield wait
+        return value
 
-    kernel.spawn(resolver(), name="resolver")
+    kernel.spawn(waker(), name="waker")
     process = kernel.spawn(waiter(), name="waiter")
     end = kernel.run()
-    assert process.value == (True, "value")
+    assert process.value == "value"
     assert end == 2.0
