@@ -72,7 +72,9 @@ def run_execution(
     result.aborted = sum(gtm.aborted for gtm in federation.coordinators)
     result.violations = [
         str(violation)
-        for violation in check_invariants(federation, processes=scenario.processes)
+        for violation in check_invariants(
+            federation, processes=scenario.processes, conserved=scenario.conserved
+        )
     ]
     return result
 

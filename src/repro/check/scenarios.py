@@ -150,6 +150,10 @@ class Scenario:
     spec: CheckSpec
     federation: Federation
     processes: list = field(default_factory=list)
+    #: The cells the workload's balanced transfers conserve, with their
+    #: initial values (``check_invariants``' ``conserved``); empty for
+    #: workloads that overwrite.
+    conserved: dict = field(default_factory=dict)
 
 
 def _transfer_keys(spec: CheckSpec) -> list[str]:
@@ -341,14 +345,21 @@ def build_scenario(spec: CheckSpec) -> Scenario:
                 )
             setattr(gtm.protocol, spec.mutant, True)
 
+    conserved = {}
     if spec.workload == "rw_cross":
         batches = _rw_cross_batches(spec)
     elif spec.workload == "exposure":
         batches = _exposure_batches(spec)
     elif spec.workload == "replicated":
         batches = _replicated_batches(spec)
+        conserved = {("acct", key): 100 for key in _transfer_keys(spec)}
     else:
         batches = _transfer_batches(spec)
+        conserved = {
+            (f"t{site}", key): 100
+            for site in range(spec.n_sites)
+            for key in _transfer_keys(spec)
+        }
 
     def submitter(batch: dict):
         if batch.get("delay"):
@@ -364,4 +375,6 @@ def build_scenario(spec: CheckSpec) -> Scenario:
         federation.kernel.spawn(submitter(batch), name=f"check:{batch['name']}")
         for batch in batches
     ]
-    return Scenario(spec=spec, federation=federation, processes=processes)
+    return Scenario(
+        spec=spec, federation=federation, processes=processes, conserved=conserved
+    )

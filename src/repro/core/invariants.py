@@ -9,6 +9,8 @@ The paper's correctness obligations, verified on actual executions:
 * **Global serializability** -- the union of per-site conflict graphs
   over global transactions is acyclic (checked through
   :mod:`repro.core.serializability`).
+* **Conservation** -- a workload of balanced transfers leaves the total
+  over the cells it declares unchanged.
 
 The atomicity checker works off each engine's transaction history:
 forward local transactions carry their global transaction id, inverse
@@ -18,7 +20,7 @@ transactions the id suffixed with ``!undo``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.core.protocols import per_action_protocols
 from repro.core.serializability import global_serializability
@@ -406,17 +408,52 @@ def replica_convergence_violations(
     return violations
 
 
+def conservation_violations(
+    federation: "Federation", conserved: Mapping[tuple[str, Any], int] | None
+) -> list[InvariantViolation]:
+    """Balanced transfers conserve the total over the declared cells.
+
+    ``conserved`` maps every global cell ``(table, key)`` a workload
+    moves value between to its initial value.  Each cell is read where
+    it lives now (:meth:`~repro.integration.federation.Federation.locate`:
+    its site, or its partition's primary); a missing cell reads 0.  A
+    drift names the observed and expected totals and each site's delta,
+    which points at the site that gained or lost.  Nothing declared,
+    nothing checked.
+    """
+    if not conserved:
+        return []
+    deltas: dict[str, int] = {}
+    for (table, key), initial in conserved.items():
+        site, local_table = federation.locate(table, key)
+        value = federation.peek(site, local_table, key) or 0
+        deltas[site] = deltas.get(site, 0) + value - initial
+    expected = sum(conserved.values())
+    observed = expected + sum(deltas.values())
+    if observed == expected:
+        return []
+    per_site = ", ".join(f"{site} {delta:+d}" for site, delta in sorted(deltas.items()))
+    return [
+        InvariantViolation(
+            "conservation", f"total {observed} != {expected} (deltas: {per_site})"
+        )
+    ]
+
+
 def check_invariants(
     federation: "Federation",
     processes: list | None = None,
     strict_serializability: bool = False,
+    conserved: Mapping[tuple[str, Any], int] | None = None,
 ) -> list[InvariantViolation]:
     """Evaluate every correctness obligation on a finished execution.
 
-    The shared predicate battery behind both the property tests and the
-    ``repro.check`` exploration engine -- one implementation, so the
-    two can never drift apart.  Returns the (possibly empty) list of
-    violations, most fundamental first.
+    The shared predicate battery behind the property tests, the
+    ``repro.check`` exploration engine and the chaos harness -- one
+    implementation, so they can never drift apart.  A workload of
+    balanced transfers declares its cells in ``conserved`` (see
+    :func:`conservation_violations`).  Returns the (possibly empty) list
+    of violations, most fundamental first.
     """
     violations: list[InvariantViolation] = []
     report = atomicity_report(federation)
@@ -448,6 +485,7 @@ def check_invariants(
     violations.extend(undo_drain_violations(federation))
     violations.extend(inverse_order_violations(federation))
     violations.extend(replica_convergence_violations(federation))
+    violations.extend(conservation_violations(federation, conserved))
     return violations
 
 

@@ -453,17 +453,22 @@ class Federation:
         page = engine.current_page(engine.catalog.heap(table).page_of(key))
         return page.get(key) if page is not None else None
 
-    def peek_global(self, table: str, key: Any) -> Any:
-        """Peek a *global* object wherever it lives.
+    def locate(self, table: str, key: Any) -> tuple[str, str]:
+        """The (site, local table) a *global* object lives at now.
 
         Resolves data-plane placements to the partition primary and
-        schema placements to their site, then peeks there.
+        schema placements to their site.
         """
         if self.dataplane is not None and self.dataplane.manages(table):
             partition = self.dataplane.map.partition_of(table, key)
-            return self.peek(partition.primary, partition.local_table, key)
+            return partition.primary, partition.local_table
         placement = self.schema.placement(table, key)
-        return self.peek(placement.site, placement.local_table, key)
+        return placement.site, placement.local_table
+
+    def peek_global(self, table: str, key: Any) -> Any:
+        """Peek a *global* object wherever it lives (see :meth:`locate`)."""
+        site, local_table = self.locate(table, key)
+        return self.peek(site, local_table, key)
 
     def histories(self, by_gtxn: bool = True) -> dict[str, list]:
         """Per-site committed histories for the serializability checkers."""

@@ -9,6 +9,8 @@ breaking a real federation is impractical.
 from types import SimpleNamespace
 
 from repro.core.invariants import (
+    InvariantViolation,
+    conservation_violations,
     convergence_violations,
     inverse_order_violations,
     lock_release_violations,
@@ -17,6 +19,7 @@ from repro.core.invariants import (
 )
 from repro.core.redo import RedoLog
 from repro.core.undo import UndoLog
+from repro.faults.chaos import ChaosResult, ChaosSpec
 from repro.localdb.engine import OpRecord
 from repro.mlt.actions import increment
 
@@ -146,3 +149,44 @@ def test_inverse_order_skips_when_optimizer_collapses_inverses():
     )
     federation.gtm.config.optimize_undo = True
     assert inverse_order_violations(federation) == []
+
+
+def _fake_accounts(values):
+    """A fake whose cell ``t<n>[key]`` lives at site ``s<n>``."""
+    return SimpleNamespace(
+        locate=lambda table, key: (f"s{table[1:]}", table),
+        peek=lambda site, table, key: values.get((table, key)),
+    )
+
+
+def test_conservation_flags_drift_with_per_site_deltas():
+    federation = _fake_accounts({("t0", "a"): 95, ("t1", "a"): 106, ("t1", "b"): 50})
+    declared = {("t0", "a"): 100, ("t1", "a"): 100, ("t1", "b"): 50}
+    violations = conservation_violations(federation, declared)
+    assert [str(v) for v in violations] == [
+        "conservation: total 251 != 250 (deltas: s0 -5, s1 +6)"
+    ]
+
+
+def test_conservation_reads_a_missing_cell_as_zero():
+    federation = _fake_accounts({("t0", "a"): 100})
+    violations = conservation_violations(federation, {("t0", "a"): 100, ("t1", "a"): 10})
+    assert [v.detail for v in violations] == ["total 100 != 110 (deltas: s0 +0, s1 -10)"]
+
+
+def test_conservation_is_silent_when_balanced_or_undeclared():
+    federation = _fake_accounts({("t0", "a"): 90, ("t1", "a"): 110})
+    assert conservation_violations(federation, {("t0", "a"): 100, ("t1", "a"): 100}) == []
+    # Nothing declared: no cell is even located.
+    assert conservation_violations(SimpleNamespace(), None) == []
+    assert conservation_violations(SimpleNamespace(), {}) == []
+
+
+def test_chaos_verdicts_follow_the_violation_list():
+    drift = InvariantViolation("conservation", "total 4801 != 4800 (deltas: s1 +1)")
+    result = ChaosResult(spec=ChaosSpec("2pc"), violations=[drift])
+    assert not result.ok
+    assert not result.conserved
+    assert result.atomicity_ok and result.converged
+    clean = ChaosResult(spec=ChaosSpec("2pc"))
+    assert clean.ok and clean.conserved

@@ -9,6 +9,7 @@ prepared protocol (2PC) and the paper's commit-before discipline.
 
 import pytest
 
+from benchmarks.bench_s2_dataplane import measure_failover
 from repro.core.gtm import GTMConfig
 from repro.core.invariants import (
     atomicity_report,
@@ -87,6 +88,14 @@ def test_primary_crash_failover(protocol, granularity):
     assert dp.promotions >= 1, "lease expiry never promoted a replica"
     assert dp.rejoins >= 1, "the victim never rejoined its partitions"
     assert victim in dp.map.partition(0).members
+
+
+def test_benchmark_failover_row_promotes_rejoins_and_converges():
+    """EXP-S2's failover row: the 8-site open-loop run it measures."""
+    row = measure_failover("2pc", "per_site")
+    assert row["promotions"] >= 1 and row["rejoins"] >= 1
+    assert row["unresolved_indoubt"] == 0
+    assert row["atomicity_ok"] and row["replicas_converged"]
 
 
 def test_failover_without_replicas_blocks_until_restart():

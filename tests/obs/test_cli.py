@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.__main__ import main
+from repro.core.protocols import protocol_names
+from repro.obs import validate_chrome_trace
 
 
 class TestSingleProtocolRun:
@@ -23,6 +25,13 @@ class TestSingleProtocolRun:
         assert doc["traceEvents"]
         assert any(event["ph"] == "X" for event in doc["traceEvents"])
         assert "trace events" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("protocol", protocol_names())
+    def test_every_protocol_exports_a_schema_valid_trace(self, protocol, tmp_path):
+        path = tmp_path / "trace.json"
+        main(["--protocol", protocol, "--txns", "4", "--seed", "7",
+              "--report", "--trace-out", str(path)])
+        assert validate_chrome_trace(json.loads(path.read_text())) == []
 
     def test_sites_and_seed_accepted(self, capsys):
         main(["--protocol", "after", "--sites", "3", "--txns", "3",
