@@ -21,6 +21,8 @@ is clean, so the canaries fail for the right reason.
     effect (``dirty_undo`` violation).
 """
 
+import json
+
 from repro.check import CheckSpec, ReproTrace, explore_crash_points, write_counterexample
 
 PRESUME_SPEC = CheckSpec(
@@ -88,7 +90,7 @@ def test_counterexamples_replay_deterministically(tmp_path):
 def test_cli_canaries_catch_and_write_artifacts(tmp_path):
     from repro.check.cli import main
 
-    for spec in (PRESUME_SPEC, SHORT_SPEC):
+    for spec, kind in ((PRESUME_SPEC, "lost_execution"), (SHORT_SPEC, "dirty_undo")):
         out = tmp_path / f"{spec.mutant}.repro.json"
         code = main([
             "--protocol", spec.protocol,
@@ -99,4 +101,5 @@ def test_cli_canaries_catch_and_write_artifacts(tmp_path):
             "--out", str(out),
         ])
         assert code == 1, f"canary {spec.mutant} did not trip"
-        assert out.exists()
+        # The shrunk artifact still shows the canary's own violation.
+        assert any(kind in v for v in json.loads(out.read_text())["violations"])

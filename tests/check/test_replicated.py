@@ -9,6 +9,8 @@ mutant -- fencing and rejoin-time drain/resync disabled -- must be
 caught with a replica-divergence violation and replay deterministically.
 """
 
+import json
+
 import pytest
 
 from repro.check import CheckSpec, explore, explore_crash_points
@@ -57,7 +59,7 @@ def test_clean_replicated_crash_points_keep_invariants():
     )
 
 
-def test_stale_epoch_mutant_caught_at_crash_points():
+def test_stale_epoch_mutant_caught_at_crash_points(tmp_path):
     report = explore_crash_points(MUTANT_SPEC)
     assert report.violation_count >= 1
     result = report.counterexample
@@ -70,3 +72,14 @@ def test_stale_epoch_mutant_caught_at_crash_points():
         MUTANT_SPEC, result.choices, crashes=tuple(result.crashes)
     )
     assert replayed.violations == result.violations
+
+    # The CLI's shrunk artifact keeps the divergence.
+    from repro.check.cli import main
+
+    out = tmp_path / "stale-epoch.repro.json"
+    assert main([
+        "--workload", "replicated", "--partitions", "2", "--replication", "2",
+        "--crash-points", "--mutant", "stale_epoch", "--out", str(out),
+    ]) == 1
+    violations = json.loads(out.read_text())["violations"]
+    assert any("replica_convergence" in v for v in violations)
