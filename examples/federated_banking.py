@@ -10,9 +10,13 @@ Run:  python examples/federated_banking.py
 """
 
 from repro.bench import closed_loop, format_table, protocol_federation
-from repro.core.invariants import atomicity_report, serializability_ok
+from repro.core.invariants import (
+    atomicity_report,
+    conservation_violations,
+    serializability_ok,
+)
 from repro.integration.federation import SiteSpec
-from repro.workloads.banking import balance_audit, total_balance, transfer
+from repro.workloads.banking import all_accounts, balance_audit, transfer
 
 N_SITES = 3
 ACCOUNTS = 4
@@ -52,7 +56,9 @@ def main() -> None:
         stats = closed_loop(
             fed, make_txn_factory(), n_workers=5, horizon=HORIZON, label=label
         )
-        conserved = total_balance(fed, N_SITES, ACCOUNTS) == N_SITES * ACCOUNTS * INITIAL
+        conserved = not conservation_violations(
+            fed, dict.fromkeys(all_accounts(N_SITES, ACCOUNTS), INITIAL)
+        )
         rows.append([
             label, stats.committed, stats.aborted,
             round(stats.throughput * 1000, 1),

@@ -14,6 +14,8 @@ prints
 * per metric: each side's median [q1, q3], the change in the medians,
   how many pairs the change won, and whether its median stays inside
   the ``BENCHMARK.json`` bound;
+* per metric: each pair's change/parent ratio, and the ratios' median
+  [q1, q3];
 * the verdict of the measuring rule for a claimed gain: at least ten
   pairs, the change better in at least nine tenths of them (ties count
   for neither), better on every held-out seed, and the medians apart by
@@ -112,6 +114,39 @@ def verdict(
     }
 
 
+def ratios(parent: list[float], change: list[float]) -> list[float]:
+    """Each pair's change/parent ratio (pairs whose parent reads 0 are skipped)."""
+    return [c / p for p, c in zip(parent, change) if p]
+
+
+def metric_report(
+    metric: dict,
+    parent: list[float],
+    change: list[float],
+    held_out: list[tuple[float, float]] = (),
+) -> str:
+    """The summary block of one ``BENCHMARK.json`` end-to-end metric."""
+    rule = verdict(parent, change, metric["better"], held_out)
+    (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(parent), quartiles(change)
+    delta = (cmed - pmed) / pmed if pmed else 0.0
+    worse = delta if metric["better"] == "lower" else -delta
+    bound = "inside" if worse <= metric["bound"] else "OUTSIDE"
+    per_pair = ratios(parent, change)
+    rq1, rmed, rq3 = quartiles(per_pair)
+    return (
+        f"{metric['name']} ({metric['unit']}, {metric['better']} is better)\n"
+        f"  parent {pmed:.4g} [{pq1:.4g}, {pq3:.4g}]  change {cmed:.4g} "
+        f"[{cq1:.4g}, {cq3:.4g}]  median {delta:+.1%}  "
+        f"({bound} the {metric['bound']:.0%} bound)\n"
+        f"  change/parent per pair: {' '.join(f'{r:.3f}' for r in per_pair)}"
+        f"  median {rmed:.3f} [{rq1:.3f}, {rq3:.3f}]\n"
+        f"  change better in {rule['wins']}/{rule['pairs']} pairs"
+        f" and {rule['held_out_wins']}/{rule['held_out']} held out; median gap "
+        f"{rule['gap']:.4g} vs parent spread {rule['parent_spread']:.4g}: "
+        f"claim {rule['outcome']}"
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     contract = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -149,23 +184,8 @@ def main(argv: list[str] | None = None) -> int:
         name = metric["name"]
         parent = [p["parent"]["metrics"][name] for p in claimed]
         change = [p["change"]["metrics"][name] for p in claimed]
-        rule = verdict(parent, change, metric["better"], [
-            (p["parent"]["metrics"][name], p["change"]["metrics"][name]) for p in held
-        ])
-        (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(parent), quartiles(change)
-        delta = (cmed - pmed) / pmed if pmed else 0.0
-        worse = delta if metric["better"] == "lower" else -delta
-        bound = "inside" if worse <= metric["bound"] else "OUTSIDE"
-        print(
-            f"\n{name} ({metric['unit']}, {metric['better']} is better)\n"
-            f"  parent {pmed:.4g} [{pq1:.4g}, {pq3:.4g}]  change {cmed:.4g} "
-            f"[{cq1:.4g}, {cq3:.4g}]  median {delta:+.1%}  "
-            f"({bound} the {metric['bound']:.0%} bound)\n"
-            f"  change better in {rule['wins']}/{rule['pairs']} pairs"
-            f" and {rule['held_out_wins']}/{rule['held_out']} held out; median gap "
-            f"{rule['gap']:.4g} vs parent spread {rule['parent_spread']:.4g}: "
-            f"claim {rule['outcome']}"
-        )
+        held_out = [(p["parent"]["metrics"][name], p["change"]["metrics"][name]) for p in held]
+        print("\n" + metric_report(metric, parent, change, held_out))
 
     moved = {p["seed"]: mismatches(p["parent"], p["change"]) for p in pairs}
     moved = {seed: names for seed, names in moved.items() if names}

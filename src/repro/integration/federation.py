@@ -278,42 +278,32 @@ class Federation:
                 pass  # caller maps ambiguous tables explicitly
 
     def _load_initial_data(self, site_specs: list[SiteSpec]) -> None:
-        def loader() -> Generator[Any, Any, None]:
-            for spec in site_specs:
-                engine = self.engines[spec.name]
-                if self.config.log_placement == "indb":
-                    # The commit-marker relation (in-DB log placement).
-                    yield from engine.create_table(COMMITLOG_TABLE, 2)
-                for table, rows in spec.tables.items():
-                    yield from engine.create_table(table, spec.buckets)
-                    if rows:
-                        engine.load(table, rows)
-            if self.dataplane is not None:
-                # Partition local tables: every member holds exactly
-                # the partitions it serves (partial replication), each
-                # seeded with that partition's slice of the global rows.
-                for partition in self.dataplane.map.partitions:
-                    spec = self.dataplane.map.spec_for(partition.table)
-                    rows = self.dataplane.map.initial_rows(partition)
-                    for member in partition.members:
-                        engine = self.engines[member]
-                        yield from engine.create_table(
-                            partition.local_table, spec.buckets
-                        )
-                        if rows:
-                            engine.load(partition.local_table, rows)
-
-        # Park the construction-time serve loops on their mailboxes; the
-        # loader then runs alone, off the calendar, byte for byte as a
-        # spawned process would (see ``docs/performance.md``).
+        # Park the construction-time serve loops on their mailboxes.  The
+        # site databases exist before the run: each table is built as its
+        # final state, in no simulated time (see ``docs/performance.md``).
         self.kernel.run()
         trace = self.kernel.trace
         tracing, trace.enabled = trace.enabled, False
-        self.kernel.run_alone(loader())
+        for spec in site_specs:
+            engine = self.engines[spec.name]
+            if self.config.log_placement == "indb":
+                # The commit-marker relation (in-DB log placement).
+                engine.load_table(COMMITLOG_TABLE, 2, {})
+            for table, rows in spec.tables.items():
+                engine.load_table(table, spec.buckets, rows)
+        if self.dataplane is not None:
+            # Partition local tables: every member holds exactly the
+            # partitions it serves (partial replication), each seeded
+            # with that partition's slice of the global rows.
+            for partition in self.dataplane.map.partitions:
+                spec = self.dataplane.map.spec_for(partition.table)
+                rows = self.dataplane.map.initial_rows(partition)
+                for member in partition.members:
+                    self.engines[member].load_table(
+                        partition.local_table, spec.buckets, rows
+                    )
         trace.enabled = tracing
-        # Set-up is not part of any run: give callers a clean t=0 and
-        # zero what the load counted.
-        self.kernel._now = 0.0
+        # Set-up is not part of any run: zero what it counted.
         self.kernel.events_dispatched = 0
         for engine in self.engines.values():
             engine.zero_counters()

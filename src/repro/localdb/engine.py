@@ -15,7 +15,6 @@ and I/O time and may block on locks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.errors import (
@@ -34,6 +33,8 @@ from repro.localdb.txn import LocalAbortReason, LocalTransaction, LocalTxnState
 from repro.sim.sync import FifoLock
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import StableDisk
+from repro.storage.heap import HeapFile
+from repro.storage.page import Page
 from repro.storage.wal import (
     AbortRecord,
     BeginRecord,
@@ -48,23 +49,55 @@ from repro.storage.wal import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Kernel
     from repro.sim.process import Process
-    from repro.storage.page import Page
 
 
-@dataclass(frozen=True)
 class OpRecord:
-    """One executed data operation, for the serializability checker."""
+    """One executed data operation, for the serializability checker.
 
-    seq: int
-    txn_id: str
-    gtxn_id: Optional[str]
-    kind: str  # "read" | "write" | "increment" | "insert" | "delete"
-    table: str
-    key: Any
+    A hand-written ``__slots__`` class, as the log records are
+    (``repro.storage.wal.LogRecord``): every data operation builds one,
+    and a frozen dataclass pays one ``object.__setattr__`` per field.
+    It keeps keyword construction, field-by-field equality with the
+    matching hash, and the dataclass ``repr``; it is immutable by
+    convention.
+    """
+
+    __slots__ = ("seq", "txn_id", "gtxn_id", "kind", "table", "key")
+
+    def __init__(
+        self,
+        seq: int,
+        txn_id: str,
+        gtxn_id: Optional[str],
+        kind: str,  # "read" | "write" | "increment" | "insert" | "delete"
+        table: str,
+        key: Any,
+    ):
+        self.seq = seq
+        self.txn_id = txn_id
+        self.gtxn_id = gtxn_id
+        self.kind = kind
+        self.table = table
+        self.key = key
 
     @property
     def writes(self) -> bool:
         return self.kind != "read"
+
+    def _astuple(self) -> tuple:
+        return (self.seq, self.txn_id, self.gtxn_id, self.kind, self.table, self.key)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"OpRecord({body})"
 
 
 class LocalDatabase:
@@ -124,14 +157,33 @@ class LocalDatabase:
 
     def create_table(self, name: str, bucket_count: int) -> Generator[Any, Any, None]:
         """Create a table of ``bucket_count`` pages on stable storage."""
-        from repro.storage.heap import HeapFile
+        heap = self._define_table(name, bucket_count)
+        yield from heap.initialize()
 
+    def load_table(self, name: str, bucket_count: int, rows: dict[Any, Any]) -> None:
+        """:meth:`create_table`, then :meth:`load` ``rows`` (if any), as state.
+
+        The table of a database that exists before the run: no
+        simulated time passes and nothing is counted.  A page the load
+        evicts leaves its frame as its stable image; every page still
+        without one gets the empty image ``create_table`` would have
+        written.
+        """
+        heap = self._define_table(name, bucket_count)
+        if rows:
+            self.load(name, rows)
+        disk = self.disk
+        for page_id in heap:
+            if not disk.has_page(page_id):
+                disk.install_image(Page(page_id, name))
+
+    def _define_table(self, name: str, bucket_count: int) -> HeapFile:
         definition = self.catalog.define(name, bucket_count)
         heap = HeapFile(
             name, self.disk, self.buffer, definition.first_page_id, bucket_count
         )
         self.catalog.attach_heap(name, heap)
-        yield from heap.initialize()
+        return heap
 
     def load(self, table: str, rows: dict[Any, Any]) -> None:
         """Bulk-insert ``rows`` into ``table``, freshly created and empty.
@@ -139,6 +191,8 @@ class LocalDatabase:
         Builds the log, pages and buffer pool ``begin`` / :meth:`insert`
         per row / :meth:`commit` would leave, in no simulated time: the
         database exists before the run starts (``BufferPool.load``).
+        The whole transaction is logged and made stable first, so every
+        page the placement evicts already has its log on disk.
         """
         txn = self.begin()
         if self.config.scheduler == "occ":
@@ -147,13 +201,17 @@ class LocalDatabase:
                 lambda lsn: BeginRecord(lsn=lsn, txn_id=txn.txn_id, prev_lsn=0)
             ).lsn
         heap = self.catalog.heap(table)
+        placed = []
         for key, value in rows.items():
             page_id = heap.page_of(key)
             lsn = self._log_update(txn, table, key, None, value, page_id).lsn
-            self.buffer.load(page_id).put(key, value, lsn)
-            self.buffer.mark_dirty(page_id, lsn)
+            placed.append((page_id, key, value, lsn))
             self._record_op(txn, "insert", table, key)
         self.log.harden(self._append_commit_record(txn))
+        buffer = self.buffer
+        for page_id, key, value, lsn in placed:
+            buffer.load(page_id, table).put(key, value, lsn)
+            buffer.mark_dirty(page_id, lsn)
         self._finalize_commit(txn)
 
     def pin_key(self, table: str, key: Any, bucket_index: int) -> None:

@@ -259,7 +259,10 @@ class Kernel:
         is not a number, or a queued entry due at or before the next
         wake-up -- raises :class:`SimulationError` instead of silently
         reordering.  Entries due after the generator returns stay
-        queued for the next :meth:`run`.
+        queued for the next :meth:`run`.  Its one caller is the
+        counter-site loader (``workloads.counters.build_counter_site``),
+        whose timed set-up its callers observe; a federation builds its
+        tables as state, off the clock.
         """
         if self._stopped:
             raise KernelStopped("kernel already stopped")

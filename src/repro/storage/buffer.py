@@ -57,11 +57,13 @@ class BufferPool:
         self._frames[page_id] = page
         return page
 
-    def load(self, page_id: int) -> Page:
+    def load(self, page_id: int, table: str) -> Page:
         """:meth:`fetch` with no I/O, for building a pre-existing database.
 
         The same victims leave in the same order, a dirty one after the
         log covering it is stable; its dropped frame becomes its image.
+        A page with no stable image yet comes in as a fresh empty page
+        of ``table``: what ``HeapFile.initialize`` would have written.
         """
         page = self._frames.get(page_id)
         if page is not None:
@@ -74,7 +76,10 @@ class BufferPool:
                 self._disk.install_image(victim)
                 self._dirty.discard(victim.page_id)
                 self._rec_lsn.pop(victim.page_id, None)
-        page = self._frames[page_id] = self._disk.stable_page(page_id)
+        page = self._disk.stable_page(page_id)
+        if page is None:
+            page = Page(page_id, table)
+        self._frames[page_id] = page
         return page
 
     def mark_dirty(self, page_id: int, lsn: int = 0) -> None:

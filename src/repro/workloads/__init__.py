@@ -11,7 +11,6 @@ from repro.workloads.arrivals import (
 from repro.workloads.banking import (
     balance_audit,
     build_banking_federation,
-    total_balance,
     transfer,
 )
 from repro.workloads.counters import build_counter_site, counter_transactions
@@ -34,6 +33,5 @@ __all__ = [
     "build_counter_site",
     "counter_transactions",
     "make_pattern",
-    "total_balance",
     "transfer",
 ]

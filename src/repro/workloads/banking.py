@@ -85,12 +85,3 @@ def balance_audit(n_sites: int, accounts_per_site: int, sample: int = 4,
     chosen = rng.sample(accounts, min(sample, len(accounts))) if rng else accounts[:sample]
     return [Operation("read", table, key) for table, key in chosen]
 
-
-def total_balance(federation: Federation, n_sites: int, accounts_per_site: int) -> int:
-    """Sum of all balances (non-transactional; call on a quiesced run)."""
-    total = 0
-    for table, key in all_accounts(n_sites, accounts_per_site):
-        site = f"bank_{table.rsplit('_', 1)[1]}"
-        value = federation.peek(site, table, key)
-        total += value if value is not None else 0
-    return total

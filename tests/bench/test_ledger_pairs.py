@@ -74,3 +74,17 @@ def test_simulated_figures_must_match_and_wall_figures_may_move():
     assert pairs.mismatches(run, faster) == []
     moved = {**faster, "failed": 1, "metrics": {**faster["metrics"], "sim_p99_response": 13.0}}
     assert pairs.mismatches(run, moved) == ["failed", "sim_p99_response"]
+
+
+def test_the_report_prints_each_pair_ratio_and_their_quartiles():
+    pairs = load_pairs()
+    parent = [1.0, 2.0, 4.0, 5.0]
+    change = [0.5, 1.5, 2.0, 4.0]
+    assert pairs.ratios(parent, change) == [0.5, 0.75, 0.5, 0.8]
+    assert pairs.ratios([0.0, 2.0], [1.0, 1.0]) == [0.5]  # a zero parent has no ratio
+    metric = {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}
+    report = pairs.metric_report(metric, parent, change, [(1.0, 0.6)])
+    assert "change/parent per pair: 0.500 0.750 0.500 0.800" in report
+    assert "median 0.625 [0.500, 0.762]" in report
+    assert "change better in 4/4 pairs and 1/1 held out" in report
+    assert report.endswith("claim too few pairs")

@@ -8,7 +8,7 @@ from repro.errors import (
     KeyNotFound,
     UnknownTable,
 )
-from repro.localdb.engine import LocalDatabase
+from repro.localdb.engine import LocalDatabase, OpRecord
 from repro.localdb.txn import LocalAbortReason, LocalTxnState
 from tests.conftest import run
 
@@ -226,3 +226,18 @@ def test_abort_reason_classification():
         LocalAbortReason.SYSTEM,
     ):
         assert reason.erroneous
+
+
+def test_op_record_is_a_value():
+    """Keyword construction, field equality, hash and the dataclass repr."""
+    fields = dict(seq=3, txn_id="s:t1", gtxn_id="T1", kind="write", table="t", key="a")
+    record = OpRecord(**fields)
+    assert record == OpRecord(3, "s:t1", "T1", "write", "t", "a")
+    assert hash(record) == hash(OpRecord(**fields))
+    assert record != OpRecord(**{**fields, "key": "b"})
+    assert record != tuple(fields.values())
+    assert len({record, OpRecord(**fields)}) == 1
+    assert repr(record) == (
+        "OpRecord(seq=3, txn_id='s:t1', gtxn_id='T1', kind='write', table='t', key='a')"
+    )
+    assert record.writes and not OpRecord(**{**fields, "kind": "read"}).writes

@@ -1,14 +1,18 @@
 """``LocalDatabase.load``: a bulk insert that leaves what inserts leave.
 
-The federation seeds its pre-existing databases with :meth:`load`
-instead of one ``begin`` / ``insert`` per row / ``commit`` transaction
-per table.  The run that follows must not be able to tell: the stable
-log, the stable page images, the buffer pool (frame order, dirty set,
-recovery LSNs) and the op history must come out identical.
+The federation builds its pre-existing databases with
+:meth:`~LocalDatabase.load_table` -- the table defined and its rows
+loaded as state, no simulated empty-page writes -- instead of
+``create_table`` and one ``begin`` / ``insert`` per row / ``commit``
+transaction per table.  The run that follows must not be able to
+tell: the stable log, the stable page images, the buffer pool (frame
+order, dirty set, recovery LSNs) and the op history must come out
+identical, for ``load_table`` and for ``create_table`` + ``load``.
 """
 
 from __future__ import annotations
 
+from repro.integration.federation import Federation, FederationConfig, SiteSpec
 from repro.localdb.config import LocalDBConfig
 from repro.localdb.engine import LocalDatabase
 from repro.sim.kernel import Kernel
@@ -28,16 +32,28 @@ OPTIMISTIC = [
 ]
 
 
-def _loaded(db, table, rows):
-    db.load(table, rows)  # no simulated time: nothing to yield
+def _as_state(db, table, buckets, rows):
+    db.load_table(table, buckets, rows)  # no simulated time: nothing to yield
     yield from ()
 
 
-def _inserted(db, table, rows):
+def _loaded(db, table, buckets, rows):
+    yield from db.create_table(table, buckets)
+    db.load(table, rows)
+
+
+def _inserted(db, table, buckets, rows):
+    yield from db.create_table(table, buckets)
+    if not rows:
+        return
     txn = db.begin()
     for key, value in rows.items():
         yield from db.insert(txn, table, key, value)
     yield from db.commit(txn)
+
+
+#: The two bulk paths, each checked against ``_inserted``.
+BULK = (_as_state, _loaded)
 
 
 def _build(fill, tables, config):
@@ -45,8 +61,7 @@ def _build(fill, tables, config):
 
     def setup():
         for table, buckets, rows in tables:
-            yield from db.create_table(table, buckets)
-            yield from fill(db, table, rows)
+            yield from fill(db, table, buckets, rows)
 
     run(db.kernel, setup())
     return db
@@ -81,23 +96,34 @@ def _state(db, tables) -> dict:
 
 def test_load_leaves_what_inserts_leave():
     config = LocalDBConfig(buffer_capacity=64)
-    loaded = _state(_build(_loaded, PAGED, config), PAGED)
     inserted = _state(_build(_inserted, PAGED, config), PAGED)
-    assert len(loaded["frames"]) == 64 and loaded["dirty"]
-    assert loaded["tail"] == [] and loaded["flushed_lsn"] == loaded["next_lsn"] - 1
-    assert loaded == inserted
+    for fill in BULK:
+        loaded = _state(_build(fill, PAGED, config), PAGED)
+        assert len(loaded["frames"]) == 64 and loaded["dirty"]
+        assert loaded["tail"] == [] and loaded["flushed_lsn"] == loaded["next_lsn"] - 1
+        assert loaded == inserted, fill.__name__
 
 
 def test_optimistic_load_leaves_the_pages_and_pool_of_inserts():
     config = LocalDBConfig(scheduler="occ", buffer_capacity=4)
-    loaded = _state(_build(_loaded, OPTIMISTIC, config), OPTIMISTIC)
     inserted = _state(_build(_inserted, OPTIMISTIC, config), OPTIMISTIC)
     # An optimistic insert is recorded as a "write" when it installs.
-    del loaded["ops"], inserted["ops"]
-    assert loaded == inserted
+    del inserted["ops"]
+    for fill in BULK:
+        loaded = _state(_build(fill, OPTIMISTIC, config), OPTIMISTIC)
+        del loaded["ops"]
+        assert loaded == inserted, fill.__name__
 
 
-def _installs_ahead_of_the_log(monkeypatch) -> list[int]:
+def test_an_empty_table_as_state_is_what_create_table_writes():
+    tables = [("empty", 4, {}), *PAGED]
+    config = LocalDBConfig(buffer_capacity=64)
+    as_state = _build(_as_state, tables, config)
+    assert _state(as_state, tables) == _state(_build(_inserted, tables, config), tables)
+    assert as_state._txn_counter == len(PAGED)  # no transaction for no rows
+
+
+def _installs_ahead_of_the_log(monkeypatch, fill) -> list[int]:
     """Load PAGED, noting each page image installed before its log."""
     ahead: list[int] = []
     install = StableDisk.install_image
@@ -108,15 +134,44 @@ def _installs_ahead_of_the_log(monkeypatch) -> list[int]:
             ahead.append(image.page_id)
         install(disk, image)
 
-    monkeypatch.setattr(StableDisk, "install_image", checked)
-    _build(_loaded, PAGED, LocalDBConfig(buffer_capacity=64))
+    with monkeypatch.context() as patch:
+        patch.setattr(StableDisk, "install_image", checked)
+        _build(fill, PAGED, LocalDBConfig(buffer_capacity=64))
     return ahead
 
 
 def test_load_keeps_the_wal_rule(monkeypatch):
-    assert _installs_ahead_of_the_log(monkeypatch) == []
+    for fill in BULK:
+        assert _installs_ahead_of_the_log(monkeypatch, fill) == [], fill.__name__
 
 
 def test_the_wal_rule_check_sees_a_missing_log_cut(monkeypatch):
     monkeypatch.setattr(LogManager, "harden", lambda log, upto_lsn: None)
-    assert _installs_ahead_of_the_log(monkeypatch)
+    for fill in BULK:
+        assert _installs_ahead_of_the_log(monkeypatch, fill), fill.__name__
+
+
+def _refuse(name):
+    def refused(*_args, **_kwargs):
+        raise AssertionError(f"federation set-up called {name}")
+
+    return refused
+
+
+def test_a_federation_builds_its_tables_without_simulated_io(monkeypatch):
+    monkeypatch.setattr(Kernel, "run_alone", _refuse("Kernel.run_alone"))
+    monkeypatch.setattr(StableDisk, "write_image", _refuse("StableDisk.write_image"))
+    specs = [
+        SiteSpec(f"s{i}", tables={f"t{i}": {f"k{j}": j for j in range(96)}, f"e{i}": {}},
+                 preparable=True, buckets=32)
+        for i in range(2)
+    ]
+    fed = Federation(specs, FederationConfig(seed=1))  # with the commit-marker table
+    assert fed.kernel.now == 0
+    assert fed.peek("s0", "t0", "k95") == 95
+    engine = fed.engines["s0"]
+    assert all(
+        engine.disk.has_page(page_id)
+        for table in engine.catalog.table_names()
+        for page_id in engine.catalog.heap(table)
+    )

@@ -22,7 +22,7 @@ import pytest
 
 from repro.check import CheckSpec, explore_crash_points
 from repro.check.scenarios import CHECK_PROTOCOLS, MUTANTS
-from repro.core.invariants import atomicity_report, serializability_ok
+from repro.core.invariants import check_invariants
 from repro.core.protocols import (
     PROTOCOL_REGISTRY,
     chaos_matrix_protocols,
@@ -37,7 +37,7 @@ from repro.core.protocols import (
 from repro.faults import CHAOS_PROTOCOLS, ChaosSpec, FaultInjector, run_chaos
 from repro.bench.harness import protocol_federation
 from repro.integration.federation import SiteSpec
-from repro.workloads.banking import total_balance, transfer
+from repro.workloads.banking import all_accounts, transfer
 
 from tests.faults.test_chaos import assert_chaos_ok
 
@@ -98,6 +98,10 @@ def test_cli_accepts_every_checkable_protocol_and_mutant():
 # ----------------------------------------------------------------------
 
 
+#: Every account of :func:`run_battery` and its initial balance.
+ACCOUNTS = dict.fromkeys(all_accounts(2, 3), 100)
+
+
 def run_battery(protocol: str, granularity: str, seed: int):
     specs = [
         SiteSpec(
@@ -132,11 +136,10 @@ def run_battery(protocol: str, granularity: str, seed: int):
 def test_invariant_battery(protocol):
     info = protocol_info(protocol)
     fed = run_battery(protocol, info.granularity, seed=311)
-    assert total_balance(fed, 2, 3) == 600, "conservation broken"
-    report = atomicity_report(fed)
-    assert report.ok, report.violations
-    if info.serializable:
-        assert serializability_ok(fed)
+    violations = check_invariants(fed, conserved=ACCOUNTS)
+    if not info.serializable:
+        violations = [v for v in violations if v.invariant != "serializability"]
+    assert violations == []
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,7 @@ queues funnels through two methods: ``_schedule``, which
 only happens while ``Kernel.run`` drains a slot -- ``HeapKernel.run``
 never sets ``_live``, so under it every resume is an ordinary
 ``_schedule(0.0, ...)`` onto the heap.  ``Kernel.run_alone`` -- the
-federation's initial load -- asks the queue what is due through
+counter-site loader -- asks the queue what is due through
 ``_next_due``, which :class:`HeapKernel` also overrides.
 """
 

@@ -1,21 +1,27 @@
-"""``Kernel.run_alone``: set-up off the calendar, byte for byte.
+"""Set-up off the calendar, byte for byte.
 
-The federation's initial load and the counter-site loader drive their
-generators in place with :meth:`Kernel.run_alone` instead of spawning a
-process and running the calendar.  :class:`SpawnKernel` keeps the
-calendar path as the executable reference -- spawn, run, ``.value`` --
-in the way ``tests/sim/test_golden_identity.py`` keeps the heap loop.
-Every federation below is built both ways and must come out identical:
-clock, sequence number, dispatch count, trace, site metrics, stable
-logs and buffer pools.
+The counter-site loader drives its generator in place with
+:meth:`Kernel.run_alone` instead of spawning a process and running the
+calendar.  :class:`SpawnKernel` keeps the calendar path as the
+executable reference -- spawn, run, ``.value`` -- in the way
+``tests/sim/test_golden_identity.py`` keeps the heap loop.
+
+The federation's initial load takes no simulated time at all: each
+table is built as its final state (``LocalDatabase.load_table``).  Its
+reference is the calendar: :func:`_calendar_load` creates every table
+with ``create_table`` and fills each with one spawned begin / insert /
+commit.  Every federation below is built both ways and must come out
+identical -- clock, dispatch count, trace, site metrics, stable logs,
+stable pages and buffer pools -- except the kernel's sequence number,
+which differs by exactly the steps the calendar charged.
 """
 
 from __future__ import annotations
 
 import pytest
 
-import repro.integration.federation as federation_module
 from repro.core.gtm import GTMConfig
+from repro.core.redo import COMMITLOG_TABLE
 from repro.dataplane import PlacementSpec
 from repro.errors import KernelStopped, SimulationError
 from repro.faults.chaos import ChaosSpec, build_chaos_federation
@@ -48,11 +54,19 @@ def _kernel_state(kernel: Kernel) -> dict:
 
 
 def _engine_state(engine) -> dict:
+    catalog = engine.catalog
+    stable = {
+        page_id: engine.disk.stable_page(page_id)
+        for table in catalog.table_names()
+        for page_id in catalog.heap(table)
+    }
     return {
         "metrics": engine.metrics(),
         "stable_log": [repr(record) for record in engine.disk.stable_log()],
+        "pages": {page_id: (page.records, page.page_lsn) for page_id, page in stable.items()},
         "frames": list(engine.buffer._frames),
         "dirty": sorted(engine.buffer._dirty),
+        "rec_lsn": dict(engine.buffer._rec_lsn),
     }
 
 
@@ -61,6 +75,63 @@ def _fingerprint(fed: Federation) -> dict:
         **_kernel_state(fed.kernel),
         "sites": {name: _engine_state(engine) for name, engine in fed.engines.items()},
     }
+
+
+def _calendar_load(fed: Federation, site_specs: list[SiteSpec]) -> None:
+    """The reference loader: set-up as simulated work on the calendar.
+
+    One spawned process creates every table (``create_table``: an empty
+    page write per page), then one spawned begin / insert / commit per
+    table fills it, each run to the end before the next.  Records the
+    sequence numbers each phase took on ``fed.charged``.
+    """
+    kernel = fed.kernel
+    kernel.run()
+    trace = kernel.trace
+    tracing, trace.enabled = trace.enabled, False
+    tables = []  # (engine, table, buckets, rows), in the loader's order
+    for spec in site_specs:
+        engine = fed.engines[spec.name]
+        if fed.config.log_placement == "indb":
+            tables.append((engine, COMMITLOG_TABLE, 2, {}))
+        tables.extend((engine, table, spec.buckets, rows) for table, rows in spec.tables.items())
+    if fed.dataplane is not None:
+        for partition in fed.dataplane.map.partitions:
+            spec = fed.dataplane.map.spec_for(partition.table)
+            rows = fed.dataplane.map.initial_rows(partition)
+            tables.extend(
+                (fed.engines[member], partition.local_table, spec.buckets, rows)
+                for member in partition.members
+            )
+
+    def create():
+        for engine, table, buckets, _rows in tables:
+            yield from engine.create_table(table, buckets)
+
+    def fill(engine, table, rows):
+        txn = engine.begin()
+        for key, value in rows.items():
+            yield from engine.insert(txn, table, key, value)
+        yield from engine.commit(txn)
+
+    start = kernel._sequence
+    kernel.spawn(create(), name="create")
+    kernel.run()
+    created = kernel._sequence - start
+    for engine, table, _buckets, rows in tables:
+        if rows:
+            kernel.spawn(fill(engine, table, rows), name="fill")
+            kernel.run()
+    fed.charged = {
+        "pages": sum(buckets for _e, _t, buckets, _r in tables),
+        "create": created,
+        "fill": kernel._sequence - start - created,
+    }
+    trace.enabled = tracing
+    kernel._now = 0.0
+    kernel.events_dispatched = 0
+    for engine in fed.engines.values():
+        engine.zero_counters()
 
 
 def _paged() -> Federation:
@@ -110,15 +181,21 @@ def _chaos() -> Federation:
 @pytest.mark.parametrize("build", [_paged, _placed, _paxos, _chaos])
 def test_federation_load_matches_the_calendar(monkeypatch, build):
     reset_message_ids()
-    alone = _fingerprint(build())
+    as_state = _fingerprint(build())
     with monkeypatch.context() as patch:
-        patch.setattr(federation_module, "Kernel", SpawnKernel)
+        patch.setattr(Federation, "_load_initial_data", _calendar_load)
         reset_message_ids()
         fed = build()
-        assert isinstance(fed.kernel, SpawnKernel)
         reference = _fingerprint(fed)
-    assert alone["trace"] == reference["trace"]
-    assert alone == reference
+    charged = fed.charged
+    # The calendar charges the create process's spawn and one step per
+    # empty-page write; the fills charge their own steps.
+    assert charged["create"] == 1 + charged["pages"]
+    assert reference.pop("sequence") - as_state.pop("sequence") == (
+        charged["create"] + charged["fill"]
+    )
+    assert as_state["trace"] == reference["trace"]
+    assert as_state == reference
 
 
 def test_paged_load_evicts():

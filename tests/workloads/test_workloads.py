@@ -9,9 +9,10 @@ from repro.workloads import (
     WorkloadSpec,
     balance_audit,
     build_banking_federation,
-    total_balance,
     transfer,
 )
+from repro.core.invariants import check_invariants
+from repro.workloads.banking import all_accounts
 from repro.workloads.counters import build_counter_site, counter_transactions
 
 
@@ -91,13 +92,13 @@ def test_balance_audit_reads_only():
 
 def test_banking_federation_conserves_money():
     fed = build_banking_federation(n_sites=2, accounts_per_site=3, initial_balance=100)
-    initial = total_balance(fed, 2, 3)
-    assert initial == 600
+    accounts = dict.fromkeys(all_accounts(2, 3), 100)
+    assert check_invariants(fed, conserved=accounts) == []  # funded as declared
     rng = random.Random(8)
     batches = [{"operations": transfer(rng, 2, 3)} for _ in range(5)]
     outcomes = fed.run_transactions(batches)
     assert all(o.committed for o in outcomes)
-    assert total_balance(fed, 2, 3) == 600
+    assert check_invariants(fed, conserved=accounts) == []
 
 
 def test_counter_site_figure8_layout(kernel):
