@@ -190,28 +190,34 @@ class LocalDatabase:
 
         Builds the log, pages and buffer pool ``begin`` / :meth:`insert`
         per row / :meth:`commit` would leave, in no simulated time: the
-        database exists before the run starts (``BufferPool.load``).
-        The whole transaction is logged and made stable first, so every
-        page the placement evicts already has its log on disk.
+        database exists before the run starts.  The whole transaction
+        is logged in one batch and made stable first, so every page the
+        placement (``BufferPool.place``) evicts already has its log on
+        disk.
         """
         txn = self.begin()
+        log = self.log
+        txn_id = txn.txn_id
         if self.config.scheduler == "occ":
             # An optimistic transaction logs its begin when it installs.
-            txn.last_lsn = self.log.append(
-                lambda lsn: BeginRecord(lsn=lsn, txn_id=txn.txn_id, prev_lsn=0)
-            ).lsn
-        heap = self.catalog.heap(table)
-        placed = []
-        for key, value in rows.items():
-            page_id = heap.page_of(key)
-            lsn = self._log_update(txn, table, key, None, value, page_id).lsn
-            placed.append((page_id, key, value, lsn))
-            self._record_op(txn, "insert", table, key)
-        self.log.harden(self._append_commit_record(txn))
-        buffer = self.buffer
-        for page_id, key, value, lsn in placed:
-            buffer.load(page_id, table).put(key, value, lsn)
-            buffer.mark_dirty(page_id, lsn)
+            txn.last_lsn = log.append(BeginRecord(log.next_lsn, txn_id, 0)).lsn
+        page_of = self.catalog.heap(table).page_of
+        updates = []
+        prev_lsn = txn.last_lsn
+        for lsn, (key, value) in enumerate(rows.items(), log.next_lsn):
+            updates.append(
+                UpdateRecord(lsn, txn_id, prev_lsn, table, key, None, value, page_of(key))
+            )
+            prev_lsn = lsn
+        log.extend(updates)
+        self.op_history.extend(
+            OpRecord(seq, txn_id, None, "insert", table, key)
+            for seq, key in enumerate(rows, self._op_seq + 1)
+        )
+        self._op_seq += len(rows)
+        txn.last_lsn = prev_lsn
+        log.harden(self._append_commit_record(txn))
+        self.buffer.place(table, updates)
         self._finalize_commit(txn)
 
     def pin_key(self, table: str, key: Any, bucket_index: int) -> None:
@@ -233,7 +239,7 @@ class LocalDatabase:
         self._txns[txn_id] = txn
         if self.config.scheduler == "2pl":
             record = self.log.append(
-                lambda lsn: BeginRecord(lsn=lsn, txn_id=txn_id, prev_lsn=0)
+                BeginRecord(lsn=self.log.next_lsn, txn_id=txn_id, prev_lsn=0)
             )
             txn.first_lsn = record.lsn
             txn.last_lsn = record.lsn
@@ -435,8 +441,11 @@ class LocalDatabase:
             # the final commit record.
             yield from self._occ_install(txn)
         record = self.log.append(
-            lambda lsn: PrepareRecord(
-                lsn=lsn, txn_id=txn.txn_id, prev_lsn=txn.last_lsn, gtxn_id=txn.gtxn_id
+            PrepareRecord(
+                lsn=self.log.next_lsn,
+                txn_id=txn.txn_id,
+                prev_lsn=txn.last_lsn,
+                gtxn_id=txn.gtxn_id,
             )
         )
         txn.last_lsn = record.lsn
@@ -504,8 +513,8 @@ class LocalDatabase:
         yield from self.buffer.flush_all()
         active = {t.txn_id: t.last_lsn for t in self._txns.values() if t.active}
         record = self.log.append(
-            lambda lsn: CheckpointRecord(
-                lsn=lsn, txn_id="", prev_lsn=0, active_txns=active
+            CheckpointRecord(
+                lsn=self.log.next_lsn, txn_id="", prev_lsn=0, active_txns=active
             )
         )
         yield from self.log.force(record.lsn)
@@ -727,8 +736,8 @@ class LocalDatabase:
         page_id: int,
     ) -> UpdateRecord:
         record = self.log.append(
-            lambda lsn: UpdateRecord(
-                lsn=lsn,
+            UpdateRecord(
+                lsn=self.log.next_lsn,
                 txn_id=txn.txn_id,
                 prev_lsn=txn.last_lsn,
                 table=table,
@@ -781,7 +790,7 @@ class LocalDatabase:
     def _append_commit_record(self, txn: LocalTransaction) -> int:
         txn.finishing = True
         record = self.log.append(
-            lambda lsn: CommitRecord(lsn=lsn, txn_id=txn.txn_id, prev_lsn=txn.last_lsn)
+            CommitRecord(lsn=self.log.next_lsn, txn_id=txn.txn_id, prev_lsn=txn.last_lsn)
         )
         txn.last_lsn = record.lsn
         return record.lsn
@@ -811,7 +820,9 @@ class LocalDatabase:
         else:
             yield from self._undo_chain(txn)
             record = self.log.append(
-                lambda lsn: AbortRecord(lsn=lsn, txn_id=txn.txn_id, prev_lsn=txn.last_lsn)
+                AbortRecord(
+                    lsn=self.log.next_lsn, txn_id=txn.txn_id, prev_lsn=txn.last_lsn
+                )
             )
             txn.last_lsn = record.lsn
         txn.state = LocalTxnState.ABORTED
@@ -847,16 +858,16 @@ class LocalDatabase:
                             table=record.table, key=record.key,
                         )
                 clr = self.log.append(
-                    lambda l, r=record: CompensationRecord(
-                        lsn=l,
+                    CompensationRecord(
+                        lsn=self.log.next_lsn,
                         txn_id=txn.txn_id,
                         prev_lsn=txn.last_lsn,
-                        table=r.table,
-                        key=r.key,
-                        after=r.before,
-                        page_id=r.page_id,
-                        undo_of_lsn=r.lsn,
-                        undo_next_lsn=r.prev_lsn,
+                        table=record.table,
+                        key=record.key,
+                        after=record.before,
+                        page_id=record.page_id,
+                        undo_of_lsn=record.lsn,
+                        undo_next_lsn=record.prev_lsn,
                     )
                 )
                 txn.last_lsn = clr.lsn
@@ -907,7 +918,7 @@ class LocalDatabase:
                 raise TransactionAborted(txn.txn_id, LocalAbortReason.VALIDATION)
             if txn.workspace:
                 record = self.log.append(
-                    lambda lsn: BeginRecord(lsn=lsn, txn_id=txn.txn_id, prev_lsn=0)
+                    BeginRecord(lsn=self.log.next_lsn, txn_id=txn.txn_id, prev_lsn=0)
                 )
                 txn.last_lsn = record.lsn
                 for (table, key), (kind, value) in list(txn.workspace.items()):

@@ -109,16 +109,16 @@ def _undo(
             if isinstance(record, UpdateRecord):
                 heap = engine.catalog.heap(record.table)
                 clr = engine.log.append(
-                    lambda lsn, r=record, p=undo_point: CompensationRecord(
-                        lsn=lsn,
+                    CompensationRecord(
+                        lsn=engine.log.next_lsn,
                         txn_id=txn_id,
-                        prev_lsn=p,
-                        table=r.table,
-                        key=r.key,
-                        after=r.before,
-                        page_id=r.page_id,
-                        undo_of_lsn=r.lsn,
-                        undo_next_lsn=r.prev_lsn,
+                        prev_lsn=undo_point,
+                        table=record.table,
+                        key=record.key,
+                        after=record.before,
+                        page_id=record.page_id,
+                        undo_of_lsn=record.lsn,
+                        undo_next_lsn=record.prev_lsn,
                     )
                 )
                 undo_point = clr.lsn
@@ -133,7 +133,7 @@ def _undo(
             else:
                 chain_lsn = record.prev_lsn
         engine.log.append(
-            lambda lsn, p=undo_point: AbortRecord(lsn=lsn, txn_id=txn_id, prev_lsn=p)
+            AbortRecord(lsn=engine.log.next_lsn, txn_id=txn_id, prev_lsn=undo_point)
         )
     return undone
 

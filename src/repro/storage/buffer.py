@@ -10,13 +10,13 @@ page's LSN (the write-ahead rule).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator, Iterable, Optional
 
 from repro.storage.page import Page
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.storage.disk import StableDisk
-    from repro.storage.wal import LogManager
+    from repro.storage.wal import LogManager, UpdateRecord
 
 
 class BufferPool:
@@ -57,30 +57,48 @@ class BufferPool:
         self._frames[page_id] = page
         return page
 
-    def load(self, page_id: int, table: str) -> Page:
-        """:meth:`fetch` with no I/O, for building a pre-existing database.
+    def place(self, table: str, updates: Iterable[UpdateRecord]) -> None:
+        """Apply logged inserts into ``table`` with no I/O, in log order.
 
-        The same victims leave in the same order, a dirty one after the
-        log covering it is stable; its dropped frame becomes its image.
-        A page with no stable image yet comes in as a fresh empty page
-        of ``table``: what ``HeapFile.initialize`` would have written.
+        For building a pre-existing database: the pool ends as a
+        :meth:`fetch` / ``put`` / :meth:`mark_dirty` per update would
+        leave it.  The same victims leave in the same order, a dirty
+        one after the log covering it is stable; its dropped frame
+        becomes its image.  A page with no stable image yet comes in as
+        a fresh empty page of ``table``: what ``HeapFile.initialize``
+        would have written.
         """
-        page = self._frames.get(page_id)
-        if page is not None:
-            self._frames.move_to_end(page_id)
-            return page
-        while len(self._frames) >= self.capacity:
-            _, victim = self._frames.popitem(last=False)  # LRU first
-            if victim.page_id in self._dirty:
-                self._log.harden(victim.page_lsn)  # the WAL rule
-                self._disk.install_image(victim)
-                self._dirty.discard(victim.page_id)
-                self._rec_lsn.pop(victim.page_id, None)
-        page = self._disk.stable_page(page_id)
-        if page is None:
-            page = Page(page_id, table)
-        self._frames[page_id] = page
-        return page
+        frames = self._frames
+        dirty = self._dirty
+        rec_lsn = self._rec_lsn
+        log = self._log
+        disk = self._disk
+        capacity = self.capacity
+        for update in updates:
+            page_id = update.page_id
+            page = frames.get(page_id)
+            if page is not None:
+                frames.move_to_end(page_id)
+            else:
+                if len(frames) >= capacity:
+                    _, victim = frames.popitem(last=False)  # LRU first
+                    if victim.page_id in dirty:
+                        if victim.page_lsn > log.flushed_lsn:
+                            log.harden(victim.page_lsn)  # the WAL rule
+                        disk.install_image(victim)
+                        dirty.discard(victim.page_id)
+                        rec_lsn.pop(victim.page_id, None)
+                page = disk.stable_page(page_id)
+                if page is None:
+                    page = Page(page_id, table)
+                frames[page_id] = page
+            lsn = update.lsn
+            page.records[update.key] = update.after  # Page.put, inlined
+            if lsn > page.page_lsn:
+                page.page_lsn = lsn
+            if page_id not in dirty:
+                dirty.add(page_id)
+                rec_lsn[page_id] = lsn
 
     def mark_dirty(self, page_id: int, lsn: int = 0) -> None:
         """Record that the resident image differs from the disk image.

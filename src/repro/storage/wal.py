@@ -20,7 +20,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class LogRecord:
-    """Base class for all log records; ``lsn`` is assigned on append.
+    """Base class for all log records.
+
+    A record is built with the LSN it will get: the log's
+    :attr:`~LogManager.next_lsn` when it is appended on its own, the
+    next ones in turn for a batch (:meth:`LogManager.extend`).
 
     The record classes are hand-written ``__slots__`` classes rather
     than frozen dataclasses: a commit appends eight of them, and the
@@ -212,20 +216,29 @@ class LogManager:
     def next_lsn(self) -> int:
         return self._next_lsn
 
-    def append(self, make_record) -> LogRecord:
-        """Append a record built by ``make_record(lsn)``; returns it.
-
-        ``make_record`` receives the assigned LSN so frozen dataclasses
-        can be constructed in one step.
-        """
+    def append(self, record: LogRecord) -> LogRecord:
+        """Append ``record``, built with :attr:`next_lsn`; returns it."""
         lsn = self._next_lsn
-        self._next_lsn += 1
-        record = make_record(lsn)
         assert record.lsn == lsn, "record must carry the assigned LSN"
+        self._next_lsn = lsn + 1
         self._tail.append(record)
         self._index[lsn] = record
         self.appended += 1
         return record
+
+    def extend(self, records: list[LogRecord]) -> None:
+        """Append ``records``, built with consecutive LSNs from :attr:`next_lsn`."""
+        if not records:
+            return
+        first = self._next_lsn
+        following = first + len(records)
+        assert records[0].lsn == first and records[-1].lsn == following - 1, (
+            "records must carry consecutive LSNs from next_lsn"
+        )
+        self._next_lsn = following
+        self._tail.extend(records)
+        self._index.update(zip(map(_record_lsn, records), records))
+        self.appended += len(records)
 
     def record_at(self, lsn: int) -> LogRecord:
         """The record with the given LSN (volatile index, rebuilt on restart)."""

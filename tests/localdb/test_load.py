@@ -12,6 +12,10 @@ identical, for ``load_table`` and for ``create_table`` + ``load``.
 
 from __future__ import annotations
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.integration.federation import Federation, FederationConfig, SiteSpec
 from repro.localdb.config import LocalDBConfig
 from repro.localdb.engine import LocalDatabase
@@ -175,3 +179,77 @@ def test_a_federation_builds_its_tables_without_simulated_io(monkeypatch):
         for table in engine.catalog.table_names()
         for page_id in engine.catalog.heap(table)
     )
+
+
+def _pinning(fill, pins):
+    """``fill`` with ``pins`` (table -> {key: bucket}) pinned as soon as
+    each table is defined, before any of its rows is placed."""
+
+    def pinned(db, table, buckets, rows):
+        def define_and_pin(name, bucket_count):
+            heap = LocalDatabase._define_table(db, name, bucket_count)
+            for key, bucket in pins.get(name, {}).items():
+                db.pin_key(name, key, bucket)
+            return heap
+
+        db._define_table = define_and_pin
+        yield from fill(db, table, buckets, rows)
+
+    return pinned
+
+
+@st.composite
+def _layouts(draw):
+    """1-3 tables of 1-64 buckets and 0-200 rows, some keys pinned."""
+    tables, pins = [], {}
+    for index in range(draw(st.integers(1, 3))):
+        name = f"t{index}"
+        buckets = draw(st.integers(1, 64))
+        rows = {f"{name}-{j}": j for j in range(draw(st.integers(0, 200)))}
+        pinned = draw(st.lists(st.sampled_from(sorted(rows)), unique=True)) if rows else []
+        pins[name] = {key: draw(st.integers(0, buckets - 1)) for key in pinned}
+        tables.append((name, buckets, rows))
+    return tables, pins
+
+
+@given(
+    layout=_layouts(),
+    capacity=st.integers(1, 16),
+    scheduler=st.sampled_from(["2pl", "occ"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_load_table_leaves_what_inserts_leave_for_any_layout(layout, capacity, scheduler):
+    """Small pools evict and reload pages mid-load, pins pile rows onto
+    one page: the bulk placement must still end where inserts end."""
+    tables, pins = layout
+    config = LocalDBConfig(scheduler=scheduler, buffer_capacity=capacity)
+    inserted = _state(_build(_pinning(_inserted, pins), tables, config), tables)
+    loaded = _state(_build(_pinning(_as_state, pins), tables, config), tables)
+    if scheduler == "occ":
+        # An optimistic insert is recorded as a "write" when it installs.
+        del inserted["ops"], loaded["ops"]
+    assert loaded == inserted
+
+
+@pytest.mark.parametrize("scheduler", ["2pl", "occ"])
+def test_a_load_appends_its_rows_as_one_batch(monkeypatch, scheduler):
+    """``LogManager.append`` sees a load's begin and commit records only:
+    its updates go in through ``LogManager.extend``, whatever the size."""
+    appended: list[str] = []
+    append = LogManager.append
+
+    def counted(log, record):
+        appended.append(type(record).__name__)
+        return append(log, record)
+
+    monkeypatch.setattr(LogManager, "append", counted)
+    per_load = []
+    for count in (512, 5):
+        db = LocalDatabase(
+            Kernel(seed=1), "site", LocalDBConfig(scheduler=scheduler, buffer_capacity=64)
+        )
+        appended.clear()
+        db.load_table("t", 512, {f"k{j}": j for j in range(count)})
+        assert db.log.next_lsn == count + 3
+        per_load.append(list(appended))
+    assert per_load[0] == per_load[1] == ["BeginRecord", "CommitRecord"]

@@ -82,10 +82,10 @@ def test_wal_rule_forces_log_before_flush(kernel):
     seed_pages(kernel, disk, 2)
 
     def proc():
-        log.append(lambda lsn: BeginRecord(lsn=lsn, txn_id="t", prev_lsn=0))
+        log.append(BeginRecord(lsn=log.next_lsn, txn_id="t", prev_lsn=0))
         record = log.append(
-            lambda lsn: UpdateRecord(
-                lsn=lsn, txn_id="t", prev_lsn=1,
+            UpdateRecord(
+                lsn=log.next_lsn, txn_id="t", prev_lsn=1,
                 table="t", key="k", before=None, after=1, page_id=0,
             )
         )

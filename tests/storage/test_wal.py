@@ -16,7 +16,7 @@ def make_log(kernel):
 
 
 def append_begin(log, txn_id="t1"):
-    return log.append(lambda lsn: BeginRecord(lsn=lsn, txn_id=txn_id, prev_lsn=0))
+    return log.append(BeginRecord(lsn=log.next_lsn, txn_id=txn_id, prev_lsn=0))
 
 
 def test_lsns_monotonic_from_one(kernel):
@@ -139,6 +139,6 @@ def test_commit_record_chain(kernel):
     _, log = make_log(kernel)
     begin = append_begin(log)
     commit = log.append(
-        lambda lsn: CommitRecord(lsn=lsn, txn_id="t1", prev_lsn=begin.lsn)
+        CommitRecord(lsn=log.next_lsn, txn_id="t1", prev_lsn=begin.lsn)
     )
     assert commit.prev_lsn == begin.lsn
