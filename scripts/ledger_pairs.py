@@ -1,14 +1,15 @@
 """Alternating parent/change pairs of the commit ledger, with a verdict.
 
-Runs ``benchmarks/ledger/run.py`` for one workload in two checkouts --
-a parent tree and a change tree -- once per seed, alternating which
-side goes first (even-indexed pairs run the parent first).  Each run is
-the ledger's own contract command::
+Runs ``benchmarks/ledger/run.py`` for each workload given in two
+checkouts -- a parent tree and a change tree -- once per seed,
+alternating which side goes first (within each workload, even-indexed
+pairs run the parent first).  Each run is the ledger's own contract
+command::
 
     python3 benchmarks/ledger/run.py --workload W --seed N --seconds S --trace 0
 
 and only its last output line (the result JSON) is read.  Then it
-prints
+prints one verdict block per workload:
 
 * one row per pair: every wall-clock metric, parent -> change;
 * per metric: each side's median [q1, q3], the change in the medians,
@@ -28,8 +29,11 @@ move the simulation.  Any difference, or a failed run, exits 1.
 Usage (from the repo root)::
 
     python3 scripts/ledger_pairs.py --parent ../parent --change . \\
-        --workload commit_matrix --seeds 2 3 4 5 6 7 8 9 10 11 \\
-        --held-out 97 [--seconds 24] [--json pairs.json]
+        --workload commit_matrix [contended_mix ...] \\
+        --seeds 2 3 4 5 6 7 8 9 10 11 --held-out 97 [--seconds 24] \\
+        [--json pairs.json]
+
+``--json`` writes every run, as ``{workload: [pair, ...]}``.
 """
 
 from __future__ import annotations
@@ -147,12 +151,65 @@ def metric_report(
     )
 
 
+def moved(pairs: list[dict]) -> dict[int, list[str]]:
+    """Seed -> the fields of its pair that must be equal but differ."""
+    found = {p["seed"]: mismatches(p["parent"], p["change"]) for p in pairs}
+    return {seed: names for seed, names in found.items() if names}
+
+
+def run_pairs(
+    sides: dict[str, pathlib.Path], workload: str, seeds: list[int], seconds: float
+) -> list[dict]:
+    """One pair per seed; even-indexed pairs run the parent first."""
+    pairs = []
+    for index, seed in enumerate(seeds):
+        order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+        runs = {side: run_ledger(sides[side], workload, seed, seconds) for side in order}
+        pairs.append({"seed": seed, "first": order[0], **runs})
+        print(f"{workload} pair {index}: seed {seed}, {order[0]} first", flush=True)
+    return pairs
+
+
+def workload_report(
+    contract: dict, workload: str, seconds: float, pairs: list[dict], claimed: int
+) -> str:
+    """One workload's verdict block: every pair, then every timed metric.
+
+    The first ``claimed`` pairs are the claim's; the rest are held out.
+    """
+    timed = [m for m in contract["end_to_end"] if not must_match(m["name"])]
+    lines = [f"{workload}, --seconds {seconds:g}: parent -> change"]
+    for pair in pairs:
+        cells = "  ".join(
+            f"{m['name']} {pair['parent']['metrics'][m['name']]:.4g} -> "
+            f"{pair['change']['metrics'][m['name']]:.4g}" for m in timed
+        )
+        lines.append(f"  seed {pair['seed']:>4}  {cells}")
+    for metric in timed:
+        name = metric["name"]
+        parent = [p["parent"]["metrics"][name] for p in pairs[:claimed]]
+        change = [p["change"]["metrics"][name] for p in pairs[:claimed]]
+        held_out = [
+            (p["parent"]["metrics"][name], p["change"]["metrics"][name])
+            for p in pairs[claimed:]
+        ]
+        lines.append("\n" + metric_report(metric, parent, change, held_out))
+    shifted = moved(pairs)
+    if shifted:
+        lines.append(f"\nSIMULATION MOVED (must be identical): {shifted}")
+    else:
+        lines.append(
+            "\nevery sim_* metric, served_share, attempted and failed identical in every pair"
+        )
+    return "\n".join(lines)
+
+
 def main(argv: list[str] | None = None) -> int:
     contract = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=pathlib.Path, required=True)
     parser.add_argument("--change", type=pathlib.Path, required=True)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", nargs="+", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--held-out", type=int, nargs="*", default=[])
     parser.add_argument("--seconds", type=float, default=contract["run_seconds"])
@@ -160,40 +217,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    pairs = []
-    for index, seed in enumerate(args.seeds + args.held_out):
-        order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
-        runs = {side: run_ledger(sides[side], args.workload, seed, args.seconds) for side in order}
-        pairs.append({"seed": seed, "first": order[0], **runs})
-        print(f"pair {index}: seed {seed}, {order[0]} first", flush=True)
+    runs = {
+        workload: run_pairs(sides, workload, args.seeds + args.held_out, args.seconds)
+        for workload in args.workload
+    }
     if args.json:
-        args.json.write_text(json.dumps(pairs, indent=1) + "\n")
-
-    timed = [m for m in contract["end_to_end"] if not must_match(m["name"])]
-    print(f"\n{args.workload}, --seconds {args.seconds:g}: parent -> change")
-    for pair in pairs:
-        cells = "  ".join(
-            f"{m['name']} {pair['parent']['metrics'][m['name']]:.4g} -> "
-            f"{pair['change']['metrics'][m['name']]:.4g}" for m in timed
-        )
-        print(f"  seed {pair['seed']:>4}  {cells}")
-
-    claimed = pairs[:len(args.seeds)]
-    held = pairs[len(args.seeds):]
-    for metric in timed:
-        name = metric["name"]
-        parent = [p["parent"]["metrics"][name] for p in claimed]
-        change = [p["change"]["metrics"][name] for p in claimed]
-        held_out = [(p["parent"]["metrics"][name], p["change"]["metrics"][name]) for p in held]
-        print("\n" + metric_report(metric, parent, change, held_out))
-
-    moved = {p["seed"]: mismatches(p["parent"], p["change"]) for p in pairs}
-    moved = {seed: names for seed, names in moved.items() if names}
-    if moved:
-        print(f"\nSIMULATION MOVED (must be identical): {moved}")
-        return 1
-    print("\nevery sim_* metric, served_share, attempted and failed identical in every pair")
-    return 0
+        args.json.write_text(json.dumps(runs, indent=1) + "\n")
+    for workload, pairs in runs.items():
+        print("\n" + workload_report(contract, workload, args.seconds, pairs, len(args.seeds)))
+    return 1 if any(moved(pairs) for pairs in runs.values()) else 0
 
 
 if __name__ == "__main__":

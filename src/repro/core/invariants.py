@@ -12,9 +12,10 @@ The paper's correctness obligations, verified on actual executions:
 * **Conservation** -- a workload of balanced transfers leaves the total
   over the cells it declares unchanged.
 
-The atomicity checker works off each engine's transaction history:
-forward local transactions carry their global transaction id, inverse
-transactions the id suffixed with ``!undo``.
+The atomicity checker works off each engine's record of committed
+subtransactions (``LocalDatabase.committed_globals``): forward local
+transactions carry their global transaction id, inverse transactions
+the id suffixed with ``!undo``.
 """
 
 from __future__ import annotations
@@ -62,24 +63,19 @@ def _base_id(gtxn_id: str) -> str:
 def atomicity_report(federation: "Federation") -> AtomicityReport:
     """Audit every finished global transaction for exactly-once effects."""
     report = AtomicityReport()
-    # Per (gtxn, site): committed forward and committed inverse txn counts,
-    # and the number of write operations those forward txns performed.
+    # Per (gtxn, site): committed forward and committed inverse txn counts.
     committed_fw: dict[tuple[str, str], int] = {}
     committed_undo: dict[tuple[str, str], int] = {}
-    fw_writes: dict[tuple[str, str], int] = {}
     for site, engine in federation.engines.items():
-        for txn in engine._txns.values():
-            if txn.gtxn_id is None or txn.state.value != "committed":
-                continue
-            if txn.gtxn_id.endswith("!undo"):
-                key = (_base_id(txn.gtxn_id[: -len("!undo")]), site)
+        for gtxn_id, wrote in engine.committed_globals:
+            if gtxn_id.endswith("!undo"):
+                key = (_base_id(gtxn_id[: -len("!undo")]), site)
                 committed_undo[key] = committed_undo.get(key, 0) + 1
-            elif txn.write_set:
+            elif wrote:
                 # Read-only L0 transactions owe no durable effect and
                 # are excluded from the exactly-once accounting.
-                key = (_base_id(txn.gtxn_id), site)
+                key = (_base_id(gtxn_id), site)
                 committed_fw[key] = committed_fw.get(key, 0) + 1
-                fw_writes[key] = fw_writes.get(key, 0) + len(txn.write_set)
 
     protocol = federation.gtm.config.protocol
     # Protocols that execute one L0 transaction per action when the

@@ -121,7 +121,15 @@ class LocalDatabase:
         )
         self.catalog = Catalog(self.disk)
         self.crashed = False
+        # The transaction table: running and ready transactions only, in
+        # begin order.  An ended transaction is forgotten and leaves a
+        # tombstone: its id in ``committed_txn_ids`` or its abort reason
+        # in ``_abort_reasons``, plus, for a committed subtransaction of
+        # a global one, ``(gtxn_id, wrote_anything)`` in
+        # ``committed_globals`` for the atomicity audit.
         self._txns: dict[str, LocalTransaction] = {}
+        self._abort_reasons: dict[str, LocalAbortReason] = {}
+        self.committed_globals: list[tuple[str, bool]] = []
         self._txn_counter = 0
         # Optimistic scheduler state.
         self._commit_seq = 0
@@ -210,8 +218,10 @@ class LocalDatabase:
             )
             prev_lsn = lsn
         log.extend(updates)
+        # An optimistic insert installs as a "write" (see _occ_install).
+        kind = "write" if self.config.scheduler == "occ" else "insert"
         self.op_history.extend(
-            OpRecord(seq, txn_id, None, "insert", table, key)
+            OpRecord(seq, txn_id, None, kind, table, key)
             for seq, key in enumerate(rows, self._op_seq + 1)
         )
         self._op_seq += len(rows)
@@ -234,10 +244,13 @@ class LocalDatabase:
             raise SiteCrashed(f"{self.site} is down")
         self._txn_counter += 1
         txn_id = f"{self.site}:t{self._txn_counter}"
-        txn = LocalTransaction(txn_id, self.kernel.now, start_commit_seq=self._commit_seq)
+        optimistic = self.config.scheduler == "occ"
+        txn = LocalTransaction(
+            txn_id, self.kernel.now, start_commit_seq=self._commit_seq, optimistic=optimistic
+        )
         txn.gtxn_id = gtxn_id
         self._txns[txn_id] = txn
-        if self.config.scheduler == "2pl":
+        if not optimistic:
             record = self.log.append(
                 BeginRecord(lsn=self.log.next_lsn, txn_id=txn_id, prev_lsn=0)
             )
@@ -247,15 +260,27 @@ class LocalDatabase:
         return txn
 
     def txn(self, txn_id: str) -> LocalTransaction:
-        if txn_id not in self._txns:
+        """The live transaction ``txn_id``, or its tombstone if it ended.
+
+        A tombstone (:meth:`LocalTransaction.tombstone`) answers every
+        data operation, ``commit`` and ``abort`` as the ended
+        transaction would: the same state, exception and reason.
+        """
+        txn = self._txns.get(txn_id)
+        if txn is not None:
+            return txn
+        if txn_id in self.committed_txn_ids:
+            return LocalTransaction.tombstone(txn_id, LocalTxnState.COMMITTED, None)
+        reason = self._abort_reasons.get(txn_id)
+        if reason is None:
             raise InvalidTransactionState(f"unknown transaction {txn_id}")
-        return self._txns[txn_id]
+        return LocalTransaction.tombstone(txn_id, LocalTxnState.ABORTED, reason)
 
     def active_txns(self) -> list[LocalTransaction]:
-        return [t for t in self._txns.values() if t.active]
+        return list(self._txns.values())
 
     def find_by_gtxn(self, gtxn_id: str) -> Optional[LocalTransaction]:
-        """Latest local transaction belonging to ``gtxn_id``, if any."""
+        """Latest live local transaction belonging to ``gtxn_id``, if any."""
         found = None
         for txn in self._txns.values():
             if txn.gtxn_id == gtxn_id:
@@ -271,6 +296,7 @@ class LocalDatabase:
         yield from self._pre_op(txn)
         if self.config.scheduler == "occ":
             value = yield from self._occ_read(txn, table, key)
+            txn.read_set.add((table, key))
         else:
             heap = self.catalog.heap(table)
             page_id = heap.page_of(key)
@@ -279,7 +305,6 @@ class LocalDatabase:
                 self._note_dirty_read(txn, (table, page_id))
             value = yield from heap.read(key)
             self._check_txn(txn)
-        txn.read_set.add((table, key))
         self._record_op(txn, "read", table, key)
         return value
 
@@ -511,18 +536,14 @@ class LocalDatabase:
         log records dropped.
         """
         yield from self.buffer.flush_all()
-        active = {t.txn_id: t.last_lsn for t in self._txns.values() if t.active}
+        active = {t.txn_id: t.last_lsn for t in self._txns.values()}
         record = self.log.append(
             CheckpointRecord(
                 lsn=self.log.next_lsn, txn_id="", prev_lsn=0, active_txns=active
             )
         )
         yield from self.log.force(record.lsn)
-        candidates = [
-            t.first_lsn
-            for t in self._txns.values()
-            if t.active and t.first_lsn > 0
-        ]
+        candidates = [t.first_lsn for t in self._txns.values() if t.first_lsn > 0]
         # Pages dirtied while (or after) we flushed still need their
         # redo records: never truncate past the oldest recovery LSN.
         min_dirty = self.buffer.min_rec_lsn()
@@ -561,12 +582,13 @@ class LocalDatabase:
         self.crashes += 1
         self.disk.crash_epoch += 1
         for txn in self._txns.values():
-            if txn.active:
-                txn.state = LocalTxnState.ABORTED
-                txn.abort_reason = LocalAbortReason.CRASH
-                txn.end_time = self.kernel.now
-                self.aborts[LocalAbortReason.CRASH] += 1
-                self._trace_state(txn)
+            txn.state = LocalTxnState.ABORTED
+            txn.abort_reason = LocalAbortReason.CRASH
+            txn.end_time = self.kernel.now
+            self.aborts[LocalAbortReason.CRASH] += 1
+            self._abort_reasons[txn.txn_id] = LocalAbortReason.CRASH
+            self._trace_state(txn)
+        self._txns.clear()
         self.locks.crash()
         self.buffer.crash()
         self.log.crash()
@@ -591,7 +613,6 @@ class LocalDatabase:
         self.buffer = BufferPool(self.disk, self.log, self.config.buffer_capacity)
         self.log.rebuild_after_crash()
         self.catalog.reload(self.buffer)
-        self._txns = {t.txn_id: t for t in self._txns.values() if not t.active}
         self._occ_gate = FifoLock(name=f"{self.site}:occ-commit")
         yield from recover(self)
         self.crashed = False
@@ -803,6 +824,9 @@ class LocalDatabase:
         self.locks.release_all(txn.txn_id)
         self.commits += 1
         self.committed_txn_ids.add(txn.txn_id)
+        if txn.gtxn_id is not None:
+            self.committed_globals.append((txn.gtxn_id, bool(txn.write_set)))
+        self._forget(txn)
         self._trace_state(txn)
 
     def _rollback(
@@ -836,7 +860,19 @@ class LocalDatabase:
             self._resolve_exposure(txn, aborted=True)
         self.locks.release_all(txn.txn_id)
         self.aborts[reason] += 1
+        self._abort_reasons[txn.txn_id] = reason
+        self._forget(txn)
         self._trace_state(txn)
+
+    def _forget(self, txn: LocalTransaction) -> None:
+        """Drop an ended transaction from the table (its tombstone stays).
+
+        After a crash the id may belong to nobody (the crash emptied the
+        table) or to the ready transaction recovery reinstated in its
+        place, which stays.
+        """
+        if self._txns.get(txn.txn_id) is txn:
+            del self._txns[txn.txn_id]
 
     def _undo_chain(self, txn: LocalTransaction) -> Generator[Any, Any, None]:
         """Walk the transaction's log chain backwards applying before images."""

@@ -96,7 +96,12 @@ class StandardTMInterface:
     # -- status ------------------------------------------------------------------
 
     def status(self, txn_id: str) -> Optional[LocalTxnState]:
-        """Volatile status: ``None`` if this manager forgot the id (crash)."""
+        """The state of ``txn_id``; ``None`` for an id never issued here.
+
+        Running or ready while the transaction is live; committed or
+        aborted once it ended, read from the tombstone the manager
+        keeps of it, across crashes too.
+        """
         try:
             return self._engine.txn(txn_id).state
         except InvalidTransactionState:

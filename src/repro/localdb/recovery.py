@@ -146,8 +146,9 @@ def _reinstate_in_doubt(
 ) -> Generator[Any, Any, list[str]]:
     """Rebuild ready-state transactions and re-acquire their locks."""
     reinstated = []
+    optimistic = engine.config.scheduler == "occ"
     for txn_id in sorted(in_doubt):
-        txn = LocalTransaction(txn_id, engine.kernel.now)
+        txn = LocalTransaction(txn_id, engine.kernel.now, optimistic=optimistic)
         txn.state = LocalTxnState.READY
         txn.last_lsn = last_lsn[txn_id]
         for record in stable:
@@ -159,9 +160,19 @@ def _reinstate_in_doubt(
                 yield from engine.locks.acquire(
                     txn_id, (record.table, record.page_id), LockMode.EXCLUSIVE
                 )
+        # Live again: the crash's tombstone goes.
+        engine._abort_reasons.pop(txn_id, None)
         engine._txns[txn_id] = txn
         reinstated.append(txn_id)
         engine.kernel.trace.emit(
             "txn_state", engine.site, txn_id, state="ready", recovered=True
         )
+    # The table lists live transactions in begin order, which is the
+    # order of the counters in their ids; ``sorted`` put "t10" first.
+    engine._txns = dict(sorted(engine._txns.items(), key=lambda item: _begin_order(item[0])))
     return reinstated
+
+
+def _begin_order(txn_id: str) -> int:
+    """The begin counter of an engine-issued id (``"s1:t12"`` -> 12)."""
+    return int(txn_id.rpartition(":t")[2])

@@ -68,7 +68,13 @@ class LocalTransaction:
         "finishing",
     )
 
-    def __init__(self, txn_id: str, start_time: float, start_commit_seq: int = 0):
+    def __init__(
+        self,
+        txn_id: str,
+        start_time: float,
+        start_commit_seq: int = 0,
+        optimistic: bool = False,
+    ):
         self.txn_id = txn_id
         self.state = LocalTxnState.RUNNING
         self.start_time = start_time
@@ -78,12 +84,15 @@ class LocalTransaction:
         self.first_lsn = 0
         self.last_lsn = 0
         self.abort_reason: Optional[LocalAbortReason] = None
-        # (table, key) sets, used by the optimistic scheduler's validation.
-        self.read_set: set[tuple[str, Any]] = set()
+        # (table, key) pairs written; the read-only vote and the
+        # atomicity audit ask whether it is empty.
         self.write_set: set[tuple[str, Any]] = set()
-        # Deferred writes of the optimistic scheduler:
-        # (table, key) -> ("write"|"delete", value).
-        self.workspace: dict[tuple[str, Any], tuple[str, Any]] = {}
+        if optimistic:
+            # Only the optimistic scheduler has these (a 2PL transaction
+            # leaves both slots unset): the read set it validates, and
+            # its deferred writes, (table, key) -> ("write"|"delete", value).
+            self.read_set: set[tuple[str, Any]] = set()
+            self.workspace: dict[tuple[str, Any], tuple[str, Any]] = {}
         self.start_commit_seq = start_commit_seq
         # Global transaction this local one belongs to (None for purely
         # local work); used for tracing and the serializability checker.
@@ -93,6 +102,21 @@ class LocalTransaction:
         # force-abort attempts back off from a transaction that is
         # already past the point of no return.
         self.finishing = False
+
+    @classmethod
+    def tombstone(
+        cls, txn_id: str, state: LocalTxnState, abort_reason: Optional[LocalAbortReason]
+    ) -> "LocalTransaction":
+        """A stand-in for an ended transaction the engine forgot.
+
+        It carries the id, the final state and the abort reason, which
+        is all an engine keeps of an ended transaction; its times, LSNs
+        and sets are not kept.
+        """
+        txn = cls(txn_id, 0.0)
+        txn.state = state
+        txn.abort_reason = abort_reason
+        return txn
 
     @property
     def active(self) -> bool:

@@ -1,6 +1,7 @@
 """The verdict of ``scripts/ledger_pairs.py`` on canned pairs."""
 
 import importlib.util
+import json
 import pathlib
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -88,3 +89,68 @@ def test_the_report_prints_each_pair_ratio_and_their_quartiles():
     assert "median 0.625 [0.500, 0.762]" in report
     assert "change better in 4/4 pairs and 1/1 held out" in report
     assert report.endswith("claim too few pairs")
+
+
+def _fake_ledger(calls, moved_workload=None):
+    """A stand-in for ``run_ledger``: notes each call, answers canned runs.
+
+    The change reads 10% lower ``peak_rss_mb``; on ``moved_workload`` its
+    ``sim_p50_response`` moves too.
+    """
+
+    def run_ledger(tree, workload, seed, seconds):
+        side = tree.name
+        calls.append((workload, seed, side))
+        metrics = {
+            "setup_s": 1.0, "wall_us_per_commit": 500.0 + seed,
+            "peak_rss_mb": 30.0 + seed / 100 if side == "parent" else 27.0,
+            "sim_p50_response": 3.0, "served_share": 1.0,
+        }
+        if side == "change" and workload == moved_workload:
+            metrics["sim_p50_response"] = 3.5
+        return {"correct": True, "attempted": 80, "failed": 0, "metrics": metrics}
+
+    return run_ledger
+
+
+def _main(pairs, tmp_path, monkeypatch, calls, moved_workload=None):
+    monkeypatch.setattr(pairs, "run_ledger", _fake_ledger(calls, moved_workload))
+    return pairs.main([
+        "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+        "--workload", "commit_matrix", "contended_mix",
+        "--seeds", *map(str, range(2, 12)), "--held-out", "97",
+        "--json", str(tmp_path / "pairs.json"),
+    ])
+
+
+def test_several_workloads_give_one_verdict_block_each(tmp_path, monkeypatch, capsys):
+    pairs = load_pairs()
+    calls = []
+    assert _main(pairs, tmp_path, monkeypatch, calls) == 0
+    seeds = list(range(2, 12)) + [97]
+    for workload in ("commit_matrix", "contended_mix"):
+        runs = [(seed, side) for name, seed, side in calls if name == workload]
+        # Alternation restarts with each workload: pair 0 runs the parent first.
+        expected = []
+        for index, seed in enumerate(seeds):
+            order = ["parent", "change"] if index % 2 == 0 else ["change", "parent"]
+            expected += [(seed, side) for side in order]
+        assert runs == expected, workload
+    out = capsys.readouterr().out
+    for workload in ("commit_matrix", "contended_mix"):
+        assert out.count(f"\n{workload}, --seconds 24: parent -> change\n") == 1
+    assert out.count("peak_rss_mb (MiB, lower is better)") == 2
+    assert out.count("change better in 10/10 pairs and 1/1 held out") == 2
+    assert out.count("identical in every pair") == 2
+    written = json.loads((tmp_path / "pairs.json").read_text())
+    assert sorted(written) == ["commit_matrix", "contended_mix"]
+    assert [pair["seed"] for pair in written["contended_mix"]] == seeds
+
+
+def test_a_moved_simulation_in_any_workload_exits_1(tmp_path, monkeypatch, capsys):
+    pairs = load_pairs()
+    assert _main(pairs, tmp_path, monkeypatch, [], moved_workload="contended_mix") == 1
+    out = capsys.readouterr().out
+    commit_block, contended_block = out.split("\ncontended_mix, --seconds")
+    assert "identical in every pair" in commit_block
+    assert "SIMULATION MOVED" in contended_block and "sim_p50_response" in contended_block
