@@ -11,6 +11,7 @@ import random
 from repro.bench import format_table
 from repro.core.gtm import GTMConfig
 from repro.core.invariants import atomicity_report
+from repro.core.serializability import committed_history
 from repro.integration.federation import Federation, FederationConfig, SiteSpec
 from repro.mlt.actions import increment, write
 
@@ -49,10 +50,10 @@ def measure(optimize: bool) -> dict:
     assert fed.peek("s0", "t0", "y") == 1000
     assert atomicity_report(fed).ok
     engine = fed.engines["s0"]
-    # Inverse work = operations executed by the !undo transactions.
+    # Inverse work = operations executed by the committed !undo transactions.
     undo_ops = sum(
         1
-        for record in engine.op_history
+        for record in committed_history(engine)
         if record.gtxn_id and record.gtxn_id.endswith("!undo")
         and record.table == "t0"
     )

@@ -11,7 +11,7 @@ checker.
 
 from repro.bench import closed_loop, format_table, protocol_federation
 from repro.core.invariants import atomicity_report, serializability_ok
-from repro.core.serializability import quasi_serializability
+from repro.core.serializability import committed_history, quasi_serializability
 from repro.integration.federation import SiteSpec
 from repro.workloads import WorkloadGenerator, WorkloadSpec
 
@@ -57,8 +57,8 @@ def run_experiment() -> str:
             o.gtxn_id for o in fed.gtm.outcomes if o.committed
         }
         histories = {
-            site: [op for op in ops if op.txn in committed_gtxns]
-            for site, ops in fed.histories(by_gtxn=True).items()
+            site: [op for op in committed_history(engine) if op.gtxn_id in committed_gtxns]
+            for site, engine in fed.engines.items()
         }
         qsr = bool(quasi_serializability(histories, committed_gtxns))
         verdicts[label] = (serializable, qsr)

@@ -12,10 +12,10 @@ The paper's correctness obligations, verified on actual executions:
 * **Conservation** -- a workload of balanced transfers leaves the total
   over the cells it declares unchanged.
 
-The atomicity checker works off each engine's record of committed
-subtransactions (``LocalDatabase.committed_globals``): forward local
-transactions carry their global transaction id, inverse transactions
-the id suffixed with ``!undo``.
+The audits read each engine's committed op records (``committed_history``,
+built once per :func:`check_invariants`): forward local transactions
+carry their global transaction id, inverse transactions the id suffixed
+with ``!undo``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.core.protocols import per_action_protocols
-from repro.core.serializability import global_serializability
+from repro.core.serializability import (
+    OpRecord,
+    committed_history,
+    global_serializability,
+    rw_conflict,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.integration.federation import Federation
@@ -60,22 +65,38 @@ def _base_id(gtxn_id: str) -> str:
     return gtxn_id.split("~", 1)[0]
 
 
+Histories = Mapping[str, list[OpRecord]]
+
+
+def _committed_histories(federation: "Federation") -> Histories:
+    """Every site's committed history (site -> op records)."""
+    return {site: committed_history(engine) for site, engine in federation.engines.items()}
+
+
 def atomicity_report(federation: "Federation") -> AtomicityReport:
     """Audit every finished global transaction for exactly-once effects."""
+    return _atomicity_report(federation, _committed_histories(federation))
+
+
+def _atomicity_report(federation: "Federation", histories: Histories) -> AtomicityReport:
     report = AtomicityReport()
     # Per (gtxn, site): committed forward and committed inverse txn counts.
     committed_fw: dict[tuple[str, str], int] = {}
     committed_undo: dict[tuple[str, str], int] = {}
-    for site, engine in federation.engines.items():
-        for gtxn_id, wrote in engine.committed_globals:
+    for site, history in histories.items():
+        counted: set[str] = set()
+        for record in history:
+            gtxn_id = record.gtxn_id
+            if gtxn_id is None or record.txn_id in counted:
+                continue
             if gtxn_id.endswith("!undo"):
-                key = (_base_id(gtxn_id[: -len("!undo")]), site)
-                committed_undo[key] = committed_undo.get(key, 0) + 1
-            elif wrote:
-                # Read-only L0 transactions owe no durable effect and
-                # are excluded from the exactly-once accounting.
-                key = (_base_id(gtxn_id), site)
-                committed_fw[key] = committed_fw.get(key, 0) + 1
+                counts, key = committed_undo, (_base_id(gtxn_id[: -len("!undo")]), site)
+            elif record.writes:
+                counts, key = committed_fw, (_base_id(gtxn_id), site)
+            else:
+                continue  # read-only so far: owes no durable effect
+            counted.add(record.txn_id)
+            counts[key] = counts.get(key, 0) + 1
 
     protocol = federation.gtm.config.protocol
     # Protocols that execute one L0 transaction per action when the
@@ -308,15 +329,21 @@ def inverse_order_violations(federation: "Federation") -> list[InvariantViolatio
     restricted to transactions with a single attempt, and skipped when
     the undo optimizer (which legally collapses inverses) is on.
     """
+    return _inverse_order_violations(federation, _committed_histories(federation))
+
+
+def _inverse_order_violations(
+    federation: "Federation", histories: Histories
+) -> list[InvariantViolation]:
     if federation.gtm.config.optimize_undo:
         return []
     violations = []
     forward: dict[tuple[str, str], list] = {}
     inverse: dict[tuple[str, str], list] = {}
     attempts: dict[str, set[str]] = {}
-    for site, engine in federation.engines.items():
-        for record in engine.op_history:
-            if record.txn_id not in engine.committed_txn_ids or not record.gtxn_id:
+    for site, history in histories.items():
+        for record in history:
+            if not record.gtxn_id:
                 continue
             if record.table.startswith("_"):
                 # System tables (commit markers, ...): bookkeeping rows
@@ -452,7 +479,8 @@ def check_invariants(
     of violations, most fundamental first.
     """
     violations: list[InvariantViolation] = []
-    report = atomicity_report(federation)
+    histories = _committed_histories(federation)
+    report = _atomicity_report(federation, histories)
     for violation in report.violations:
         violations.append(
             InvariantViolation(
@@ -461,13 +489,13 @@ def check_invariants(
                 f"({violation.detail})",
             )
         )
-    if not serializability_ok(federation):
+    if not _serializable(federation, histories):
         violations.append(
             InvariantViolation(
                 "serializability", "committed global history has a conflict cycle"
             )
         )
-    if strict_serializability and not serializability_ok(federation, strict=True):
+    if strict_serializability and not _serializable(federation, histories, strict=True):
         violations.append(
             InvariantViolation(
                 "serializability_strict",
@@ -479,7 +507,7 @@ def check_invariants(
     violations.extend(lock_release_violations(federation))
     violations.extend(redo_drain_violations(federation))
     violations.extend(undo_drain_violations(federation))
-    violations.extend(inverse_order_violations(federation))
+    violations.extend(_inverse_order_violations(federation, histories))
     violations.extend(replica_convergence_violations(federation))
     violations.extend(conservation_violations(federation, conserved))
     return violations
@@ -532,20 +560,20 @@ def serializability_ok(federation: "Federation", strict: bool = False) -> bool:
     control: semantic table => commuting increments do not conflict
     (§4.1); no L1 table (2PC, sagas) => classical read/write conflicts.
     """
+    return _serializable(federation, _committed_histories(federation), strict)
+
+
+def _serializable(federation: "Federation", histories: Histories, strict: bool = False) -> bool:
     table = federation.gtm.config.resolved_l1_table()
-    conflicts = table.conflicts if table is not None else None
-    if strict:
-        histories = federation.histories(by_gtxn=True)
-    else:
+    conflicts = table.conflicts if table is not None else rw_conflict
+    if not strict:
         committed = {
             outcome.gtxn_id
             for outcome in _all_outcomes(federation)
             if outcome.committed
         }
         histories = {
-            site: [op for op in ops if op.txn in committed]
-            for site, ops in federation.histories(by_gtxn=True).items()
+            site: [op for op in history if op.gtxn_id in committed]
+            for site, history in histories.items()
         }
-    if conflicts is None:
-        return bool(global_serializability(histories))
-    return bool(global_serializability(histories, conflicts=conflicts))
+    return bool(global_serializability(histories, conflicts))

@@ -16,18 +16,67 @@ so verdicts, cycles and serial orders match the all-pairs graph's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Optional
 
 
-@dataclass(frozen=True)
-class HistoryOp:
-    """One operation in a (committed-projection) history."""
+class OpRecord:
+    """One executed data operation: the history every audit reads.
 
-    seq: int
-    txn: str
-    kind: str
-    table: str
-    key: Any
+    A hand-written ``__slots__`` class, as the log records are
+    (``repro.storage.wal.LogRecord``): every data operation builds one,
+    and a frozen dataclass pays one ``object.__setattr__`` per field.
+    It keeps keyword construction, field-by-field equality with the
+    matching hash, and the dataclass ``repr``; it is immutable by
+    convention.
+    """
+
+    __slots__ = ("seq", "txn_id", "gtxn_id", "kind", "table", "key")
+
+    def __init__(
+        self,
+        seq: int,
+        txn_id: str,
+        gtxn_id: Optional[str],
+        kind: str,  # "read" | "write" | "increment" | "insert" | "delete" | L1+ kinds
+        table: str,
+        key: Any,
+    ):
+        self.seq = seq
+        self.txn_id = txn_id
+        self.gtxn_id = gtxn_id
+        self.kind = kind
+        self.table = table
+        self.key = key
+
+    @property
+    def writes(self) -> bool:
+        return self.kind != "read"
+
+    def node(self, by_gtxn: bool) -> str:
+        """Graph node: the global id if ``by_gtxn`` and it has one, else the local id."""
+        return (self.gtxn_id or self.txn_id) if by_gtxn else self.txn_id
+
+    def _astuple(self) -> tuple:
+        return (self.seq, self.txn_id, self.gtxn_id, self.kind, self.table, self.key)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"OpRecord({body})"
+
+
+def committed_history(engine) -> list[OpRecord]:
+    """The op records of an engine's committed local transactions, in order."""
+    committed = engine.committed_txn_ids
+    return [record for record in engine.op_history if record.txn_id in committed]
 
 
 def rw_conflict(kind_a: str, kind_b: str) -> bool:
@@ -89,16 +138,19 @@ class ConflictGraph(dict):
 
 
 def build_graph(
-    ops: Iterable[HistoryOp],
+    ops: Iterable[OpRecord],
     conflicts: Callable[[str, str], bool] = rw_conflict,
+    by_gtxn: bool = False,
 ) -> ConflictGraph:
     """Conflict graph: T2 is reachable from T1 iff an op of T1 precedes
-    a conflicting op of T2 on the same object (adjacent runs linked)."""
+    a conflicting op of T2 on the same object (adjacent runs linked);
+    nodes are named by :meth:`OpRecord.node`."""
     graph = ConflictGraph()
     # object -> kinds, txns of the run before the current one, then of the current one
     runs: dict[tuple[str, Any], list[dict[str, None]]] = {}
-    for op in sorted(ops, key=lambda o: o.seq):
-        graph.setdefault(op.txn, {})
+    for op in sorted(ops, key=attrgetter("seq")):
+        txn = op.node(by_gtxn)
+        graph.setdefault(txn, {})
         run = runs.setdefault((op.table, op.key), [{}, {}, {}, {}])
         if not run[2] or conflicts(next(iter(run[2])), op.kind):
             run[:] = run[2], run[3], {}, {}  # op starts a new run
@@ -107,26 +159,20 @@ def build_graph(
         odd += [k for k in before_kinds if not conflicts(k, op.kind)]
         if odd:
             raise ValueError(f"commutativity is not transitive: {odd[0]!r} vs {op.kind!r}")
-        for txn in before_txns:
-            if txn != op.txn:
-                graph.add_edge(txn, op.txn)
-        kinds[op.kind] = txns[op.txn] = None
+        for before in before_txns:
+            if before != txn:
+                graph.add_edge(before, txn)
+        kinds[op.kind] = txns[txn] = None
     return graph
 
 
 def check(
-    ops: Iterable[HistoryOp],
+    ops: Iterable[OpRecord],
     conflicts: Callable[[str, str], bool] = rw_conflict,
+    by_gtxn: bool = False,
 ) -> SerializabilityReport:
     """Full serializability report for one history."""
-    return build_graph(ops, conflicts).report()
-
-
-def committed_projection(
-    ops: Iterable[HistoryOp], committed: set[str]
-) -> list[HistoryOp]:
-    """Drop operations of transactions outside ``committed``."""
-    return [op for op in ops if op.txn in committed]
+    return build_graph(ops, conflicts, by_gtxn).report()
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +181,9 @@ def committed_projection(
 
 
 def global_serializability(
-    site_histories: dict[str, list[HistoryOp]],
+    site_histories: dict[str, list[OpRecord]],
     conflicts: Callable[[str, str], bool] = rw_conflict,
+    by_gtxn: bool = True,
 ) -> SerializabilityReport:
     """Global conflict-serializability across sites.
 
@@ -148,14 +195,15 @@ def global_serializability(
     """
     union = ConflictGraph()
     for history in site_histories.values():
-        union.merge(build_graph(history, conflicts))
+        union.merge(build_graph(history, conflicts, by_gtxn))
     return union.report()
 
 
 def quasi_serializability(
-    site_histories: dict[str, list[HistoryOp]],
+    site_histories: dict[str, list[OpRecord]],
     global_txns: set[str],
     conflicts: Callable[[str, str], bool] = rw_conflict,
+    by_gtxn: bool = True,
 ) -> SerializabilityReport:
     """Du & Elmagarmid's quasi-serializability.
 
@@ -169,25 +217,10 @@ def quasi_serializability(
     projected = ConflictGraph()
     projected.update((txn, {}) for txn in sorted(global_txns))
     for history in site_histories.values():
-        local_report = check(history, conflicts)
+        local_report = check(history, conflicts, by_gtxn)
         if not local_report.serializable:
             return SerializabilityReport(False, cycle=local_report.cycle)
         # Restricted first: the linear graph may route G1 -> G2 through a local txn.
-        projected.merge(build_graph([op for op in history if op.txn in global_txns], conflicts))
+        restricted = [op for op in history if op.node(by_gtxn) in global_txns]
+        projected.merge(build_graph(restricted, conflicts, by_gtxn))
     return projected.report()
-
-
-def ops_from_engine(engine, by_gtxn: bool = False, committed_only: bool = True) -> list[HistoryOp]:
-    """Extract a history from a :class:`~repro.localdb.engine.LocalDatabase`.
-
-    With ``by_gtxn`` the node name of an operation is the owning global
-    transaction (subtransactions of one global transaction collapse
-    into one node); purely local transactions keep their local ids.
-    """
-    ops = []
-    for record in engine.op_history:
-        if committed_only and record.txn_id not in engine.committed_txn_ids:
-            continue
-        txn = record.gtxn_id if (by_gtxn and record.gtxn_id) else record.txn_id
-        ops.append(HistoryOp(record.seq, txn, record.kind, record.table, record.key))
-    return ops

@@ -460,15 +460,6 @@ class Federation:
         site, local_table = self.locate(table, key)
         return self.peek(site, local_table, key)
 
-    def histories(self, by_gtxn: bool = True) -> dict[str, list]:
-        """Per-site committed histories for the serializability checkers."""
-        from repro.core.serializability import ops_from_engine
-
-        return {
-            site: ops_from_engine(engine, by_gtxn=by_gtxn)
-            for site, engine in self.engines.items()
-        }
-
     def metrics(self) -> dict[str, Any]:
         """Combined metrics of GTM, network and all sites."""
         report = {

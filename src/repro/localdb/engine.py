@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
+from repro.core.serializability import OpRecord
 from repro.errors import (
     DeadlockDetected,
     DuplicateKey,
@@ -51,55 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.process import Process
 
 
-class OpRecord:
-    """One executed data operation, for the serializability checker.
-
-    A hand-written ``__slots__`` class, as the log records are
-    (``repro.storage.wal.LogRecord``): every data operation builds one,
-    and a frozen dataclass pays one ``object.__setattr__`` per field.
-    It keeps keyword construction, field-by-field equality with the
-    matching hash, and the dataclass ``repr``; it is immutable by
-    convention.
-    """
-
-    __slots__ = ("seq", "txn_id", "gtxn_id", "kind", "table", "key")
-
-    def __init__(
-        self,
-        seq: int,
-        txn_id: str,
-        gtxn_id: Optional[str],
-        kind: str,  # "read" | "write" | "increment" | "insert" | "delete"
-        table: str,
-        key: Any,
-    ):
-        self.seq = seq
-        self.txn_id = txn_id
-        self.gtxn_id = gtxn_id
-        self.kind = kind
-        self.table = table
-        self.key = key
-
-    @property
-    def writes(self) -> bool:
-        return self.kind != "read"
-
-    def _astuple(self) -> tuple:
-        return (self.seq, self.txn_id, self.gtxn_id, self.kind, self.table, self.key)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._astuple() == other._astuple()  # type: ignore[attr-defined]
-
-    def __hash__(self) -> int:
-        return hash(self._astuple())
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"OpRecord({body})"
-
-
 class LocalDatabase:
     """A complete single-site database system."""
 
@@ -124,18 +76,15 @@ class LocalDatabase:
         # The transaction table: running and ready transactions only, in
         # begin order.  An ended transaction is forgotten and leaves a
         # tombstone: its id in ``committed_txn_ids`` or its abort reason
-        # in ``_abort_reasons``, plus, for a committed subtransaction of
-        # a global one, ``(gtxn_id, wrote_anything)`` in
-        # ``committed_globals`` for the atomicity audit.
+        # in ``_abort_reasons``.
         self._txns: dict[str, LocalTransaction] = {}
         self._abort_reasons: dict[str, LocalAbortReason] = {}
-        self.committed_globals: list[tuple[str, bool]] = []
         self._txn_counter = 0
         # Optimistic scheduler state.
         self._commit_seq = 0
         self._occ_committed: list[tuple[int, frozenset[tuple[str, Any]]]] = []
         self._occ_gate = FifoLock(name=f"{site}:occ-commit")
-        # Committed-projection history for the serializability checker.
+        # The history every audit reads (``committed_history``).
         self._op_seq = 0
         self.op_history: list[OpRecord] = []
         self.committed_txn_ids: set[str] = set()
@@ -824,22 +773,21 @@ class LocalDatabase:
         self.locks.release_all(txn.txn_id)
         self.commits += 1
         self.committed_txn_ids.add(txn.txn_id)
-        if txn.gtxn_id is not None:
-            self.committed_globals.append((txn.gtxn_id, bool(txn.write_set)))
         self._forget(txn)
         self._trace_state(txn)
 
     def _rollback(
         self, txn: LocalTransaction, reason: LocalAbortReason
     ) -> Generator[Any, Any, None]:
-        """Undo (2PL) or discard (OCC), then release everything."""
+        """Undo the logged updates (an optimistic workspace not yet
+        installed has none: discard it), then release everything."""
         if txn.finishing or not txn.active:
             return
         txn.finishing = True
         # A pending lock request of this transaction (an operation still
         # in flight elsewhere) must never be granted post-mortem.
         self.locks.cancel_wait(txn.txn_id, TransactionAborted(txn.txn_id, reason))
-        if self.config.scheduler == "occ":
+        if self.config.scheduler == "occ" and not txn.last_lsn:
             txn.workspace.clear()
         else:
             yield from self._undo_chain(txn)

@@ -84,8 +84,8 @@ class LocalTransaction:
         self.first_lsn = 0
         self.last_lsn = 0
         self.abort_reason: Optional[LocalAbortReason] = None
-        # (table, key) pairs written; the read-only vote and the
-        # atomicity audit ask whether it is empty.
+        # (table, key) pairs written; the read-only vote asks whether
+        # it is empty.
         self.write_set: set[tuple[str, Any]] = set()
         if optimistic:
             # Only the optimistic scheduler has these (a 2PL transaction

@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
+from repro.core.serializability import OpRecord
 from repro.errors import DatabaseError, ReproError, TransactionAborted
 from repro.localdb.locks import ConflictTable, LockManager
 from repro.mlt.actions import MAX_L0_RETRIES, Operation, apply, inverse_of
@@ -134,10 +135,8 @@ class NestedTransactionManager:
         self.locks = [LockManager(kernel, level.name, level.conflicts) for level in levels]
         self._seq = 0
         self._subtxn_counter = 0
-        #: per level: (seq, owning txn at that level, kind, table, key)
-        self.histories: list[list[tuple[int, str, str, str, Any]]] = [
-            [] for _ in levels
-        ]
+        #: per level: one op record per action, owned by the top-level txn
+        self.histories: list[list[OpRecord]] = [[] for _ in levels]
         self.commits = 0
         self.aborts = 0
 
@@ -298,7 +297,7 @@ class NestedTransactionManager:
         # serializability histories (T1/L2.3 -> T1).
         owner = txn_name.split("/", 1)[0]
         self.histories[level_index].append(
-            (self._seq, owner, action.kind, action.table, action.key)
+            OpRecord(self._seq, owner, None, action.kind, action.table, action.key)
         )
 
     # ------------------------------------------------------------------

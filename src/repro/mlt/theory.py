@@ -12,13 +12,13 @@ here verify that property on actual executions:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.core.serializability import (
-    HistoryOp,
+    OpRecord,
     SerializabilityReport,
     check,
-    ops_from_engine,
+    committed_history,
 )
 from repro.localdb.locks import ConflictTable
 from repro.mlt.conflicts import SEMANTIC_TABLE
@@ -29,25 +29,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 def check_l0(engine: "LocalDatabase") -> SerializabilityReport:
     """L0 serializability of the committed local transactions."""
-    return check(ops_from_engine(engine, by_gtxn=False))
+    return check(committed_history(engine))
 
 
 def check_l1(
-    l1_history: Iterable[tuple[int, str, str, str, Any]],
+    l1_history: Iterable[OpRecord],
     conflicts: ConflictTable = SEMANTIC_TABLE,
     committed: Optional[set[str]] = None,
 ) -> SerializabilityReport:
     """L1 serializability under a semantic conflict table.
 
-    ``l1_history`` rows are ``(seq, l1_txn, kind, table, key)``, one
-    level's entry of
+    ``l1_history`` is one level's entry of
     :attr:`~repro.mlt.nested.NestedTransactionManager.histories`.  With
     ``committed`` given, only those L1 transactions are considered
     (committed projection).
     """
-    ops = [
-        HistoryOp(seq, txn, kind, table, key)
-        for seq, txn, kind, table, key in l1_history
-        if committed is None or txn in committed
-    ]
-    return check(ops, conflicts.conflicts)
+    if committed is not None:
+        l1_history = [op for op in l1_history if op.txn_id in committed]
+    return check(l1_history, conflicts.conflicts)

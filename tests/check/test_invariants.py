@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 from repro.core.invariants import (
     InvariantViolation,
+    atomicity_report,
     conservation_violations,
     convergence_violations,
     inverse_order_violations,
@@ -20,7 +21,7 @@ from repro.core.invariants import (
 from repro.core.redo import RedoLog
 from repro.core.undo import UndoLog
 from repro.faults.chaos import ChaosResult, ChaosSpec
-from repro.localdb.engine import OpRecord
+from repro.core.serializability import OpRecord
 from repro.mlt.actions import increment
 
 
@@ -150,6 +151,42 @@ def test_inverse_order_skips_when_optimizer_collapses_inverses():
     federation.gtm.config.optimize_undo = True
     assert inverse_order_violations(federation) == []
 
+
+def test_atomicity_counts_come_from_the_committed_history():
+    """Forward and inverse counts per (global txn, site) come from the
+    committed op records: a committed read-only local is not a forward
+    execution, an uncommitted local counts for nothing, and a committed
+    ``!undo`` local is an inverse."""
+    records = [
+        _op(1, "s0:t1", "G1", "t0", "a", kind="write"),
+        _op(2, "s0:t2", "G1", "t0", "a", kind="read"),  # read-only local
+        _op(3, "s0:t3", "G1", "t0", "a", kind="write"),  # never committed
+        _op(4, "s0:t4", "G2", "t0", "b", kind="write"),
+        _op(5, "s0:t5", "G2", "t0", "b", kind="write"),  # a second execution
+        _op(6, "s0:t6", "G3", "t0", "c", kind="read"),
+        _op(7, "s0:t6", "G3", "t0", "c", kind="write"),
+        _op(8, "s0:t7", "G3!undo", "t0", "c", kind="write"),
+        _op(9, "s0:t8", "G4", "t0", "d", kind="write"),  # never undone
+    ]
+    committed = ["s0:t1", "s0:t2", "s0:t4", "s0:t5", "s0:t6", "s0:t7", "s0:t8"]
+    federation = _fake_federation(
+        engines={"s0": _engine_with_history(records, committed)}
+    )
+    federation.gtm.config.protocol = "2pc"
+    federation.gtm.config.granularity = "per_site"
+    federation.gtm.outcomes = [
+        SimpleNamespace(
+            gtxn_id=gtxn_id, committed=committed, sites=["s0"],
+            routed_ops=[("s0", "write")],
+        )
+        for gtxn_id, committed in [("G1", True), ("G2", True), ("G3", False), ("G4", False)]
+    ]
+    report = atomicity_report(federation)
+    assert report.checked == 4
+    assert [(v.gtxn_id, v.kind, v.detail) for v in report.violations] == [
+        ("G2", "double_execution", "net 2/1 forward txns committed"),
+        ("G4", "unbalanced_undo", "1 forward vs 0 inverse committed"),
+    ]
 
 def _fake_accounts(values):
     """A fake whose cell ``t<n>[key]`` lives at site ``s<n>``."""

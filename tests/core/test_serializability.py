@@ -1,14 +1,15 @@
 """Serialization-graph checkers."""
 
 import re
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.serializability import (
-    HistoryOp,
+    OpRecord,
     build_graph,
     check,
-    committed_projection,
+    committed_history,
     global_serializability,
     quasi_serializability,
     rw_conflict,
@@ -28,8 +29,8 @@ ODD_TABLE = ConflictTable(
 )
 
 
-def op(seq, txn, kind, key="x", table="t"):
-    return HistoryOp(seq, txn, kind, table, key)
+def op(seq, txn, kind, key="x", table="t", gtxn=None):
+    return OpRecord(seq, txn, gtxn, kind, table, key)
 
 
 def test_rw_conflict_predicate():
@@ -81,9 +82,26 @@ def test_different_objects_never_conflict():
     assert check(history).edges == []
 
 
-def test_committed_projection_filters():
-    history = [op(1, "T1", "write"), op(2, "T2", "write")]
-    assert [o.txn for o in committed_projection(history, {"T1"})] == ["T1"]
+def test_committed_history_filters():
+    history = [op(1, "T1", "write"), op(2, "T2", "write"), op(3, "T1", "read")]
+    engine = SimpleNamespace(op_history=history, committed_txn_ids={"T1"})
+    assert committed_history(engine) == [history[0], history[2]]
+
+
+def test_nodes_are_local_or_global_ids():
+    """The same records name local nodes, or global ones where a
+    subtransaction has a global id (purely local work keeps its own)."""
+    history = [
+        op(1, "s:t1", "write", gtxn="G1"),
+        op(2, "s:t2", "write", gtxn="G2"),
+        op(3, "s:t3", "write"),
+        op(4, "s:t4", "write", gtxn="G1"),
+    ]
+    assert build_graph(history).nodes == ["s:t1", "s:t2", "s:t3", "s:t4"]
+    assert build_graph(history, by_gtxn=True).nodes == ["G1", "G2", "s:t3"]
+    assert not check(history, by_gtxn=True).serializable  # G1 -> G2 -> s:t3 -> G1
+    assert global_serializability({"s": history}, by_gtxn=False).serializable
+    assert quasi_serializability({"s": history}, {"G1", "G2"}).cycle == ["G1", "G2", "s:t3", "G1"]
 
 
 def test_global_cycle_across_sites():

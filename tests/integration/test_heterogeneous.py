@@ -190,3 +190,26 @@ def test_mixed_federation_soak_conserves_and_serializes():
     assert total == 600
     assert atomicity_report(fed).ok
     assert serializability_ok(fed)
+
+
+def test_aborted_2pc_leaves_no_write_on_preparable_occ_site(monkeypatch):
+    """Every participant votes ready, yet the decision is abort (as if
+    another participant voted no): the optimistic site installed its
+    workspace at prepare and must undo it, on every retried attempt."""
+    from repro.core.invariants import check_invariants
+    from repro.core.protocols.two_phase import TwoPhaseCommit
+
+    def decide_abort(self, ctx, votes):
+        ctx.gtxn.set_decision("abort", votes=dict(votes))
+        return "abort", "participant voted abort"
+        yield  # pragma: no cover - generator protocol
+
+    monkeypatch.setattr(TwoPhaseCommit, "decide", decide_abort)
+    fed = build_mixed("2pc", preparable=True)
+    process = fed.submit(TRANSFER)
+    fed.run()
+    assert not process.value.committed
+    assert fed.peek("optimist", "to", "x") == 200
+    assert fed.peek("pessimist", "tp", "x") == 100
+    conserved = {("tp", "x"): 100, ("to", "x"): 200}
+    assert check_invariants(fed, conserved=conserved) == []

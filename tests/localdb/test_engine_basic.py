@@ -2,13 +2,14 @@
 
 import pytest
 
+from repro.core.serializability import OpRecord
 from repro.errors import (
     DuplicateKey,
     InvalidTransactionState,
     KeyNotFound,
     UnknownTable,
 )
-from repro.localdb.engine import LocalDatabase, OpRecord
+from repro.localdb.engine import LocalDatabase
 from repro.localdb.txn import LocalAbortReason, LocalTxnState
 from tests.conftest import run
 
@@ -241,3 +242,5 @@ def test_op_record_is_a_value():
         "OpRecord(seq=3, txn_id='s:t1', gtxn_id='T1', kind='write', table='t', key='a')"
     )
     assert record.writes and not OpRecord(**{**fields, "kind": "read"}).writes
+    assert (record.node(by_gtxn=False), record.node(by_gtxn=True)) == ("s:t1", "T1")
+    assert OpRecord(**{**fields, "gtxn_id": None}).node(by_gtxn=True) == "s:t1"

@@ -212,3 +212,53 @@ def test_validation_uses_start_snapshot_boundary(kernel):
         return "ok"
 
     assert run(kernel, proc()) == "ok"
+
+
+def read_keys(db, *keys):
+    check = db.begin()
+    values = []
+    for key in keys:
+        values.append((yield from db.read(check, "t", key)))
+    yield from db.commit(check)
+    return tuple(values)
+
+
+def test_prepared_occ_abort_undoes_installed_writes(kernel):
+    """Prepare installs the workspace; an abort after it must undo the
+    installed writes through the log, as a 2PL rollback does."""
+    db = make_db(kernel)
+
+    def proc():
+        txn = db.begin()
+        yield from db.write(txn, "t", "a", 99)
+        yield from db.delete(txn, "t", "b")
+        yield from db.insert(txn, "t", "c", 30)
+        yield from db.prepare(txn)
+        yield from db.abort(txn)
+        return (yield from read_keys(db, "a", "b", "c"))
+
+    assert run(kernel, proc()) == (10, 20, None)
+    assert db.aborts[LocalAbortReason.REQUESTED] == 1
+
+
+def test_in_doubt_occ_abort_after_recovery_undoes_installed_writes(kernel):
+    """A prepared optimistic transaction survives a crash in doubt;
+    recovery reinstates it, and an abort then undoes its writes."""
+    db = make_db(kernel)
+
+    def prepare():
+        txn = db.begin(gtxn_id="G1")
+        yield from db.write(txn, "t", "a", 55)
+        yield from db.prepare(txn)
+
+    run(kernel, prepare())
+    db.crash()
+    run(kernel, db.restart())
+
+    def finish():
+        assert (yield from read_keys(db, "a")) == (55,)  # reinstated, in doubt
+        yield from db.abort(db.find_by_gtxn("G1"))
+        return (yield from read_keys(db, "a", "b"))
+
+    assert run(kernel, finish()) == (10, 20)
+

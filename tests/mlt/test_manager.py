@@ -4,7 +4,7 @@ The two-level manager is the n-level executor with one semantic level
 above the engine: ``NestedTransactionManager(kernel, db, [bottom_level()])``.
 """
 
-
+from repro.core.serializability import OpRecord
 from repro.localdb.engine import LocalDatabase
 from repro.mlt.actions import delete, increment, read, write
 from repro.mlt.conflicts import READ_WRITE_TABLE, SEMANTIC_TABLE
@@ -119,7 +119,7 @@ def test_partial_execution_abort(kernel):
         mgr.run("T1", [increment("obj", "x", 5), increment("obj", "y", 7)], abort_after=1),
     )
     # One forward action on x, then its inverse; y was never touched.
-    assert [row[1:] for row in mgr.histories[0]] == [
+    assert [(r.txn_id, r.kind, r.table, r.key) for r in mgr.histories[0]] == [
         ("T1", "increment", "obj", "x"), ("T1", "increment", "obj", "x"),
     ]
     assert result.inverse_actions == 1
@@ -138,7 +138,7 @@ def test_inverse_actions_recorded_in_history(kernel):
     db = make_engine(kernel)
     mgr = two_level(kernel, db)
     run(kernel, mgr.run("T1", [increment("obj", "x", 5)], abort_after=1))
-    kinds = [(txn, kind) for _, txn, kind, _, _ in mgr.histories[0]]
+    kinds = [(record.txn_id, record.kind) for record in mgr.histories[0]]
     assert kinds == [("T1", "increment"), ("T1", "increment")]  # fwd + inverse
 
 
@@ -216,9 +216,9 @@ def test_single_level_database_error_aborts_its_transaction(kernel):
 
 def test_l1_checker_flags_nonserializable_history():
     history = [
-        (1, "T1", "read", "obj", "x"),
-        (2, "T2", "increment", "obj", "x"),
-        (3, "T1", "read", "obj", "x"),
+        OpRecord(1, "T1", None, "read", "obj", "x"),
+        OpRecord(2, "T2", None, "increment", "obj", "x"),
+        OpRecord(3, "T1", None, "read", "obj", "x"),
     ]
     report = check_l1(history)
     assert not report.serializable  # T1 -> T2 -> T1 under semantic conflicts

@@ -248,8 +248,8 @@ def test_unknown_action_kind_rejected(kernel, stack):
 def test_history_attributes_actions_to_top_level_txn(kernel, stack):
     engine, manager = stack
     run(kernel, manager.run("T1", [transfer("a", "b", 1)]))
-    l2_owners = {txn for _, txn, _, _, _ in manager.histories[0]}
-    l1_owners = {txn for _, txn, _, _, _ in manager.histories[1]}
+    l2_owners = {record.txn_id for record in manager.histories[0]}
+    l1_owners = {record.txn_id for record in manager.histories[1]}
     assert l2_owners == {"T1"}
     assert l1_owners == {"T1"}
 

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.serializability import HistoryOp, build_graph, check, rw_conflict
+from repro.core.serializability import OpRecord, build_graph, check, rw_conflict
 from repro.localdb.locks import ConflictTable, LockMode
 from repro.mlt.conflicts import READ_WRITE_TABLE, SEMANTIC_TABLE
 
@@ -44,7 +44,7 @@ def histories(draw, min_size=0, max_size=12, kinds=kinds, txns=txns):
         st.lists(st.tuples(txns, kinds, obj_keys), min_size=min_size, max_size=max_size)
     )
     return [
-        HistoryOp(seq, txn, kind, "t", key)
+        OpRecord(seq, txn, None, kind, "t", key)
         for seq, (txn, kind, key) in enumerate(rows, start=1)
     ]
 
@@ -54,11 +54,11 @@ def reference_edges(history, conflicts=rw_conflict) -> set[tuple[str, str]]:
     precedes a conflicting op of T2 on the same object."""
     ordered = sorted(history, key=lambda op: op.seq)
     return {
-        (earlier.txn, later.txn)
+        (earlier.txn_id, later.txn_id)
         for i, earlier in enumerate(ordered)
         for later in ordered[i + 1 :]
         if (earlier.table, earlier.key) == (later.table, later.key)
-        and earlier.txn != later.txn
+        and earlier.txn_id != later.txn_id
         and conflicts(earlier.kind, later.kind)
     }
 
@@ -104,7 +104,7 @@ def test_linear_graph_matches_all_pairs_reference(data, name):
     )
     reference = reference_edges(history, conflicts)
     graph = build_graph(history, conflicts)
-    nodes = {op.txn for op in history}
+    nodes = {op.txn_id for op in history}
     assert set(graph.nodes) == nodes
     assert set(graph.edges) <= reference
     assert reachability(nodes, graph.edges) == reachability(nodes, reference)
@@ -121,11 +121,11 @@ def test_linear_graph_matches_all_pairs_reference(data, name):
 @settings(max_examples=150)
 def test_serial_histories_always_serializable(history):
     """Reordering ops so each txn runs contiguously => serializable."""
-    by_txn: dict[str, list[HistoryOp]] = {}
+    by_txn: dict[str, list[OpRecord]] = {}
     for op in history:
-        by_txn.setdefault(op.txn, []).append(op)
+        by_txn.setdefault(op.txn_id, []).append(op)
     serial = [
-        HistoryOp(seq, op.txn, op.kind, op.table, op.key)
+        OpRecord(seq, op.txn_id, None, op.kind, op.table, op.key)
         for seq, op in enumerate(
             (op for txn in sorted(by_txn) for op in by_txn[txn]), start=1
         )
@@ -146,7 +146,7 @@ def test_semantic_check_is_weaker_than_rw(history):
 @settings(max_examples=100)
 def test_single_transaction_always_serializable(history):
     renamed = [
-        HistoryOp(op.seq, "T1", op.kind, op.table, op.key) for op in history
+        OpRecord(op.seq, "T1", None, op.kind, op.table, op.key) for op in history
     ]
     assert check(renamed).serializable
 
