@@ -37,6 +37,11 @@ exponential backoff up to a retry budget, and the receiver suppresses
 duplicate transmissions (re-acking them, in case the first ack was
 lost).  That receiver filter is the system's only duplicate filter:
 no node above the network remembers which requests it has handled.
+It is a ``delivered`` flag on the transmission's record, which every
+delivery event of that transmission carries: the first delivery sets
+it, every later copy finds it set.  The flag outlives a receiver
+crash, and the record dies with its last queued delivery or timer
+entry, so the filter holds only transmissions still in flight.
 So ``dup_rate > 0`` requires ``reliable=True``, and a retransmitted
 or duplicated transmission reaches its node at most once.  Acks and
 retransmissions are *physical* control traffic -- they never appear
@@ -48,7 +53,6 @@ unreliable seed system: no extra random draws, no extra events.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.errors import NodeUnreachable, TopologyViolation
@@ -83,7 +87,9 @@ class _Xmit:
     first and cancelled it.
     """
 
-    __slots__ = ("network", "xid", "messages", "attempts", "deadline", "ack", "retired")
+    __slots__ = (
+        "network", "xid", "messages", "attempts", "deadline", "ack", "retired", "delivered",
+    )
 
     def __init__(self, network: "Network", xid: int, messages: tuple[Message, ...]):
         self.network = network
@@ -95,6 +101,8 @@ class _Xmit:
         #: ``(arrival, seq)`` of the earliest ack, ``None`` until one is sent.
         self.ack: Optional[tuple[float, int]] = None
         self.retired = False
+        #: Set by the first delivery: later copies are duplicates.
+        self.delivered = False
 
     @property
     def _done(self) -> bool:
@@ -175,12 +183,11 @@ class Network:
         # Named link partitions: a link in this set drops traffic in
         # both directions until healed.
         self._partitioned: set[frozenset[str]] = set()
-        # Reliable-delivery state: unacked transmissions by id
-        # (sender side) and transmission ids already delivered per
-        # destination (receiver-side duplicate suppression).
+        # Reliable-delivery state: unacked transmissions by id (sender
+        # side).  The receiver-side duplicate filter is each record's
+        # ``delivered`` flag.
         self._xmit_ids = itertools.count(1)
         self._pending_xmits: dict[int, _Xmit] = {}
-        self._seen_xmits: defaultdict[str, set[int]] = defaultdict(set)
         # Logical messages whose requester gave up (request timeout):
         # never retransmitted again, never delivered late.  Keeps the
         # at-most-once-per-request-window semantics the protocols'
@@ -500,12 +507,10 @@ class Network:
             return  # no ack: the sender keeps retransmitting
         # Ack duplicates too -- the original ack may have been the loss.
         self._send_ack(dest, messages[0].sender, xmit)
-        seen = self._seen_xmits[dest]
-        xid = xmit.xid
-        if xid in seen:
+        if xmit.delivered:
             self.duplicates_suppressed += len(messages)
             return
-        seen.add(xid)
+        xmit.delivered = True
         if self._abandoned:
             stale = [m for m in messages if m.msg_id in self._abandoned]
             if stale:

@@ -218,17 +218,15 @@ class Observability:
 
         # In-doubt windows (§3): local ready -> terminal, from the trace.
         indoubt = registry.histogram("indoubt_window", protocol=protocol)
-        records = federation.kernel.trace.records
-        for record in records[self._trace_scan:]:
-            if record.category != "txn_state":
-                continue
+        trace = federation.kernel.trace
+        for record in trace.select(category="txn_state", start=self._trace_scan):
             state = record.details.get("state")
             key = (record.site, record.subject)
             if state == "ready":
                 self._ready_since.setdefault(key, record.time)
             elif state in _LOCAL_TERMINAL and key in self._ready_since:
                 indoubt.observe(record.time - self._ready_since.pop(key))
-        self._trace_scan = len(records)
+        self._trace_scan = len(trace)
 
     # -- spans ----------------------------------------------------------
 

@@ -11,11 +11,13 @@ On failure the kernel trace of the offending run is dumped under
 ``chaos-artifacts/`` so a CI job can upload it for post-mortem.
 """
 
+import gc
 from pathlib import Path
 
 import pytest
 
 from repro.faults import CHAOS_PROTOCOLS, ChaosResult, ChaosSpec, run_chaos
+from repro.net.network import _Xmit
 
 ARTIFACT_DIR = Path(__file__).resolve().parents[2] / "chaos-artifacts"
 
@@ -116,6 +118,30 @@ def run_duplicating_chaos(protocol: str, granularity: str, seed: int) -> None:
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_chaos_heavy_duplication(protocol, granularity, seed):
     run_duplicating_chaos(protocol, granularity, seed)
+
+
+def test_a_drained_duplicating_run_remembers_no_transmission():
+    """The duplicate filter is a flag on each transmission's record,
+    which lives only while a delivery or timer entry of it is queued:
+    once the run drains, the network keeps no per-transmission state."""
+    result = run_chaos(
+        ChaosSpec(protocol="2pc", granularity="per_site", seed=1, dup_rate=0.5)
+    )
+    assert_chaos_ok(result)
+    net = result.federation.network
+    assert net.duplicates_suppressed > 0
+    assert not net._pending_xmits
+    topology_and_counters = {"_nodes", "_valid_links", "by_kind"}
+    remembered = {
+        name: value for name, value in vars(net).items()
+        if isinstance(value, (set, dict)) and value and name not in topology_and_counters
+    }
+    assert remembered == {}
+    gc.collect()
+    assert not [
+        obj for obj in gc.get_objects()
+        if isinstance(obj, _Xmit) and obj.network is net
+    ]
 
 
 @pytest.mark.soak

@@ -116,6 +116,31 @@ def test_duplicates_stop_at_the_receiving_node(kernel, batch_window):
     assert net.duplicates_suppressed > 0
 
 
+class ScriptedLatency:
+    """Delays in draw order; the last one repeats."""
+
+    def __init__(self, *delays):
+        self.delays = list(delays)
+
+    def sample(self, rng):
+        return self.delays.pop(0) if len(self.delays) > 1 else self.delays[0]
+
+
+def test_duplicate_after_receiver_restart_is_suppressed(kernel):
+    # Draws: the delivery (t=1), its duplicate (t=4), then every ack.
+    net, _, a = make_net(kernel, dup_rate=1.0, latency=ScriptedLatency(1.0, 4.0, 1.0))
+    net.send(Message(kind="ping", sender="central", dest="a"))
+    kernel.call_at(2.0, a.crash)
+    kernel.call_at(3.0, lambda: kernel.spawn(a.restart(), name="restart"))
+    kernel.run()
+    # The receiver lost its mailbox, not the transmission's delivered
+    # flag: the copy arriving after the restart is still a duplicate.
+    assert not a.crashed
+    assert net.delivered == 1
+    assert net.duplicates_suppressed == 1
+    assert net.acks_sent == 2
+
+
 def test_duplication_without_reliable_delivery_refused(kernel):
     with pytest.raises(ValueError, match="reliable=True"):
         Network(kernel, dup_rate=0.1)
@@ -177,7 +202,7 @@ net.add_node(Node(kernel, "central", is_central=True))
 for name in ("a", "b", "c", "d"):
     net.add_node(Node(kernel, name))
     net.partition(name, "central")
-kernel.trace.records.clear()
+kernel.trace.clear()
 net.heal()
 for record in kernel.trace:
     print(record)
