@@ -87,7 +87,7 @@ def measure(metrics: bool, spans: bool) -> dict:
     events = fed.kernel.events_dispatched
     return {
         "events": events,
-        "trace_records": len(fed.kernel.trace.records),
+        "trace_records": len(fed.kernel.trace),
         "elapsed": elapsed,
         "rate": events / elapsed,
         "committed": sum(1 for o in outcomes if o.committed),

@@ -89,9 +89,10 @@ class LocalTransaction:
         self.write_set: set[tuple[str, Any]] = set()
         if optimistic:
             # Only the optimistic scheduler has these (a 2PL transaction
-            # leaves both slots unset): the read set it validates, and
-            # its deferred writes, (table, key) -> ("write"|"delete", value).
-            self.read_set: set[tuple[str, Any]] = set()
+            # leaves both slots unset): the read set it validates,
+            # (table, key) -> stamp of its latest read, and its deferred
+            # writes, (table, key) -> ("write"|"delete", value).
+            self.read_set: dict[tuple[str, Any], int] = {}
             self.workspace: dict[tuple[str, Any], tuple[str, Any]] = {}
         self.start_commit_seq = start_commit_seq
         # Global transaction this local one belongs to (None for purely

@@ -113,7 +113,7 @@ class SpanForest:
 
 def build_spans(trace: TraceLog | Iterable[TraceRecord]) -> SpanForest:
     """Group trace records into a span forest."""
-    records = list(trace.records if isinstance(trace, TraceLog) else trace)
+    records = list(trace)
 
     spans: list[Span] = []
     next_id = [0]
