@@ -67,14 +67,14 @@ def _emit_counterexample(
 def _replay(path: str) -> int:
     trace = ReproTrace.read(path)
     result = trace.replay()
-    status = "VIOLATES" if result.violations else "clean"
+    status = "clean" if result.ok else "VIOLATES"
     print(
         f"replayed {path}: protocol={trace.spec.protocol} "
         f"schedule={trace.schedule} -> {status}"
     )
     for violation in result.violations:
         print(f"  {violation}")
-    return 1 if result.violations else 0
+    return 0 if result.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,12 +3,15 @@
 Stateless model checking: the simulation is a deterministic function of
 ``(CheckSpec, schedule choices, crash points)``, so the explorer simply
 re-executes the whole scenario once per schedule instead of snapshotting
-generator state.  One :func:`run_execution` builds a fresh federation,
-installs a scheduling strategy on the kernel, optionally schedules
+generator state.  One :func:`run_execution` builds a fresh federation
+and hands it to :func:`execute_and_audit`, which installs a scheduling
+strategy on the kernel, schedules
 :class:`~repro.faults.injector.CrashPoint` crashes (data sites,
-coordinator shards and acceptors alike, by node name), runs to
-quiescence and evaluates the full invariant battery of
-:func:`repro.core.invariants.check_invariants`.
+coordinator shards and acceptors alike, by node name), runs to the
+horizon and evaluates the full invariant battery of
+:func:`repro.core.invariants.check_invariants`.  The chaos harness
+(:func:`repro.faults.chaos.run_chaos`) runs and audits through the same
+step.
 
 :func:`explore` drives bounded-exhaustive DFS over schedule choices
 (with the commutativity pruning the strategies implement),
@@ -23,17 +26,26 @@ tests and the CLI.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.check.scenarios import CheckSpec, build_scenario
 from repro.check.scheduler import DfsStrategy, PctStrategy, ReplayStrategy, Strategy
-from repro.core.invariants import check_invariants
+from repro.core.invariants import InvariantViolation, check_invariants
 from repro.faults.injector import CrashPoint
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.integration.federation import Federation
+    from repro.sim.process import Process
+
+
+def _verdict(invariant: str) -> property:
+    """A named verdict: the battery found nothing of ``invariant``."""
+    return property(lambda self: all(f.invariant != invariant for f in self.findings))
 
 
 @dataclass
 class ExecutionResult:
-    """Audit of one controlled execution."""
+    """Audit of one controlled execution, and its named verdicts."""
 
     choices: list[int] = field(default_factory=list)
     arities: list[int] = field(default_factory=list)
@@ -42,27 +54,53 @@ class ExecutionResult:
     end_time: float = 0.0
     committed: int = 0
     aborted: int = 0
-    violations: list[str] = field(default_factory=list)
+    #: What :func:`~repro.core.invariants.check_invariants` found.
+    findings: list[InvariantViolation] = field(default_factory=list)
     crashes: list[CrashPoint] = field(default_factory=list)
 
     @property
+    def violations(self) -> list[str]:
+        """The findings as text: what the CLI prints and a trace stores."""
+        return [str(finding) for finding in self.findings]
+
+    atomicity_ok = _verdict("atomicity")
+    serializable = _verdict("serializability")
+    converged = _verdict("convergence")
+    conserved = _verdict("conservation")
+    #: Partitioned runs only: serving replicas hold identical images.
+    replicas_converged = _verdict("replica_convergence")
+
+    @property
+    def stuck(self) -> list[str]:
+        return [f.detail for f in self.findings if f.invariant == "convergence"]
+
+    @property
     def ok(self) -> bool:
-        return not self.violations
+        return not self.findings
 
 
-def run_execution(
-    spec: CheckSpec,
+def execute_and_audit(
+    federation: Federation,
+    horizon: float,
+    processes: Sequence[Process] = (),
+    conserved: Optional[dict[tuple[str, str], int]] = None,
+    crashes: Sequence[CrashPoint] = (),
     strategy: Optional[Strategy] = None,
-    crashes: tuple[CrashPoint, ...] = (),
+    result: Optional[ExecutionResult] = None,
 ) -> ExecutionResult:
-    """One execution under ``strategy`` (``None`` = the default loop)."""
-    scenario = build_scenario(spec)
-    federation = scenario.federation
+    """Schedule ``crashes``, run to ``horizon`` under ``strategy``, audit.
+
+    The run-and-audit step of both the checker and the chaos harness:
+    ``processes`` must finish, the ``conserved`` cells keep their total.
+    Fills ``result`` (a fresh :class:`ExecutionResult` if ``None``).
+    """
     federation.kernel.scheduler = strategy
     for crash in crashes:
         crash.schedule(federation)
-    end_time = federation.run(until=spec.horizon)
-    result = ExecutionResult(end_time=end_time, crashes=list(crashes))
+    if result is None:
+        result = ExecutionResult()
+    result.end_time = federation.run(until=horizon)
+    result.crashes = list(crashes)
     if strategy is not None:
         result.choices = strategy.choices
         result.arities = [arity for _choice, arity in strategy.trail]
@@ -70,13 +108,24 @@ def run_execution(
         result.steps = strategy.steps
     result.committed = sum(gtm.committed for gtm in federation.coordinators)
     result.aborted = sum(gtm.aborted for gtm in federation.coordinators)
-    result.violations = [
-        str(violation)
-        for violation in check_invariants(
-            federation, processes=scenario.processes, conserved=scenario.conserved
-        )
-    ]
+    result.findings = check_invariants(
+        federation, processes=list(processes), conserved=conserved
+    )
     return result
+
+
+def run_execution(
+    spec: CheckSpec,
+    strategy: Optional[Strategy] = None,
+    crashes: tuple[CrashPoint, ...] = (),
+) -> ExecutionResult:
+    """One execution of ``spec``'s scenario under ``strategy`` (``None`` =
+    the default loop)."""
+    scenario = build_scenario(spec)
+    return execute_and_audit(
+        scenario.federation, spec.horizon, processes=scenario.processes,
+        conserved=scenario.conserved, crashes=crashes, strategy=strategy,
+    )
 
 
 @dataclass
@@ -103,7 +152,7 @@ class CheckReport:
         self.executions += 1
         self.choice_points += len(result.choices)
         self.pruned += result.pruned
-        if not result.violations:
+        if result.ok:
             return False
         self.violation_count += 1
         if self.counterexample is None:

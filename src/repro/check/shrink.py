@@ -92,7 +92,7 @@ def shrink_counterexample(
     """
 
     def violates(candidate: list[int]) -> bool:
-        return bool(replay_execution(spec, candidate, crashes=crashes).violations)
+        return not replay_execution(spec, candidate, crashes=crashes).ok
 
     if not violates(list(schedule)):
         return None

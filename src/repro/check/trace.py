@@ -37,7 +37,7 @@ class ReproTrace:
             spec=spec,
             schedule=list(result.choices),
             crashes=list(result.crashes),
-            violations=list(result.violations),
+            violations=result.violations,
         )
 
     def to_json_bytes(self) -> bytes:

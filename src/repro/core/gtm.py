@@ -142,19 +142,15 @@ class DecisionLog:
     """
 
     def __init__(self):
-        self.records: list[tuple[str, str]] = []
         self.forces = 0
-        self._hardened: set[str] = set()
         self._decisions: dict[str, str] = {}
 
     def harden(self, gtxn_ids: list[str], decision: str) -> None:
         """Durably record ``decision`` for every id, with one force."""
-        fresh = [g for g in gtxn_ids if g not in self._hardened]
+        fresh = [g for g in gtxn_ids if g not in self._decisions]
         if not fresh:
             return
         for gtxn_id in fresh:
-            self._hardened.add(gtxn_id)
-            self.records.append((gtxn_id, decision))
             self._decisions[gtxn_id] = decision
         self.forces += 1
 

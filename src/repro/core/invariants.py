@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
 
-from repro.core.protocols import per_action_protocols
 from repro.core.serializability import (
     OpRecord,
     committed_history,
@@ -98,14 +97,10 @@ def _atomicity_report(federation: "Federation", histories: Histories) -> Atomici
             counted.add(record.txn_id)
             counts[key] = counts.get(key, 0) + 1
 
-    protocol = federation.gtm.config.protocol
-    # Protocols that execute one L0 transaction per action when the
-    # granularity says so; 2PC/3PC/commit-after always run one local
-    # transaction per site.
-    per_action = (
-        federation.gtm.config.granularity == "per_action"
-        and protocol in per_action_protocols()
-    )
+    # The §3.3 family runs one L0 transaction per action (saga and
+    # altruistic whatever the configured granularity); every other
+    # protocol one local transaction per site.
+    per_action = federation.gtm.protocol.runs_per_action(federation.gtm.config)
     for outcome in _all_outcomes(federation):
         report.checked += 1
         base = _base_id(outcome.gtxn_id)

@@ -58,9 +58,6 @@ class ProtocolInfo:
     granularity: str = "per_site"
     #: L1 lock table the GTM must run (None | "read_write" | "semantic")
     l1_table: Optional[str] = None
-    #: runs one L0 transaction per action under per_action granularity
-    #: (the §3.3 family); the atomicity audit counts locals differently
-    per_action: bool = False
     #: locals wait for the decision in the *running* state, so an
     #: autonomous abort between vote and decision must be redone (§3.2)
     redo_window: bool = False
@@ -87,7 +84,7 @@ PROTOCOL_REGISTRY: dict[str, ProtocolInfo] = {
             "before", "repro.core.protocols.commit_before", "CommitBefore",
             "locals commit before the decision; inverse-transaction undo (§3.3)",
             requires_prepare=False, granularity="per_action",
-            l1_table="semantic", per_action=True,
+            l1_table="semantic",
         ),
         ProtocolInfo(
             "after", "repro.core.protocols.commit_after", "CommitAfter",
@@ -118,15 +115,13 @@ PROTOCOL_REGISTRY: dict[str, ProtocolInfo] = {
             "saga", "repro.baselines.sagas", "SagaCoordinator",
             "compensation-based baseline; no global serializability",
             requires_prepare=False, granularity="per_action",
-            per_action=True, serializable=False,
-            in_check=False, in_chaos=False,
+            serializable=False, in_check=False, in_chaos=False,
         ),
         ProtocolInfo(
             "altruistic", "repro.baselines.altruistic", "AltruisticCommit",
             "altruistic locking baseline over per-action locals",
             requires_prepare=False, granularity="per_action",
-            l1_table="read_write", per_action=True,
-            in_check=False, in_chaos=False,
+            l1_table="read_write", in_check=False, in_chaos=False,
         ),
         ProtocolInfo(
             "one_phase", "repro.core.protocols.one_phase", "OnePhaseCommit",
@@ -161,13 +156,6 @@ def preparable_protocols() -> frozenset[str]:
     """Names whose sites must be built with a preparable (modified) TM."""
     return frozenset(
         info.name for info in PROTOCOL_REGISTRY.values() if info.requires_prepare
-    )
-
-
-def per_action_protocols() -> frozenset[str]:
-    """The §3.3 family: one L0 transaction per action under per_action."""
-    return frozenset(
-        info.name for info in PROTOCOL_REGISTRY.values() if info.per_action
     )
 
 
@@ -221,7 +209,6 @@ __all__ = [
     "check_matrix",
     "default_granularity",
     "make_protocol",
-    "per_action_protocols",
     "preparable_protocols",
     "protocol_info",
     "protocol_mutants",

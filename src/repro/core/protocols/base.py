@@ -476,6 +476,10 @@ class CommitProtocol(abc.ABC):
     def run(self, ctx: ProtocolContext) -> Generator[Any, Any, None]:
         """Drive ``ctx.gtxn`` to a final state, filling ``ctx.outcome``."""
 
+    def runs_per_action(self, config: "GTMConfig") -> bool:
+        """One L0 transaction per L1 action (§4) instead of one per site?"""
+        return False
+
     def durable_decision(self, ctx: ProtocolContext) -> Optional[str]:
         """The decision recovery may act on: the hardened commit record,
         else presumed abort.  A protocol that can answer ``None`` (not

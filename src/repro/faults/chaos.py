@@ -18,9 +18,12 @@ transaction reached a terminal state at every site within the
 post-fault horizon), lock release, drained redo/undo logs, inverse
 order, replica convergence and **conservation** (the run declares its
 accounts, and the battery names each site's delta from their total).
-The scheduled coordinator, acceptor and data-site kills are
-:class:`~repro.faults.injector.CrashPoint` entries, the checker's own
-crash type.
+Every crash is a :class:`~repro.faults.injector.CrashPoint`, the
+checker's own crash type, and the run itself -- scheduled kills, run to
+the horizon, audit -- is the checker's
+:func:`~repro.check.engine.execute_and_audit` step, so a
+:class:`ChaosResult` is an :class:`~repro.check.engine.ExecutionResult`
+with the chaos figures added.
 
 Everything is driven from named kernel RNG streams: the same
 (protocol, seed) pair replays the identical schedule, which is what
@@ -32,8 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Generator
 
+from repro.check.engine import ExecutionResult, execute_and_audit
 from repro.core.gtm import GTMConfig
-from repro.core.invariants import InvariantViolation, check_invariants
 from repro.core.protocols import (
     chaos_matrix_protocols,
     preparable_protocols,
@@ -74,10 +77,8 @@ class ChaosSpec:
     crash_rate: float = 0.004
     outage: float = 60.0
     partition_count: int = 2
-    partition_duration: float = 40.0
     erroneous_abort_rate: float = 0.2
     msg_timeout: float = 25.0
-    intended_abort_every: int = 4
     #: Attach the observability registry to the run; the injector's
     #: fault counters then share it with the rest of the federation.
     metrics: bool = False
@@ -91,13 +92,11 @@ class ChaosSpec:
     coordinator_outage: float = 0.0
     #: Paxos Commit only: acceptor-group fault tolerance (2F+1 built)
     #: and a scheduled kill of the first ``acceptor_crashes`` acceptors
-    #: at ``acceptor_crash_at`` (0 = none), restarted after
-    #: ``acceptor_outage`` (0 = they stay down -- which up to F crashes
-    #: must tolerate without a single blocked transaction).
+    #: at ``acceptor_crash_at`` (0 = none).  They stay down
+    #: (``ACCEPTOR_OUTAGE``): up to F crashes must not block anything.
     paxos_f: int = 1
     acceptor_crashes: int = 0
     acceptor_crash_at: float = 0.0
-    acceptor_outage: float = 0.0
     #: Data-plane sharding: > 0 replaces the per-site tables with one
     #: partitioned global table (``acct``) placed across the sites,
     #: each partition carrying ``replication`` members.
@@ -116,17 +115,20 @@ class ChaosSpec:
     batch_policy: str = "static"
     batch_max_msgs: int = 0
 
+    #: A cut link heals this long after the cut.
+    PARTITION_DURATION = 40.0
+    #: Killed acceptors are never restarted.
+    ACCEPTOR_OUTAGE = 0.0
+    #: Every ``intended_abort_every``-th submission intends to abort.
+    intended_abort_every = 4
 
-@dataclass
-class ChaosResult:
-    """Outcome and audit of one chaos run."""
+
+@dataclass(kw_only=True)
+class ChaosResult(ExecutionResult):
+    """Outcome and audit of one chaos run: the checker's verdicts plus
+    the chaos figures."""
 
     spec: ChaosSpec
-    committed: int = 0
-    aborted: int = 0
-    end_time: float = 0.0
-    #: :func:`~repro.core.invariants.check_invariants` on the aftermath.
-    violations: list[InvariantViolation] = field(default_factory=list)
     #: Time from the fault silence to the last transaction finishing
     #: (0 when everything already resolved during the fault phase).
     time_to_resolution: float = 0.0
@@ -136,38 +138,6 @@ class ChaosResult:
     registry: Any = field(default=None, repr=False)
     #: The live federation, kept for post-mortem trace dumps in tests.
     federation: Any = field(default=None, repr=False)
-
-    def _clean(self, invariant: str) -> bool:
-        return all(v.invariant != invariant for v in self.violations)
-
-    @property
-    def atomicity_ok(self) -> bool:
-        return self._clean("atomicity")
-
-    @property
-    def serializable(self) -> bool:
-        return self._clean("serializability")
-
-    @property
-    def converged(self) -> bool:
-        return self._clean("convergence")
-
-    @property
-    def conserved(self) -> bool:
-        return self._clean("conservation")
-
-    @property
-    def stuck(self) -> list[str]:
-        return [v.detail for v in self.violations if v.invariant == "convergence"]
-
-    @property
-    def replicas_converged(self) -> bool:
-        """Partitioned runs only: serving replicas hold identical images."""
-        return self._clean("replica_convergence")
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def _chaos_keys(spec: ChaosSpec) -> int:
@@ -271,7 +241,7 @@ def run_chaos(spec: ChaosSpec) -> ChaosResult:
         injector.partition_link(
             "central", victim,
             at=rng.uniform(0.0, spec.fault_horizon),
-            heal_after=spec.partition_duration,
+            heal_after=spec.PARTITION_DURATION,
         )
 
     def clear_faults() -> None:
@@ -295,7 +265,7 @@ def run_chaos(spec: ChaosSpec) -> ChaosResult:
         if fed.acceptors is None:
             raise ValueError("acceptor_crashes requires protocol='paxos'")
         crashes.extend(
-            CrashPoint(name, spec.acceptor_crash_at, spec.acceptor_outage)
+            CrashPoint(name, spec.acceptor_crash_at, spec.ACCEPTOR_OUTAGE)
             for name in fed.acceptors.names[: spec.acceptor_crashes]
         )
     if spec.partitions > 0 and spec.site_crashes > 0 and spec.site_crash_at > 0:
@@ -307,8 +277,6 @@ def run_chaos(spec: ChaosSpec) -> ChaosResult:
             CrashPoint(victim, spec.site_crash_at, spec.replica_outage)
             for victim in victims
         )
-    for crash in crashes:
-        crash.schedule(fed)
 
     # -- conservation workload: balanced cross-site transfers ----------
     def transfer_ops(txn_rng) -> list:
@@ -335,12 +303,9 @@ def run_chaos(spec: ChaosSpec) -> ChaosResult:
 
     def submitter(index: int, delay: float) -> Generator[Any, Any, Any]:
         yield delay
-        intends_abort = (
-            spec.intended_abort_every > 0
-            and index % spec.intended_abort_every == spec.intended_abort_every - 1
-        )
+        every = spec.intended_abort_every
         outcome = yield fed.submit(
-            transfer_ops(rng), name=f"C{index}", intends_abort=intends_abort
+            transfer_ops(rng), name=f"C{index}", intends_abort=index % every == every - 1
         )
         return outcome
 
@@ -350,76 +315,46 @@ def run_chaos(spec: ChaosSpec) -> ChaosResult:
         )
         for i in range(spec.n_txns)
     ]
-
-    end_time = fed.run(until=spec.resolution_horizon)
-
-    # -- audit ----------------------------------------------------------
-    result = ChaosResult(spec=spec, end_time=end_time)
-    result.committed = sum(gtm.committed for gtm in fed.coordinators)
-    result.aborted = sum(gtm.aborted for gtm in fed.coordinators)
-    result.violations = check_invariants(
-        fed, processes=processes, conserved=_accounts(spec)
+    result = execute_and_audit(
+        fed, spec.resolution_horizon, processes=processes,
+        conserved=_accounts(spec), crashes=crashes,
+        result=ChaosResult(spec=spec, registry=injector.registry, federation=fed),
     )
 
-    finish_times = [
-        outcome.finish_time
-        for gtm in fed.coordinators
-        for outcome in gtm.outcomes
-        if outcome.finish_time is not None
-    ]
-    last_finish = max(finish_times) if finish_times else 0.0
+    last_finish = max(
+        (
+            outcome.finish_time
+            for gtm in fed.coordinators
+            for outcome in gtm.outcomes
+            if outcome.finish_time is not None
+        ),
+        default=0.0,
+    )
     result.time_to_resolution = max(0.0, last_finish - spec.fault_horizon)
 
+    recovery = [gtm.recovery for gtm in fed.coordinators]
     result.counters = {
         **fed.network.reliability_counts(),
         **injector.counters(),
-        "recovery_passes": sum(g.recovery.passes for g in fed.coordinators),
-        "recovery_resolved_indoubt": sum(
-            g.recovery.resolved_indoubt for g in fed.coordinators
-        ),
-        "recovery_redriven_redos": sum(
-            g.recovery.redriven_redos for g in fed.coordinators
-        ),
-        "recovery_redriven_undos": sum(
-            g.recovery.redriven_undos for g in fed.coordinators
-        ),
-        "recovery_orphans_terminated": sum(
-            g.recovery.orphans_terminated for g in fed.coordinators
-        ),
+        **{
+            f"recovery_{name}": sum(getattr(r, name) for r in recovery)
+            for name in (
+                "passes", "resolved_indoubt", "redriven_redos", "redriven_undos",
+                "orphans_terminated",
+            )
+        },
         "coordinator_crashes": fed.pool.crashes,
         "takeovers_started": fed.pool.takeovers_started,
-        "paxos_concluded": sum(g.recovery.concluded for g in fed.coordinators),
-        "failovers": sum(g.recovery.failovers for g in fed.coordinators),
-        "failover_resolved": sum(
-            g.recovery.failover_resolved for g in fed.coordinators
-        ),
+        "paxos_concluded": sum(r.concluded for r in recovery),
+        "failovers": sum(r.failovers for r in recovery),
+        "failover_resolved": sum(r.failover_resolved for r in recovery),
     }
     if fed.dataplane is not None:
-        dp = fed.dataplane
         result.counters.update(
-            dataplane_promotions=dp.promotions,
-            dataplane_evictions=dp.evictions,
-            dataplane_rejoins=dp.rejoins,
-            dataplane_resynced_keys=dp.resynced_keys,
-            dataplane_stale_rejections=dp.stale_rejections,
-            dataplane_unavailable_rejections=dp.unavailable_rejections,
-        )
-    result.registry = injector.registry
-    result.federation = fed
-    return result
-
-
-def chaos_matrix(
-    seeds: list[int],
-    protocols: list[tuple[str, str]] | None = None,
-    **overrides: Any,
-) -> list[ChaosResult]:
-    """Sweep ``seeds`` across the protocol matrix; returns all results."""
-    results = []
-    for protocol, granularity in protocols or CHAOS_PROTOCOLS:
-        for seed in seeds:
-            spec = ChaosSpec(
-                protocol=protocol, granularity=granularity, seed=seed, **overrides
+            (f"dataplane_{name}", getattr(fed.dataplane, name))
+            for name in (
+                "promotions", "evictions", "rejoins", "resynced_keys",
+                "stale_rejections", "unavailable_rejections",
             )
-            results.append(run_chaos(spec))
-    return results
+        )
+    return result

@@ -22,7 +22,7 @@ reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.localdb.txn import LocalAbortReason
 from repro.obs.metrics import MetricsRegistry
@@ -43,10 +43,33 @@ class CrashPoint:
     at: float
     restart_after: float = 60.0
 
-    def schedule(self, federation: "Federation") -> None:
-        federation.crash_site(self.site, at=self.at)
+    def schedule(
+        self,
+        federation: "Federation",
+        on_crash: Optional[Callable[["CrashPoint"], None]] = None,
+    ) -> None:
+        """Arm the crash and its restart; ``on_crash`` runs as it lands.
+
+        Crash and restart are routed by name (:meth:`Federation.crash_site`),
+        so a data site, coordinator shard or acceptor all work.  A crash
+        landing inside another outage only extends the downtime
+        (:meth:`Federation.hold_down`): ``on_crash`` does not run, and the
+        earlier outage's restart cannot resurrect the node early.
+        """
+        restart_at = self.at + self.restart_after
+
+        def fire() -> None:
+            if self.restart_after > 0:
+                federation.hold_down(self.site, restart_at)
+            if federation.nodes[self.site].crashed:
+                return  # already down: the outage was merely extended
+            if on_crash is not None:
+                on_crash(self)
+            federation.crash_site(self.site)
+
+        federation.kernel.call_at(self.at, fire)
         if self.restart_after > 0:
-            federation.restart_site(self.site, at=self.at + self.restart_after)
+            federation.restart_site(self.site, at=restart_at)
 
     def to_dict(self) -> dict[str, Any]:
         return {"site": self.site, "at": self.at, "restart_after": self.restart_after}
@@ -112,22 +135,10 @@ class FaultInjector:
         targets = sites or list(self.federation.engines)
 
         def make_hook(site: str):
-            engine = self.federation.engines[site]
-
             def hook(gtxn_id: str, txn_id: str, prepared: bool) -> None:
-                if prepared:
+                if prepared or self._rng.random() >= probability:
                     return
-                if self._rng.random() >= probability:
-                    return
-
-                def fire() -> None:
-                    self._aborts.inc()
-                    self.kernel.trace.emit(
-                        "fault", site, txn_id, kind="system_abort", gtxn=gtxn_id
-                    )
-                    engine.force_abort(txn_id, LocalAbortReason.SYSTEM)
-
-                self.kernel._schedule(delay, fire)
+                self.kernel._schedule(delay, self._system_abort, site, txn_id, gtxn_id)
 
             return hook
 
@@ -138,19 +149,18 @@ class FaultInjector:
     # Direct aborts and crashes
     # ------------------------------------------------------------------
 
+    def _system_abort(self, site: str, txn_id: str, gtxn_id: Optional[str] = None) -> None:
+        self._aborts.inc()
+        details = {} if gtxn_id is None else {"gtxn": gtxn_id}
+        self.kernel.trace.emit("fault", site, txn_id, kind="system_abort", **details)
+        self.federation.engines[site].force_abort(txn_id, LocalAbortReason.SYSTEM)
+
     def abort_subtxn(self, site: str, txn_id: str, at: Optional[float] = None) -> None:
         """Force-abort one local transaction (a "system abort")."""
-        engine = self.federation.engines[site]
-
-        def fire() -> None:
-            self._aborts.inc()
-            self.kernel.trace.emit("fault", site, txn_id, kind="system_abort")
-            engine.force_abort(txn_id, LocalAbortReason.SYSTEM)
-
         if at is None:
-            fire()
+            self._system_abort(site, txn_id)
         else:
-            self.kernel.call_at(at, fire)
+            self.kernel.call_at(at, self._system_abort, site, txn_id)
 
     def lose_next_message(self, kind: str) -> None:
         """Drop the next message of ``kind`` (e.g. a ``finished`` reply).
@@ -163,27 +173,16 @@ class FaultInjector:
     def crash_site(self, site: str, at: float, recover_after: Optional[float] = None) -> None:
         """Crash ``site`` at ``at``; restart after ``recover_after`` if set.
 
-        Crash and restart are routed by name as in
-        :meth:`Federation.crash_site`, so a coordinator or acceptor name
-        works too.  Overlap-safe: a crash landing inside another outage
-        only extends the downtime (:meth:`Federation.hold_down`) -- it
-        is not counted as a fresh crash, and the earlier outage's
-        restart cannot resurrect the site before the extended outage
-        ends.
+        One counted and traced :class:`CrashPoint`: a crash that only
+        extends a running outage is not counted as a fresh one.
         """
+        CrashPoint(site, at, recover_after or 0.0).schedule(
+            self.federation, self._count_crash
+        )
 
-        def fire() -> None:
-            if recover_after is not None:
-                self.federation.hold_down(site, self.kernel.now + recover_after)
-            if self.federation.nodes[site].crashed:
-                return  # already down: the outage was merely extended
-            self._crashes.inc()
-            self.kernel.trace.emit("fault", site, site, kind="crash")
-            self.federation.crash_site(site)
-
-        self.kernel.call_at(at, fire)
-        if recover_after is not None:
-            self.federation.restart_site(site, at=at + recover_after)
+    def _count_crash(self, point: CrashPoint) -> None:
+        self._crashes.inc()
+        self.kernel.trace.emit("fault", point.site, point.site, kind="crash")
 
     def partition_link(
         self, a: str, b: str, at: float, heal_after: Optional[float] = None

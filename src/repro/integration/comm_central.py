@@ -95,7 +95,7 @@ class CentralCommunicationManager:
             # gave up on: the caller's retry sends a fresh one, and a
             # late ghost delivery of this one could make the site act
             # on a transaction the coordinator already resolved.
-            self.network.abandon(message.msg_id)
+            self.network.abandon(message)
             raise MessageTimeout(f"{kind} to {site} (gtxn={gtxn_id})")
         return reply
 

@@ -373,7 +373,9 @@ class Federation:
 
         Overlapping crash schedules extend (never shorten) each other --
         a crash landing inside another outage must not let the earlier
-        outage's restart resurrect the node early.
+        outage's restart resurrect the node early.  Every
+        :class:`~repro.faults.injector.CrashPoint` with a restart calls
+        this as it lands.
         """
         current = self._outage_until.get(name, 0.0)
         self._outage_until[name] = max(current, until)

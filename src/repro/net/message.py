@@ -17,8 +17,8 @@ Both classes are hand-written ``__slots__`` classes rather than frozen
 dataclasses: every request/response pair allocates a message, and the
 frozen-dataclass construction path (one ``object.__setattr__`` per
 field) dominated the envelope cost in profiles.  Instances are
-immutable by convention; equality remains field-by-field, like the
-dataclasses they replace.
+immutable by convention, except for the network's ``abandoned`` mark;
+equality remains field-by-field, like the dataclasses they replace.
 """
 
 from __future__ import annotations
@@ -43,7 +43,9 @@ def reset_message_ids() -> None:
 class Message:
     """One logical network message."""
 
-    __slots__ = ("kind", "sender", "dest", "payload", "gtxn_id", "reply_to", "msg_id")
+    __slots__ = (
+        "kind", "sender", "dest", "payload", "gtxn_id", "reply_to", "msg_id", "abandoned",
+    )
 
     def __init__(
         self,
@@ -62,6 +64,9 @@ class Message:
         self.gtxn_id = gtxn_id
         self.reply_to = reply_to
         self.msg_id = next(_msg_counter) if msg_id is None else msg_id
+        #: Set by :meth:`Network.abandon <repro.net.network.Network.abandon>`
+        #: when the requester gave up; not part of the message's value.
+        self.abandoned = False
 
     @property
     def link(self) -> tuple[str, str]:

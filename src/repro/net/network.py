@@ -188,11 +188,10 @@ class Network:
         # ``delivered`` flag.
         self._xmit_ids = itertools.count(1)
         self._pending_xmits: dict[int, _Xmit] = {}
-        # Logical messages whose requester gave up (request timeout):
-        # never retransmitted again, never delivered late.  Keeps the
-        # at-most-once-per-request-window semantics the protocols'
-        # own retry machinery was written against.
-        self._abandoned: set[int] = set()
+        # Set by the first :meth:`abandon`; until then no transmission
+        # looks for abandoned riders.  The mark itself is each message's
+        # ``abandoned`` flag, so it lives as long as what carries it.
+        self._abandoning = False
         # Metrics.  ``sent``/``delivered``/``dropped``/``by_kind`` count
         # logical messages; ``envelopes`` counts physical transmissions.
         self.sent = 0
@@ -375,8 +374,8 @@ class Network:
 
     # -- abandonment -----------------------------------------------------------
 
-    def abandon(self, msg_id: int) -> None:
-        """Stop (re)delivering the reliable transmission of ``msg_id``.
+    def abandon(self, message: Message) -> None:
+        """Stop (re)delivering the reliable transmission of ``message``.
 
         Called by a requester whose timeout fired: the protocols'
         retry machinery re-sends a *fresh* request, so a late ghost
@@ -384,11 +383,14 @@ class Network:
         transaction the coordinator has already moved past (e.g. begin
         a subtransaction for an attempt that was aborted meanwhile).
         Abandoned messages are pruned from pending retransmissions and
-        filtered out at delivery time.  No-op on unreliable networks,
-        which cannot deliver late to begin with.
+        filtered out at delivery time: the at-most-once-per-request-window
+        semantics the protocols' own retry machinery was written against.
+        No-op on unreliable networks, which cannot deliver late to begin
+        with.
         """
         if self.reliable:
-            self._abandoned.add(msg_id)
+            message.abandoned = True
+            self._abandoning = True
 
     # -- transmission ----------------------------------------------------------
 
@@ -480,10 +482,8 @@ class Network:
 
     def _retransmit(self, xmit: _Xmit) -> None:
         """The retransmit timer fired before any ack arrived."""
-        if self._abandoned:
-            live = tuple(
-                m for m in xmit.messages if m.msg_id not in self._abandoned
-            )
+        if self._abandoning:
+            live = tuple(m for m in xmit.messages if not m.abandoned)
             if not live:
                 xmit.retire()
                 return  # every rider gave up: stop retransmitting
@@ -511,12 +511,12 @@ class Network:
             self.duplicates_suppressed += len(messages)
             return
         xmit.delivered = True
-        if self._abandoned:
-            stale = [m for m in messages if m.msg_id in self._abandoned]
+        if self._abandoning:
+            stale = [m for m in messages if m.abandoned]
             if stale:
                 self.abandoned_messages += len(stale)
                 self._drop(stale, "abandoned")
-                messages = tuple(m for m in messages if m.msg_id not in self._abandoned)
+                messages = tuple(m for m in messages if not m.abandoned)
         for message in messages:
             dst.deliver(message)
         self.delivered += len(messages)

@@ -8,6 +8,8 @@ breaking a real federation is impractical.
 
 from types import SimpleNamespace
 
+import pytest
+
 from repro.core.invariants import (
     InvariantViolation,
     atomicity_report,
@@ -18,11 +20,13 @@ from repro.core.invariants import (
     redo_drain_violations,
     undo_drain_violations,
 )
+from repro.core.protocols import make_protocol
 from repro.core.redo import RedoLog
 from repro.core.undo import UndoLog
 from repro.faults.chaos import ChaosResult, ChaosSpec
 from repro.core.serializability import OpRecord
 from repro.mlt.actions import increment
+from tests.protocols.conftest import build_fed, submit_and_run
 
 
 def _op(seq, txn_id, gtxn_id, table, key, kind="increment"):
@@ -172,8 +176,7 @@ def test_atomicity_counts_come_from_the_committed_history():
     federation = _fake_federation(
         engines={"s0": _engine_with_history(records, committed)}
     )
-    federation.gtm.config.protocol = "2pc"
-    federation.gtm.config.granularity = "per_site"
+    federation.gtm.protocol = make_protocol("2pc")
     federation.gtm.outcomes = [
         SimpleNamespace(
             gtxn_id=gtxn_id, committed=committed, sites=["s0"],
@@ -187,6 +190,19 @@ def test_atomicity_counts_come_from_the_committed_history():
         ("G2", "double_execution", "net 2/1 forward txns committed"),
         ("G4", "unbalanced_undo", "1 forward vs 0 inverse committed"),
     ]
+
+@pytest.mark.parametrize("protocol", ["saga", "altruistic"])
+def test_atomicity_asks_the_protocol_whether_it_runs_per_action(protocol):
+    """Saga and altruistic run one local per action whatever the
+    configured granularity, so two increments at one site are two
+    forward locals, not a double execution."""
+    fed = build_fed(protocol, granularity="per_site")
+    outcome = submit_and_run(
+        fed, [increment("t0", "x", 1), increment("t0", "y", 1), increment("t1", "x", 1)]
+    )
+    assert outcome.committed
+    assert atomicity_report(fed).violations == []
+
 
 def _fake_accounts(values):
     """A fake whose cell ``t<n>[key]`` lives at site ``s<n>``."""
@@ -221,7 +237,8 @@ def test_conservation_is_silent_when_balanced_or_undeclared():
 
 def test_chaos_verdicts_follow_the_violation_list():
     drift = InvariantViolation("conservation", "total 4801 != 4800 (deltas: s1 +1)")
-    result = ChaosResult(spec=ChaosSpec("2pc"), violations=[drift])
+    result = ChaosResult(spec=ChaosSpec("2pc"), findings=[drift])
+    assert result.violations == ["conservation: total 4801 != 4800 (deltas: s1 +1)"]
     assert not result.ok
     assert not result.conserved
     assert result.atomicity_ok and result.converged

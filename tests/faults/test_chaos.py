@@ -144,6 +144,22 @@ def test_a_drained_duplicating_run_remembers_no_transmission():
     ]
 
 
+def test_a_drained_run_remembers_no_abandoned_request():
+    """A request its requester gave up on is marked on the message, so
+    the mark lives only as long as what carries it: once the run
+    drains, the network keeps no abandoned id."""
+    result = run_chaos(ChaosSpec(protocol="2pc", granularity="per_site", seed=2))
+    assert_chaos_ok(result)
+    fed = result.federation
+    assert sum(coordinator.comm.timeouts for coordinator in fed.coordinators) > 0
+    topology_and_counters = {"_nodes", "_valid_links", "by_kind"}
+    remembered = {
+        name: value for name, value in vars(fed.network).items()
+        if isinstance(value, (set, dict)) and value and name not in topology_and_counters
+    }
+    assert remembered == {}
+
+
 @pytest.mark.soak
 @pytest.mark.parametrize("protocol,granularity", CHAOS_PROTOCOLS)
 @pytest.mark.parametrize("seed", list(range(20)))

@@ -64,6 +64,9 @@ CONSTANTS = {
     (GlobalTransactionManager, "RETRY_BACKOFF"): 5.0,
     (CommitAfter, "MAX_REDO_ROUNDS"): 50,
     (PaxosCommit, "PAXOS_TAKEOVER_TIMEOUT"): 80.0,
+    (ChaosSpec, "PARTITION_DURATION"): 40.0,
+    (ChaosSpec, "ACCEPTOR_OUTAGE"): 0.0,
+    (ChaosSpec, "intended_abort_every"): 4,
 }
 
 #: Identifiers of deleted code paths; none may reappear under src/repro.
@@ -72,6 +75,7 @@ GONE = (
     "AnyOf", "call_at_bulk", "_effect_uids", "WaitsForGraph", "find_cycle_from",
     "_restate_blockers", "BufferPoolFull", "wait_with_timeout", "wake_from",
     "add_callback", "_coordinator_index", "_is_acceptor", "_serve_process",
+    "chaos_matrix", "partition_duration", "acceptor_outage", "per_action_protocols",
 )
 
 
@@ -90,7 +94,7 @@ def test_config_field_names_are_pinned():
 
 
 def test_chaos_spec_and_network_surface():
-    assert len(dataclasses.fields(ChaosSpec)) == 36
+    assert len(dataclasses.fields(ChaosSpec)) == 33
     assert "lease_timeout" not in field_names(ChaosSpec)
     parameters = tuple(inspect.signature(Network.__init__).parameters)[1:]
     assert parameters == NETWORK_PARAMETERS

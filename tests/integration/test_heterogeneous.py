@@ -213,3 +213,33 @@ def test_aborted_2pc_leaves_no_write_on_preparable_occ_site(monkeypatch):
     assert fed.peek("pessimist", "tp", "x") == 100
     conserved = {("tp", "x"): 100, ("to", "x"): 200}
     assert check_invariants(fed, conserved=conserved) == []
+
+
+def test_a_prepared_optimistic_install_is_isolated_until_decided(monkeypatch):
+    """G1 prepares at the optimistic site (installing +5 to ``to.x``)
+    and is decided abort 30 u late; G2 increments ``to.x`` meanwhile.
+    G2 must not read G1's undecided install: at the optimistic site it
+    fails validation until G1's abort, then commits its +7 on the
+    restored value, and G1's rollback restores over no foreign write."""
+    from repro.core.invariants import check_invariants
+    from repro.core.protocols.two_phase import TwoPhaseCommit
+
+    decide = TwoPhaseCommit.decide
+
+    def late_abort_for_g1(self, ctx, votes):
+        if not ctx.gtxn.gtxn_id.startswith("G1"):
+            return (yield from decide(self, ctx, votes))
+        yield 30.0
+        ctx.gtxn.set_decision("abort", votes=dict(votes))
+        return "abort", "participant voted abort"
+
+    monkeypatch.setattr(TwoPhaseCommit, "decide", late_abort_for_g1)
+    fed = build_mixed("2pc", preparable=True)
+    g1, g2 = fed.run_transactions([
+        {"operations": [increment("to", "x", 5), increment("tp", "y", -5)], "name": "G1"},
+        {"operations": [increment("to", "x", 7)], "name": "G2", "delay": 10.0},
+    ])
+    assert not g1.committed and g2.committed
+    assert fed.peek("optimist", "to", "x") == 207
+    assert fed.peek("pessimist", "tp", "y") == 10
+    assert check_invariants(fed) == []

@@ -268,7 +268,7 @@ def test_abandon_stops_retransmission(kernel):
     net.partition("central", "a")
     message = Message(kind="ping", sender="central", dest="a")
     net.send(message)
-    net.abandon(message.msg_id)
+    net.abandon(message)
     kernel.call_at(2.0, net.heal, "central", "a")
     kernel.run()
     assert net.delivered == 0
@@ -279,7 +279,7 @@ def test_abandon_blocks_inflight_delivery(kernel):
     net, _, a = make_net(kernel, latency=FixedLatency(5.0))
     message = Message(kind="ping", sender="central", dest="a")
     net.send(message)  # delivery already scheduled for t=5
-    kernel.call_at(1.0, net.abandon, message.msg_id)
+    kernel.call_at(1.0, net.abandon, message)
     kernel.run()
     assert net.delivered == 0
     assert net.abandoned_messages == 1

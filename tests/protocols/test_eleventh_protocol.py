@@ -40,7 +40,7 @@ ROWS = {
     "twelfth": ProtocolInfo(
         "twelfth", __name__, "TwelfthCommit", "throwaway commit-before subclass",
         requires_prepare=False, granularity="per_action",
-        l1_table="semantic", per_action=True,
+        l1_table="semantic",
     ),
 }
 
@@ -146,7 +146,7 @@ def test_failover_resumes_the_protocols_own_inverse_step(monkeypatch):
     row = ProtocolInfo(
         "counting", __name__, "CountingCommit", "commit-before counting inverses",
         requires_prepare=False, granularity="per_action",
-        l1_table="semantic", per_action=True,
+        l1_table="semantic",
     )
     monkeypatch.setitem(PROTOCOL_REGISTRY, row.name, row)
     monkeypatch.setattr(CountingCommit, "inverse_steps", 0)
