@@ -93,6 +93,7 @@ class Kernel:
         self._stopped = False
         self.rng = RandomStreams(seed)
         self.trace = TraceLog(self)
+        # Failed processes nobody has joined yet, with their exceptions.
         self.failures: list[tuple[Process, BaseException]] = []
         # Bound exactly once: the run loops recognise timer entries by
         # identity (``fn is self._fire_timer``), and a fresh bound
@@ -235,10 +236,7 @@ class Kernel:
         finally:
             self._live = None
             self.events_dispatched += dispatched
-        if raise_failures:
-            for process, exc in self.failures:
-                if not process._observed:
-                    raise exc
+        self._settle_failures(raise_failures)
         return self._now
 
     def _next_due(self) -> Optional[float]:
@@ -336,10 +334,7 @@ class Kernel:
             self._now = time
             self.events_dispatched += 1
             chosen[2](*chosen[3])
-        if raise_failures:
-            for process, exc in self.failures:
-                if not process._observed:
-                    raise exc
+        self._settle_failures(raise_failures)
         return self._now
 
     def stop(self) -> None:
@@ -359,7 +354,18 @@ class Kernel:
         self._stopped = True
 
     def _on_process_failure(self, process: Process, exc: BaseException) -> None:
-        self.failures.append((process, exc))
+        # A failure someone joined is handled; only an unobserved one is
+        # kept, until a later join observes it (see _settle_failures).
+        if not process._observed:
+            self.failures.append((process, exc))
+
+    def _settle_failures(self, raise_failures: bool) -> None:
+        """Forget the failures observed since; raise the first one left."""
+        failures = self.failures
+        if failures:
+            failures[:] = [entry for entry in failures if not entry[0]._observed]
+            if raise_failures and failures:
+                raise failures[0][1]
 
     def __repr__(self) -> str:
         return f"<Kernel t={self._now} queued={self.queued}>"

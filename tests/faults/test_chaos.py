@@ -203,3 +203,13 @@ def test_chaos_batching_replays_deterministically():
     assert first.committed == second.committed
     assert first.end_time == second.end_time
     assert first.counters == second.counters
+
+
+def test_a_drained_run_keeps_no_observed_failure():
+    """A failed process someone joined was handled: once the run ends,
+    the kernel keeps only failures nobody observed, so no exception's
+    traceback holds the frames of a handled failure."""
+    result = run_chaos(ChaosSpec(protocol="2pc", granularity="per_site", seed=2))
+    assert_chaos_ok(result)
+    failures = result.federation.kernel.failures
+    assert [entry for entry in failures if entry[0]._observed] == []

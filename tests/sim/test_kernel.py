@@ -118,6 +118,37 @@ def test_observed_failure_propagates_to_joiner_only(kernel):
     assert run(kernel, parent()) == "caught"
 
 
+def test_a_failure_is_kept_only_while_nobody_observed_it(kernel):
+    """A failure its joiner was waiting for is never kept.  One nobody
+    joined is kept and raised; a later join observes it, and the run
+    that follows drops it."""
+    def bad():
+        yield 1
+        raise ValueError("boom")
+
+    def parent():
+        try:
+            yield kernel.spawn(bad())
+        except ValueError:
+            return "caught"
+
+    assert run(kernel, parent()) == "caught"
+    assert kernel.failures == []
+    proc = kernel.spawn(bad())
+    with pytest.raises(ValueError, match="boom"):
+        kernel.run()
+    assert [entry[0] for entry in kernel.failures] == [proc]
+
+    def late():
+        try:
+            yield proc
+        except ValueError:
+            return "caught"
+
+    assert run(kernel, late()) == "caught"
+    assert kernel.failures == []
+
+
 def test_timed_wait_woken_in_time(kernel):
     wait = TimedWait(10)
     kernel.call_at(2, wait.wake, "done")
