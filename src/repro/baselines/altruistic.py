@@ -49,7 +49,7 @@ class AltruisticLockManager(LockManager):
         self._donated: dict[Hashable, set[str]] = {}
         #: txn -> donors whose wake it entered
         self.wake: dict[str, set[str]] = {}
-        #: Transactions that finished (their wakes are over)
+        #: Finished donors some ``wake`` set still names (their wakes are over)
         self._finished: set[str] = set()
         #: running donor -> the pending wake waits its finish settles, in order
         self._wake_waits: dict[str, list[TimedWait]] = {}
@@ -114,7 +114,8 @@ class AltruisticLockManager(LockManager):
         self.release_all(txn_id)
         for donors in self._donated.values():
             donors.discard(txn_id)
-        self._finished.add(txn_id)
+        if any(txn_id in donors for donors in self.wake.values()):
+            self._finished.add(txn_id)
         for wait in self._wake_waits.pop(txn_id, ()):
             wait.wake()
 
@@ -139,8 +140,17 @@ class AltruisticLockManager(LockManager):
                     waits.remove(wait)
                 if not waits:
                     self._wake_waits.pop(donor, None)
+                self._leave_wakes(txn_id)
                 raise LockTimeout(f"wake wait on {donor} timed out")
-        self.wake.pop(txn_id, None)
+        self._leave_wakes(txn_id)
+
+    def _leave_wakes(self, txn_id: str) -> None:
+        """Drop ``txn_id``'s wake set, and every finished donor no other names."""
+        for donor in self.wake.pop(txn_id, ()):
+            if donor in self._finished and not any(
+                donor in donors for donors in self.wake.values()
+            ):
+                self._finished.discard(donor)
 
 
 class AltruisticCommit(CommitBefore):

@@ -147,3 +147,17 @@ def test_wait_for_wake_times_out_with_lock_timeout(kernel):
     locks.finish("T1")
     kernel.run()
     assert kernel.now == start + 4
+
+
+def test_fifty_transactions_leave_no_wake_state():
+    """Once every transaction ended, no wake set and no finished donor is
+    kept: a finished donor is remembered only while a wake names it."""
+    fed = build_fed("altruistic", granularity="per_action")
+    ops = [write("t0", "x", 1)] + [increment("t1", "y", 1)] * 3
+    runs = [submit_delayed(fed, ops, delay=2.0 * i, name=f"T{i}") for i in range(50)]
+    fed.run()
+    assert all(run.value.committed for run in runs)
+    locks = fed.gtm.l1
+    assert locks.wake_entries > 0
+    assert locks.wake == {}
+    assert locks._finished == set()

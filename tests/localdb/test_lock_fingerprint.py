@@ -177,7 +177,7 @@ PINNED = {
     "page": "71118bc946d8ed9f2a50",
     "semantic": "463a81e3dc7f078635b0",
     "read_write": "74e8f48b057cbbaaa837",
-    "altruistic": "645ef0cff5dbdf0a2b7a",
+    "altruistic": "a750d986dc8f2a15ef3d",
 }
 
 
