@@ -67,8 +67,9 @@ class Node:
 
         ``handle`` may return a generator; the loop drives it before
         the next receive, so such messages are handled one at a time.
-        A crash ends the loop and :meth:`restart` spawns a fresh one
-        under the same process ``name``.
+        A crash ends the loop (a message handed to it in the crash's
+        instant is lost) and :meth:`restart` spawns a fresh one under
+        the same process ``name``.
         """
         self._handle = handle
         self.server = self.kernel.spawn(self._serve(handle), name=name)
@@ -78,6 +79,9 @@ class Node:
             try:
                 message = yield from self.recv()
             except NodeUnreachable:
+                return
+            if self.crashed:
+                # Handed over in the crash's instant: the mail is lost.
                 return
             work = handle(message)
             if work is not None:
